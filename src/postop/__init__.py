@@ -12,7 +12,6 @@ from .dataset import (
     AttributeSchema,
     DataError,
     Dataset,
-    Instance,
     ParseError,
     class_counts,
     impute_missing,
@@ -40,7 +39,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "EvaluationReport",
-    "Instance",
     "MlpConfig",
     "ParseError",
     "SmoteConfig",

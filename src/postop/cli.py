@@ -95,19 +95,25 @@ def _infer_format(path: Path, explicit: str | None) -> str:
     return "csv" if path.suffix.lower() == ".csv" else "arff"
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path} is not readable text: {e.reason} at byte {e.start}") from None
+
+
 def _load_dataset(args) -> tuple[Dataset, Path, str]:
+    """The --data table as parsed, before imputation; its path and format."""
     path = _resolve_data_path(args.data)
     fmt = _infer_format(path, args.data_format)
-    text = path.read_text()
+    text = _read_text(path)
     if fmt == "csv":
         if not args.schema:
             raise DataError("CSV input needs --schema pointing at an ARFF header")
-        schema_path = _resolve_data_path(args.schema)
-        schema = parse_arff(schema_path.read_text()).schema
+        schema = parse_arff(_read_text(_resolve_data_path(args.schema))).schema
         d = parse_csv(text, schema, class_attribute=args.class_attribute)
     else:
         d = parse_arff(text, class_attribute=args.class_attribute)
-    d = impute_missing(d, args.impute)
     return d, path, fmt
 
 
@@ -125,7 +131,7 @@ def _positive_class(d: Dataset, requested: str | None) -> str:
 
 
 def _cmd_inspect(args) -> int:
-    d, path, _ = _load_dataset_no_impute(args)
+    d, path, _ = _load_dataset(args)  # not imputed: the census reports the file as-is
     nominal = sum(1 for a in d.schema if a.kind == "nominal")
     numeric = len(d.schema) - nominal
     counts = class_counts(d)
@@ -145,34 +151,19 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _load_dataset_no_impute(args):
-    # inspect reports the file as-is; imputation would hide the census
-    path = _resolve_data_path(args.data)
-    fmt = _infer_format(path, args.data_format)
-    text = path.read_text()
-    if fmt == "csv":
-        if not args.schema:
-            raise DataError("CSV input needs --schema pointing at an ARFF header")
-        schema_path = _resolve_data_path(args.schema)
-        schema = parse_arff(schema_path.read_text()).schema
-        return parse_csv(text, schema, class_attribute=args.class_attribute), path, fmt
-    return parse_arff(text, class_attribute=args.class_attribute), path, fmt
-
-
 # -- resample ----------------------------------------------------------------
 
 
 def _cmd_resample(args) -> int:
+    d, path, fmt = _load_dataset(args)
+    d = impute_missing(d, args.impute)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = _resolve_data_path(args.data)
-    fmt = _infer_format(path, args.data_format)
     out_path = out_dir / f"resampled.{fmt}"
     record_path = out_dir / "resample_record.json"
 
     if args.no_smote:
         out_path.write_bytes(path.read_bytes())  # byte-identical copy
-        d, _, _ = _load_dataset(args)
         record = {
             "method": "none",
             "original_counts": class_counts(d),
@@ -183,7 +174,6 @@ def _cmd_resample(args) -> int:
         print(f"no resampling; copied input to {out_path}")
         return 0
 
-    d, _, _ = _load_dataset(args)
     minority = _positive_class(d, args.positive_class)
     cfg = SmoteConfig(
         seed=derive_seed(args.seed, "smote"),
@@ -261,6 +251,7 @@ def _cmd_bench(args) -> int:
     started = time.perf_counter()
     timings: dict[str, float] = {}
     d, path, fmt = _load_dataset(args)
+    d = impute_missing(d, args.impute)
     timings["load"] = time.perf_counter() - started
 
     cfg = RunConfig(
@@ -409,18 +400,23 @@ def _cmd_plotdata(args) -> int:
     if not path.exists():
         raise DataError(f"manifest {args.manifest!r} not found")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise DataError(f"manifest {args.manifest!r} is not valid JSON: {e}") from None
-    reports = doc.get("reports", [])
+    reports = doc.get("reports") if isinstance(doc, dict) else None
     if not reports:
         raise DataError("manifest contains no classifier reports")
-    names = [r.get("display_name", r.get("classifier", "?")) for r in reports]
+    if not isinstance(reports, list) or not all(
+            isinstance(r, dict) and isinstance(r.get("metrics", {}), dict) for r in reports):
+        raise DataError("manifest reports must be objects with a metrics object")
+    names = [str(r.get("display_name", r.get("classifier", "?"))) for r in reports]
     lines = ["metric," + ",".join(names)]
     for key, label in METRIC_LABELS:
         cells = []
-        for r in reports:
+        for name, r in zip(names, reports):
             v = r.get("metrics", {}).get(key)
+            if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
+                raise DataError(f"{name} metric {key!r} is not a number: {v!r}")
             cells.append("" if v is None else f"{v:.1f}")
         lines.append(label + "," + ",".join(cells))
     out_path = Path(args.out) if args.out else path.parent / "plot.csv"

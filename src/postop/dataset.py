@@ -1,13 +1,19 @@
 """Decision-table data model plus ARFF/CSV parsing and serialization.
 
-The table is a fixed schema of nominal and numeric attributes with exactly
-one binary nominal class attribute, and a tuple of conforming instances.
-Nominal cells are stored as integer indexes into the attribute's declared
-domain, numeric cells as finite floats, missing cells as None.
+A table is a fixed schema of nominal and numeric attributes with exactly
+one binary nominal class attribute, stored as three arrays: the nominal
+predictors as int domain codes (-1 for missing), the numeric predictors
+as floats (nan for missing), and the class as int codes (never missing).
+The arrays are checked once, vectorized, when a table is built; tables
+derived from a checked one (row subsets, imputed or resampled copies) are
+not checked again. Rows as tuples, with None for missing cells, exist only
+where data enters (`Dataset.from_rows`, the parsers) or leaves
+(`Dataset.rows`, the serializers).
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import math
@@ -79,88 +85,133 @@ class AttributeSchema:
             ) from None
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One row; values align positionally with the dataset schema."""
+def is_missing(column: np.ndarray) -> np.ndarray:
+    """Missing-cell mask of a column: nan in floats, negative in codes."""
+    return np.isnan(column) if column.dtype.kind == "f" else column < 0
 
-    values: tuple
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _check(bad: np.ndarray, message) -> None:
+    """Raise DataError(message(row, column)) at the first true cell of bad."""
+    hits = np.argwhere(bad)
+    if hits.size:
+        raise DataError(message(*hits[0]))
+
+
+def _class_position(schema) -> int:
+    names = [a.name for a in schema]
+    if len(set(names)) != len(names):
+        raise DataError("attribute names must be unique")
+    class_positions = [i for i, a in enumerate(schema) if a.role == CLASS]
+    if len(class_positions) != 1:
+        raise DataError(f"expected exactly one class attribute, found {len(class_positions)}")
+    cattr = schema[class_positions[0]]
+    if cattr.kind != NOMINAL or len(cattr.values) != 2:
+        raise DataError("the class attribute must be nominal with exactly two values")
+    return class_positions[0]
 
 
 class Dataset:
-    """Immutable decision table: schema, instances, and a relation name.
+    """Immutable decision table: schema, three read-only arrays, a relation name.
 
-    Construction validates everything downstream code relies on: exactly
-    one class attribute, a binary nominal class, positionally conforming
-    instance values (in-domain symbol indexes, finite reals), and no
-    missing class values.
+    codes (rows, nominal predictors) holds int domain codes, -1 for
+    missing; numerics (rows, numeric predictors) holds floats, nan for
+    missing; classes (rows,) holds class codes. Predictor columns follow
+    schema order within each block. Construction checks the schema (unique
+    names, one binary nominal class attribute) and the arrays (shapes,
+    in-domain codes, no infinities, no missing class) in one vectorized
+    pass and copies them.
     """
 
-    def __init__(self, schema, instances, relation: str = "dataset"):
+    def __init__(self, schema, codes, numerics, classes, relation: str = "dataset"):
         self.schema = tuple(schema)
-        self.instances = tuple(instances)
         self.relation = relation
-        self._validate()
+        self._class_index = _class_position(self.schema)
+        classes = np.asarray(classes)
+        codes = np.asarray(codes)
+        numerics = np.asarray(numerics, dtype=np.float64)
+        n = len(classes)
+        if (classes.ndim != 1 or codes.shape != (n, len(self.nominal_predictor_indices))
+                or numerics.shape != (n, len(self.numeric_predictor_indices))):
+            raise DataError("codes, numerics and classes must be row-aligned blocks "
+                            "matching the schema")
+        if codes.dtype.kind not in "iu" or classes.dtype.kind not in "iu":
+            raise DataError("nominal and class codes must be integer arrays")
+        names = [self.schema[ai].name for ai in self.nominal_predictor_indices]
+        sizes = [len(self.schema[ai].values) for ai in self.nominal_predictor_indices]
+        _check((codes < -1) | (codes >= np.array(sizes, dtype=np.int64)), lambda r, j:
+               f"instance {r}: symbol index {codes[r, j]} out of range for {names[j]!r}")
+        _check(np.isinf(numerics), lambda r, j: f"instance {r}: non-finite value for "
+               f"{self.schema[self.numeric_predictor_indices[j]].name!r}")
+        _check(classes == -1, lambda r: f"instance {r} has a missing class value")
+        _check((classes < -1) | (classes >= 2),
+               lambda r: f"instance {r}: class code {classes[r]} out of range")
+        self._codes = _frozen(codes.astype(np.int64))
+        self._numerics = _frozen(numerics.copy())
+        self._classes = _frozen(classes.astype(np.int64))
 
-    def _validate(self):
-        names = [a.name for a in self.schema]
-        if len(set(names)) != len(names):
-            raise DataError("attribute names must be unique")
-        class_positions = [i for i, a in enumerate(self.schema) if a.role == CLASS]
-        if len(class_positions) != 1:
-            raise DataError(
-                f"expected exactly one class attribute, found {len(class_positions)}"
-            )
-        ci = class_positions[0]
-        cattr = self.schema[ci]
-        if cattr.kind != NOMINAL or len(cattr.values) != 2:
-            raise DataError("the class attribute must be nominal with exactly two values")
-        self._class_index = ci
-        for n, inst in enumerate(self.instances):
-            if len(inst.values) != len(self.schema):
-                raise DataError(
-                    f"instance {n} has {len(inst.values)} values, schema expects {len(self.schema)}"
-                )
-            for attr_pos, (attr, v) in enumerate(zip(self.schema, inst.values)):
-                if v is None:
-                    if attr_pos == ci:
-                        raise DataError(f"instance {n} has a missing class value")
-                    continue
-                if attr.kind == NOMINAL:
-                    if isinstance(v, bool) or not isinstance(v, int):
-                        raise DataError(
-                            f"instance {n}: nominal attribute {attr.name!r} needs an int index"
-                        )
-                    if not 0 <= v < len(attr.values):
-                        raise DataError(
-                            f"instance {n}: symbol index {v} out of range for {attr.name!r}"
-                        )
-                else:
-                    if isinstance(v, bool) or not isinstance(v, (int, float)):
-                        raise DataError(
-                            f"instance {n}: numeric attribute {attr.name!r} needs a real value"
-                        )
-                    if not math.isfinite(v):
-                        raise DataError(
-                            f"instance {n}: non-finite value for {attr.name!r}"
-                        )
+    @classmethod
+    def from_rows(cls, schema, rows, relation: str = "dataset") -> "Dataset":
+        """Table from value tuples aligned with the schema, None for missing.
+
+        Nominal and class values are int domain codes, numeric values
+        reals. This is how parsed files and hand-built tables come in.
+        """
+        schema = tuple(schema)
+        ci = _class_position(schema)
+        rows = list(rows)
+        width = len(schema)
+        for n, length in enumerate(map(len, rows)):
+            if length != width:
+                raise DataError(f"instance {n} has {length} values, schema expects {width}")
+        cells = np.empty((len(rows), width), dtype=object)
+        if rows:
+            cells[:] = rows
+        missing = cells == None  # noqa: E711 - elementwise on an object array
+        try:
+            values = np.where(missing, 0.0, cells).astype(np.float64)
+        except (TypeError, ValueError):
+            raise DataError("cell values must be numbers or None") from None
+        _check(~np.isfinite(values),
+               lambda r, a: f"instance {r}: non-finite value for {schema[a].name!r}")
+        nominal = [i for i, a in enumerate(schema) if a.kind == NOMINAL and i != ci] + [ci]
+        numeric = [i for i, a in enumerate(schema) if a.kind == NUMERIC]
+        ints = values[:, nominal]
+        _check(ints != np.floor(ints), lambda r, j: f"instance {r}: nominal attribute "
+               f"{schema[nominal[j]].name!r} needs an int index")
+        ints = np.where(missing[:, nominal], -1, ints).astype(np.int64)
+        numerics = np.where(missing[:, numeric], np.nan, values[:, numeric])
+        return cls(schema, ints[:, :-1], numerics, ints[:, -1], relation)
+
+    def _derive(self, codes, numerics, classes) -> "Dataset":
+        """Same schema over arrays computed from this table's; not re-checked."""
+        out = copy.copy(self)
+        out._codes, out._numerics, out._classes = map(_frozen, (codes, numerics, classes))
+        return out
 
     # -- identity ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self._classes)
 
     def __eq__(self, other) -> bool:
         # relation name is presentation, not data; two tables are equal when
         # their schemas and values agree
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self.schema == other.schema and self.instances == other.instances
+        return (
+            self.schema == other.schema
+            and np.array_equal(self._codes, other._codes)
+            and np.array_equal(self._numerics, other._numerics, equal_nan=True)
+            and np.array_equal(self._classes, other._classes)
+        )
 
     def __repr__(self):
-        return (
-            f"Dataset({self.relation!r}, {len(self.instances)} instances, "
-            f"{len(self.schema)} attributes)"
-        )
+        return f"Dataset({self.relation!r}, {len(self)} instances, {len(self.schema)} attributes)"
 
     # -- schema views ------------------------------------------------------
 
@@ -194,54 +245,41 @@ class Dataset:
                 return i
         raise DataError(f"no attribute named {name!r}")
 
-    # -- array views (missing: -1 in codes, nan in numerics) ---------------
-
-    @cached_property
-    def _codes_matrix(self) -> np.ndarray:
-        cols = self.nominal_predictor_indices
-        out = np.empty((len(self.instances), len(cols)), dtype=np.int64)
-        for j, ai in enumerate(cols):
-            out[:, j] = [
-                -1 if inst.values[ai] is None else inst.values[ai] for inst in self.instances
-            ]
-        return out
-
-    @cached_property
-    def _numeric_matrix(self) -> np.ndarray:
-        cols = self.numeric_predictor_indices
-        out = np.empty((len(self.instances), len(cols)), dtype=np.float64)
-        for j, ai in enumerate(cols):
-            out[:, j] = [
-                np.nan if inst.values[ai] is None else inst.values[ai]
-                for inst in self.instances
-            ]
-        return out
+    # -- array views (read-only) -------------------------------------------
 
     def codes_matrix(self) -> np.ndarray:
-        """Nominal predictor columns as int codes, missing as -1. Copy."""
-        return self._codes_matrix.copy()
+        """Nominal predictor columns as int codes, missing as -1."""
+        return self._codes
 
     def numeric_matrix(self) -> np.ndarray:
-        """Numeric predictor columns as floats, missing as nan. Copy."""
-        return self._numeric_matrix.copy()
+        """Numeric predictor columns as floats, missing as nan."""
+        return self._numerics
 
     def class_codes(self) -> np.ndarray:
         """Class column as int codes (never missing)."""
-        return np.fromiter(
-            (inst.values[self._class_index] for inst in self.instances),
-            dtype=np.int64,
-            count=len(self.instances),
-        )
+        return self._classes
 
-    # -- construction helpers ----------------------------------------------
+    def column(self, ai: int) -> np.ndarray:
+        """The column of schema position ai, in its block's encoding."""
+        if ai == self._class_index:
+            return self._classes
+        if self.schema[ai].kind == NOMINAL:
+            return self._codes[:, self.nominal_predictor_indices.index(ai)]
+        return self._numerics[:, self.numeric_predictor_indices.index(ai)]
+
+    def rows(self) -> list[tuple]:
+        """The table as value tuples in schema order, None for missing cells."""
+        cells = np.empty((len(self), len(self.schema)), dtype=object)
+        for positions, block in ((self.nominal_predictor_indices, self._codes),
+                                 (self.numeric_predictor_indices, self._numerics)):
+            cells[:, list(positions)] = np.where(is_missing(block), None, block)
+        cells[:, self._class_index] = self._classes
+        return [tuple(r) for r in cells.tolist()]
 
     def subset(self, indices) -> "Dataset":
         """New table with the rows at `indices`, in the given order."""
-        inst = self.instances
-        return Dataset(self.schema, [inst[i] for i in indices], self.relation)
-
-    def replace_instances(self, instances) -> "Dataset":
-        return Dataset(self.schema, instances, self.relation)
+        idx = np.asarray(indices, dtype=np.int64)
+        return self._derive(self._codes[idx], self._numerics[idx], self._classes[idx])
 
 
 def class_counts(d: Dataset) -> dict[str, int]:
@@ -249,22 +287,15 @@ def class_counts(d: Dataset) -> dict[str, int]:
 
     Classes with no instances still appear with count 0.
     """
-    labels = d.class_labels
-    counts = dict.fromkeys(labels, 0)
-    ci = d.class_index
-    for inst in d.instances:
-        counts[labels[inst.values[ci]]] += 1
-    return counts
+    counts = np.bincount(d.class_codes(), minlength=len(d.class_labels))
+    return {label: int(c) for label, c in zip(d.class_labels, counts)}
 
 
 def missing_census(d: Dataset) -> dict[str, int]:
     """Missing-cell count per attribute name, only attributes that have any."""
-    out: dict[str, int] = {}
-    for i, a in enumerate(d.schema):
-        n = sum(1 for inst in d.instances if inst.values[i] is None)
-        if n:
-            out[a.name] = n
-    return out
+    counts = ((d.schema[ai].name, int(is_missing(d.column(ai)).sum()))
+              for ai in d.predictor_indices)
+    return {name: n for name, n in counts if n}
 
 
 def impute_missing(d: Dataset, strategy: str = "mean-or-mode") -> Dataset:
@@ -274,37 +305,29 @@ def impute_missing(d: Dataset, strategy: str = "mean-or-mode") -> Dataset:
     values, nominals the most frequent value (ties toward the earlier domain
     value). strategy "drop-instance": rows with any missing value are removed.
     """
+    codes, numerics = d.codes_matrix(), d.numeric_matrix()
+    holes = (codes < 0, np.isnan(numerics))
     if strategy == "drop-instance":
-        keep = [i for i, inst in enumerate(d.instances) if None not in inst.values]
-        return d.subset(keep)
+        return d.subset(np.flatnonzero(~(holes[0].any(axis=1) | holes[1].any(axis=1))))
     if strategy != "mean-or-mode":
         raise DataError(f"unknown imputation strategy {strategy!r}")
-
-    fills: dict[int, float | int] = {}
-    for i, a in enumerate(d.schema):
-        col = [inst.values[i] for inst in d.instances]
-        if None not in col:
-            continue
-        present = [v for v in col if v is not None]
-        if not present:
-            raise DataError(f"attribute {a.name!r} has no observed values to impute from")
-        if a.kind == NUMERIC:
-            fills[i] = float(sum(present)) / len(present)
-        else:
-            counts = [0] * len(a.values)
-            for v in present:
-                counts[v] += 1
-            fills[i] = max(range(len(counts)), key=lambda k: (counts[k], -k))
-    if not fills:
+    if not (holes[0].any() or holes[1].any()):
         return d
-    new_rows = []
-    for inst in d.instances:
-        vals = list(inst.values)
-        for i, fill in fills.items():
-            if vals[i] is None:
-                vals[i] = fill
-        new_rows.append(Instance(tuple(vals)))
-    return d.replace_instances(new_rows)
+    codes, numerics = codes.copy(), numerics.copy()
+    blocks = ((codes, holes[0], d.nominal_predictor_indices),
+              (numerics, holes[1], d.numeric_predictor_indices))
+    for block, hole, positions in blocks:
+        for j in np.flatnonzero(hole.any(axis=0)):
+            attr = d.schema[positions[j]]
+            present = block[~hole[:, j], j]
+            if not present.size:
+                raise DataError(f"attribute {attr.name!r} has no observed values to impute from")
+            if attr.kind == NUMERIC:
+                # a python sum, so the mean keeps its row-order rounding
+                block[hole[:, j], j] = sum(present.tolist()) / present.size
+            else:
+                block[hole[:, j], j] = np.argmax(np.bincount(present, minlength=len(attr.values)))
+    return d._derive(codes, numerics, d.class_codes())
 
 
 # -- ARFF -------------------------------------------------------------------
@@ -330,7 +353,7 @@ def _parse_attribute_decl(rest: str, lineno: int) -> AttributeSchema:
         brace = rest.find("{")
         head = rest if brace < 0 else rest[:brace]
         parts = head.split(None, 1)
-        name = parts[0]
+        name = parts[0] if parts else ""
         spec = (parts[1] if len(parts) > 1 else "") + ("" if brace < 0 else rest[brace:])
         spec = spec.strip()
     if not name:
@@ -411,7 +434,7 @@ def parse_arff(source, class_attribute: str | None = None) -> Dataset:
     text = source.read() if hasattr(source, "read") else source
     relation = "dataset"
     schema: list[AttributeSchema] = []
-    rows: list[Instance] = []
+    rows: list[tuple] = []
     in_data = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -435,14 +458,13 @@ def parse_arff(source, class_attribute: str | None = None) -> Dataset:
             raise ParseError(
                 f"row has {len(fields)} values, schema expects {len(schema)}", line=lineno
             )
-        values = tuple(
+        rows.append(tuple(
             _convert_token(tok.strip(), attr, lineno, col)
             for (tok, col), attr in zip(fields, schema)
-        )
-        rows.append(Instance(values))
+        ))
     if not in_data:
         raise ParseError("missing @data section")
-    return Dataset(_assign_class(schema, class_attribute), rows, relation)
+    return Dataset.from_rows(_assign_class(schema, class_attribute), rows, relation)
 
 
 def _format_value(attr: AttributeSchema, v) -> str:
@@ -462,8 +484,8 @@ def to_arff(d: Dataset) -> str:
         else:
             out.append(f"@attribute {a.name} numeric")
     out.append("@data")
-    for inst in d.instances:
-        out.append(",".join(_format_value(a, v) for a, v in zip(d.schema, inst.values)))
+    for row in d.rows():
+        out.append(",".join(_format_value(a, v) for a, v in zip(d.schema, row)))
     return "\n".join(out) + "\n"
 
 
@@ -499,12 +521,11 @@ def parse_csv(source, schema, class_attribute: str | None = None,
             raise ParseError(
                 f"row has {len(row)} values, schema expects {len(schema)}", line=lineno
             )
-        values = tuple(
+        rows.append(tuple(
             _convert_token(tok.strip(), attr, lineno, col + 1)
             for col, (tok, attr) in enumerate(zip(row, schema))
-        )
-        rows.append(Instance(values))
-    return Dataset(_assign_class(schema, class_attribute), rows, relation)
+        ))
+    return Dataset.from_rows(_assign_class(schema, class_attribute), rows, relation)
 
 
 def to_csv(d: Dataset) -> str:
@@ -512,6 +533,6 @@ def to_csv(d: Dataset) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([a.name for a in d.schema])
-    for inst in d.instances:
-        writer.writerow([_format_value(a, v) for a, v in zip(d.schema, inst.values)])
+    for row in d.rows():
+        writer.writerow([_format_value(a, v) for a, v in zip(d.schema, row)])
     return buf.getvalue()

@@ -16,7 +16,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dataset import CLASS, NOMINAL, DataError, Dataset, Instance
+from .dataset import CLASS, NOMINAL, DataError, Dataset, is_missing
 
 # gains this small are noise; such attributes are not split candidates
 GAIN_EPS = 1e-12
@@ -73,10 +73,9 @@ class Condition:
     value: str | float
     code: int | None = None  # domain index backing an "=" test
 
-    def matches(self, instance: Instance) -> bool:
-        v = instance.values[self.attr_index]
-        if v is None:
-            return False
+    def matches(self, d: Dataset) -> np.ndarray:
+        """Which rows satisfy the test; a missing value satisfies none."""
+        v = d.column(self.attr_index)
         if self.op == "=":
             return v == self.code
         if self.op == "<=":
@@ -92,8 +91,11 @@ class Rule:
     consequent: tuple[str, str]  # (class attribute name, class value token)
     class_code: int
 
-    def matches(self, instance: Instance) -> bool:
-        return all(c.matches(instance) for c in self.antecedent)
+    def matches(self, d: Dataset) -> np.ndarray:
+        hits = np.ones(len(d), dtype=bool)
+        for c in self.antecedent:
+            hits &= c.matches(d)
+        return hits
 
 
 # -- information measures ----------------------------------------------------
@@ -317,36 +319,30 @@ def train_tree(d: Dataset, cfg: TreeConfig | None = None, *,
 # -- prediction ---------------------------------------------------------------
 
 
-def _largest_mass_child(node: TreeNode) -> TreeNode:
-    best = node.children[0]
-    best_n = best.counts.sum()
-    for child in node.children[1:]:
-        n = child.counts.sum()
-        if n > best_n:
-            best, best_n = child, n
-    return best
+def tree_predict(t: TreeNode, d: Dataset) -> np.ndarray:
+    """Class probabilities (rows, classes) from the leaf each row reaches.
 
-
-def tree_predict(t: TreeNode, instance: Instance) -> np.ndarray:
-    """Class probabilities from the leaf the instance reaches.
-
-    The leaf's training counts get a +1 correction per class, so empty
-    leaves yield a uniform distribution. Unseen or missing test values
-    fall through to the child with the largest training mass.
+    Row index sets are routed down the tree. The leaf's training counts
+    get a +1 correction per class, so empty leaves yield a uniform
+    distribution. Unseen or missing test values fall through to the child
+    with the largest training mass (the earliest on ties).
     """
-    node = t
-    while not node.is_leaf:
-        v = instance.values[node.attr_index]
-        if v is None:
-            node = _largest_mass_child(node)
-        elif node.threshold is not None:
-            node = node.children[0] if v <= node.threshold else node.children[1]
-        elif 0 <= v < len(node.children):
-            node = node.children[v]
+    out = np.empty((len(d), len(t.counts)))
+    stack = [(t, np.arange(len(d)))]
+    while stack:
+        node, idx = stack.pop()
+        if node.is_leaf:
+            out[idx] = (node.counts + 1.0) / (node.counts.sum() + len(node.counts))
+            continue
+        v = d.column(node.attr_index)[idx]
+        if node.threshold is not None:
+            branch = np.where(v <= node.threshold, 0, 1)
         else:
-            node = _largest_mass_child(node)
-    counts = node.counts
-    return (counts + 1.0) / (counts.sum() + len(counts))
+            branch = v.copy()
+        unseen = is_missing(v) | (branch >= len(node.children))
+        branch[unseen] = np.argmax([child.counts.sum() for child in node.children])
+        stack.extend((child, idx[branch == k]) for k, child in enumerate(node.children))
+    return out
 
 
 # -- rules ---------------------------------------------------------------------
@@ -394,12 +390,14 @@ def tree_to_rules(t: TreeNode, schema=None) -> list[Rule]:
     return rules
 
 
-def rules_predict(rules: list[Rule], instance: Instance) -> int:
-    """Class code of the first matching rule."""
-    for rule in rules:
-        if rule.matches(instance):
-            return rule.class_code
-    raise DataError("no rule matched the instance")
+def rules_predict(rules: list[Rule], d: Dataset) -> np.ndarray:
+    """Class code of the first rule each row matches."""
+    out = np.full(len(d), -1)
+    for rule in reversed(rules):  # earlier rules overwrite later ones
+        out[rule.matches(d)] = rule.class_code
+    if (out < 0).any():
+        raise DataError(f"no rule matched instance {int(np.argmax(out < 0))}")
+    return out
 
 
 # -- printers ------------------------------------------------------------------
@@ -472,19 +470,16 @@ def gain_ratio(d: Dataset, attribute) -> float | None:
     attr = d.schema[ai]
     if attr.role == CLASS:
         raise DataError("gain ratio of the class attribute is undefined")
-    y = d.class_codes()
-    n_classes = len(d.class_labels)
-    col = [inst.values[ai] for inst in d.instances]
-    keep = np.array([v is not None for v in col])
+    col = d.column(ai)
+    keep = ~is_missing(col)
     if not keep.any():
         return None
-    yk = y[keep]
+    y = d.class_codes()[keep]
+    n_classes = len(d.class_labels)
     if attr.kind == NOMINAL:
-        codes = np.array([v for v in col if v is not None], dtype=np.int64)
-        res = _nominal_candidate(codes, yk, len(attr.values), n_classes)
+        res = _nominal_candidate(col[keep], y, len(attr.values), n_classes)
     else:
-        vals = np.array([v for v in col if v is not None], dtype=np.float64)
-        res = _numeric_candidate(vals, yk, n_classes)
+        res = _numeric_candidate(col[keep], y, n_classes)
     if res is None:
         return None
     gain, split_info, _ = res

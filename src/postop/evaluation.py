@@ -12,7 +12,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .dataset import DataError, Dataset, Instance
+from .dataset import DataError, Dataset
 from .decision_tree import TreeConfig, train_tree, tree_predict
 from .mlp import MlpConfig, mlp_predict, train_mlp
 from .naive_bayes import nb_predict, train_nb
@@ -252,13 +252,14 @@ class ClassifierSpec:
     """A trainable classifier: a name, train/predict functions, and its config.
 
     train takes (dataset, seed) and returns an opaque model; predict takes
-    (model, instance) and returns class probabilities in declaration order.
-    Seeds are ignored by deterministic learners.
+    (model, dataset) and returns class probabilities of shape (rows,
+    classes), classes in declaration order. Seeds are ignored by
+    deterministic learners.
     """
 
     name: str
     train: Callable[[Dataset, int], Any]
-    predict: Callable[[Any, Instance], np.ndarray]
+    predict: Callable[[Any, Dataset], np.ndarray]
     config: dict = field(default_factory=dict)
 
 
@@ -392,8 +393,7 @@ def cross_validate(d: Dataset, spec: ClassifierSpec, folds: FoldAssignment,
         if train_transform is not None:
             train_d = train_transform(train_d, derive_seed(folds.seed, "transform", t))
         model = spec.train(train_d, derive_seed(folds.seed, "train", spec.name, t))
-        for i in test_idx:
-            probs[i] = spec.predict(model, d.instances[i])
+        probs[test_idx] = spec.predict(model, d.subset(test_idx))
         predicted = probs[test_idx].argmax(axis=1)
         fold_accuracies.append(float((predicted == y[test_idx]).mean()))
 

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CLASS, NOMINAL, DataError, Dataset, Instance
+from .dataset import NOMINAL, DataError, Dataset
 
 try:
     from numba import njit
 
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is an optional extra; the numpy path runs without it
     _HAVE_NUMBA = False
 
     def njit(*args, **kwargs):
@@ -115,11 +115,12 @@ def encode(d: Dataset) -> tuple[Encoding, np.ndarray, np.ndarray]:
         else:
             kinds.append("numeric")
             sizes.append(1)
-            col = [inst.values[ai] for inst in d.instances if inst.values[ai] is not None]
-            if not col:
+            col = d.column(ai)
+            col = col[~np.isnan(col)]
+            if not col.size:
                 raise DataError(f"attribute {attr.name!r} has no observed values to scale by")
-            lo, hi = min(col), max(col)
-            ranges[ai] = NumericRange(float(lo), float(hi), constant=lo == hi)
+            lo, hi = float(col.min()), float(col.max())
+            ranges[ai] = NumericRange(lo, hi, constant=lo == hi)
             offset += 1
     enc = Encoding(
         attr_indices=tuple(attr_indices),
@@ -130,27 +131,24 @@ def encode(d: Dataset) -> tuple[Encoding, np.ndarray, np.ndarray]:
         input_width=offset,
         class_labels=d.class_labels,
     )
-    x = np.zeros((len(d), enc.input_width))
-    for i, inst in enumerate(d.instances):
-        x[i] = encode_instance(enc, inst)
     y = np.zeros((len(d), len(d.class_labels)))
     y[np.arange(len(d)), d.class_codes()] = 1.0
-    return enc, x, y
+    return enc, encode_inputs(enc, d), y
 
 
-def encode_instance(enc: Encoding, instance: Instance) -> np.ndarray:
-    """Encode one instance; missing values encode to all-zero fields."""
-    vec = np.zeros(enc.input_width)
+def encode_inputs(enc: Encoding, d: Dataset) -> np.ndarray:
+    """Input matrix (rows, input_width); missing values encode to all-zero fields."""
+    x = np.zeros((len(d), enc.input_width))
+    rows = np.arange(len(d))
     for ai, offset, kind in zip(enc.attr_indices, enc.offsets, enc.kinds):
-        v = instance.values[ai]
-        if v is None:
-            continue
+        v = d.column(ai)
         if kind == NOMINAL:
-            vec[offset + v] = 1.0
-        else:
+            seen = v >= 0
+            x[rows[seen], offset + v[seen]] = 1.0
+        elif not enc.ranges[ai].constant:
             r = enc.ranges[ai]
-            vec[offset] = 0.0 if r.constant else (v - r.lo) / (r.hi - r.lo)
-    return vec
+            x[:, offset] = np.nan_to_num((v - r.lo) / (r.hi - r.lo), nan=0.0)
+    return x
 
 
 @dataclass
@@ -177,11 +175,15 @@ def _sigmoid(z):
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Output activations for an encoded input vector."""
-    a = x
+    """Output activations for an encoded input vector, or a matrix of rows.
+
+    Rows pass through each layer as a stack of one-row products, so every
+    row's sums run in the same order as for a single vector.
+    """
+    a = x[..., None, :]
     for w, b in zip(model.weights, model.biases):
         a = _sigmoid(a @ w + b)
-    return a
+    return a[..., 0, :]
 
 
 def _forward_all(model, x):
@@ -371,7 +373,7 @@ def train_mlp(d: Dataset, cfg: MlpConfig, *, use_numba: bool | None = None) -> M
     )
 
 
-def mlp_predict(model: MlpModel, instance: Instance) -> np.ndarray:
-    """Class probabilities: output activations normalized to sum to 1."""
-    out = forward(model, encode_instance(model.encoding, instance))
-    return out / out.sum()
+def mlp_predict(model: MlpModel, d: Dataset) -> np.ndarray:
+    """Class probabilities (rows, classes): output activations normalized per row."""
+    out = forward(model, encode_inputs(model.encoding, d))
+    return out / out.sum(axis=1, keepdims=True)

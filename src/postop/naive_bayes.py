@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CLASS, NOMINAL, DataError, Dataset, Instance
+from .dataset import DataError, Dataset
 
 VARIANCE_FLOOR = 1e-6
 
@@ -61,34 +61,25 @@ def train_nb(d: Dataset) -> NaiveBayesModel:
     priors = (class_n + 1.0) / (len(d) + n_classes)
 
     nominal_tables: dict[int, np.ndarray] = {}
+    for ai, codes in zip(d.nominal_predictor_indices, d.codes_matrix().T):
+        size = len(d.schema[ai].values)
+        seen = codes >= 0
+        counts = np.bincount(y[seen] * size + codes[seen], minlength=n_classes * size)
+        counts = counts.reshape(n_classes, size).astype(float)
+        observed = counts.sum(axis=1, keepdims=True)
+        nominal_tables[ai] = (counts + 1.0) / (observed + size)
     gaussian_params: dict[int, np.ndarray] = {}
-    for ai in d.predictor_indices:
-        attr = d.schema[ai]
-        col = [inst.values[ai] for inst in d.instances]
-        if attr.kind == NOMINAL:
-            size = len(attr.values)
-            counts = np.zeros((n_classes, size))
-            for v, c in zip(col, y):
-                if v is not None:
-                    counts[c, v] += 1
-            observed = counts.sum(axis=1, keepdims=True)
-            nominal_tables[ai] = (counts + 1.0) / (observed + size)
-        else:
-            vals = np.array([np.nan if v is None else float(v) for v in col])
-            seen = ~np.isnan(vals)
-            if not seen.any():
-                raise DataError(f"attribute {attr.name!r} has no observed values")
-            global_mean = vals[seen].mean()
-            global_var = max(vals[seen].var(), VARIANCE_FLOOR)
-            params = np.empty((n_classes, 2))
-            for c in range(n_classes):
-                mask = seen & (y == c)
-                if mask.any():
-                    params[c, 0] = vals[mask].mean()
-                    params[c, 1] = max(vals[mask].var(), VARIANCE_FLOOR)
-                else:
-                    params[c] = (global_mean, global_var)
-            gaussian_params[ai] = params
+    for ai, vals in zip(d.numeric_predictor_indices, d.numeric_matrix().T):
+        seen = ~np.isnan(vals)
+        if not seen.any():
+            raise DataError(f"attribute {d.schema[ai].name!r} has no observed values")
+        params = np.empty((n_classes, 2))
+        for c in range(n_classes):
+            mask = seen & (y == c)
+            if not mask.any():
+                mask = seen  # an absent class takes the whole-data parameters
+            params[c] = (vals[mask].mean(), max(vals[mask].var(), VARIANCE_FLOOR))
+        gaussian_params[ai] = params
     return NaiveBayesModel(
         class_labels=d.class_labels,
         priors=priors,
@@ -98,24 +89,25 @@ def train_nb(d: Dataset) -> NaiveBayesModel:
     )
 
 
-def nb_predict(model: NaiveBayesModel, instance: Instance) -> np.ndarray:
-    """Posterior probabilities per class, in class declaration order.
+def nb_predict(model: NaiveBayesModel, d: Dataset) -> np.ndarray:
+    """Posterior probabilities (rows, classes), in class declaration order.
 
-    Computed in log space and normalized to sum to 1. Missing attribute
-    values contribute nothing. Ties resolve toward the earlier class when
-    the caller takes an argmax, since numpy returns the first maximum.
+    Computed in log space and normalized to sum to 1 per row. Missing
+    attribute values contribute nothing. Ties resolve toward the earlier
+    class when the caller takes an argmax, since numpy returns the first
+    maximum.
     """
-    log_post = np.log(model.priors).copy()
+    log_post = np.tile(np.log(model.priors), (len(d), 1))
     for ai, table in model.nominal_tables.items():
-        v = instance.values[ai]
-        if v is not None:
-            log_post += np.log(table[:, v])
+        v = d.column(ai)
+        seen = v >= 0
+        log_post[seen] += np.log(table[:, v[seen]]).T
     for ai, params in model.gaussian_params.items():
-        v = instance.values[ai]
-        if v is None:
-            continue
+        v = d.column(ai)
+        seen = ~np.isnan(v)
         mean, var = params[:, 0], params[:, 1]
-        log_post += -0.5 * (np.log(2.0 * math.pi * var) + (v - mean) ** 2 / var)
-    log_post -= log_post.max()
+        log_post[seen] += -0.5 * (np.log(2.0 * math.pi * var)
+                                  + (v[seen, None] - mean) ** 2 / var)
+    log_post -= log_post.max(axis=1, keepdims=True)
     p = np.exp(log_post)
-    return p / p.sum()
+    return p / p.sum(axis=1, keepdims=True)

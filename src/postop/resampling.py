@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DataError, Dataset, Instance, class_counts
+from .dataset import DataError, Dataset, class_counts
 from .seeds import derive_seed
 
 
@@ -80,38 +80,35 @@ class ResampleRecord:
         }
 
 
-def _minority_indices(d: Dataset, minority_class: str) -> tuple[int, list[int]]:
+def _minority_indices(d: Dataset, minority_class: str) -> tuple[int, np.ndarray]:
     if minority_class not in d.class_labels:
         raise ResampleError(
             f"{minority_class!r} is not a value of the class attribute "
             f"{d.class_attribute.name!r}"
         )
     code = d.class_labels.index(minority_class)
-    ci = d.class_index
-    idx = [i for i, inst in enumerate(d.instances) if inst.values[ci] == code]
-    return code, idx
+    return code, np.flatnonzero(d.class_codes() == code)
 
 
-def _neighbor_table(d: Dataset, min_idx: list[int], k: int) -> np.ndarray:
+def _neighbor_table(d: Dataset, min_idx: np.ndarray, k: int) -> np.ndarray:
     """k nearest minority neighbours of each minority instance.
 
     Distance is Euclidean over min-max normalized numerics (ranges taken
     over the whole dataset) plus a 0/1 mismatch term per nominal attribute.
     Returns positions into min_idx, shape (len(min_idx), k).
     """
-    rows = np.asarray(min_idx)
     num = d.numeric_matrix()
     nom = d.codes_matrix()
-    if np.isnan(num[rows]).any() or (nom[rows] < 0).any():
+    if np.isnan(num[min_idx]).any() or (nom[min_idx] < 0).any():
         raise ResampleError("minority instances must have no missing values")
     lo = np.nanmin(num, axis=0) if num.size else np.zeros(0)
     hi = np.nanmax(num, axis=0) if num.size else np.zeros(0)
     span = hi - lo
     span[span == 0] = 1.0  # constant column: no contribution either way
-    xn = (num[rows] - lo) / span
-    xc = nom[rows]
+    xn = (num[min_idx] - lo) / span
+    xc = nom[min_idx]
 
-    m = len(rows)
+    m = len(min_idx)
     d2 = np.zeros((m, m))
     if xn.size:
         diff = xn[:, None, :] - xn[None, :, :]
@@ -120,28 +117,8 @@ def _neighbor_table(d: Dataset, min_idx: list[int], k: int) -> np.ndarray:
         d2 += (xc[:, None, :] != xc[None, :, :]).sum(axis=2)
 
     order = np.argsort(d2, axis=1, kind="stable")  # ties toward earlier rows
-    table = np.empty((m, k), dtype=np.int64)
-    for i in range(m):
-        neigh = order[i][order[i] != i]
-        table[i] = neigh[:k]
-    return table
-
-
-def _interpolate(d: Dataset, xi: Instance, xj: Instance, lam: float,
-                 minority_code: int) -> Instance:
-    vals = []
-    ci = d.class_index
-    for a, attr in enumerate(d.schema):
-        if a == ci:
-            vals.append(minority_code)
-        elif attr.kind == "numeric":
-            x = xi.values[a]
-            vals.append(x + lam * (xj.values[a] - x))
-        else:
-            # majority vote between the two parents; a tie keeps the
-            # original's value, so with two voters the original always wins
-            vals.append(xi.values[a])
-    return Instance(tuple(vals))
+    # drop each row's own position, which occurs once per row
+    return order[order != np.arange(m)[:, None]].reshape(m, m - 1)[:, :k]
 
 
 def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, ResampleRecord]:
@@ -170,7 +147,7 @@ def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, R
     synthetics are then shuffled by the same RNG. percent=0 returns the
     input unchanged.
     """
-    _, min_idx = _minority_indices(d, minority_class)
+    minority_code, min_idx = _minority_indices(d, minority_class)
     m = len(min_idx)
     if m == 0:
         raise ResampleError(f"minority class {minority_class!r} has no instances")
@@ -195,32 +172,37 @@ def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, R
 
     rng = np.random.default_rng(cfg.seed)
     table = _neighbor_table(d, min_idx, cfg.k_neighbors)
-    minority_code = d.class_labels.index(minority_class)
     rounds = cfg.percent // 100
+    total = m * rounds
+    # scalar draws in the documented order: neighbour choice, then lambda
+    choice = np.empty(total, dtype=np.int64)
+    lam = np.empty(total)
+    for s in range(total):
+        choice[s] = rng.integers(0, cfg.k_neighbors)
+        lam[s] = rng.random()
+    parent = np.repeat(min_idx, rounds)
+    partner = min_idx[table[np.repeat(np.arange(m), rounds), choice]]
 
-    synthetics: list[Instance] = []
-    sources: list[tuple] = [("original", i) for i in range(len(d))]
-    for pos, i in enumerate(min_idx):
-        for _ in range(rounds):
-            choice = int(rng.integers(0, cfg.k_neighbors))
-            lam = float(rng.random())
-            j = min_idx[table[pos, choice]]
-            synthetics.append(
-                _interpolate(d, d.instances[i], d.instances[j], lam, minority_code)
-            )
-            sources.append(("synthetic", i, j))
-
-    combined = list(d.instances) + synthetics
-    perm = rng.permutation(len(combined))
-    shuffled = [combined[p] for p in perm]
+    # nominal fields: a two-parent majority vote with ties toward the
+    # original, so the original's values are kept
+    codes, num = d.codes_matrix(), d.numeric_matrix()
+    x = num[parent]
+    synth_num = x + lam[:, None] * (num[partner] - x)
+    perm = rng.permutation(len(d) + total)
+    out = d._derive(
+        np.concatenate([codes, codes[parent]])[perm],
+        np.concatenate([num, synth_num])[perm],
+        np.concatenate([d.class_codes(), np.full(total, minority_code)])[perm],
+    )
+    sources = [("original", i) for i in range(len(d))]
+    sources += [("synthetic", int(i), int(j)) for i, j in zip(parent, partner)]
     provenance = tuple(sources[p] for p in perm)
-    out = d.replace_instances(shuffled)
     record = ResampleRecord(
         method="smote",
         minority_class=minority_class,
         original_counts=counts_before,
         final_counts=class_counts(out),
-        synthetic_created=len(synthetics),
+        synthetic_created=total,
         config={"seed": cfg.seed, "k_neighbors": cfg.k_neighbors, "percent": cfg.percent},
         provenance=provenance,
     )
@@ -268,7 +250,7 @@ def random_oversample(d: Dataset, minority_class: str, target_count: int,
     appended after the existing instances.
     """
     _, min_idx = _minority_indices(d, minority_class)
-    if not min_idx:
+    if not min_idx.size:
         raise ResampleError(f"minority class {minority_class!r} has no instances")
     current = len(min_idx)
     if target_count < current:
@@ -279,9 +261,8 @@ def random_oversample(d: Dataset, minority_class: str, target_count: int,
     if extra == 0:
         return d
     rng = np.random.default_rng(seed)
-    picks = rng.choice(np.asarray(min_idx), size=extra, replace=True)
-    new_rows = list(d.instances) + [d.instances[i] for i in picks]
-    return d.replace_instances(new_rows)
+    picks = rng.choice(min_idx, size=extra, replace=True)
+    return d.subset(np.concatenate([np.arange(len(d)), picks]))
 
 
 def random_undersample(d: Dataset, majority_class: str, target_count: int,
@@ -291,14 +272,13 @@ def random_undersample(d: Dataset, majority_class: str, target_count: int,
     The retained rows keep their original relative order; other classes
     are untouched.
     """
-    _, maj_idx = _minority_indices(d, majority_class)
+    maj_code, maj_idx = _minority_indices(d, majority_class)
     current = len(maj_idx)
     if target_count > current:
         raise ResampleError(
             f"target_count {target_count} exceeds the current count {current}"
         )
     rng = np.random.default_rng(seed)
-    keep = set(rng.choice(np.asarray(maj_idx), size=target_count, replace=False).tolist())
-    maj_set = set(maj_idx)
-    retained = [i for i in range(len(d)) if i not in maj_set or i in keep]
-    return d.subset(retained)
+    keep = d.class_codes() != maj_code
+    keep[rng.choice(maj_idx, size=target_count, replace=False)] = True
+    return d.subset(np.flatnonzero(keep))

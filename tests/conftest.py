@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from postop.dataset import AttributeSchema, Dataset, Instance, parse_arff
+from postop.dataset import AttributeSchema, Dataset, parse_arff
 
 TESTS_DIR = Path(__file__).resolve().parent
 REPO_DIR = TESTS_DIR.parent
@@ -45,6 +45,11 @@ def cohort_or_real() -> tuple[Dataset, str]:
     return parse_arff(COHORT_PATH.read_text()), "synthetic stand-in cohort"
 
 
+def query(d: Dataset, *rows) -> Dataset:
+    """A table over d's schema holding the given value tuples."""
+    return Dataset.from_rows(d.schema, rows)
+
+
 def nominal_dataset(columns, class_column, domains=None, class_values=("c0", "c1")):
     """Build an all-nominal dataset from per-attribute value-index columns.
 
@@ -58,10 +63,9 @@ def nominal_dataset(columns, class_column, domains=None, class_values=("c0", "c1
         size = domains.get(name, max(columns[name]) + 1)
         schema.append(AttributeSchema(name, "nominal", tuple(f"{name}v{i}" for i in range(size))))
     schema.append(AttributeSchema("cls", "nominal", tuple(class_values), role="class"))
-    rows = []
-    for i in range(len(class_column)):
-        rows.append(Instance(tuple(columns[n][i] for n in names) + (class_column[i],)))
-    return Dataset(schema, rows)
+    rows = [tuple(columns[n][i] for n in names) + (class_column[i],)
+            for i in range(len(class_column))]
+    return Dataset.from_rows(schema, rows)
 
 
 def fig_dataset() -> Dataset:
@@ -89,11 +93,8 @@ def fig_dataset() -> Dataset:
         ("v13", "v21", "v31", "1"),
         ("v13", "v22", "v32", "1"),
     ]
-    instances = [
-        Instance(tuple(schema[i].values.index(tok) for i, tok in enumerate(row)))
-        for row in rows
-    ]
-    return Dataset(schema, instances, relation="figure-tree")
+    coded = [tuple(schema[i].values.index(tok) for i, tok in enumerate(row)) for row in rows]
+    return Dataset.from_rows(schema, coded, relation="figure-tree")
 
 
 def random_mixed_dataset(rng, n_rows, n_nominal=2, n_numeric=1, max_domain=3):
@@ -112,10 +113,8 @@ def random_mixed_dataset(rng, n_rows, n_nominal=2, n_numeric=1, max_domain=3):
         columns.append((rng.integers(0, 6, size=n_rows) / 2.0).tolist())
     schema.append(AttributeSchema("cls", "nominal", ("c0", "c1"), role="class"))
     labels = rng.integers(0, 2, size=n_rows).tolist()
-    rows = [
-        Instance(tuple(col[i] for col in columns) + (labels[i],)) for i in range(n_rows)
-    ]
-    return Dataset(schema, rows)
+    rows = [tuple(col[i] for col in columns) + (labels[i],) for i in range(n_rows)]
+    return Dataset.from_rows(schema, rows)
 
 
 # -- acceptance reporting -----------------------------------------------------

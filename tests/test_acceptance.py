@@ -11,8 +11,8 @@ import time
 import numpy as np
 
 from postop.cli import main
-from postop.dataset import impute_missing, parse_arff
-from postop.decision_tree import gain_ratio, train_tree, tree_predict, tree_to_rules
+from postop.dataset import class_counts, impute_missing, parse_arff
+from postop.decision_tree import gain_ratio, rules_predict, train_tree, tree_predict, tree_to_rules
 from postop.evaluation import (
     ConfusionMatrix,
     confusion_metrics,
@@ -26,10 +26,11 @@ from postop.mlp import MlpModel, backprop_gradient
 from postop.naive_bayes import nb_predict, train_nb
 from postop.resampling import SmoteConfig, smote
 from postop.seeds import derive_seed
-from postop.dataset import Instance
 
 import conftest
-from conftest import COHORT_PATH, fig_dataset, nominal_dataset, random_mixed_dataset, thoracic_path
+from conftest import (
+    COHORT_PATH, fig_dataset, nominal_dataset, query, random_mixed_dataset, thoracic_path,
+)
 from oracles import (
     auc_by_pair_counting,
     finite_difference_grads,
@@ -73,10 +74,7 @@ def test_criterion_01_dataset_fidelity():
         _report(1, False, MISSING_FILE_HELP)
     nominal = [a.name for a in d.schema if a.kind == "nominal"]
     numeric = sorted(a.name for a in d.schema if a.kind == "numeric")
-    counts = {}
-    for inst in d.instances:
-        tok = d.class_labels[inst.values[-1]]
-        counts[tok] = counts.get(tok, 0) + 1
+    counts = class_counts(d)
     ok = (
         len(d) == 470
         and len(d.schema) == 17
@@ -99,17 +97,18 @@ def test_criterion_02_smote_protocol():
     originals_ok = True
     interval_ok = True
     n_original = 0
+    rows, out_rows = d.rows(), out.rows()
     for pos, tag in enumerate(record.provenance):
         if tag[0] == "original":
             n_original += 1
-            if out.instances[pos] != d.instances[tag[1]]:
+            if out_rows[pos] != rows[tag[1]]:
                 originals_ok = False
         else:
-            xi, xj = d.instances[tag[1]], d.instances[tag[2]]
+            xi, xj = rows[tag[1]], rows[tag[2]]
             for ai in numeric_idx:
-                lo = min(xi.values[ai], xj.values[ai])
-                hi = max(xi.values[ai], xj.values[ai])
-                if not lo <= out.instances[pos].values[ai] <= hi:
+                lo = min(xi[ai], xj[ai])
+                hi = max(xi[ai], xj[ai])
+                if not lo <= out_rows[pos][ai] <= hi:
                     interval_ok = False
     ok = (
         counts == {"T": 560, "F": 400}
@@ -238,12 +237,12 @@ def test_criterion_07_naive_bayes_oracle():
         d = nominal_dataset(columns, labels,
                             domains={f"a{a}": domains[a] for a in range(n_attrs)})
         model = train_nb(d)
-        rows = [(inst.values[:-1], inst.values[-1]) for inst in d.instances]
-        for _ in range(3):
-            query = tuple(int(rng.integers(0, s)) for s in domains)
-            got = nb_predict(model, Instance(query + (0,)))
-            want = nb_enumerate(rows, domains, 2, query)
-            worst = max(worst, float(np.max(np.abs(got - np.asarray(want)))))
+        rows = [(row[:-1], row[-1]) for row in d.rows()]
+        asked = [tuple(int(rng.integers(0, s)) for s in domains) for _ in range(3)]
+        got = nb_predict(model, query(d, *[q + (0,) for q in asked]))
+        for q, p in zip(asked, got):
+            want = nb_enumerate(rows, domains, 2, q)
+            worst = max(worst, float(np.max(np.abs(p - np.asarray(want)))))
     ok = worst <= 1e-12
     _report(7, ok, f"100 random tiny datasets, max posterior deviation {worst:.2e}")
 
@@ -255,8 +254,9 @@ def test_criterion_08_tree_oracles():
     while tables < 100:
         d = random_mixed_dataset(rng, int(rng.integers(4, 16)))
         y = list(d.class_codes())
+        rows = d.rows()
         for ai in d.predictor_indices:
-            col = [inst.values[ai] for inst in d.instances]
+            col = [row[ai] for row in rows]
             oracle = (gain_ratio_nominal if d.schema[ai].kind == "nominal"
                       else gain_ratio_numeric)(col, y)
             got = gain_ratio(d, d.schema[ai].name)
@@ -271,11 +271,8 @@ def test_criterion_08_tree_oracles():
     t = train_tree(d)
     rules = tree_to_rules(t)
     rules_ok = len(rules) == 5 and [r.consequent[1] for r in rules] == ["1", "0", "1", "0", "1"]
-    agree = all(
-        rules[np.argmax([r.matches(Instance((a, b, c, 0))) for r in rules])].class_code
-        == int(np.argmax(tree_predict(t, Instance((a, b, c, 0)))))
-        for a in range(3) for b in range(2) for c in range(2)
-    )
+    grid = query(d, *[(a, b, c, 0) for a in range(3) for b in range(2) for c in range(2)])
+    agree = bool((rules_predict(rules, grid) == tree_predict(t, grid).argmax(axis=1)).all())
     ok = gain_ok and rules_ok and agree
     _report(8, ok, f"gain_ratio max deviation {worst:.2e} over 100 tables; "
                    f"hand-worked tree gives 5 rules: {rules_ok}; "

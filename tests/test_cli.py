@@ -76,6 +76,13 @@ def test_missing_file_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "POSTOP_DATA_DIR" in err
+    # a file that does not decode as text is a data error too, not a traceback
+    binary = tmp_path / "binary.arff"
+    binary.write_bytes(b"@relation r\n\xff\xfe\x00\x81\n")
+    assert main(["inspect", "--data", str(binary)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
 
 
 # -- resample -----------------------------------------------------------------
@@ -266,8 +273,14 @@ def test_plotdata_errors(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     assert main(["plotdata", str(empty)]) == 1
+    # valid JSON of the wrong shape
+    for i, doc in enumerate(([1, 2], {"reports": [7]},
+                             {"reports": [{"metrics": {"roc_area": "high"}}]})):
+        wrong = tmp_path / f"wrong{i}.json"
+        wrong.write_text(json.dumps(doc))
+        assert main(["plotdata", str(wrong)]) == 1
     err = capsys.readouterr().err
-    assert err.count("error:") == 3
+    assert err.count("error:") == 6
 
 
 # -- misc ------------------------------------------------------------------------

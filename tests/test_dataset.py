@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postop.dataset import (
     AttributeSchema,
     DataError,
     Dataset,
-    Instance,
     ParseError,
     class_counts,
     impute_missing,
@@ -40,9 +41,7 @@ def test_parse_basics():
     assert d.schema[0].kind == "nominal"
     assert d.schema[1].kind == "numeric"
     assert d.class_attribute.name == "outcome"
-    assert d.instances[0].values == (0, 1.5, 0)
-    assert d.instances[1].values == (1, 2.0, 1)
-    assert d.instances[2].values == (2, None, 0)
+    assert d.rows() == [(0, 1.5, 0), (1, 2.0, 1), (2, None, 0)]
 
 
 def test_parse_accepts_numeric_keyword_synonyms():
@@ -92,6 +91,8 @@ def test_parse_error_cases():
         parse_arff("@relation r\n@attribute a numeric\n@attribute c {T,F}\n@data\n1e999,T\n")
     with pytest.raises(ParseError, match="duplicate"):
         parse_arff("@relation r\n@attribute a {x,x}\n@data\n")
+    with pytest.raises(ParseError, match="line 2: empty attribute name"):
+        parse_arff("@relation r\n@attribute {a,b}\n@data\n")
 
 
 def test_schema_validation():
@@ -112,17 +113,32 @@ def test_instance_validation():
         AttributeSchema("c", "nominal", ("T", "F"), role="class"),
     ]
     with pytest.raises(DataError, match="missing class value"):
-        Dataset(schema, [Instance((0, None))])
+        Dataset.from_rows(schema, [(0, None)])
     with pytest.raises(DataError, match="out of range"):
-        Dataset(schema, [Instance((5, 0))])
+        Dataset.from_rows(schema, [(5, 0)])
     with pytest.raises(DataError, match="schema expects"):
-        Dataset(schema, [Instance((0, 0, 0))])
+        Dataset.from_rows(schema, [(0, 0, 0)])
+    with pytest.raises(DataError, match="int index"):
+        Dataset.from_rows(schema, [(0.5, 0)])
+    with pytest.raises(DataError, match="numbers or None"):
+        Dataset.from_rows(schema, [("x", 0)])
     num_schema = [
         AttributeSchema("x", "numeric"),
         AttributeSchema("c", "nominal", ("T", "F"), role="class"),
     ]
     with pytest.raises(DataError, match="non-finite"):
-        Dataset(num_schema, [Instance((float("nan"), 0))])
+        Dataset.from_rows(num_schema, [(float("nan"), 0)])
+    # the array constructor checks the same things, vectorized
+    with pytest.raises(DataError, match="non-finite"):
+        Dataset(num_schema, np.zeros((1, 0), dtype=int), [[np.inf]], [0])
+    with pytest.raises(DataError, match="out of range"):
+        Dataset(schema, [[2]], np.zeros((1, 0)), [0])
+    with pytest.raises(DataError, match="class code 2 out of range"):
+        Dataset(schema, [[0]], np.zeros((1, 0)), [2])
+    with pytest.raises(DataError, match="row-aligned"):
+        Dataset(schema, [[0], [1]], np.zeros((1, 0)), [0])
+    with pytest.raises(DataError, match="integer"):
+        Dataset(schema, [[0.0]], np.zeros((1, 0)), [0])
 
 
 def test_round_trip_arff():
@@ -171,9 +187,10 @@ def test_impute_mean_or_mode():
         "x,1.0,T\n?,3.0,T\ny,?,F\nx,?,F\n"
     )
     d = impute_missing(parse_arff(text), "mean-or-mode")
-    assert d.instances[1].values[0] == 0  # mode of {x, y, x} is x
-    assert d.instances[2].values[1] == pytest.approx(2.0)  # mean of 1.0 and 3.0
-    assert d.instances[3].values[1] == pytest.approx(2.0)
+    rows = d.rows()
+    assert rows[1][0] == 0  # mode of {x, y, x} is x
+    assert rows[2][1] == pytest.approx(2.0)  # mean of 1.0 and 3.0
+    assert rows[3][1] == pytest.approx(2.0)
     assert missing_census(d) == {}
 
 
@@ -183,13 +200,13 @@ def test_impute_mode_tie_prefers_earlier_domain_value():
         "x,T\ny,T\n?,F\n"
     )
     d = impute_missing(parse_arff(text))
-    assert d.instances[2].values[0] == 0
+    assert d.rows()[2][0] == 0
 
 
 def test_impute_drop_instance():
     d = impute_missing(parse_arff(TOY), "drop-instance")
     assert len(d) == 2
-    assert all(None not in inst.values for inst in d.instances)
+    assert all(None not in row for row in d.rows())
 
 
 def test_impute_errors():
@@ -206,7 +223,7 @@ def test_subset_and_matrices():
     d = parse_arff(TOY)
     s = d.subset([2, 0])
     assert len(s) == 2
-    assert s.instances[0] == d.instances[2]
+    assert s.rows() == [d.rows()[2], d.rows()[0]]
     codes = d.codes_matrix()
     assert codes.shape == (3, 1)
     assert codes[:, 0].tolist() == [0, 1, 2]
@@ -222,7 +239,69 @@ def test_serializer_float_formatting_round_trips():
         AttributeSchema("c", "nominal", ("T", "F"), role="class"),
     ]
     values = [0.1, 1 / 3, 2.5e-10, 123456.789, 60.0]
-    d = Dataset(schema, [Instance((v, 0)) for v in values])
+    d = Dataset.from_rows(schema, [(v, 0) for v in values])
     again = parse_arff(to_arff(d))
-    for a, b in zip(again.instances, d.instances):
-        assert a.values[0] == b.values[0]  # exact, not approximate
+    assert [row[0] for row in again.rows()] == values  # exact, not approximate
+
+
+# -- properties ------------------------------------------------------------------
+
+_ARFF_TOKENS = st.sampled_from([
+    "@relation", "@attribute", "@ATTRIBUTE", "@data", "@Data", "x", "c", "'q r'", "'",
+    "{a,b}", "{T,F}", "{", "}", "{a,,b}", "{a,a}", "numeric", "REAL", "integer", "string",
+    "a", "b", "T", "F", "?", "1", "-2.5", "1e999", "nan", "", " ", ",", "%",
+])
+_ARFF_LINE = (st.lists(_ARFF_TOKENS, max_size=5).map(" ".join)
+              | st.lists(_ARFF_TOKENS, max_size=5).map(",".join)
+              | st.text(max_size=12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.booleans(), st.lists(_ARFF_LINE, max_size=8))
+def test_arff_like_text_parses_or_raises_a_data_error(with_header, lines):
+    header = ["@relation r", "@attribute x {a,b}", "@attribute v numeric",
+              "@attribute c {T,F}"] if with_header else []
+    try:
+        d = parse_arff("\n".join(header + lines))
+    except DataError:
+        return
+    assert isinstance(d, Dataset)
+
+
+@st.composite
+def mixed_tables(draw):
+    """Small tables of nominal and numeric predictors, missing cells included."""
+    n_nominal = draw(st.integers(0, 3))
+    n_numeric = draw(st.integers(0, 3))
+    schema = [AttributeSchema(f"n{a}", "nominal",
+                              tuple(f"v{i}" for i in range(draw(st.integers(1, 3)))))
+              for a in range(n_nominal)]
+    schema += [AttributeSchema(f"x{a}", "numeric") for a in range(n_numeric)]
+    schema.insert(draw(st.integers(0, len(schema))),
+                  AttributeSchema("cls", "nominal", ("T", "F"), role="class"))
+    cell = {
+        "nominal": lambda a: st.none() | st.integers(0, len(a.values) - 1),
+        "numeric": lambda a: st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    }
+    row = st.tuples(*(st.integers(0, 1) if a.role == "class" else cell[a.kind](a)
+                      for a in schema))
+    return Dataset.from_rows(schema, draw(st.lists(row, max_size=12)), relation="gen")
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_tables())
+def test_generated_tables_round_trip_through_arff_and_csv(d):
+    again = parse_arff(to_arff(d), class_attribute="cls")
+    assert again == d
+    assert again.relation == d.relation
+    assert again.rows() == d.rows()
+    assert parse_csv(to_csv(d), d.schema, class_attribute="cls") == d
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_tables(), st.data())
+def test_subset_equals_the_table_rebuilt_from_its_rows(d, data):
+    idx = data.draw(st.lists(st.integers(0, max(len(d) - 1, 0)), max_size=15)
+                    if len(d) else st.just([]))
+    rows = d.rows()
+    assert d.subset(idx) == Dataset.from_rows(d.schema, [rows[i] for i in idx])

@@ -5,7 +5,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from postop.dataset import AttributeSchema, DataError, Dataset, Instance
+from postop.dataset import AttributeSchema, DataError, Dataset
 from postop.decision_tree import (
     TreeConfig,
     TreeNode,
@@ -19,7 +19,7 @@ from postop.decision_tree import (
     tree_to_rules,
 )
 
-from conftest import fig_dataset, nominal_dataset, random_mixed_dataset
+from conftest import fig_dataset, nominal_dataset, query, random_mixed_dataset
 from oracles import gain_ratio_nominal, gain_ratio_numeric
 
 Z = NormalDist().inv_cdf(0.75)
@@ -30,8 +30,7 @@ def _numeric_dataset(values, labels, name="x"):
         AttributeSchema(name, "numeric"),
         AttributeSchema("cls", "nominal", ("c0", "c1"), role="class"),
     ]
-    rows = [Instance((v, c)) for v, c in zip(values, labels)]
-    return Dataset(schema, rows)
+    return Dataset.from_rows(schema, zip(values, labels))
 
 
 # -- split scoring -------------------------------------------------------------
@@ -47,8 +46,9 @@ def test_gain_ratio_matches_oracle_on_random_tables():
     for _ in range(60):
         d = random_mixed_dataset(rng, int(rng.integers(4, 16)))
         y = list(d.class_codes())
+        rows = d.rows()
         for ai in d.predictor_indices:
-            col = [inst.values[ai] for inst in d.instances]
+            col = [row[ai] for row in rows]
             if d.schema[ai].kind == "nominal":
                 expected = gain_ratio_nominal(col, y)
             else:
@@ -62,9 +62,9 @@ def test_gain_ratio_matches_oracle_on_random_tables():
 
 def test_gain_ratio_excludes_missing_rows():
     d = nominal_dataset({"a": [0, 1, 0, 1]}, [0, 0, 1, 1])
-    rows = list(d.instances)
-    rows[3] = Instance((None, 1))
-    with_missing = d.replace_instances(rows)
+    rows = d.rows()
+    rows[3] = (None, 1)
+    with_missing = query(d, *rows)
     col = [0, 1, 0]
     expected = gain_ratio_nominal(col, [0, 0, 1])
     assert gain_ratio(with_missing, "a") == pytest.approx(expected, abs=1e-12)
@@ -75,8 +75,7 @@ def test_gain_ratio_degenerate_cases():
     assert gain_ratio(d, "a") is None
     with pytest.raises(DataError, match="class"):
         gain_ratio(d, "cls")
-    rows = [Instance((None, c)) for c in (0, 1)]
-    assert gain_ratio(d.replace_instances(rows), "a") is None
+    assert gain_ratio(query(d, (None, 0), (None, 1)), "a") is None
 
 
 def test_numeric_threshold_is_midpoint_lowest_on_ties():
@@ -139,18 +138,15 @@ def test_rules_agree_with_tree_on_whole_instance_space():
     d = fig_dataset()
     t = train_tree(d)
     rules = tree_to_rules(t)
-    for a in range(3):
-        for b in range(2):
-            for c in range(2):
-                inst = Instance((a, b, c, 0))
-                assert rules_predict(rules, inst) == int(np.argmax(tree_predict(t, inst)))
+    grid = query(d, *[(a, b, c, 0) for a in range(3) for b in range(2) for c in range(2)])
+    assert rules_predict(rules, grid).tolist() == tree_predict(t, grid).argmax(axis=1).tolist()
 
 
 def test_rules_require_complete_instances():
-    t = train_tree(fig_dataset())
-    rules = tree_to_rules(t)
-    with pytest.raises(DataError, match="no rule matched"):
-        rules_predict(rules, Instance((None, 0, 0, 0)))
+    d = fig_dataset()
+    rules = tree_to_rules(train_tree(d))
+    with pytest.raises(DataError, match="no rule matched instance 1"):
+        rules_predict(rules, query(d, (0, 0, 0, 0), (None, 0, 0, 0)))
 
 
 # -- stopping and fallback behavior ---------------------------------------------
@@ -176,43 +172,45 @@ def test_empty_branch_predicts_uniformly():
     empty = t.children[2]
     assert empty.is_leaf and empty.counts.tolist() == [0.0, 0.0]
     assert empty.prediction == 0
-    p = tree_predict(t, Instance((2, 0)))
-    assert p.tolist() == [0.5, 0.5]
+    p = tree_predict(t, query(d, (2, 0)))
+    assert p.tolist() == [[0.5, 0.5]]
 
 
 def test_missing_and_unseen_values_take_largest_child():
     d = nominal_dataset({"a": [0, 0, 0, 0, 1, 1]}, [0, 0, 0, 0, 1, 1])
     t = train_tree(d)
-    heavy = tree_predict(t, Instance((0, 0)))
-    assert tree_predict(t, Instance((None, 0))).tolist() == heavy.tolist()
-    # a code outside the declared domain also falls through
-    assert tree_predict(t, Instance((7, 0))).tolist() == heavy.tolist()
+    heavy = tree_predict(t, query(d, (0, 0)))[0]
+    assert tree_predict(t, query(d, (None, 0)))[0].tolist() == heavy.tolist()
+    # a code outside the training domain (a wider test schema) also falls through
+    wider = (AttributeSchema("a", "nominal", tuple(f"av{i}" for i in range(8))), d.schema[1])
+    unseen = tree_predict(t, Dataset.from_rows(wider, [(7, 0), (1, 0)]))
+    assert unseen[0].tolist() == heavy.tolist()
+    assert unseen[1].tolist() != heavy.tolist()
 
 
 def test_leaf_probabilities_are_smoothed_counts():
     d = nominal_dataset({"a": [0] * 10}, [0] * 8 + [1] * 2, domains={"a": 2})
     t = train_tree(d)
     assert t.is_leaf
-    assert tree_predict(t, d.instances[0]).tolist() == pytest.approx([0.75, 0.25])
+    assert tree_predict(t, d.subset([0]))[0].tolist() == pytest.approx([0.75, 0.25])
 
 
 def test_training_rejects_missing_values_and_empty_data():
     d = nominal_dataset({"a": [0, 1]}, [0, 1])
-    broken = d.replace_instances([Instance((None, 0)), Instance((1, 1))])
     with pytest.raises(DataError, match="missing"):
-        train_tree(broken)
+        train_tree(query(d, (None, 0), (1, 1)))
     with pytest.raises(DataError, match="empty"):
-        train_tree(d.replace_instances([]))
+        train_tree(d.subset([]))
 
 
 def test_training_indices_route_back_to_their_leaf():
     rng = np.random.default_rng(9)
     for d in (fig_dataset(), random_mixed_dataset(rng, 40, n_nominal=2, n_numeric=2)):
         t = train_tree(d, TreeConfig(pruning=False), keep_training_indices=True)
-        for i, inst in enumerate(d.instances):
+        for i, row in enumerate(d.rows()):
             node = t
             while not node.is_leaf:
-                v = inst.values[node.attr_index]
+                v = row[node.attr_index]
                 if node.threshold is not None:
                     node = node.children[0 if v <= node.threshold else 1]
                 else:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from postop.dataset import DataError, Instance
+from postop.dataset import DataError
 from postop.evaluation import (
     ClassifierSpec,
     ConfusionMatrix,
@@ -27,11 +27,11 @@ from oracles import auc_by_pair_counting, error_measures_direct
 
 
 def _cheat_spec():
-    """Reads the true class straight off the instance."""
+    """Reads the true class straight off the test rows."""
     return ClassifierSpec(
         name="cheat",
         train=lambda d, seed: len(d.class_labels),
-        predict=lambda m, inst: np.eye(m)[inst.values[-1]].astype(float),
+        predict=lambda m, d: np.eye(m)[d.class_codes()],
     )
 
 
@@ -39,7 +39,7 @@ def _const_spec(code, n_classes=2):
     vec = np.zeros(n_classes)
     vec[code] = 1.0
     return ClassifierSpec(name="const", train=lambda d, seed: None,
-                          predict=lambda m, inst: vec.copy())
+                          predict=lambda m, d: np.tile(vec, (len(d), 1)))
 
 
 # -- confusion metrics ----------------------------------------------------------
@@ -263,19 +263,25 @@ def test_pooled_accuracy_differs_from_fold_mean():
 def test_empty_fold_is_skipped():
     d = nominal_dataset({"a": [0, 1] * 2}, [0, 1, 0, 1])
     folds = FoldAssignment(k=3, fold_of=np.array([0, 0, 1, 1]), seed=0)
-    report = cross_validate(d, _cheat_spec(), folds)
+    calls = []
+    cheat = _cheat_spec()
+    spec = ClassifierSpec("cheat", cheat.train,
+                          lambda m, dd: calls.append(len(dd)) or cheat.predict(m, dd))
+    report = cross_validate(d, spec, folds)
     assert report.n_folds == 3
     assert len(report.fold_accuracies) == 2
+    assert calls == [2, 2]
 
 
 def test_training_seeds_and_transform_wiring():
     d = nominal_dataset({"a": [0, 1] * 8}, [0, 1] * 8)
     folds = stratified_folds(d, 4, 123)
     seen_seeds = []
+    predicted_sizes = []
     spec = ClassifierSpec(
         name="probe",
         train=lambda dd, seed: seen_seeds.append(seed) or 2,
-        predict=lambda m, inst: np.eye(2)[inst.values[-1]].astype(float),
+        predict=lambda m, dd: predicted_sizes.append(len(dd)) or np.eye(m)[dd.class_codes()],
     )
     transform_calls = []
 
@@ -287,6 +293,8 @@ def test_training_seeds_and_transform_wiring():
     assert seen_seeds == [derive_seed(123, "train", "probe", t) for t in range(4)]
     assert [c[1] for c in transform_calls] == [derive_seed(123, "transform", t) for t in range(4)]
     assert all(size == 12 for size, _ in transform_calls)
+    # one batch predict call per fold, over exactly that fold's test rows
+    assert predicted_sizes == [int((folds.fold_of == t).sum()) for t in range(4)]
 
 
 def test_binary_per_class_auc_symmetry(cohort):
@@ -297,6 +305,17 @@ def test_binary_per_class_auc_symmetry(cohort):
     f_auc = report.per_class["F"]["roc_area"]
     assert t_auc == pytest.approx(f_auc, abs=1e-9)
     assert report.metrics["roc_area"] == pytest.approx(t_auc, abs=1e-9)
+
+
+def test_batch_predictions_equal_one_row_predictions(cohort):
+    train, test = cohort.subset(range(200)), cohort.subset(range(200, 260))
+    for name, overrides in (("mlp", {"epochs": 3}), ("j48", {}), ("nb", {})):
+        spec = make_classifier(name, **overrides)
+        model = spec.train(train, 5)
+        batch = spec.predict(model, test)
+        assert batch.shape == (len(test), 2)
+        for i in range(len(test)):
+            assert np.array_equal(batch[i], spec.predict(model, test.subset([i]))[0]), name
 
 
 def test_single_class_dataset_has_no_roc():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import postop.mlp as mlp_mod
-from postop.dataset import AttributeSchema, DataError, Dataset, Instance
+from postop.dataset import AttributeSchema, DataError, Dataset
 from postop.mlp import (
     MlpConfig,
     MlpModel,
@@ -12,13 +12,13 @@ from postop.mlp import (
     backprop_gradient,
     default_hidden_size,
     encode,
-    encode_instance,
+    encode_inputs,
     forward,
     mlp_predict,
     train_mlp,
 )
 
-from conftest import nominal_dataset
+from conftest import nominal_dataset, query
 from oracles import finite_difference_grads, forward_by_loops, max_relative_error
 
 
@@ -33,8 +33,8 @@ def _toy_dataset(n=24, seed=3):
     rows = []
     for i in range(n):
         c = i % 2
-        rows.append(Instance((c, float(rng.normal(loc=3.0 * c, scale=0.3)), c)))
-    return Dataset(schema, rows)
+        rows.append((c, float(rng.normal(loc=3.0 * c, scale=0.3)), c))
+    return Dataset.from_rows(schema, rows)
 
 
 def _random_net(rng, sizes):
@@ -70,25 +70,27 @@ def test_numeric_scaling_and_constant_column():
         AttributeSchema("v", "numeric"),
         AttributeSchema("cls", "nominal", ("T", "F"), role="class"),
     ]
-    rows = [Instance((2.0, 5.0, 0)), Instance((4.0, 5.0, 1)), Instance((6.0, 5.0, 0))]
-    enc, x, _ = encode(Dataset(schema, rows))
+    d = Dataset.from_rows(schema, [(2.0, 5.0, 0), (4.0, 5.0, 1), (6.0, 5.0, 0)])
+    enc, x, _ = encode(d)
     assert x[:, 0].tolist() == [0.0, 0.5, 1.0]
     assert enc.ranges[1].constant
     assert x[:, 1].tolist() == [0.0, 0.0, 0.0]
     # out-of-range values extrapolate rather than clamp
-    assert encode_instance(enc, Instance((8.0, 9.9, 0)))[0] == pytest.approx(1.5)
+    assert encode_inputs(enc, query(d, (8.0, 9.9, 0)))[0, 0] == pytest.approx(1.5)
 
 
 def test_missing_values_encode_to_zero():
     d = _toy_dataset()
     enc, _, _ = encode(d)
-    vec = encode_instance(enc, Instance((None, None, 0)))
-    assert vec.tolist() == [0.0, 0.0, 0.0]
+    x = encode_inputs(enc, query(d, (None, None, 0), (1, None, 0), (None, 3.0, 0)))
+    assert x[0].tolist() == [0.0, 0.0, 0.0]
+    assert x[1, :2].tolist() == [0.0, 1.0] and x[1, 2] == 0.0
+    assert x[2, :2].tolist() == [0.0, 0.0] and x[2, 2] > 0.0
 
 
 def test_encode_rejects_empty_dataset():
     with pytest.raises(DataError, match="empty"):
-        encode(_toy_dataset().replace_instances([]))
+        encode(_toy_dataset().subset([]))
 
 
 # -- gradients -------------------------------------------------------------------
@@ -102,6 +104,11 @@ def test_forward_matches_loop_oracle():
         expected = forward_by_loops([w.tolist() for w in model.weights],
                                     [b.tolist() for b in model.biases], x.tolist())
         assert np.allclose(forward(model, x), expected, atol=1e-12)
+        # a matrix of rows gives each row's vector result, bit for bit
+        rows = rng.uniform(0, 1, size=(7, sizes[0]))
+        batch = forward(model, rows)
+        assert batch.shape == (7, sizes[-1])
+        assert all(np.array_equal(batch[i], forward(model, r)) for i, r in enumerate(rows))
 
 
 def test_gradient_matches_finite_differences():
@@ -138,7 +145,7 @@ def test_compiled_and_numpy_paths_agree():
 def test_same_seed_is_bitwise_reproducible():
     d = _toy_dataset()
     cfg = MlpConfig(seed=7, hidden_sizes=(4,), epochs=5)
-    for path in (True, False):
+    for path in (False, True) if mlp_mod._HAVE_NUMBA else (False,):
         m1 = train_mlp(d, cfg, use_numba=path)
         m2 = train_mlp(d, cfg, use_numba=path)
         for w1, w2 in zip(m1.weights, m2.weights):
@@ -163,10 +170,7 @@ def test_loss_history_and_learning_progress():
     assert model.loss_history[-1] < model.loss_history[0]
     assert model.loss_history[-10:].mean() < model.loss_history[:10].mean()
     # the trained net separates the toy classes
-    hits = sum(
-        int(np.argmax(mlp_predict(model, inst))) == inst.values[-1] for inst in d.instances
-    )
-    assert hits == len(d)
+    assert (mlp_predict(model, d).argmax(axis=1) == d.class_codes()).all()
 
 
 def test_default_topology(cohort):
@@ -185,9 +189,9 @@ def test_multiple_hidden_layers():
 def test_predictions_are_normalized():
     d = _toy_dataset()
     model = train_mlp(d, MlpConfig(seed=0, hidden_sizes=(3,), epochs=2))
-    p = mlp_predict(model, d.instances[0])
-    assert p.shape == (2,)
-    assert p.sum() == pytest.approx(1.0)
+    p = mlp_predict(model, d)
+    assert p.shape == (len(d), 2)
+    assert p.sum(axis=1) == pytest.approx(np.ones(len(d)))
     assert (p > 0).all()
 
 

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from postop.dataset import AttributeSchema, DataError, Dataset, Instance
+from postop.dataset import AttributeSchema, DataError, Dataset
 from postop.naive_bayes import VARIANCE_FLOOR, nb_predict, train_nb
 
-from conftest import nominal_dataset
+from conftest import nominal_dataset, query
 from oracles import gaussian_logpdf, nb_enumerate
 
 
@@ -43,20 +43,20 @@ def test_posterior_matches_enumeration_oracle():
         d = nominal_dataset(columns, labels,
                             domains={f"a{a}": domains[a] for a in range(n_attrs)})
         model = train_nb(d)
-        rows = [(inst.values[:-1], inst.values[-1]) for inst in d.instances]
-        for _ in range(3):
-            query = tuple(int(rng.integers(0, s)) for s in domains)
-            expected = nb_enumerate(rows, domains, 2, query)
-            got = nb_predict(model, Instance(query + (0,)))
-            assert np.allclose(got, expected, atol=1e-12)
+        rows = [(row[:-1], row[-1]) for row in d.rows()]
+        asked = [tuple(int(rng.integers(0, s)) for s in domains) for _ in range(3)]
+        got = nb_predict(model, query(d, *[q + (0,) for q in asked]))
+        for q, p in zip(asked, got):
+            assert np.allclose(p, nb_enumerate(rows, domains, 2, q), atol=1e-12)
 
 
 def test_probabilities_never_zero():
-    model = train_nb(_toy())
+    d = _toy()
+    model = train_nb(d)
     for table in model.nominal_tables.values():
         assert (table > 0).all()
     # a value/class pair never seen together still gets positive posterior
-    p = nb_predict(model, Instance((1, 1)))
+    (p,) = nb_predict(model, query(d, (1, 1)))
     assert (p > 0).all()
     assert p.sum() == pytest.approx(1.0)
 
@@ -67,7 +67,7 @@ def test_single_class_dataset():
     assert model.priors.tolist() == pytest.approx([4 / 5, 1 / 5])
     # the absent class has uniform smoothed conditionals
     assert model.nominal_tables[0][1].tolist() == pytest.approx([0.5, 0.5])
-    p = nb_predict(model, Instance((0, 0)))
+    (p,) = nb_predict(model, query(d, (0, 0)))
     assert np.argmax(p) == 0
     assert p.sum() == pytest.approx(1.0)
 
@@ -78,14 +78,14 @@ def test_gaussian_parameters_and_floor():
         AttributeSchema("w", "numeric"),
         AttributeSchema("c", "nominal", ("T", "F"), role="class"),
     ]
-    rows = [
-        Instance((1.0, 5.0, 0)),
-        Instance((2.0, 5.0, 0)),
-        Instance((3.0, 5.0, 0)),
-        Instance((10.0, 5.0, 1)),
-        Instance((12.0, 5.0, 1)),
-    ]
-    model = train_nb(Dataset(schema, rows))
+    d = Dataset.from_rows(schema, [
+        (1.0, 5.0, 0),
+        (2.0, 5.0, 0),
+        (3.0, 5.0, 0),
+        (10.0, 5.0, 1),
+        (12.0, 5.0, 1),
+    ])
+    model = train_nb(d)
     params_v = model.gaussian_params[0]
     assert params_v[0].tolist() == pytest.approx([2.0, 2 / 3])  # population variance
     assert params_v[1].tolist() == pytest.approx([11.0, 1.0])
@@ -93,7 +93,7 @@ def test_gaussian_parameters_and_floor():
     params_w = model.gaussian_params[1]
     assert params_w[0, 1] == VARIANCE_FLOOR
     assert params_w[1, 1] == VARIANCE_FLOOR
-    p = nb_predict(model, Instance((2.5, 5.0, 0)))
+    (p,) = nb_predict(model, query(d, (2.5, 5.0, 0)))
     assert np.isfinite(p).all()
     assert np.argmax(p) == 0
 
@@ -103,8 +103,8 @@ def test_gaussian_likelihood_formula():
         AttributeSchema("v", "numeric"),
         AttributeSchema("c", "nominal", ("T", "F"), role="class"),
     ]
-    rows = [Instance((1.0, 0)), Instance((3.0, 0)), Instance((4.0, 1)), Instance((8.0, 1))]
-    model = train_nb(Dataset(schema, rows))
+    d = Dataset.from_rows(schema, [(1.0, 0), (3.0, 0), (4.0, 1), (8.0, 1)])
+    model = train_nb(d)
     x = 2.2
     log_joint = [
         math.log(model.priors[c])
@@ -115,7 +115,7 @@ def test_gaussian_likelihood_formula():
     expected = [math.exp(v - m) for v in log_joint]
     total = sum(expected)
     expected = [v / total for v in expected]
-    got = nb_predict(model, Instance((x, 0)))
+    (got,) = nb_predict(model, query(d, (x, 0)))
     assert np.allclose(got, expected, atol=1e-12)
 
 
@@ -125,15 +125,12 @@ def test_missing_values_contribute_nothing():
         AttributeSchema("v", "numeric"),
         AttributeSchema("c", "nominal", ("T", "F"), role="class"),
     ]
-    rows = [Instance((0, 1.0, 0)), Instance((1, 2.0, 0)), Instance((0, 4.0, 1)),
-            Instance((1, 5.0, 1))]
-    d = Dataset(schema, rows)
+    d = Dataset.from_rows(schema, [(0, 1.0, 0), (1, 2.0, 0), (0, 4.0, 1), (1, 5.0, 1)])
     model = train_nb(d)
-    # with both fields missing the posterior is just the smoothed prior
-    p = nb_predict(model, Instance((None, None, 0)))
+    # with both fields missing the posterior is just the smoothed prior;
+    # with one missing it equals dropping that attribute's factor
+    p, p2 = nb_predict(model, query(d, (None, None, 0), (0, None, 0)))
     assert np.allclose(p, model.priors / model.priors.sum(), atol=1e-15)
-    # one missing field: equals dropping that attribute's factor
-    p2 = nb_predict(model, Instance((0, None, 0)))
     joint = model.priors * model.nominal_tables[0][:, 0]
     assert np.allclose(p2, joint / joint.sum(), atol=1e-15)
 
@@ -148,22 +145,21 @@ def test_duplicated_data_still_matches_oracle():
                    "b": rng.integers(0, 2, size=n_rows).tolist()}
         labels = rng.integers(0, 2, size=n_rows).tolist()
         d = nominal_dataset(columns, labels, domains={"a": 3, "b": 2})
-        doubled = d.replace_instances(d.instances + d.instances)
+        doubled = d.subset(list(range(n_rows)) * 2)
         model = train_nb(doubled)
-        rows = [(inst.values[:-1], inst.values[-1]) for inst in doubled.instances]
-        for inst in d.instances:
-            expected = nb_enumerate(rows, [3, 2], 2, inst.values[:-1])
-            assert np.allclose(nb_predict(model, inst), expected, atol=1e-12)
+        rows = [(row[:-1], row[-1]) for row in doubled.rows()]
+        for row, p in zip(d.rows(), nb_predict(model, d)):
+            assert np.allclose(p, nb_enumerate(rows, [3, 2], 2, row[:-1]), atol=1e-12)
 
 
 def test_tie_resolves_to_earlier_class():
     # perfectly symmetric data: posterior is exactly 0.5/0.5
     d = nominal_dataset({"x": [0, 1]}, [0, 1])
     model = train_nb(d)
-    p = nb_predict(model, Instance((0, 0)))
+    (p,) = nb_predict(model, query(d, (0, 0)))
     assert p[0] != p[1] or np.argmax(p) == 0
     sym = nominal_dataset({"x": [0, 0]}, [0, 1])
-    p2 = nb_predict(train_nb(sym), Instance((0, 0)))
+    (p2,) = nb_predict(train_nb(sym), query(sym, (0, 0)))
     assert p2[0] == pytest.approx(p2[1])
     assert np.argmax(p2) == 0
 
@@ -174,7 +170,7 @@ def test_empty_dataset_rejected():
         AttributeSchema("c", "nominal", ("T", "F"), role="class"),
     ]
     with pytest.raises(DataError, match="empty"):
-        train_nb(Dataset(schema, []))
+        train_nb(Dataset.from_rows(schema, []))
 
 
 def test_model_serializes():

@@ -41,9 +41,9 @@ def test_smote_counts_and_originals(cohort):
     assert class_counts(out) == {"T": 560, "F": 400}
     assert record.synthetic_created == 490
     assert record.original_counts == {"T": 70, "F": 400}
-    # all originals survive verbatim: output instances are a multiset superset
-    out_counter = Counter(inst.values for inst in out.instances)
-    in_counter = Counter(inst.values for inst in cohort.instances)
+    # all originals survive verbatim: output rows are a multiset superset
+    out_counter = Counter(out.rows())
+    in_counter = Counter(cohort.rows())
     for values, n in in_counter.items():
         assert out_counter[values] >= n
 
@@ -53,22 +53,23 @@ def test_smote_provenance_and_parent_intervals(cohort):
     numeric = _numeric_positions(cohort)
     nominal = [i for i in cohort.nominal_predictor_indices]
     n_synth = 0
-    for row, source in zip(out.instances, record.provenance):
+    originals = cohort.rows()
+    for row, source in zip(out.rows(), record.provenance):
         if source[0] == "original":
-            assert row == cohort.instances[source[1]]
+            assert row == originals[source[1]]
             continue
         n_synth += 1
         _, xi, xj = source
-        parent_a = cohort.instances[xi]
-        parent_b = cohort.instances[xj]
+        parent_a = originals[xi]
+        parent_b = originals[xj]
         for a in numeric:
-            lo = min(parent_a.values[a], parent_b.values[a])
-            hi = max(parent_a.values[a], parent_b.values[a])
-            assert lo - 1e-9 <= row.values[a] <= hi + 1e-9
+            lo = min(parent_a[a], parent_b[a])
+            hi = max(parent_a[a], parent_b[a])
+            assert lo - 1e-9 <= row[a] <= hi + 1e-9
         for a in nominal:
             # two-parent majority vote with ties toward the original
-            assert row.values[a] == parent_a.values[a]
-        assert row.values[cohort.class_index] == cohort.class_labels.index("T")
+            assert row[a] == parent_a[a]
+        assert row[cohort.class_index] == cohort.class_labels.index("T")
     assert n_synth == record.synthetic_created == 210
 
 
@@ -76,17 +77,18 @@ def test_smote_shares_one_lambda_across_numeric_fields(cohort):
     out, record = smote(cohort, "T", SmoteConfig(seed=3, percent=100, k_neighbors=5))
     numeric = _numeric_positions(cohort)
     checked = 0
-    for row, source in zip(out.instances, record.provenance):
+    originals = cohort.rows()
+    for row, source in zip(out.rows(), record.provenance):
         if source[0] != "synthetic":
             continue
         _, xi, xj = source
-        a_vals = cohort.instances[xi].values
-        b_vals = cohort.instances[xj].values
+        a_vals = originals[xi]
+        b_vals = originals[xj]
         lams = []
         for a in numeric:
             span = b_vals[a] - a_vals[a]
             if abs(span) > 1e-9:
-                lams.append((row.values[a] - a_vals[a]) / span)
+                lams.append((row[a] - a_vals[a]) / span)
         if len(lams) >= 2:
             checked += 1
             assert max(lams) - min(lams) < 1e-9
@@ -108,8 +110,7 @@ def test_smote_errors(cohort):
         smote(cohort, "X", SmoteConfig(seed=1))
     with pytest.raises(ResampleError, match="minority instances"):
         smote(cohort, "T", SmoteConfig(seed=1, k_neighbors=70))
-    tiny = cohort.subset([i for i, inst in enumerate(cohort.instances)
-                          if inst.values[cohort.class_index] == 1][:10])
+    tiny = cohort.subset(np.flatnonzero(cohort.class_codes() == 1)[:10])
     # tiny is all-F: the minority class T has no instances
     with pytest.raises(ResampleError, match="no instances"):
         smote(tiny, "T", SmoteConfig(seed=1))
@@ -133,9 +134,9 @@ def test_random_oversample(cohort):
     out = random_oversample(cohort, "T", 200, seed=4)
     assert class_counts(out) == {"T": 200, "F": 400}
     # first 470 rows are the untouched originals, extras are appended copies
-    assert out.instances[: len(cohort)] == cohort.instances
-    originals = {inst.values for inst in cohort.instances}
-    assert all(inst.values in originals for inst in out.instances[len(cohort):])
+    rows = out.rows()
+    assert rows[: len(cohort)] == cohort.rows()
+    assert set(rows[len(cohort):]) <= set(cohort.rows())
     assert random_oversample(cohort, "T", 70, seed=4) is cohort
     with pytest.raises(ResampleError, match="below the current"):
         random_oversample(cohort, "T", 69, seed=4)
@@ -144,17 +145,17 @@ def test_random_oversample(cohort):
 def test_random_oversample_determinism(cohort):
     a = random_oversample(cohort, "T", 150, seed=8)
     b = random_oversample(cohort, "T", 150, seed=8)
-    assert a.instances == b.instances
+    assert a == b
 
 
 def test_random_undersample(cohort):
     out = random_undersample(cohort, "F", 100, seed=4)
     assert class_counts(out) == {"T": 70, "F": 100}
     # retained rows keep their original relative order
-    positions = {inst: i for i, inst in enumerate(cohort.instances)}
-    kept = [positions[inst] for inst in out.instances]
+    positions = {row: i for i, row in enumerate(cohort.rows())}
+    kept = [positions[row] for row in out.rows()]
     assert kept == sorted(kept)
     same = random_undersample(cohort, "F", 400, seed=4)
-    assert same.instances == cohort.instances
+    assert same == cohort
     with pytest.raises(ResampleError, match="exceeds the current"):
         random_undersample(cohort, "F", 401, seed=4)
