@@ -35,7 +35,7 @@ from .evaluation import (
     render_markdown,
     stratified_folds,
 )
-from .resampling import SmoteConfig, smote, smote_repeated
+from .resampling import ResampleRecord, SmoteConfig, smote, smote_repeated
 from .seeds import derive_seed
 
 DATA_DIR_ENV = "POSTOP_DATA_DIR"
@@ -127,6 +127,18 @@ def _positive_class(d: Dataset, requested: str | None) -> str:
     return requested
 
 
+def _oversample(d: Dataset, minority: str, seed: int, opts) -> tuple[Dataset, ResampleRecord]:
+    """SMOTE as the smote_k, smote_percent and smote_repeat of opts ask.
+
+    opts is the parsed command line or a RunConfig. A non-zero smote_repeat
+    applies 100% oversampling that many times instead of one pass.
+    """
+    cfg = SmoteConfig(seed=seed, k_neighbors=opts.smote_k, percent=opts.smote_percent)
+    if opts.smote_repeat:
+        return smote_repeated(d, minority, opts.smote_repeat, cfg)
+    return smote(d, minority, cfg)
+
+
 # -- inspect -----------------------------------------------------------------
 
 
@@ -175,15 +187,7 @@ def _cmd_resample(args) -> int:
         return 0
 
     minority = _positive_class(d, args.positive_class)
-    cfg = SmoteConfig(
-        seed=derive_seed(args.seed, "smote"),
-        k_neighbors=args.smote_k,
-        percent=args.smote_percent,
-    )
-    if args.smote_repeat:
-        resampled, record = smote_repeated(d, minority, args.smote_repeat, cfg)
-    else:
-        resampled, record = smote(d, minority, cfg)
+    resampled, record = _oversample(d, minority, derive_seed(args.seed, "smote"), args)
     out_path.write_text(to_csv(resampled) if fmt == "csv" else to_arff(resampled))
     record_path.write_text(
         json.dumps(record.to_json_dict(), indent=2, sort_keys=True) + "\n"
@@ -278,29 +282,17 @@ def _cmd_bench(args) -> int:
         tree_pruning=not args.tree_no_pruning,
     )
     positive = _positive_class(d, cfg.positive_class)
-    minority = positive
 
     resample_record = None
     train_transform = None
     working = d
     t0 = time.perf_counter()
     if cfg.smote and not cfg.smote_within_folds:
-        smote_cfg = SmoteConfig(
-            seed=derive_seed(cfg.seed, "smote"),
-            k_neighbors=cfg.smote_k,
-            percent=cfg.smote_percent,
-        )
-        if cfg.smote_repeat:
-            working, resample_record = smote_repeated(d, minority, cfg.smote_repeat, smote_cfg)
-        else:
-            working, resample_record = smote(d, minority, smote_cfg)
+        working, resample_record = _oversample(d, positive, derive_seed(cfg.seed, "smote"), cfg)
     elif cfg.smote and cfg.smote_within_folds:
 
         def train_transform(train_d, seed):
-            fold_cfg = SmoteConfig(seed=seed, k_neighbors=cfg.smote_k, percent=cfg.smote_percent)
-            if cfg.smote_repeat:
-                return smote_repeated(train_d, minority, cfg.smote_repeat, fold_cfg)[0]
-            return smote(train_d, minority, fold_cfg)[0]
+            return _oversample(train_d, positive, seed, cfg)[0]
 
     timings["resample"] = time.perf_counter() - t0
 

@@ -223,26 +223,30 @@ class _Trainer:
         return node
 
     def build(self, idx) -> TreeNode:
-        node = self._node(idx)
-        if int((node.counts > 0).sum()) <= 1:
-            return node
-        if len(idx) < 2 * self.cfg.min_leaf_instances:
-            return node
-        best = self._best_split(idx)
-        if best is None:
-            return node
-        ai, _, _, threshold = best
-        node.attr_index = ai
-        if threshold is None:
-            codes = self.nom[idx, self.nom_col[ai]]
-            node.children = [
-                self.build(idx[codes == v]) for v in range(len(self.schema[ai].values))
-            ]
-        else:
-            vals = self.num[idx, self.num_col[ai]]
-            node.threshold = threshold
-            node.children = [self.build(idx[vals <= threshold]), self.build(idx[vals > threshold])]
-        return node
+        """Grow the tree over rows idx from an explicit stack, so depth is unbounded."""
+        root = self._node(idx)
+        stack = [(root, idx)]
+        while stack:
+            node, idx = stack.pop()
+            if int((node.counts > 0).sum()) <= 1:
+                continue
+            if len(idx) < 2 * self.cfg.min_leaf_instances:
+                continue
+            best = self._best_split(idx)
+            if best is None:
+                continue
+            ai, _, _, threshold = best
+            node.attr_index = ai
+            if threshold is None:
+                codes = self.nom[idx, self.nom_col[ai]]
+                parts = [idx[codes == v] for v in range(len(self.schema[ai].values))]
+            else:
+                vals = self.num[idx, self.num_col[ai]]
+                node.threshold = threshold
+                parts = [idx[vals <= threshold], idx[vals > threshold]]
+            node.children = [self._node(part) for part in parts]
+            stack.extend(zip(node.children, parts))
+        return root
 
 
 def _added_errors(n: float, e: float, cf: float, z: float) -> float:
@@ -276,22 +280,30 @@ def _leaf_estimate(node: TreeNode, cf: float, z: float) -> float:
     return e + _added_errors(n, e, cf, z)
 
 
-def _prune(node: TreeNode, cf: float, z: float) -> tuple[TreeNode, float]:
-    if node.is_leaf:
-        return node, _leaf_estimate(node, cf, z)
-    subtree_estimate = 0.0
-    for i, child in enumerate(node.children):
-        node.children[i], est = _prune(child, cf, z)
-        subtree_estimate += est
-    leaf_estimate = _leaf_estimate(node, cf, z)
-    if leaf_estimate <= subtree_estimate:
-        leaf = TreeNode(
-            counts=node.counts,
-            prediction=node.prediction,
-            train_indices=node.train_indices,
-        )
-        return leaf, leaf_estimate
-    return node, subtree_estimate
+def _prune(root: TreeNode, cf: float, z: float) -> None:
+    """Pessimistic pruning in place, children before parents.
+
+    A subtree becomes a leaf when the leaf's estimated errors are no more
+    than its pruned children's, summed in child order. Nodes come from an
+    explicit list, so depth is unbounded.
+    """
+    nodes, stack = [], [root]
+    while stack:  # pre-order: every parent precedes its descendants
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node.children or ())
+    estimates = {}
+    for node in reversed(nodes):
+        estimate = _leaf_estimate(node, cf, z)
+        if not node.is_leaf:
+            subtree_estimate = 0.0
+            for child in node.children:
+                subtree_estimate += estimates[id(child)]
+            if estimate <= subtree_estimate:
+                node.attr_index = node.threshold = node.children = None
+            else:
+                estimate = subtree_estimate
+        estimates[id(node)] = estimate
 
 
 def train_tree(d: Dataset, cfg: TreeConfig | None = None, *,
@@ -311,7 +323,7 @@ def train_tree(d: Dataset, cfg: TreeConfig | None = None, *,
     root = trainer.build(np.arange(len(d)))
     if cfg.pruning:
         z = NormalDist().inv_cdf(1.0 - cfg.pruning_confidence)
-        root, _ = _prune(root, cfg.pruning_confidence, z)
+        _prune(root, cfg.pruning_confidence, z)
     root.schema = d.schema
     return root
 

@@ -4,31 +4,21 @@ Nominal predictors are one-hot encoded, numeric predictors min-max scaled
 to [0, 1], and the class one-hot encoded as the target vector. Training
 minimizes half the squared error per instance with stochastic gradient
 descent plus momentum, visiting instances in a fresh seeded shuffle each
-epoch. The inner loop is compiled with numba when available; a numpy
-fallback implements the same update rule.
+epoch. Each step takes the loss and gradients of one instance from
+`backprop_gradient`, the function the finite-difference tests check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import NOMINAL, DataError, Dataset
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is an optional extra; the numpy path runs without it
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
+# perfbench/child.py:environment() reads this name to label the training
+# path. Training has one numpy path, so it is False.
+_HAVE_NUMBA = False
 
 
 class TrainingError(RuntimeError):
@@ -186,123 +176,35 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return a[..., 0, :]
 
 
-def _forward_all(model, x):
+def backprop_gradient(model: MlpModel, x: np.ndarray,
+                      target: np.ndarray) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """Half the squared error at one encoded instance, and its gradients.
+
+    Returns (loss, weight_grads, bias_grads) with the gradients shaped like
+    the model's weights and biases.
+    """
     acts = [x]
     for w, b in zip(model.weights, model.biases):
         acts.append(_sigmoid(acts[-1] @ w + b))
-    return acts
-
-
-def backprop_gradient(model: MlpModel, x: np.ndarray,
-                      target: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gradients of half the squared error at one encoded instance.
-
-    Returns (weight_grads, bias_grads) with shapes matching the model's
-    weights and biases.
-    """
-    acts = _forward_all(model, x)
     out = acts[-1]
-    delta = (out - target) * out * (1.0 - out)
+    err = out - target
+    delta = err * out * (1.0 - out)
     weight_grads: list[np.ndarray] = [None] * len(model.weights)
     bias_grads: list[np.ndarray] = [None] * len(model.biases)
     for l in range(len(model.weights) - 1, -1, -1):
         weight_grads[l] = np.outer(acts[l], delta)
-        bias_grads[l] = delta.copy()
+        bias_grads[l] = delta
         if l > 0:
             a = acts[l]
             delta = (model.weights[l] @ delta) * a * (1.0 - a)
-    return weight_grads, bias_grads
-
-
-@njit(cache=True)
-def _sgd_kernel(x, y, sizes, w, b, dw, db, lr, mom, orders, losses):
-    layers = sizes.shape[0] - 1
-    n = x.shape[0]
-    width = w.shape[1]
-    act = np.zeros((layers + 1, width))
-    delta = np.zeros((layers, width))
-    for ep in range(orders.shape[0]):
-        total = 0.0
-        for pos in range(n):
-            idx = orders[ep, pos]
-            for j in range(sizes[0]):
-                act[0, j] = x[idx, j]
-            for l in range(layers):
-                nin = sizes[l]
-                nout = sizes[l + 1]
-                for jo in range(nout):
-                    z = b[l, jo]
-                    for ji in range(nin):
-                        z += act[l, ji] * w[l, ji, jo]
-                    act[l + 1, jo] = 1.0 / (1.0 + math.exp(-z))
-            for jo in range(sizes[layers]):
-                o = act[layers, jo]
-                e = o - y[idx, jo]
-                total += 0.5 * e * e
-                delta[layers - 1, jo] = e * o * (1.0 - o)
-            for l in range(layers - 2, -1, -1):
-                for ji in range(sizes[l + 1]):
-                    acc = 0.0
-                    for jo in range(sizes[l + 2]):
-                        acc += delta[l + 1, jo] * w[l + 1, ji, jo]
-                    a = act[l + 1, ji]
-                    delta[l, ji] = acc * a * (1.0 - a)
-            for l in range(layers):
-                nin = sizes[l]
-                nout = sizes[l + 1]
-                for ji in range(nin):
-                    a = act[l, ji]
-                    for jo in range(nout):
-                        dw[l, ji, jo] = -lr * delta[l, jo] * a + mom * dw[l, ji, jo]
-                        w[l, ji, jo] += dw[l, ji, jo]
-                for jo in range(nout):
-                    db[l, jo] = -lr * delta[l, jo] + mom * db[l, jo]
-                    b[l, jo] += db[l, jo]
-        losses[ep] = total / n
-        if not math.isfinite(losses[ep]):
-            return ep
-    return -1
-
-
-def _sgd_numpy(x, y, sizes, w, b, dw, db, lr, mom, orders, losses):
-    """Same update rule as the compiled kernel, in vectorized numpy."""
-    layers = len(sizes) - 1
-    n = x.shape[0]
-    for ep in range(orders.shape[0]):
-        total = 0.0
-        for pos in range(n):
-            idx = orders[ep, pos]
-            acts = [x[idx, : sizes[0]]]
-            for l in range(layers):
-                z = acts[l] @ w[l, : sizes[l], : sizes[l + 1]] + b[l, : sizes[l + 1]]
-                acts.append(_sigmoid(z))
-            err = acts[layers] - y[idx, : sizes[layers]]
-            total += 0.5 * float(err @ err)
-            # all deltas come from the pre-update weights
-            deltas = [None] * layers
-            deltas[layers - 1] = err * acts[layers] * (1.0 - acts[layers])
-            for l in range(layers - 1, 0, -1):
-                a = acts[l]
-                deltas[l - 1] = (w[l, : sizes[l], : sizes[l + 1]] @ deltas[l]) * a * (1.0 - a)
-            for l in range(layers):
-                grad_w = np.outer(acts[l], deltas[l])
-                dw[l, : sizes[l], : sizes[l + 1]] = (
-                    -lr * grad_w + mom * dw[l, : sizes[l], : sizes[l + 1]]
-                )
-                w[l, : sizes[l], : sizes[l + 1]] += dw[l, : sizes[l], : sizes[l + 1]]
-                db[l, : sizes[l + 1]] = -lr * deltas[l] + mom * db[l, : sizes[l + 1]]
-                b[l, : sizes[l + 1]] += db[l, : sizes[l + 1]]
-        losses[ep] = total / n
-        if not math.isfinite(losses[ep]):
-            return ep
-    return -1
+    return 0.5 * float(err @ err), weight_grads, bias_grads
 
 
 def default_hidden_size(d: Dataset) -> int:
     return max(1, (len(d.predictor_indices) + len(d.class_labels)) // 2)
 
 
-def train_mlp(d: Dataset, cfg: MlpConfig, *, use_numba: bool | None = None) -> MlpModel:
+def train_mlp(d: Dataset, cfg: MlpConfig) -> MlpModel:
     """Train a network on the dataset.
 
     Parameters
@@ -311,16 +213,15 @@ def train_mlp(d: Dataset, cfg: MlpConfig, *, use_numba: bool | None = None) -> M
         Training table; instances are encoded with `encode`.
     cfg : MlpConfig
         Shape, rates, epoch count, and seed.
-    use_numba : bool, optional
-        Force the compiled or the numpy path; default picks the compiled
-        path when numba imported.
 
     Notes
     -----
     The seeded RNG draws, in order: each layer's weight matrix then bias
     vector (uniform in +-weight_init_range), then one instance visit order
-    per epoch. Training runs exactly cfg.epochs epochs and raises
-    TrainingError if the epoch loss becomes non-finite.
+    per epoch, drawn as that epoch starts. Each visit takes one
+    `backprop_gradient` step with momentum. Training runs exactly
+    cfg.epochs epochs and raises TrainingError if the epoch loss becomes
+    non-finite.
     """
     enc, x, y = encode(d)
     hidden = cfg.hidden_sizes if cfg.hidden_sizes is not None else (default_hidden_size(d),)
@@ -329,48 +230,45 @@ def train_mlp(d: Dataset, cfg: MlpConfig, *, use_numba: bool | None = None) -> M
     width = max(sizes)
     n = x.shape[0]
 
-    rng = np.random.default_rng(cfg.seed)
-    r = cfg.weight_init_range
+    # Every layer's weights, biases and momentum buffers are views into one
+    # zero-padded block. The products `h @ w` run on strided views, whose
+    # summation order differs in the last bit from that of compact arrays;
+    # the padded layout keeps reports byte-identical to those already recorded.
     w = np.zeros((layers, width, width))
     b = np.zeros((layers, width))
-    for l in range(layers):
-        w[l, : sizes[l], : sizes[l + 1]] = rng.uniform(-r, r, size=(sizes[l], sizes[l + 1]))
-        b[l, : sizes[l + 1]] = rng.uniform(-r, r, size=sizes[l + 1])
-    orders = np.empty((cfg.epochs, n), dtype=np.int64)
-    for ep in range(cfg.epochs):
-        orders[ep] = rng.permutation(n)
-
     dw = np.zeros_like(w)
     db = np.zeros_like(b)
-    losses = np.zeros(cfg.epochs)
-    sizes_arr = np.asarray(sizes, dtype=np.int64)
-    x_pad = x
-    if x.shape[1] < width:
-        x_pad = np.zeros((n, width))
-        x_pad[:, : x.shape[1]] = x
-    y_pad = y
-    if y.shape[1] < width:
-        y_pad = np.zeros((n, width))
-        y_pad[:, : y.shape[1]] = y
+    weights = [w[l, : sizes[l], : sizes[l + 1]] for l in range(layers)]
+    biases = [b[l, : sizes[l + 1]] for l in range(layers)]
+    weight_steps = [dw[l, : sizes[l], : sizes[l + 1]] for l in range(layers)]
+    bias_steps = [db[l, : sizes[l + 1]] for l in range(layers)]
 
-    run_compiled = _HAVE_NUMBA if use_numba is None else use_numba
-    if run_compiled and not _HAVE_NUMBA:
-        raise TrainingError("the compiled path was requested but numba is unavailable")
-    step = _sgd_kernel if run_compiled else _sgd_numpy
-    bad_epoch = step(x_pad, y_pad, sizes_arr, w, b, dw, db,
-                     float(cfg.learning_rate), float(cfg.momentum), orders, losses)
-    if bad_epoch >= 0:
-        raise TrainingError(f"non-finite training loss at epoch {bad_epoch}")
+    rng = np.random.default_rng(cfg.seed)
+    r = cfg.weight_init_range
+    for wl, bl in zip(weights, biases):
+        wl[...] = rng.uniform(-r, r, size=wl.shape)
+        bl[...] = rng.uniform(-r, r, size=bl.shape)
 
-    weights = [w[l, : sizes[l], : sizes[l + 1]].copy() for l in range(layers)]
-    biases = [b[l, : sizes[l + 1]].copy() for l in range(layers)]
-    return MlpModel(
-        layer_sizes=sizes,
-        weights=weights,
-        biases=biases,
-        encoding=enc,
-        loss_history=losses,
-    )
+    model = MlpModel(sizes, weights, biases, enc, loss_history=np.zeros(cfg.epochs))
+    lr, mom = float(cfg.learning_rate), float(cfg.momentum)
+    for ep in range(cfg.epochs):
+        total = 0.0
+        for idx in rng.permutation(n):
+            loss, weight_grads, bias_grads = backprop_gradient(model, x[idx], y[idx])
+            total += loss
+            for wl, bl, dwl, dbl, gw, gb in zip(weights, biases, weight_steps, bias_steps,
+                                                weight_grads, bias_grads):
+                dwl[...] = -lr * gw + mom * dwl
+                wl += dwl
+                dbl[...] = -lr * gb + mom * dbl
+                bl += dbl
+        model.loss_history[ep] = total / n
+        if not np.isfinite(model.loss_history[ep]):
+            raise TrainingError(f"non-finite training loss at epoch {ep}")
+
+    model.weights = [wl.copy() for wl in weights]
+    model.biases = [bl.copy() for bl in biases]
+    return model
 
 
 def mlp_predict(model: MlpModel, d: Dataset) -> np.ndarray:

@@ -172,6 +172,59 @@ def forward_by_loops(weights, biases, x) -> list[float]:
     return act
 
 
+def sgd_by_loops(weights, biases, xs, ys, orders, lr, mom):
+    """Online backprop with momentum in scalar python loops.
+
+    weights/biases are nested lists of the initial network, updated in
+    place; orders holds one list of row indices per epoch. Every delta
+    comes from the weights before the step. Returns the mean half squared
+    error of each epoch.
+    """
+    layers = len(weights)
+    dw = [[[0.0] * len(w[0]) for _ in w] for w in weights]
+    db = [[0.0] * len(b) for b in biases]
+    losses = []
+    for order in orders:
+        total = 0.0
+        for idx in order:
+            acts = [list(xs[idx])]
+            for w, b in zip(weights, biases):
+                act = acts[-1]
+                nxt = []
+                for jo in range(len(b)):
+                    z = b[jo]
+                    for ji in range(len(act)):
+                        z += act[ji] * w[ji][jo]
+                    nxt.append(1.0 / (1.0 + math.exp(-z)))
+                acts.append(nxt)
+            delta = [None] * layers
+            out = acts[layers]
+            last = []
+            for jo, o in enumerate(out):
+                e = o - ys[idx][jo]
+                total += 0.5 * e * e
+                last.append(e * o * (1.0 - o))
+            delta[layers - 1] = last
+            for l in range(layers - 2, -1, -1):
+                cur = []
+                for ji, a in enumerate(acts[l + 1]):
+                    acc = 0.0
+                    for jo, dl in enumerate(delta[l + 1]):
+                        acc += dl * weights[l + 1][ji][jo]
+                    cur.append(acc * a * (1.0 - a))
+                delta[l] = cur
+            for l in range(layers):
+                for ji, a in enumerate(acts[l]):
+                    for jo, dl in enumerate(delta[l]):
+                        dw[l][ji][jo] = -lr * dl * a + mom * dw[l][ji][jo]
+                        weights[l][ji][jo] += dw[l][ji][jo]
+                for jo, dl in enumerate(delta[l]):
+                    db[l][jo] = -lr * dl + mom * db[l][jo]
+                    biases[l][jo] += db[l][jo]
+        losses.append(total / len(order))
+    return losses
+
+
 def half_squared_error(weights, biases, x, target) -> float:
     out = forward_by_loops(weights, biases, x)
     return 0.5 * sum((o - t) ** 2 for o, t in zip(out, target))

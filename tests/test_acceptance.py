@@ -214,7 +214,7 @@ def test_criterion_06_gradient_check():
                          loss_history=np.zeros(0))
         x = rng.uniform(-1, 1, size=sizes[0])
         target = rng.uniform(0, 1, size=sizes[-1])
-        gw, gb = backprop_gradient(model, x, target)
+        _, gw, gb = backprop_gradient(model, x, target)
         nw, nb_grads = finite_difference_grads(weights, biases, x.tolist(), target.tolist())
         worst = max(worst, max_relative_error(gw, nw), max_relative_error(gb, nb_grads))
     elapsed = time.perf_counter() - start

@@ -5,7 +5,8 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from postop.dataset import AttributeSchema, DataError, Dataset
+from postop.cli import main
+from postop.dataset import AttributeSchema, DataError, Dataset, to_arff
 from postop.decision_tree import (
     TreeConfig,
     TreeNode,
@@ -266,6 +267,28 @@ def test_pruning_never_grows_the_tree():
         pruned = train_tree(d)
         unpruned = train_tree(d, TreeConfig(pruning=False))
         assert pruned.leaf_count() <= unpruned.leaf_count()
+
+
+def test_deep_tree_trains_predicts_and_benches(tmp_path, capsys):
+    # classes alternate in pairs along one numeric column, so each split
+    # peels two rows off the end: 999 levels, past Python's recursion limit
+    n = 2000
+    d = _numeric_dataset([float(i) for i in range(n)], [(i // 2) % 2 for i in range(n)])
+    for pruning in (False, True):
+        t = train_tree(d, TreeConfig(pruning=pruning))
+        depth, stack = 0, [(t, 0)]
+        while stack:
+            node, level = stack.pop()
+            depth = max(depth, level)
+            stack.extend((child, level + 1) for child in node.children or ())
+        assert depth == 999
+        assert (tree_predict(t, d).argmax(axis=1) == d.class_codes()).all()
+    path = tmp_path / "alternating.arff"
+    path.write_text(to_arff(d))
+    code = main(["bench", "--data", str(path), "--seed", "1", "--classifiers", "j48",
+                 "--no-smote", "--folds", "2", "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # -- configuration and wiring ------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Network encoding, gradients vs finite differences, and both training paths."""
+"""Network encoding, gradients vs finite differences, and training vs a loop oracle."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,9 @@ from postop.mlp import (
 )
 
 from conftest import nominal_dataset, query
-from oracles import finite_difference_grads, forward_by_loops, max_relative_error
+from oracles import (
+    finite_difference_grads, forward_by_loops, max_relative_error, sgd_by_loops,
+)
 
 
 def _toy_dataset(n=24, seed=3):
@@ -119,7 +121,7 @@ def test_gradient_matches_finite_differences():
         model = _random_net(rng, sizes)
         x = rng.uniform(-1, 1, size=sizes[0])
         target = rng.uniform(0, 1, size=sizes[-1])
-        gw, gb = backprop_gradient(model, x, target)
+        _, gw, gb = backprop_gradient(model, x, target)
         nw, nb = finite_difference_grads(model.weights, model.biases,
                                          x.tolist(), target.tolist())
         assert max_relative_error(gw, nw) < 1e-5
@@ -129,38 +131,42 @@ def test_gradient_matches_finite_differences():
 # -- training --------------------------------------------------------------------
 
 
-def test_compiled_and_numpy_paths_agree(monkeypatch):
+def test_training_matches_scalar_loop_oracle():
     d = _toy_dataset()
-    cfg = MlpConfig(seed=42, hidden_sizes=(3,), epochs=8)
-    slow = train_mlp(d, cfg, use_numba=False)
-    # the kernel's Python source runs everywhere; the compiled kernel only where numba is
-    compiled = mlp_mod._sgd_kernel
-    kernels = [getattr(compiled, "py_func", compiled)]
-    if mlp_mod._HAVE_NUMBA:
-        kernels.append(compiled)
-    monkeypatch.setattr(mlp_mod, "_HAVE_NUMBA", True)
-    for kernel in kernels:
-        monkeypatch.setattr(mlp_mod, "_sgd_kernel", kernel)
-        fast = train_mlp(d, cfg, use_numba=True)
-        assert fast.layer_sizes == slow.layer_sizes
-        for wf, ws in zip(fast.weights, slow.weights):
-            assert np.allclose(wf, ws, atol=1e-8)
-        for bf, bs in zip(fast.biases, slow.biases):
-            assert np.allclose(bf, bs, atol=1e-8)
-        assert np.allclose(fast.loss_history, slow.loss_history, atol=1e-8)
+    _, x, y = encode(d)
+    # (5,) is wider than the 3 inputs, so the padded weight block has slack
+    for hidden in [(3,), (4, 3), (5,)]:
+        cfg = MlpConfig(seed=42, hidden_sizes=hidden, epochs=8)
+        model = train_mlp(d, cfg)
+        # the draws in the order train_mlp's docstring gives
+        sizes = (x.shape[1],) + hidden + (y.shape[1],)
+        rng = np.random.default_rng(cfg.seed)
+        r = cfg.weight_init_range
+        weights, biases = [], []
+        for l in range(len(sizes) - 1):
+            weights.append(rng.uniform(-r, r, size=(sizes[l], sizes[l + 1])).tolist())
+            biases.append(rng.uniform(-r, r, size=sizes[l + 1]).tolist())
+        orders = [rng.permutation(len(d)).tolist() for _ in range(cfg.epochs)]
+        losses = sgd_by_loops(weights, biases, x.tolist(), y.tolist(), orders,
+                              cfg.learning_rate, cfg.momentum)
+        assert model.layer_sizes == sizes
+        for got, want in zip(model.weights, weights):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+        for got, want in zip(model.biases, biases):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert np.allclose(model.loss_history, losses, rtol=0, atol=1e-12)
 
 
 def test_same_seed_is_bitwise_reproducible():
     d = _toy_dataset()
     cfg = MlpConfig(seed=7, hidden_sizes=(4,), epochs=5)
-    for path in (False, True) if mlp_mod._HAVE_NUMBA else (False,):
-        m1 = train_mlp(d, cfg, use_numba=path)
-        m2 = train_mlp(d, cfg, use_numba=path)
-        for w1, w2 in zip(m1.weights, m2.weights):
-            assert np.array_equal(w1, w2)
-        for b1, b2 in zip(m1.biases, m2.biases):
-            assert np.array_equal(b1, b2)
-        assert np.array_equal(m1.loss_history, m2.loss_history)
+    m1 = train_mlp(d, cfg)
+    m2 = train_mlp(d, cfg)
+    for w1, w2 in zip(m1.weights, m2.weights):
+        assert np.array_equal(w1, w2)
+    for b1, b2 in zip(m1.biases, m2.biases):
+        assert np.array_equal(b1, b2)
+    assert np.array_equal(m1.loss_history, m2.loss_history)
 
 
 def test_different_seeds_differ():
@@ -212,41 +218,30 @@ def test_config_validation():
             MlpConfig(**bad)
 
 
-def test_non_finite_loss_is_reported():
-    # the step function contract: a NaN input makes epoch 0 non-finite
-    sizes = np.array([1, 2], dtype=np.int64)
-    w = np.zeros((1, 2, 2))
-    b = np.zeros((1, 2))
-    x = np.array([[np.nan, 0.0]])
-    y = np.array([[1.0, 0.0]])
-    orders = np.zeros((1, 1), dtype=np.int64)
-    losses = np.zeros(1)
-    bad = mlp_mod._sgd_numpy(x, y, sizes, w, b, np.zeros_like(w), np.zeros_like(b),
-                             0.3, 0.2, orders, losses)
-    assert bad == 0
-    # and train_mlp turns a bad epoch into a TrainingError
+def test_non_finite_loss_is_reported(monkeypatch):
     d = _toy_dataset(n=6)
+    cfg = MlpConfig(seed=0, hidden_sizes=(2,), epochs=5)
+    # a NaN input makes epoch 0 non-finite
+    def nan_encode(table):
+        enc, x, y = encode(table)
+        x[0, 0] = np.nan
+        return enc, x, y
 
-    def fake_step(*args, **kwargs):
-        return 3
+    with monkeypatch.context() as m:
+        m.setattr(mlp_mod, "encode", nan_encode)
+        with pytest.raises(TrainingError, match="epoch 0"):
+            train_mlp(d, cfg)
+    # a loss that turns infinite later is reported at the epoch it happens
+    calls = []
 
-    saved = mlp_mod._sgd_numpy
-    mlp_mod._sgd_numpy = fake_step
-    try:
-        with pytest.raises(TrainingError, match="epoch 3"):
-            train_mlp(d, MlpConfig(seed=0, hidden_sizes=(2,), epochs=5), use_numba=False)
-    finally:
-        mlp_mod._sgd_numpy = saved
+    def diverging(model, x, target):
+        loss, gw, gb = backprop_gradient(model, x, target)
+        calls.append(1)
+        return (np.inf if len(calls) > 3 * len(d) else loss), gw, gb
 
-
-def test_compiled_path_requires_numba(monkeypatch):
-    monkeypatch.setattr(mlp_mod, "_HAVE_NUMBA", False)
-    d = _toy_dataset(n=6)
-    with pytest.raises(TrainingError, match="numba"):
-        train_mlp(d, MlpConfig(seed=0, hidden_sizes=(2,), epochs=1), use_numba=True)
-    # the automatic choice falls back to the numpy path
-    model = train_mlp(d, MlpConfig(seed=0, hidden_sizes=(2,), epochs=1))
-    assert model.loss_history.shape == (1,)
+    monkeypatch.setattr(mlp_mod, "backprop_gradient", diverging)
+    with pytest.raises(TrainingError, match="epoch 3"):
+        train_mlp(d, cfg)
 
 
 def test_all_nominal_dataset_trains():
