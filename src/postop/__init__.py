@@ -30,7 +30,7 @@ from .evaluation import (
 )
 from .mlp import MlpConfig, train_mlp, mlp_predict
 from .naive_bayes import train_nb, nb_predict
-from .resampling import SmoteConfig, smote, smote_repeated, random_oversample, random_undersample
+from .resampling import SmoteConfig, smote, smote_repeated
 from .seeds import derive_seed
 
 __all__ = [
@@ -53,8 +53,6 @@ __all__ = [
     "nb_predict",
     "parse_arff",
     "parse_csv",
-    "random_oversample",
-    "random_undersample",
     "smote",
     "smote_repeated",
     "stratified_folds",

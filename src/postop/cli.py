@@ -511,3 +511,7 @@ def main(argv=None) -> int:
 
 def run():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -50,7 +50,6 @@ class TreeNode:
     attr_index: int | None = None
     threshold: float | None = None
     children: list["TreeNode"] | None = None
-    train_indices: np.ndarray | None = field(default=None, repr=False)
     schema: tuple | None = field(default=None, repr=False)
 
     @property
@@ -58,9 +57,19 @@ class TreeNode:
         return self.children is None
 
     def leaf_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return sum(ch.leaf_count() for ch in self.children)
+        return sum(node.is_leaf for node in _nodes(self))
+
+
+def _nodes(root: TreeNode):
+    """Every node under root, each parent before its descendants.
+
+    Nodes come from an explicit stack, so depth is unbounded.
+    """
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children or ())
 
 
 @dataclass(frozen=True)
@@ -101,22 +110,10 @@ class Rule:
 # -- information measures ----------------------------------------------------
 
 
-def _entropy(counts: np.ndarray) -> float:
-    """Entropy in bits of a count vector."""
-    n = counts.sum()
-    if n <= 0:
-        return 0.0
-    p = counts[counts > 0] / n
-    return float(-(p * np.log2(p)).sum())
-
-
 def _entropy_rows(counts: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each row of a count matrix."""
-    n = counts.sum(axis=1, keepdims=True)
-    safe = np.maximum(n, 1.0)
-    p = counts / safe
-    terms = np.where(p > 0, -p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    return terms.sum(axis=1)
+    """Entropy in bits of each count vector along the last axis."""
+    p = counts / np.maximum(counts.sum(axis=-1, keepdims=True), 1.0)
+    return -(p * np.log2(p, out=np.zeros_like(p), where=p > 0)).sum(axis=-1)
 
 
 def _nominal_candidate(codes, y, n_values, n_classes):
@@ -128,12 +125,10 @@ def _nominal_candidate(codes, y, n_values, n_classes):
     if int(present.sum()) < 2:
         return None
     n = float(len(codes))
-    gain = _entropy(counts.sum(axis=0)) - float(
-        (sizes[present] / n * _entropy_rows(counts[present])).sum()
-    )
-    p = sizes[present] / n
-    split_info = float(-(p * np.log2(p)).sum())
-    return gain, split_info, None
+    # row 0 is the whole node, then one row per observed value
+    h = _entropy_rows(np.vstack([counts.sum(axis=0), counts[present]]))
+    gain = float(h[0]) - float((sizes[present] / n * h[1:]).sum())
+    return gain, float(_entropy_rows(sizes[present])), None
 
 
 def _numeric_candidate(values, y, n_classes):
@@ -158,7 +153,7 @@ def _numeric_candidate(values, y, n_classes):
     nl = left.sum(axis=1)
     nr = right.sum(axis=1)
     gains = (
-        _entropy(total)
+        _entropy_rows(total)
         - nl / n * _entropy_rows(left)
         - nr / n * _entropy_rows(right)
     )
@@ -170,36 +165,30 @@ def _numeric_candidate(values, y, n_classes):
     return float(gains[best]), split_info, threshold
 
 
+def _candidate(attr, values, y, n_classes):
+    """(gain, split_info, threshold) of splitting rows on one attribute, or None."""
+    if attr.kind == NOMINAL:
+        return _nominal_candidate(values, y, len(attr.values), n_classes)
+    return _numeric_candidate(values, y, n_classes)
+
+
 # -- training ----------------------------------------------------------------
 
 
 class _Trainer:
-    def __init__(self, d: Dataset, cfg: TreeConfig, record: bool):
+    def __init__(self, d: Dataset, cfg: TreeConfig):
+        if (d.codes_matrix() < 0).any() or np.isnan(d.numeric_matrix()).any():
+            raise DataError("tree training requires a dataset with no missing values")
+        self.d = d
         self.cfg = cfg
-        self.record = record
-        self.schema = d.schema
         self.n_classes = len(d.class_labels)
         self.y = d.class_codes()
-        self.nom = d.codes_matrix()
-        self.num = d.numeric_matrix()
-        if (self.nom < 0).any() or np.isnan(self.num).any():
-            raise DataError("tree training requires a dataset with no missing values")
-        self.nom_col = {ai: j for j, ai in enumerate(d.nominal_predictor_indices)}
-        self.num_col = {ai: j for j, ai in enumerate(d.numeric_predictor_indices)}
-        self.predictors = d.predictor_indices
-
-    def _candidate(self, ai, idx):
-        if ai in self.nom_col:
-            codes = self.nom[idx, self.nom_col[ai]]
-            return _nominal_candidate(
-                codes, self.y[idx], len(self.schema[ai].values), self.n_classes
-            )
-        return _numeric_candidate(self.num[idx, self.num_col[ai]], self.y[idx], self.n_classes)
 
     def _best_split(self, idx):
         candidates = []
-        for ai in self.predictors:
-            res = self._candidate(ai, idx)
+        for ai in self.d.predictor_indices:
+            res = _candidate(self.d.schema[ai], self.d.column(ai)[idx], self.y[idx],
+                             self.n_classes)
             if res is None:
                 continue
             gain, split_info, threshold = res
@@ -217,10 +206,7 @@ class _Trainer:
 
     def _node(self, idx) -> TreeNode:
         counts = np.bincount(self.y[idx], minlength=self.n_classes).astype(float)
-        node = TreeNode(counts=counts, prediction=int(np.argmax(counts)))
-        if self.record:
-            node.train_indices = np.asarray(idx).copy()
-        return node
+        return TreeNode(counts=counts, prediction=int(np.argmax(counts)))
 
     def build(self, idx) -> TreeNode:
         """Grow the tree over rows idx from an explicit stack, so depth is unbounded."""
@@ -235,15 +221,13 @@ class _Trainer:
             best = self._best_split(idx)
             if best is None:
                 continue
-            ai, _, _, threshold = best
+            ai, _, _, node.threshold = best
             node.attr_index = ai
-            if threshold is None:
-                codes = self.nom[idx, self.nom_col[ai]]
-                parts = [idx[codes == v] for v in range(len(self.schema[ai].values))]
+            vals = self.d.column(ai)[idx]
+            if node.threshold is None:
+                parts = [idx[vals == v] for v in range(len(self.d.schema[ai].values))]
             else:
-                vals = self.num[idx, self.num_col[ai]]
-                node.threshold = threshold
-                parts = [idx[vals <= threshold], idx[vals > threshold]]
+                parts = [idx[vals <= node.threshold], idx[vals > node.threshold]]
             node.children = [self._node(part) for part in parts]
             stack.extend(zip(node.children, parts))
         return root
@@ -284,16 +268,10 @@ def _prune(root: TreeNode, cf: float, z: float) -> None:
     """Pessimistic pruning in place, children before parents.
 
     A subtree becomes a leaf when the leaf's estimated errors are no more
-    than its pruned children's, summed in child order. Nodes come from an
-    explicit list, so depth is unbounded.
+    than its pruned children's, summed in child order.
     """
-    nodes, stack = [], [root]
-    while stack:  # pre-order: every parent precedes its descendants
-        node = stack.pop()
-        nodes.append(node)
-        stack.extend(node.children or ())
     estimates = {}
-    for node in reversed(nodes):
+    for node in reversed(list(_nodes(root))):
         estimate = _leaf_estimate(node, cf, z)
         if not node.is_leaf:
             subtree_estimate = 0.0
@@ -306,21 +284,17 @@ def _prune(root: TreeNode, cf: float, z: float) -> None:
         estimates[id(node)] = estimate
 
 
-def train_tree(d: Dataset, cfg: TreeConfig | None = None, *,
-               keep_training_indices: bool = False) -> TreeNode:
+def train_tree(d: Dataset, cfg: TreeConfig | None = None) -> TreeNode:
     """Grow (and by default prune) a tree for the dataset's class attribute.
 
     Growth stops at pure nodes, nodes smaller than twice min_leaf_instances,
     and nodes where no attribute offers positive gain. The returned root
     carries the schema so printers and rule extraction are self-contained.
-    With keep_training_indices, every leaf records which training rows
-    reached it.
     """
     if len(d) == 0:
         raise DataError("cannot train on an empty dataset")
     cfg = cfg or TreeConfig()
-    trainer = _Trainer(d, cfg, keep_training_indices)
-    root = trainer.build(np.arange(len(d)))
+    root = _Trainer(d, cfg).build(np.arange(len(d)))
     if cfg.pruning:
         z = NormalDist().inv_cdf(1.0 - cfg.pruning_confidence)
         _prune(root, cfg.pruning_confidence, z)
@@ -360,11 +334,36 @@ def tree_predict(t: TreeNode, d: Dataset) -> np.ndarray:
 # -- rules ---------------------------------------------------------------------
 
 
-def _class_attribute(schema):
+def _schema_and_class(t: TreeNode, schema):
+    """The schema to read the tree with, and its class attribute."""
+    schema = schema if schema is not None else t.schema
+    if schema is None:
+        raise DataError("tree carries no schema; pass one explicitly")
     for a in schema:
         if a.role == CLASS:
-            return a
+            return schema, a
     raise DataError("schema has no class attribute")
+
+
+def _walk(t: TreeNode, schema):
+    """Every node with the conditions leading to it from t, in depth-first child order.
+
+    Nodes come from an explicit stack, so depth is unbounded.
+    """
+    stack = [(t, ())]
+    while stack:
+        node, conds = stack.pop()
+        yield node, conds
+        if node.is_leaf:
+            continue
+        ai = node.attr_index
+        attr = schema[ai]
+        if node.threshold is None:
+            tests = [Condition(attr.name, ai, "=", value, code)
+                     for code, value in enumerate(attr.values)]
+        else:
+            tests = [Condition(attr.name, ai, op, node.threshold) for op in ("<=", ">")]
+        stack.extend(reversed([(child, conds + (c,)) for child, c in zip(node.children, tests)]))
 
 
 def tree_to_rules(t: TreeNode, schema=None) -> list[Rule]:
@@ -373,33 +372,12 @@ def tree_to_rules(t: TreeNode, schema=None) -> list[Rule]:
     The rules partition the instance space: on complete instances, the
     first matching rule classifies exactly like the tree.
     """
-    schema = schema if schema is not None else t.schema
-    if schema is None:
-        raise DataError("tree carries no schema; pass one explicitly")
-    class_attr = _class_attribute(schema)
-    rules: list[Rule] = []
-
-    def walk(node, conds):
-        if node.is_leaf:
-            rules.append(
-                Rule(
-                    antecedent=tuple(conds),
-                    consequent=(class_attr.name, class_attr.values[node.prediction]),
-                    class_code=node.prediction,
-                )
-            )
-            return
-        attr = schema[node.attr_index]
-        if node.threshold is None:
-            for code, child in enumerate(node.children):
-                cond = Condition(attr.name, node.attr_index, "=", attr.values[code], code)
-                walk(child, conds + [cond])
-        else:
-            walk(node.children[0], conds + [Condition(attr.name, node.attr_index, "<=", node.threshold)])
-            walk(node.children[1], conds + [Condition(attr.name, node.attr_index, ">", node.threshold)])
-
-    walk(t, [])
-    return rules
+    schema, class_attr = _schema_and_class(t, schema)
+    return [
+        Rule(conds, (class_attr.name, class_attr.values[node.prediction]), node.prediction)
+        for node, conds in _walk(t, schema)
+        if node.is_leaf
+    ]
 
 
 def rules_predict(rules: list[Rule], d: Dataset) -> np.ndarray:
@@ -415,40 +393,22 @@ def rules_predict(rules: list[Rule], d: Dataset) -> np.ndarray:
 # -- printers ------------------------------------------------------------------
 
 
-def _format_number(v: float) -> str:
-    return f"{v:g}"
+def _value_text(c: Condition) -> str:
+    """A condition's value as printed: the domain value, or the threshold."""
+    return c.value if c.op == "=" else f"{c.value:g}"
 
 
 def format_tree(t: TreeNode, schema=None) -> str:
-    """Indented text rendering of the tree."""
-    schema = schema if schema is not None else t.schema
-    if schema is None:
-        raise DataError("tree carries no schema; pass one explicitly")
-    class_attr = _class_attribute(schema)
+    """Indented text rendering: one line per node below the root, or one for a lone leaf."""
+    schema, class_attr = _schema_and_class(t, schema)
     lines: list[str] = []
-
-    def leaf_text(node):
-        dist = "/".join(_format_number(c) for c in node.counts)
-        return f"{class_attr.name} = {class_attr.values[node.prediction]} ({dist})"
-
-    def walk(node, depth, label):
-        pad = "|   " * depth
+    for node, conds in _walk(t, schema):
+        parts = [f"{c.attribute} {c.op} {_value_text(c)}" for c in conds[-1:]]
         if node.is_leaf:
-            lines.append(f"{pad}{label}: {leaf_text(node)}" if label else f"{pad}{leaf_text(node)}")
-            return
-        if label:
-            lines.append(f"{pad}{label}")
-            depth += 1
-            pad = "|   " * depth
-        attr = schema[node.attr_index]
-        if node.threshold is None:
-            for code, child in enumerate(node.children):
-                walk(child, depth, f"{attr.name} = {attr.values[code]}")
-        else:
-            walk(node.children[0], depth, f"{attr.name} <= {_format_number(node.threshold)}")
-            walk(node.children[1], depth, f"{attr.name} > {_format_number(node.threshold)}")
-
-    walk(t, 0, "")
+            dist = "/".join(f"{c:g}" for c in node.counts)
+            parts.append(f"{class_attr.name} = {class_attr.values[node.prediction]} ({dist})")
+        if parts:
+            lines.append("|   " * max(len(conds) - 1, 0) + ": ".join(parts))
     return "\n".join(lines)
 
 
@@ -456,14 +416,11 @@ def format_rules(rules: list[Rule]) -> str:
     """Rules as conjunction lines: (attr, value) ∩ ... ⇒ (class = value)."""
     out = []
     for rule in rules:
-        if rule.antecedent:
-            parts = []
-            for c in rule.antecedent:
-                shown = c.value if c.op == "=" else f"{c.op} {_format_number(c.value)}"
-                parts.append(f"({c.attribute}, {shown})")
-            left = " ∩ ".join(parts)
-        else:
-            left = "(true)"
+        parts = []
+        for c in rule.antecedent:
+            shown = _value_text(c) if c.op == "=" else f"{c.op} {_value_text(c)}"
+            parts.append(f"({c.attribute}, {shown})")
+        left = " ∩ ".join(parts) or "(true)"
         out.append(f"{left} ⇒ ({rule.consequent[0]} = {rule.consequent[1]})")
     return "\n".join(out)
 
@@ -484,14 +441,7 @@ def gain_ratio(d: Dataset, attribute) -> float | None:
         raise DataError("gain ratio of the class attribute is undefined")
     col = d.column(ai)
     keep = ~is_missing(col)
-    if not keep.any():
-        return None
-    y = d.class_codes()[keep]
-    n_classes = len(d.class_labels)
-    if attr.kind == NOMINAL:
-        res = _nominal_candidate(col[keep], y, len(attr.values), n_classes)
-    else:
-        res = _numeric_candidate(col[keep], y, n_classes)
+    res = _candidate(attr, col[keep], d.class_codes()[keep], len(d.class_labels))
     if res is None:
         return None
     gain, split_info, _ = res

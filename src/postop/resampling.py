@@ -1,4 +1,4 @@
-"""Minority-class rebalancing: synthetic oversampling and random resampling.
+"""Minority-class rebalancing by synthetic oversampling.
 
 Synthetic instances are built per minority original from its k nearest
 minority neighbours, interpolating numeric fields between the pair and
@@ -241,44 +241,3 @@ def smote_repeated(d: Dataset, minority_class: str, times: int,
     )
     return current, record
 
-
-def random_oversample(d: Dataset, minority_class: str, target_count: int,
-                      seed: int) -> Dataset:
-    """Grow the minority class to target_count by copying rows at random.
-
-    All originals are kept; the extra rows are drawn with replacement and
-    appended after the existing instances.
-    """
-    _, min_idx = _minority_indices(d, minority_class)
-    if not min_idx.size:
-        raise ResampleError(f"minority class {minority_class!r} has no instances")
-    current = len(min_idx)
-    if target_count < current:
-        raise ResampleError(
-            f"target_count {target_count} is below the current count {current}"
-        )
-    extra = target_count - current
-    if extra == 0:
-        return d
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(min_idx, size=extra, replace=True)
-    return d.subset(np.concatenate([np.arange(len(d)), picks]))
-
-
-def random_undersample(d: Dataset, majority_class: str, target_count: int,
-                       seed: int) -> Dataset:
-    """Shrink the majority class to target_count rows chosen at random.
-
-    The retained rows keep their original relative order; other classes
-    are untouched.
-    """
-    maj_code, maj_idx = _minority_indices(d, majority_class)
-    current = len(maj_idx)
-    if target_count > current:
-        raise ResampleError(
-            f"target_count {target_count} exceeds the current count {current}"
-        )
-    rng = np.random.default_rng(seed)
-    keep = d.class_codes() != maj_code
-    keep[rng.choice(maj_idx, size=target_count, replace=False)] = True
-    return d.subset(np.flatnonzero(keep))

@@ -1,13 +1,16 @@
 """End-to-end command line behavior: outputs, files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from postop.cli import main
 from postop.dataset import parse_arff
 
-from conftest import COHORT_PATH
+from conftest import COHORT_PATH, TESTS_DIR
 
 TINY_ARFF = """@relation tiny
 @attribute x {A,B}
@@ -54,6 +57,16 @@ def test_inspect_summarizes_the_cohort(capsys):
     assert out[0] == f"relation: synthetic-thoracic-cohort ({COHORT_PATH})"
     assert out[1] == "470 instances, 17 attributes (14 nominal, 3 numeric), class {T:70, F:400}"
     assert out[2] == "missing values: none"
+
+
+def test_module_entry_point_runs_the_cli():
+    # python -m postop.cli must run the command, not just import the module
+    env = dict(os.environ, PYTHONPATH=str(TESTS_DIR.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "postop.cli", "inspect", "--data",
+                           str(COHORT_PATH)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == f"relation: synthetic-thoracic-cohort ({COHORT_PATH})"
 
 
 def test_inspect_counts_missing_cells(tmp_path, capsys):

@@ -205,10 +205,13 @@ def test_training_rejects_missing_values_and_empty_data():
 
 
 def test_training_indices_route_back_to_their_leaf():
+    # growth and prediction route alike: the rows a leaf was grown from are
+    # exactly the training rows that walk down to it
     rng = np.random.default_rng(9)
     for d in (fig_dataset(), random_mixed_dataset(rng, 40, n_nominal=2, n_numeric=2)):
-        t = train_tree(d, TreeConfig(pruning=False), keep_training_indices=True)
-        for i, row in enumerate(d.rows()):
+        t = train_tree(d, TreeConfig(pruning=False))
+        routed = {}
+        for row, y in zip(d.rows(), d.class_codes()):
             node = t
             while not node.is_leaf:
                 v = row[node.attr_index]
@@ -216,7 +219,17 @@ def test_training_indices_route_back_to_their_leaf():
                     node = node.children[0 if v <= node.threshold else 1]
                 else:
                     node = node.children[v]
-            assert i in set(node.train_indices.tolist())
+            routed.setdefault(id(node), np.zeros_like(node.counts))[y] += 1
+        leaves, stack = [], [t]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children or ())
+            if node.is_leaf:
+                leaves.append(node)
+        assert len(leaves) == t.leaf_count()
+        for leaf in leaves:
+            expected = routed.get(id(leaf), np.zeros_like(leaf.counts))
+            assert leaf.counts.tolist() == expected.tolist()
 
 
 # -- pruning ---------------------------------------------------------------------
@@ -276,13 +289,18 @@ def test_deep_tree_trains_predicts_and_benches(tmp_path, capsys):
     d = _numeric_dataset([float(i) for i in range(n)], [(i // 2) % 2 for i in range(n)])
     for pruning in (False, True):
         t = train_tree(d, TreeConfig(pruning=pruning))
-        depth, stack = 0, [(t, 0)]
+        depth, nodes, stack = 0, 0, [(t, 0)]
         while stack:
             node, level = stack.pop()
-            depth = max(depth, level)
+            depth, nodes = max(depth, level), nodes + 1
             stack.extend((child, level + 1) for child in node.children or ())
         assert depth == 999
-        assert (tree_predict(t, d).argmax(axis=1) == d.class_codes()).all()
+        predicted = tree_predict(t, d).argmax(axis=1)
+        assert (predicted == d.class_codes()).all()
+        rules = tree_to_rules(t)
+        assert len(rules) == t.leaf_count()
+        assert (rules_predict(rules, d) == predicted).all()
+        assert len(format_tree(t).splitlines()) == nodes - 1
     path = tmp_path / "alternating.arff"
     path.write_text(to_arff(d))
     code = main(["bench", "--data", str(path), "--seed", "1", "--classifiers", "j48",

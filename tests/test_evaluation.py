@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postop.dataset import DataError
 from postop.evaluation import (
@@ -198,6 +200,21 @@ def test_stratified_folds_stay_proportional():
             per_fold = [int((y[folds.test_indices(t)] == c).sum()) for t in range(k)]
             assert max(per_fold) - min(per_fold) <= 1
             assert sum(per_fold) == int((y == c).sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=2, max_size=60).filter(lambda y: len(set(y)) == 2),
+       st.data())
+def test_stratified_folds_partition_the_rows(labels, data):
+    n = len(labels)
+    k = data.draw(st.integers(2, min(n, 12)))
+    folds = stratified_folds(nominal_dataset({"a": [0] * n}, labels), k,
+                             data.draw(st.integers(0, 2**32 - 1)))
+    tests = [folds.test_indices(t) for t in range(k)]
+    assert np.sort(np.concatenate(tests)).tolist() == list(range(n))
+    for t in range(k):
+        together = np.concatenate([tests[t], folds.train_indices(t)])
+        assert np.sort(together).tolist() == list(range(n))
 
 
 def test_fold_determinism_and_validation():

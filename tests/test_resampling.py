@@ -1,16 +1,16 @@
-"""Synthetic oversampling and random resampling behavior."""
+"""Synthetic oversampling behavior."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from postop.dataset import class_counts, to_arff
+from postop.dataset import AttributeSchema, Dataset, class_counts, to_arff
 from postop.resampling import (
     ResampleError,
     SmoteConfig,
-    random_oversample,
-    random_undersample,
     smote,
     smote_repeated,
 )
@@ -130,32 +130,69 @@ def test_smote_repeated_determinism(cohort):
     assert to_arff(a) == to_arff(b)
 
 
-def test_random_oversample(cohort):
-    out = random_oversample(cohort, "T", 200, seed=4)
-    assert class_counts(out) == {"T": 200, "F": 400}
-    # first 470 rows are the untouched originals, extras are appended copies
-    rows = out.rows()
-    assert rows[: len(cohort)] == cohort.rows()
-    assert set(rows[len(cohort):]) <= set(cohort.rows())
-    assert random_oversample(cohort, "T", 70, seed=4) is cohort
-    with pytest.raises(ResampleError, match="below the current"):
-        random_oversample(cohort, "T", 69, seed=4)
+
+# -- properties ------------------------------------------------------------------
 
 
-def test_random_oversample_determinism(cohort):
-    a = random_oversample(cohort, "T", 150, seed=8)
-    b = random_oversample(cohort, "T", 150, seed=8)
-    assert a == b
+@st.composite
+def smote_cases(draw):
+    """A table whose oversampled class is complete, and a config it admits."""
+    n_nominal = draw(st.integers(0, 2))
+    n_numeric = draw(st.integers(1, 3))
+    schema = [AttributeSchema(f"n{a}", "nominal",
+                              tuple(f"v{i}" for i in range(draw(st.integers(1, 3)))))
+              for a in range(n_nominal)]
+    schema += [AttributeSchema(f"x{a}", "numeric") for a in range(n_numeric)]
+    schema.append(AttributeSchema("cls", "nominal", ("T", "F"), role="class"))
+    number = st.floats(-1e6, 1e6, allow_nan=False)
+
+    def rows(label, count, cell):
+        row = st.tuples(*(st.integers(0, len(a.values) - 1) if a.kind == "nominal"
+                          else cell for a in schema[:-1]))
+        return [r + (label,) for r in draw(st.lists(row, min_size=count, max_size=count))]
+
+    minority = draw(st.integers(0, 1))
+    m = draw(st.integers(2, 10))
+    table = rows(minority, m, number)
+    table += rows(1 - minority, draw(st.integers(0, 10)), st.none() | number)
+    d = Dataset.from_rows(schema, draw(st.permutations(table)))
+    cfg = SmoteConfig(seed=draw(st.integers(0, 2**32 - 1)),
+                      k_neighbors=draw(st.integers(1, m - 1)),
+                      percent=100 * draw(st.integers(0, 4)))
+    return d, ("T", "F")[minority], cfg
 
 
-def test_random_undersample(cohort):
-    out = random_undersample(cohort, "F", 100, seed=4)
-    assert class_counts(out) == {"T": 70, "F": 100}
-    # retained rows keep their original relative order
-    positions = {row: i for i, row in enumerate(cohort.rows())}
-    kept = [positions[row] for row in out.rows()]
-    assert kept == sorted(kept)
-    same = random_undersample(cohort, "F", 400, seed=4)
-    assert same == cohort
-    with pytest.raises(ResampleError, match="exceeds the current"):
-        random_undersample(cohort, "F", 401, seed=4)
+@settings(max_examples=150, deadline=None)
+@given(smote_cases())
+def test_smote_synthetics_stay_in_their_parent_box(case):
+    d, minority, cfg = case
+    out, record = smote(d, minority, cfg)
+    originals = d.rows()
+    n_synth = 0
+    for row, source in zip(out.rows(), record.provenance):
+        if source[0] == "original":
+            assert row == originals[source[1]]
+            continue
+        n_synth += 1
+        parent, partner = originals[source[1]], originals[source[2]]
+        for a in d.numeric_predictor_indices:
+            lo, hi = sorted((parent[a], partner[a]))
+            slack = 1e-9 * max(1.0, abs(lo), abs(hi))
+            assert lo - slack <= row[a] <= hi + slack
+        for a in d.nominal_predictor_indices:
+            assert row[a] == parent[a]
+        assert d.class_labels[row[d.class_index]] == minority
+    assert n_synth == record.synthetic_created
+
+
+@settings(max_examples=150, deadline=None)
+@given(smote_cases())
+def test_smote_final_counts_add_percent_of_the_minority(case):
+    d, minority, cfg = case
+    out, record = smote(d, minority, cfg)
+    before = class_counts(d)
+    grown = cfg.percent // 100 * before[minority]
+    expected = {c: n + (grown if c == minority else 0) for c, n in before.items()}
+    assert record.original_counts == before
+    assert record.final_counts == expected == class_counts(out)
+    assert len(out) == len(d) + grown
