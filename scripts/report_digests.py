@@ -1,0 +1,91 @@
+"""Print the sha256 of every report that a fixed set of bench runs writes.
+
+    PYTHONPATH=src python scripts/report_digests.py
+
+Each run calls postop.cli.main in-process: one `bench` on the synthetic
+cohort (tests/data/synthetic_cohort.arff) or on a copy made from its text,
+then `plotdata` on the run's manifest. The runs work in a temporary
+directory and name their data files relatively, so report.json does not
+depend on where the checkout lives. Each output line gives the run, the
+file (report.json, report.md, report.csv, plot.csv) and its digest.
+
+To show that a change keeps every report byte-identical, run this script
+once with each commit's src/ on PYTHONPATH and diff the two outputs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from postop.cli import main
+
+COHORT = Path(__file__).resolve().parent.parent / "tests" / "data" / "synthetic_cohort.arff"
+FILES = ("report.json", "report.md", "report.csv", "plot.csv")
+
+# (run name, data file, bench flags beyond --data, --seed, --out and --mlp-epochs)
+RUNS = (
+    ("default", "cohort.arff", []),
+    ("smote-repeat", "cohort.arff", ["--smote-repeat", "3"]),
+    ("smote-within-folds", "cohort.arff", ["--smote-within-folds", "--smote-k", "3"]),
+    ("impute-drop-instance", "holes.arff", ["--impute", "drop-instance"]),
+    ("impute-mean-or-mode", "holes.arff", ["--impute", "mean-or-mode"]),
+    ("csv-schema", "cohort.csv", ["--schema", "cohort.arff"]),
+    ("mlp-hidden", "cohort.arff", ["--mlp-hidden", "5,3"]),
+    ("tree-no-pruning", "cohort.arff", ["--tree-no-pruning"]),
+    ("tree-min-leaf", "cohort.arff", ["--tree-min-leaf", "1"]),
+    ("tree-confidence", "cohort.arff", ["--tree-confidence", "0.1"]),
+)
+
+
+def write_inputs(text: str) -> None:
+    """cohort.arff, a CSV copy of it, and a copy with 3% of predictor cells missing."""
+    header, data = text.split("@data\n")
+    rows = [line for line in data.splitlines() if line.strip()]
+    names = [line.split()[1] for line in header.splitlines() if line.startswith("@attribute")]
+    rng = random.Random(3)
+    holes = []
+    for row in rows:
+        cells = row.split(",")
+        for i in range(len(cells) - 1):  # the class cell stays
+            if rng.random() < 0.03:
+                cells[i] = "?"
+        holes.append(",".join(cells))
+    Path("cohort.arff").write_text(text)
+    Path("cohort.csv").write_text("\n".join([",".join(names), *rows]) + "\n")
+    Path("holes.arff").write_text(header + "@data\n" + "\n".join(holes) + "\n")
+
+
+def run(name: str, data: str, flags: list[str]) -> list[str]:
+    quiet = io.StringIO()
+    with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+        code = main(["bench", "--data", data, "--seed", "1", "--out", name,
+                     "--mlp-epochs", "3", *flags])
+        if code == 0:
+            code = main(["plotdata", f"{name}/manifest.json"])
+    if code != 0:
+        sys.exit(f"run {name} exited {code}:\n{quiet.getvalue()}")
+    return [f"{name} {f} {hashlib.sha256(Path(name, f).read_bytes()).hexdigest()}"
+            for f in FILES]
+
+
+def digest_lines() -> list[str]:
+    text = COHORT.read_text()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            write_inputs(text)
+            return [line for name, data, flags in RUNS for line in run(name, data, flags)]
+        finally:
+            os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    print("\n".join(digest_lines()))

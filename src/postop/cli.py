@@ -9,7 +9,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 from os import environ
 from pathlib import Path
 
@@ -27,9 +26,8 @@ from .dataset import (
 )
 from .evaluation import (
     CLASSIFIER_NAMES,
-    DISPLAY_NAMES,
-    METRIC_LABELS,
     cross_validate,
+    grid_csv,
     make_classifier,
     render_csv,
     render_markdown,
@@ -39,39 +37,6 @@ from .resampling import ResampleRecord, SmoteConfig, smote, smote_repeated
 from .seeds import derive_seed
 
 DATA_DIR_ENV = "POSTOP_DATA_DIR"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a benchmark run depends on, as recorded in the manifest."""
-
-    data: str
-    data_format: str
-    schema: str | None
-    class_attribute: str | None
-    positive_class: str | None
-    impute: str
-    folds: int
-    seed: int
-    smote: bool
-    smote_percent: int
-    smote_k: int
-    smote_repeat: int
-    smote_within_folds: bool
-    classifiers: tuple[str, ...]
-    mlp_epochs: int
-    mlp_learning_rate: float
-    mlp_momentum: float
-    mlp_hidden: tuple[int, ...] | None
-    tree_min_leaf: int
-    tree_confidence: float
-    tree_pruning: bool
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["classifiers"] = list(self.classifiers)
-        d["mlp_hidden"] = list(self.mlp_hidden) if self.mlp_hidden else None
-        return d
 
 
 def _resolve_data_path(path_str: str) -> Path:
@@ -130,8 +95,8 @@ def _positive_class(d: Dataset, requested: str | None) -> str:
 def _oversample(d: Dataset, minority: str, seed: int, opts) -> tuple[Dataset, ResampleRecord]:
     """SMOTE as the smote_k, smote_percent and smote_repeat of opts ask.
 
-    opts is the parsed command line or a RunConfig. A non-zero smote_repeat
-    applies 100% oversampling that many times instead of one pass.
+    opts is the parsed resample or bench command line. A non-zero
+    smote_repeat applies 100% oversampling that many times instead of one pass.
     """
     cfg = SmoteConfig(seed=seed, k_neighbors=opts.smote_k, percent=opts.smote_percent)
     if opts.smote_repeat:
@@ -224,84 +189,67 @@ def _parse_hidden(text: str | None) -> tuple[int, ...] | None:
     return sizes
 
 
-def _build_specs(cfg: RunConfig):
-    specs = []
-    for name in cfg.classifiers:
-        if name == "mlp":
-            specs.append(
-                make_classifier(
-                    "mlp",
-                    hidden_sizes=cfg.mlp_hidden,
-                    learning_rate=cfg.mlp_learning_rate,
-                    momentum=cfg.mlp_momentum,
-                    epochs=cfg.mlp_epochs,
-                )
-            )
-        elif name == "j48":
-            specs.append(
-                make_classifier(
-                    "j48",
-                    min_leaf_instances=cfg.tree_min_leaf,
-                    pruning_confidence=cfg.tree_confidence,
-                    pruning=cfg.tree_pruning,
-                )
-            )
-        else:
-            specs.append(make_classifier("nb"))
-    return specs
+# One row per report.json config key: the (classifier, make_classifier override)
+# it feeds, and how it derives from the parsed flags (None: the flag of its name).
+BENCH_CONFIG = (
+    ("data", None, None),
+    ("data_format", None, lambda a: _infer_format(Path(a.data), a.data_format)),
+    ("schema", None, None),
+    ("class_attribute", None, None),
+    ("positive_class", None, None),
+    ("impute", None, None),
+    ("folds", None, None),
+    ("seed", None, None),
+    ("smote", None, lambda a: not a.no_smote),
+    ("smote_percent", None, None),
+    ("smote_k", None, None),
+    ("smote_repeat", None, None),
+    ("smote_within_folds", None, None),
+    ("classifiers", None, lambda a: _parse_classifiers(a.classifiers)),
+    ("mlp_epochs", ("mlp", "epochs"), None),
+    ("mlp_learning_rate", ("mlp", "learning_rate"), None),
+    ("mlp_momentum", ("mlp", "momentum"), None),
+    ("mlp_hidden", ("mlp", "hidden_sizes"), lambda a: _parse_hidden(a.mlp_hidden)),
+    ("tree_min_leaf", ("j48", "min_leaf_instances"), None),
+    ("tree_confidence", ("j48", "pruning_confidence"), None),
+    ("tree_pruning", ("j48", "pruning"), lambda a: not a.tree_no_pruning),
+)
 
 
 def _cmd_bench(args) -> int:
     started = time.perf_counter()
     timings: dict[str, float] = {}
-    d, path, fmt = _load_dataset(args)
-    d = impute_missing(d, args.impute)
+    d = impute_missing(_load_dataset(args)[0], args.impute)
     timings["load"] = time.perf_counter() - started
 
-    cfg = RunConfig(
-        data=args.data,
-        data_format=fmt,
-        schema=args.schema,
-        class_attribute=args.class_attribute,
-        positive_class=args.positive_class,
-        impute=args.impute,
-        folds=args.folds,
-        seed=args.seed,
-        smote=not args.no_smote,
-        smote_percent=args.smote_percent,
-        smote_k=args.smote_k,
-        smote_repeat=args.smote_repeat,
-        smote_within_folds=args.smote_within_folds,
-        classifiers=_parse_classifiers(args.classifiers),
-        mlp_epochs=args.mlp_epochs,
-        mlp_learning_rate=args.mlp_learning_rate,
-        mlp_momentum=args.mlp_momentum,
-        mlp_hidden=_parse_hidden(args.mlp_hidden),
-        tree_min_leaf=args.tree_min_leaf,
-        tree_confidence=args.tree_confidence,
-        tree_pruning=not args.tree_no_pruning,
-    )
-    positive = _positive_class(d, cfg.positive_class)
+    config = {key: derive(args) if derive else getattr(args, key)
+              for key, _, derive in BENCH_CONFIG}
+    positive = _positive_class(d, args.positive_class)
 
     resample_record = None
     train_transform = None
     working = d
     t0 = time.perf_counter()
-    if cfg.smote and not cfg.smote_within_folds:
-        working, resample_record = _oversample(d, positive, derive_seed(cfg.seed, "smote"), cfg)
-    elif cfg.smote and cfg.smote_within_folds:
+    if config["smote"] and not args.smote_within_folds:
+        working, resample_record = _oversample(d, positive, derive_seed(args.seed, "smote"), args)
+    elif config["smote"]:
 
         def train_transform(train_d, seed):
-            return _oversample(train_d, positive, seed, cfg)[0]
+            return _oversample(train_d, positive, seed, args)[0]
 
     timings["resample"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    folds = stratified_folds(working, cfg.folds, derive_seed(cfg.seed, "folds"))
+    folds = stratified_folds(working, args.folds, derive_seed(args.seed, "folds"))
     timings["folds"] = time.perf_counter() - t0
 
+    overrides = {name: {} for name in CLASSIFIER_NAMES}
+    for key, target, _ in BENCH_CONFIG:
+        if target:
+            overrides[target[0]][target[1]] = config[key]
+    specs = [make_classifier(name, **overrides[name]) for name in config["classifiers"]]
     reports = []
-    for spec in _build_specs(cfg):
+    for spec in specs:
         t0 = time.perf_counter()
         reports.append(
             cross_validate(working, spec, folds, positive_class=positive,
@@ -314,10 +262,10 @@ def _cmd_bench(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report_doc = {
         "version": __version__,
-        "config": cfg.to_json_dict(),
+        "config": config,
         "positive_class": positive,
         "resampling": resample_record.to_json_dict() if resample_record else {
-            "method": "within-folds" if (cfg.smote and cfg.smote_within_folds) else "none"
+            "method": "within-folds" if train_transform else "none"
         },
         "class_counts": class_counts(working),
         "reports": [r.to_json_dict() for r in reports],
@@ -327,31 +275,27 @@ def _cmd_bench(args) -> int:
     manifest_doc["timings_seconds"] = {k: round(v, 6) for k, v in timings.items()}
     manifest_json = json.dumps(manifest_doc, indent=2, sort_keys=True) + "\n"
 
-    markdown = _render_report_markdown(cfg, positive, resample_record, working, reports)
-    csv_text = render_csv(reports)
-
-    (out_dir / "report.json").write_text(report_json)
-    (out_dir / "manifest.json").write_text(manifest_json)
-    (out_dir / "report.md").write_text(markdown)
-    (out_dir / "report.csv").write_text(csv_text)
-
-    if args.format == "json":
-        print(report_json, end="")
-    elif args.format == "csv":
-        print(csv_text, end="")
-    else:
-        print(markdown, end="")
+    files = {
+        "report.json": report_json,
+        "manifest.json": manifest_json,
+        "report.md": _render_report_markdown(config, positive, resample_record, working, reports),
+        "report.csv": render_csv(reports),
+    }
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
+    echo = {"markdown": "report.md", "csv": "report.csv", "json": "report.json"}
+    print(files[echo[args.format]], end="")
     print(f"\nwrote report.md, report.csv, report.json, manifest.json to {out_dir}",
           file=sys.stderr)
     return 0
 
 
-def _render_report_markdown(cfg, positive, resample_record, working, reports) -> str:
+def _render_report_markdown(config, positive, resample_record, working, reports) -> str:
     lines = ["# Benchmark report", ""]
     counts = class_counts(working)
     counts_text = ", ".join(f"{k}:{v}" for k, v in counts.items())
     lines.append(
-        f"Dataset: `{cfg.data}`, {len(working)} instances after resampling "
+        f"Dataset: `{config['data']}`, {len(working)} instances after resampling "
         f"({counts_text}), positive class {positive}."
     )
     if resample_record is not None:
@@ -360,12 +304,13 @@ def _render_report_markdown(cfg, positive, resample_record, working, reports) ->
             f"Resampling: {resample_record.method}, {{{before}}} before, "
             f"{resample_record.synthetic_created} synthetic instances added."
         )
-    elif cfg.smote and cfg.smote_within_folds:
+    elif config["smote"]:
         lines.append("Resampling: applied inside each training fold only.")
     else:
         lines.append("Resampling: none.")
     lines.append(
-        f"Evaluation: stratified {cfg.folds}-fold cross-validation, master seed {cfg.seed}."
+        f"Evaluation: stratified {config['folds']}-fold cross-validation, "
+        f"master seed {config['seed']}."
     )
     lines.append("")
     lines.append(render_markdown(reports).rstrip())
@@ -373,8 +318,7 @@ def _render_report_markdown(cfg, positive, resample_record, working, reports) ->
     lines.append("| Classifier | CVA (mean fold accuracy) | Folds |")
     lines.append("| --- | ---: | ---: |")
     for r in reports:
-        name = DISPLAY_NAMES.get(r.classifier, r.classifier)
-        lines.append(f"| {name} | {r.cva:.1f} | {r.n_folds} |")
+        lines.append(f"| {r.display_name} | {r.cva:.1f} | {r.n_folds} |")
     flagged = [(r.classifier, f) for r in reports for f in r.flags]
     if flagged:
         lines.append("")
@@ -402,17 +346,9 @@ def _cmd_plotdata(args) -> int:
             isinstance(r, dict) and isinstance(r.get("metrics", {}), dict) for r in reports):
         raise DataError("manifest reports must be objects with a metrics object")
     names = [str(r.get("display_name", r.get("classifier", "?"))) for r in reports]
-    lines = ["metric," + ",".join(names)]
-    for key, label in METRIC_LABELS:
-        cells = []
-        for name, r in zip(names, reports):
-            v = r.get("metrics", {}).get(key)
-            if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
-                raise DataError(f"{name} metric {key!r} is not a number: {v!r}")
-            cells.append("" if v is None else f"{v:.1f}")
-        lines.append(label + "," + ",".join(cells))
     out_path = Path(args.out) if args.out else path.parent / "plot.csv"
-    out_path.write_text("\n".join(lines) + "\n")
+    # report.csv's grid, with a blank cell where a metric is undefined
+    out_path.write_text(grid_csv(names, [r.get("metrics", {}) for r in reports], ""))
     print(f"wrote {out_path}")
     return 0
 
@@ -501,10 +437,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

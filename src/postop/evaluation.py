@@ -7,7 +7,7 @@ matching how the benchmark table is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -175,31 +175,19 @@ def roc_auc(scores, positive) -> RocCurve:
     n_neg = int(s.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC needs at least one positive and one negative instance")
+    if not np.isfinite(s).all():
+        raise DataError("ROC scores must be finite")
     order = np.argsort(-s, kind="stable")
-    points = [(0.0, 0.0)]
-    auc = 0.0
-    tp = fp = 0
-    i = 0
-    while i < s.size:
-        j = i
-        group_tp = group_fp = 0
-        score = s[order[i]]
-        while j < s.size and s[order[j]] == score:
-            if pos[order[j]]:
-                group_tp += 1
-            else:
-                group_fp += 1
-            j += 1
-        prev_tpr = tp / n_pos
-        prev_fpr = fp / n_neg
-        tp += group_tp
-        fp += group_fp
-        tpr = tp / n_pos
-        fpr = fp / n_neg
-        auc += (fpr - prev_fpr) * (tpr + prev_tpr) / 2.0
-        points.append((fpr, tpr))
-        i = j
-    return RocCurve(points=tuple(points), auc=float(auc))
+    ranked = s[order]
+    # the last rank of each group of tied scores (Fawcett 2006, Alg. 2)
+    ends = np.append(np.nonzero(ranked[1:] != ranked[:-1])[0], s.size - 1)
+    tp = np.cumsum(pos[order])[ends]
+    tpr = np.concatenate(([0.0], tp / n_pos))
+    fpr = np.concatenate(([0.0], (ends + 1 - tp) / n_neg))
+    terms = (fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0
+    # cumsum adds in order, as a running total would; np.sum adds pairwise
+    auc = np.cumsum(terms)[-1]
+    return RocCurve(points=tuple(zip(fpr.tolist(), tpr.tolist())), auc=float(auc))
 
 
 # -- folds ----------------------------------------------------------------------
@@ -284,28 +272,21 @@ def make_classifier(name: str, **overrides) -> ClassifierSpec:
             name="j48",
             train=lambda d, seed: train_tree(d, cfg),
             predict=tree_predict,
-            config={
-                "min_leaf_instances": cfg.min_leaf_instances,
-                "pruning_confidence": cfg.pruning_confidence,
-                "pruning": cfg.pruning,
-            },
+            config=asdict(cfg),
         )
     if name == "mlp":
         if "seed" in overrides:
             raise DataError("the network seed is derived per fold, not configured")
         base = MlpConfig(**overrides)
+        config = asdict(base)
+        del config["seed"]
+        config["hidden_sizes"] = list(base.hidden_sizes) if base.hidden_sizes else None
+        config["seed_policy"] = "derived per fold from the fold seed"
         return ClassifierSpec(
             name="mlp",
             train=lambda d, seed: train_mlp(d, replace(base, seed=seed)),
             predict=mlp_predict,
-            config={
-                "hidden_sizes": list(base.hidden_sizes) if base.hidden_sizes else None,
-                "learning_rate": base.learning_rate,
-                "momentum": base.momentum,
-                "epochs": base.epochs,
-                "weight_init_range": base.weight_init_range,
-                "seed_policy": "derived per fold from the fold seed",
-            },
+            config=config,
         )
     raise DataError(f"unknown classifier {name!r}; expected one of {CLASSIFIER_NAMES}")
 
@@ -336,26 +317,12 @@ class EvaluationReport:
     flags: tuple[str, ...]
     config: dict = field(default_factory=dict)
 
+    @property
+    def display_name(self) -> str:
+        return DISPLAY_NAMES.get(self.classifier, self.classifier)
+
     def to_json_dict(self) -> dict:
-        return {
-            "classifier": self.classifier,
-            "display_name": DISPLAY_NAMES.get(self.classifier, self.classifier),
-            "n_instances": self.n_instances,
-            "n_folds": self.n_folds,
-            "positive_class": self.positive_class,
-            "metrics": dict(self.metrics),
-            "per_class": {k: dict(v) for k, v in self.per_class.items()},
-            "confusion": {
-                "tp": self.confusion.tp,
-                "fn": self.confusion.fn,
-                "fp": self.confusion.fp,
-                "tn": self.confusion.tn,
-            },
-            "fold_accuracies": list(self.fold_accuracies),
-            "cva": self.cva,
-            "flags": list(self.flags),
-            "config": dict(self.config),
-        }
+        return {**asdict(self), "display_name": self.display_name}
 
 
 def _pct(v):
@@ -394,6 +361,9 @@ def cross_validate(d: Dataset, spec: ClassifierSpec, folds: FoldAssignment,
             train_d = train_transform(train_d, derive_seed(folds.seed, "transform", t))
         model = spec.train(train_d, derive_seed(folds.seed, "train", spec.name, t))
         probs[test_idx] = spec.predict(model, d.subset(test_idx))
+        if not np.isfinite(probs[test_idx]).all():
+            raise DataError(f"{spec.name} gave non-finite class probabilities "
+                            f"in fold {t + 1} of {folds.k}")
         predicted = probs[test_idx].argmax(axis=1)
         fold_accuracies.append(float((predicted == y[test_idx]).mean()))
 
@@ -463,27 +433,42 @@ def cross_validate(d: Dataset, spec: ClassifierSpec, folds: FoldAssignment,
 # -- rendering ----------------------------------------------------------------------
 
 
-def _fmt(v) -> str:
-    return "n/a" if v is None else f"{v:.1f}"
+def metric_grid(names: list[str], metrics: list[dict], missing: str) -> list[list[str]]:
+    """The report's rows: a label, then each column's value to one decimal.
+
+    names and metrics are the columns. A value that is absent or None
+    prints as missing; any other value that is not a number is an error.
+    """
+    rows = []
+    for key, label in METRIC_LABELS:
+        row = [label]
+        for name, m in zip(names, metrics):
+            v = m.get(key)
+            if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
+                raise DataError(f"{name} metric {key!r} is not a number: {v!r}")
+            row.append(missing if v is None else f"{v:.1f}")
+        rows.append(row)
+    return rows
 
 
 def render_markdown(reports: list[EvaluationReport]) -> str:
     """Metrics-by-classifier markdown table in the standard row order."""
-    names = [DISPLAY_NAMES.get(r.classifier, r.classifier) for r in reports]
+    names = [r.display_name for r in reports]
     lines = [
         "| Performance metric | " + " | ".join(names) + " |",
         "| --- | " + " | ".join("---:" for _ in names) + " |",
     ]
-    for key, label in METRIC_LABELS:
-        cells = " | ".join(_fmt(r.metrics[key]) for r in reports)
-        lines.append(f"| {label} | {cells} |")
+    for row in metric_grid(names, [r.metrics for r in reports], "n/a"):
+        lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines) + "\n"
+
+
+def grid_csv(names: list[str], metrics: list[dict], missing: str) -> str:
+    """The metric grid as CSV, under a header row of "metric" and the names."""
+    rows = [["metric", *names], *metric_grid(names, metrics, missing)]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def render_csv(reports: list[EvaluationReport]) -> str:
     """Metrics-by-classifier CSV with the same cells as the markdown table."""
-    names = [DISPLAY_NAMES.get(r.classifier, r.classifier) for r in reports]
-    lines = ["metric," + ",".join(names)]
-    for key, label in METRIC_LABELS:
-        lines.append(label + "," + ",".join(_fmt(r.metrics[key]) for r in reports))
-    return "\n".join(lines) + "\n"
+    return grid_csv([r.display_name for r in reports], [r.metrics for r in reports], "n/a")

@@ -22,6 +22,14 @@ B,F
 B,F
 """
 
+# one numeric column at the edge of the float range: naive Bayes' variance
+# overflows and its posteriors come out NaN
+HUGE_ARFF = """@relation huge
+@attribute v numeric
+@attribute c {T,F}
+@data
+""" + "1e308,T\n-1e308,T\n" * 2 + "1e308,F\n-1e308,F\n" * 2
+
 MISSING_ARFF = """@relation holes
 @attribute a {x,y}
 @attribute b numeric
@@ -218,6 +226,69 @@ def test_bench_usage_and_data_errors(tiny_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bench_records_every_flag_in_config(tiny_path, tmp_path, capsys):
+    csv_path = tmp_path / "tiny.csv"
+    csv_path.write_text("x,c\nA,T\nA,T\nB,F\nB,F\n")
+    out = tmp_path / "all"
+    code = main([
+        "bench", "--data", str(csv_path), "--data-format", "csv", "--schema", str(tiny_path),
+        "--class-attribute", "c", "--positive-class", "F", "--impute", "drop-instance",
+        "--folds", "2", "--seed", "5", "--no-smote", "--smote-percent", "200",
+        "--smote-k", "3", "--smote-repeat", "2", "--smote-within-folds",
+        "--classifiers", "nb,j48,mlp", "--mlp-epochs", "2", "--mlp-learning-rate", "0.5",
+        "--mlp-momentum", "0.1", "--mlp-hidden", "3,2", "--tree-min-leaf", "1",
+        "--tree-confidence", "0.1", "--tree-no-pruning", "--out", str(out),
+        "--format", "json",
+    ])
+    assert code == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert json.loads(capsys.readouterr().out) == doc
+    assert doc["config"] == {
+        "data": str(csv_path),
+        "data_format": "csv",
+        "schema": str(tiny_path),
+        "class_attribute": "c",
+        "positive_class": "F",
+        "impute": "drop-instance",
+        "folds": 2,
+        "seed": 5,
+        "smote": False,
+        "smote_percent": 200,
+        "smote_k": 3,
+        "smote_repeat": 2,
+        "smote_within_folds": True,
+        "classifiers": ["nb", "j48", "mlp"],
+        "mlp_epochs": 2,
+        "mlp_learning_rate": 0.5,
+        "mlp_momentum": 0.1,
+        "mlp_hidden": [3, 2],
+        "tree_min_leaf": 1,
+        "tree_confidence": 0.1,
+        "tree_pruning": False,
+    }
+    # each classifier setting reaches its classifier
+    assert [r["config"] for r in doc["reports"]] == [
+        {},
+        {"min_leaf_instances": 1, "pruning_confidence": 0.1, "pruning": False},
+        {"hidden_sizes": [3, 2], "learning_rate": 0.5, "momentum": 0.1, "epochs": 2,
+         "weight_init_range": 0.05, "seed_policy": "derived per fold from the fold seed"},
+    ]
+    assert doc["resampling"] == {"method": "none"}
+
+
+def test_bench_exits_on_non_finite_probabilities(tmp_path):
+    # a subprocess with a timeout, so that a sweep that never ends fails the test
+    data = tmp_path / "huge.arff"
+    data.write_text(HUGE_ARFF)
+    env = dict(os.environ, PYTHONPATH=str(TESTS_DIR.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "postop.cli", *_bench_args(
+        data, tmp_path / "out")], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: nb gave non-finite class probabilities in fold 1 of 2"]
+    assert "Traceback" not in done.stderr
+
+
 def test_bench_smote_within_folds(tmp_path, capsys):
     out = tmp_path / "wf"
     code = main([
@@ -264,6 +335,14 @@ def test_plotdata_grid(tiny_path, tmp_path, capsys):
     target = tmp_path / "custom.csv"
     assert main(["plotdata", str(out / "report.json"), "--out", str(target)]) == 0
     assert target.read_text().splitlines()[0] == "metric,Naive Bayes"
+
+
+def test_plotdata_of_a_bench_run_is_its_report_csv(tiny_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(_bench_args(tiny_path, out, "--classifiers", "nb,j48")) == 0
+    assert main(["plotdata", str(out / "manifest.json")]) == 0
+    capsys.readouterr()
+    assert (out / "plot.csv").read_bytes() == (out / "report.csv").read_bytes()
 
 
 def test_plotdata_blank_cells_for_undefined_metrics(tmp_path, capsys):

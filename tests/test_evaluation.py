@@ -164,6 +164,9 @@ def test_roc_input_validation():
         roc_auc([0.1, 0.2], [True, True])
     with pytest.raises(DataError, match="shape"):
         roc_auc([], [])
+    for bad in (np.inf, np.nan):  # inf first: a sweep that loops on NaN fails before it hangs
+        with pytest.raises(DataError, match="finite"):
+            roc_auc([0.1, bad, 0.2], [True, False, False])
 
 
 # -- folds --------------------------------------------------------------------------
