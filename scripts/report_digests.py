@@ -41,11 +41,19 @@ RUNS = (
     ("tree-no-pruning", "cohort.arff", ["--tree-no-pruning"]),
     ("tree-min-leaf", "cohort.arff", ["--tree-min-leaf", "1"]),
     ("tree-confidence", "cohort.arff", ["--tree-confidence", "0.1"]),
+    ("constant-in-training", "flat.arff", ["--smote-within-folds"]),
 )
+
+# rows whose PRE5 keeps its value in flat.arff; at --seed 1 all three fall in
+# test fold 1 of 10, so that fold trains on a constant PRE5 column
+FLAT_KEPT = (6, 27, 99)
 
 
 def write_inputs(text: str) -> None:
-    """cohort.arff, a CSV copy of it, and a copy with 3% of predictor cells missing."""
+    """cohort.arff, a CSV copy, a copy with 3% of predictor cells missing and flat.arff.
+
+    flat.arff sets PRE5 to 2.5 in every row but those of FLAT_KEPT.
+    """
     header, data = text.split("@data\n")
     rows = [line for line in data.splitlines() if line.strip()]
     names = [line.split()[1] for line in header.splitlines() if line.startswith("@attribute")]
@@ -60,6 +68,11 @@ def write_inputs(text: str) -> None:
     Path("cohort.arff").write_text(text)
     Path("cohort.csv").write_text("\n".join([",".join(names), *rows]) + "\n")
     Path("holes.arff").write_text(header + "@data\n" + "\n".join(holes) + "\n")
+    flat = [row.split(",") for row in rows]
+    for i, cells in enumerate(flat):
+        if i not in FLAT_KEPT:
+            cells[names.index("PRE5")] = "2.5"
+    Path("flat.arff").write_text(header + "@data\n" + "\n".join(map(",".join, flat)) + "\n")
 
 
 def run(name: str, data: str, flags: list[str]) -> list[str]:

@@ -158,7 +158,10 @@ def _numeric_candidate(values, y, n_classes):
         - nr / n * _entropy_rows(right)
     )
     best = int(np.argmax(gains))  # first maximum: lowest threshold wins ties
-    threshold = float((sv[bounds[best]] + sv[bounds[best] + 1]) / 2.0)
+    a, b = float(sv[bounds[best]]), float(sv[bounds[best] + 1])
+    threshold = a / 2 + b / 2  # halved first, so the sum cannot overflow
+    if not a <= threshold < b:  # rounded up to b: keep b on the right
+        threshold = a
     pl = nl[best] / n
     pr = nr[best] / n
     split_info = float(-(pl * math.log2(pl) + pr * math.log2(pr)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import NOMINAL, DataError, Dataset
+from .dataset import DataError, Dataset, minmax_scale, observed_range
 
 # perfbench/child.py:environment() reads this name to label the training
 # path. Training has one numpy path, so it is False.
@@ -55,27 +55,20 @@ class MlpConfig:
 
 
 @dataclass(frozen=True)
-class NumericRange:
-    lo: float
-    hi: float
-    constant: bool
-
-
-@dataclass(frozen=True)
 class Encoding:
     """How dataset attributes map onto network inputs and outputs.
 
-    blocks aligns with predictor attributes in schema order: nominal
-    attributes occupy a one-hot block of their domain size, numeric
-    attributes one input scaled by the recorded (lo, hi) range. Constant
-    numeric columns are flagged and encode to 0.
+    Inputs follow predictor schema order. The nominal predictor at position
+    j of the dataset's codes matrix occupies a one-hot block of its domain
+    size starting at input nominal_offsets[j]; the numeric predictor at
+    position j of its numeric matrix occupies input numeric_offsets[j],
+    min-max scaled by (lo[j], hi[j]).
     """
 
-    attr_indices: tuple[int, ...]
-    offsets: tuple[int, ...]
-    kinds: tuple[str, ...]
-    sizes: tuple[int, ...]
-    ranges: dict[int, NumericRange]
+    nominal_offsets: np.ndarray
+    numeric_offsets: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     input_width: int
     class_labels: tuple[str, ...]
 
@@ -88,37 +81,17 @@ def encode(d: Dataset) -> tuple[Encoding, np.ndarray, np.ndarray]:
     """
     if len(d) == 0:
         raise DataError("cannot encode an empty dataset")
-    attr_indices = []
-    offsets = []
-    kinds = []
-    sizes = []
-    ranges: dict[int, NumericRange] = {}
-    offset = 0
-    for ai in d.predictor_indices:
-        attr = d.schema[ai]
-        attr_indices.append(ai)
-        offsets.append(offset)
-        if attr.kind == NOMINAL:
-            kinds.append(NOMINAL)
-            sizes.append(len(attr.values))
-            offset += len(attr.values)
-        else:
-            kinds.append("numeric")
-            sizes.append(1)
-            col = d.column(ai)
-            col = col[~np.isnan(col)]
-            if not col.size:
-                raise DataError(f"attribute {attr.name!r} has no observed values to scale by")
-            lo, hi = float(col.min()), float(col.max())
-            ranges[ai] = NumericRange(lo, hi, constant=lo == hi)
-            offset += 1
+    # a nominal predictor takes one input per domain value, a numeric one
+    # (which declares no domain) a single input
+    widths = [len(d.schema[ai].values) or 1 for ai in d.predictor_indices]
+    at = dict(zip(d.predictor_indices, np.cumsum([0, *widths]).tolist()))
+    lo, hi = observed_range(d)
     enc = Encoding(
-        attr_indices=tuple(attr_indices),
-        offsets=tuple(offsets),
-        kinds=tuple(kinds),
-        sizes=tuple(sizes),
-        ranges=ranges,
-        input_width=offset,
+        nominal_offsets=np.array([at[ai] for ai in d.nominal_predictor_indices], dtype=int),
+        numeric_offsets=np.array([at[ai] for ai in d.numeric_predictor_indices], dtype=int),
+        lo=lo,
+        hi=hi,
+        input_width=sum(widths),
         class_labels=d.class_labels,
     )
     y = np.zeros((len(d), len(d.class_labels)))
@@ -129,15 +102,10 @@ def encode(d: Dataset) -> tuple[Encoding, np.ndarray, np.ndarray]:
 def encode_inputs(enc: Encoding, d: Dataset) -> np.ndarray:
     """Input matrix (rows, input_width); missing values encode to all-zero fields."""
     x = np.zeros((len(d), enc.input_width))
-    rows = np.arange(len(d))
-    for ai, offset, kind in zip(enc.attr_indices, enc.offsets, enc.kinds):
-        v = d.column(ai)
-        if kind == NOMINAL:
-            seen = v >= 0
-            x[rows[seen], offset + v[seen]] = 1.0
-        elif not enc.ranges[ai].constant:
-            r = enc.ranges[ai]
-            x[:, offset] = np.nan_to_num((v - r.lo) / (r.hi - r.lo), nan=0.0)
+    codes = d.codes_matrix()
+    rows, cols = np.nonzero(codes >= 0)
+    x[rows, enc.nominal_offsets[cols] + codes[rows, cols]] = 1.0
+    x[:, enc.numeric_offsets] = minmax_scale(d.numeric_matrix(), enc.lo, enc.hi)
     return x
 
 

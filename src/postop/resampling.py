@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DataError, Dataset, class_counts
+from .dataset import DataError, Dataset, class_counts, minmax_scale, observed_range
 from .seeds import derive_seed
 
 
@@ -101,11 +101,7 @@ def _neighbor_table(d: Dataset, min_idx: np.ndarray, k: int) -> np.ndarray:
     nom = d.codes_matrix()
     if np.isnan(num[min_idx]).any() or (nom[min_idx] < 0).any():
         raise ResampleError("minority instances must have no missing values")
-    lo = np.nanmin(num, axis=0) if num.size else np.zeros(0)
-    hi = np.nanmax(num, axis=0) if num.size else np.zeros(0)
-    span = hi - lo
-    span[span == 0] = 1.0  # constant column: no contribution either way
-    xn = (num[min_idx] - lo) / span
+    xn = minmax_scale(num[min_idx], *observed_range(d))  # a constant column adds 0
     xc = nom[min_idx]
 
     m = len(min_idx)

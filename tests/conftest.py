@@ -1,6 +1,8 @@
 """Shared fixtures: toy tables, the stand-in cohort, and the real-file locator."""
 
+import contextlib
 import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,26 @@ def cohort_or_real() -> tuple[Dataset, str]:
     if path is not None:
         return parse_arff(path.read_text()), f"real file {path}"
     return parse_arff(COHORT_PATH.read_text()), "synthetic stand-in cohort"
+
+
+class TimeLimitExceeded(Exception):
+    """A block ran past its time_limit. Not an OSError (as TimeoutError is),
+    so the CLI's one-line error handler does not turn it into exit 1."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise TimeLimitExceeded inside the block once it has run for `seconds` (SIGALRM)."""
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def query(d: Dataset, *rows) -> Dataset:

@@ -1,16 +1,23 @@
 """End-to-end command line behavior: outputs, files, exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postop.cli import main
 from postop.dataset import parse_arff
 
-from conftest import COHORT_PATH, TESTS_DIR
+from conftest import COHORT_PATH, TESTS_DIR, time_limit
 
 TINY_ARFF = """@relation tiny
 @attribute x {A,B}
@@ -287,6 +294,67 @@ def test_bench_exits_on_non_finite_probabilities(tmp_path):
     errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
     assert errors == ["error: nb gave non-finite class probabilities in fold 1 of 2"]
     assert "Traceback" not in done.stderr
+
+
+# magnitudes across the float range, and adjacent doubles near 1
+EXTREMES = [s * m for s in (1.0, -1.0) for m in (1e-300, 1.0, 1e154, 1e308, 1.7e308)]
+EXTREMES += [1.0 + 2.0**-52, 1.0 + 2.0**-51]
+
+
+@st.composite
+def adversarial_benches(draw):
+    """(ARFF text, bench flags): 4-40 rows of extreme numerics under one bench setup.
+
+    Each column takes its cells from 1-3 values, so constant columns and
+    splits between two extreme values are common.
+    """
+    n = draw(st.integers(4, 40))
+    value = st.sampled_from(EXTREMES) | st.floats(-1.7e308, 1.7e308, allow_subnormal=False)
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = draw(st.lists(value, min_size=1, max_size=3))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    labels = draw(st.lists(st.sampled_from("TF"), min_size=n, max_size=n))
+    header = [f"@attribute v{j} numeric" for j in range(len(columns))]
+    rows = [",".join([*(repr(c[i]) for c in columns), labels[i]]) for i in range(n)]
+    text = "\n".join(["@relation edge", *header, "@attribute c {T,F}", "@data", *rows]) + "\n"
+    smote = draw(st.sampled_from([
+        ["--no-smote"],
+        ["--smote-percent", "100", "--smote-k", "1"],
+        ["--smote-within-folds", "--smote-percent", "100", "--smote-k", "1"],
+    ]))
+    classifiers = draw(st.sampled_from(["mlp", "j48", "nb", "mlp,j48", "mlp,j48,nb"]))
+    epochs = str(draw(st.integers(1, 2)))
+    return text, [*smote, "--classifiers", classifiers, "--mlp-epochs", epochs]
+
+
+def _finite_or_none(doc) -> bool:
+    if isinstance(doc, dict):
+        return all(map(_finite_or_none, doc.values()))
+    if isinstance(doc, list):
+        return all(map(_finite_or_none, doc))
+    return not isinstance(doc, float) or math.isfinite(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(adversarial_benches())
+def test_bench_on_adversarial_tables_ends_with_a_report_or_one_error(case):
+    text, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp, "edge.arff"), Path(tmp, "out")
+        data.write_text(text)
+        err = io.StringIO()
+        with time_limit(10), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["bench", "--data", str(data), "--seed", "1", "--out", str(out),
+                         "--folds", "2", *flags])
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert _finite_or_none(json.loads((out / "report.json").read_text()))
+        else:
+            assert code == 1
+            assert [line for line in err.getvalue().splitlines()
+                    if line.startswith("error:")] != []
 
 
 def test_bench_smote_within_folds(tmp_path, capsys):

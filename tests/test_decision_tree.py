@@ -20,7 +20,7 @@ from postop.decision_tree import (
     tree_to_rules,
 )
 
-from conftest import fig_dataset, nominal_dataset, query, random_mixed_dataset
+from conftest import fig_dataset, nominal_dataset, query, random_mixed_dataset, time_limit
 from oracles import gain_ratio_nominal, gain_ratio_numeric
 
 Z = NormalDist().inv_cdf(0.75)
@@ -87,6 +87,23 @@ def test_numeric_threshold_is_midpoint_lowest_on_ties():
     assert t.threshold == pytest.approx(1.5)
     assert t.children[0].is_leaf
     assert t.children[0].counts.tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("a, b", [(1 + 2**-52, 1 + 2**-51), (1e308, 1.7e308)])
+def test_threshold_between_adjacent_or_huge_values_parts_them(a, b, tmp_path, capsys):
+    # (a + b) / 2 rounds up to b for adjacent doubles and overflows to inf
+    # for huge ones; either way one child got every row and growth never ended
+    d = _numeric_dataset([a, a, b, b] * 2, [0, 0, 1, 1] * 2)
+    path = tmp_path / "close.arff"
+    path.write_text(to_arff(d))
+    with time_limit(20):
+        t = train_tree(d, TreeConfig(pruning=False))
+        code = main(["bench", "--data", str(path), "--seed", "1", "--classifiers", "j48",
+                     "--no-smote", "--folds", "2", "--out", str(tmp_path / "out")])
+    assert a <= t.threshold < b
+    assert [c.counts.tolist() for c in t.children] == [[4.0, 0.0], [0.0, 4.0]]
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # -- growth on the hand-worked table -------------------------------------------

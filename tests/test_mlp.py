@@ -1,5 +1,7 @@
 """Network encoding, gradients vs finite differences, and training vs a loop oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,13 +59,13 @@ def test_cohort_encoding_shape(cohort):
     assert ((y == 0) | (y == 1)).all()
     assert (y.sum(axis=1) == 1).all()
     # one-hot blocks carry exactly one 1; numeric inputs live in [0, 1]
-    for offset, kind, size in zip(enc.offsets, enc.kinds, enc.sizes):
+    sizes = [len(cohort.schema[ai].values) for ai in cohort.nominal_predictor_indices]
+    for offset, size in zip(enc.nominal_offsets, sizes):
         block = x[:, offset : offset + size]
-        if kind == "nominal":
-            assert ((block == 0) | (block == 1)).all()
-            assert (block.sum(axis=1) == 1).all()
-        else:
-            assert block.min() == 0.0 and block.max() == 1.0
+        assert ((block == 0) | (block == 1)).all()
+        assert (block.sum(axis=1) == 1).all()
+    for offset in enc.numeric_offsets:
+        assert x[:, offset].min() == 0.0 and x[:, offset].max() == 1.0
 
 
 def test_numeric_scaling_and_constant_column():
@@ -75,10 +77,36 @@ def test_numeric_scaling_and_constant_column():
     d = Dataset.from_rows(schema, [(2.0, 5.0, 0), (4.0, 5.0, 1), (6.0, 5.0, 0)])
     enc, x, _ = encode(d)
     assert x[:, 0].tolist() == [0.0, 0.5, 1.0]
-    assert enc.ranges[1].constant
+    assert enc.lo[1] == enc.hi[1] == 5.0
     assert x[:, 1].tolist() == [0.0, 0.0, 0.0]
-    # out-of-range values extrapolate rather than clamp
-    assert encode_inputs(enc, query(d, (8.0, 9.9, 0)))[0, 0] == pytest.approx(1.5)
+    # out-of-range values extrapolate rather than clamp, except in a column
+    # constant in training: a value it never took there still encodes to 0
+    x = encode_inputs(enc, query(d, (8.0, 9.9, 0)))
+    assert x[0, 0] == pytest.approx(1.5)
+    assert x[0, 1] == 0.0
+
+
+def test_encode_rejects_an_all_missing_numeric_column():
+    schema = [
+        AttributeSchema("u", "numeric"),
+        AttributeSchema("v", "numeric"),
+        AttributeSchema("cls", "nominal", ("T", "F"), role="class"),
+    ]
+    d = Dataset.from_rows(schema, [(1.0, None, 0), (2.0, None, 1)])
+    with pytest.raises(DataError, match="'v' has no observed values to scale by"):
+        encode(d)
+
+
+def test_extreme_magnitudes_scale_into_the_unit_interval():
+    schema = [
+        AttributeSchema("v", "numeric"),
+        AttributeSchema("cls", "nominal", ("T", "F"), role="class"),
+    ]
+    d = Dataset.from_rows(schema, [(-1e308, 0), (1e308, 1), (0.0, 0), (5e307, 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, x, _ = encode(d)
+    assert x[:, 0].tolist() == [0.0, 1.0, 0.5, 0.75]
 
 
 def test_missing_values_encode_to_zero():

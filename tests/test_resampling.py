@@ -1,5 +1,6 @@
 """Synthetic oversampling behavior."""
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from postop.dataset import AttributeSchema, Dataset, class_counts, to_arff
 from postop.resampling import (
     ResampleError,
     SmoteConfig,
+    _neighbor_table,
     smote,
     smote_repeated,
 )
@@ -114,6 +116,20 @@ def test_smote_errors(cohort):
     # tiny is all-F: the minority class T has no instances
     with pytest.raises(ResampleError, match="no instances"):
         smote(tiny, "T", SmoteConfig(seed=1))
+
+
+def test_neighbor_table_on_extreme_magnitudes():
+    # scaled, the column is 0, 1, 0.5, 0.75: neighbours follow those distances,
+    # ties toward the earlier row, where an overflowed span gave NaN distances
+    schema = [
+        AttributeSchema("v", "numeric"),
+        AttributeSchema("cls", "nominal", ("T", "F"), role="class"),
+    ]
+    d = Dataset.from_rows(schema, [(-1e308, 0), (1e308, 0), (0.0, 0), (5e307, 0), (1.0, 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        table = _neighbor_table(d, np.arange(4), 3)
+    assert table.tolist() == [[2, 3, 1], [3, 2, 0], [3, 0, 1], [1, 2, 0]]
 
 
 def test_smote_repeated_doubles_each_round(cohort):
