@@ -42,6 +42,7 @@ RUNS = (
     ("tree-min-leaf", "cohort.arff", ["--tree-min-leaf", "1"]),
     ("tree-confidence", "cohort.arff", ["--tree-confidence", "0.1"]),
     ("constant-in-training", "flat.arff", ["--smote-within-folds"]),
+    ("edge-of-float-range", "edge.arff", []),
 )
 
 # rows whose PRE5 keeps its value in flat.arff; at --seed 1 all three fall in
@@ -50,9 +51,11 @@ FLAT_KEPT = (6, 27, 99)
 
 
 def write_inputs(text: str) -> None:
-    """cohort.arff, a CSV copy, a copy with 3% of predictor cells missing and flat.arff.
+    """cohort.arff, a CSV copy, a copy with 3% of predictor cells missing, flat.arff and edge.arff.
 
-    flat.arff sets PRE5 to 2.5 in every row but those of FLAT_KEPT.
+    flat.arff sets PRE5 to 2.5 in every row but those of FLAT_KEPT. edge.arff
+    sets AGE to one of 1e308, -1e308 and 1.5e308 in each row, and leaves it
+    missing in every 50th row.
     """
     header, data = text.split("@data\n")
     rows = [line for line in data.splitlines() if line.strip()]
@@ -73,6 +76,10 @@ def write_inputs(text: str) -> None:
         if i not in FLAT_KEPT:
             cells[names.index("PRE5")] = "2.5"
     Path("flat.arff").write_text(header + "@data\n" + "\n".join(map(",".join, flat)) + "\n")
+    edge = [row.split(",") for row in rows]
+    for i, cells in enumerate(edge):
+        cells[names.index("AGE")] = "?" if i % 50 == 0 else rng.choice(("1e308", "-1e308", "1.5e308"))
+    Path("edge.arff").write_text(header + "@data\n" + "\n".join(map(",".join, edge)) + "\n")
 
 
 def run(name: str, data: str, flags: list[str]) -> list[str]:

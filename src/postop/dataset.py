@@ -346,8 +346,11 @@ def impute_missing(d: Dataset, strategy: str = "mean-or-mode") -> Dataset:
             if not present.size:
                 raise DataError(f"attribute {attr.name!r} has no observed values to impute from")
             if attr.kind == NUMERIC:
-                # a python sum, so the mean keeps its row-order rounding
-                block[hole[:, j], j] = sum(present.tolist()) / present.size
+                # a python sum, so the mean keeps its row-order rounding, of
+                # terms scaled by 2**-k <= 1/n, so that it cannot overflow
+                k = present.size.bit_length()
+                scaled = sum(np.ldexp(present, -k).tolist()) / present.size
+                block[hole[:, j], j] = math.ldexp(scaled, k)
             else:
                 block[hole[:, j], j] = np.argmax(np.bincount(present, minlength=len(attr.values)))
     return d._derive(codes, numerics, d.class_codes())

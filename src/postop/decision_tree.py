@@ -337,18 +337,17 @@ def tree_predict(t: TreeNode, d: Dataset) -> np.ndarray:
 # -- rules ---------------------------------------------------------------------
 
 
-def _schema_and_class(t: TreeNode, schema):
-    """The schema to read the tree with, and its class attribute."""
-    schema = schema if schema is not None else t.schema
-    if schema is None:
-        raise DataError("tree carries no schema; pass one explicitly")
-    for a in schema:
+def _class_attribute(t: TreeNode):
+    """The class attribute of the schema the tree carries."""
+    if t.schema is None:
+        raise DataError("tree carries no schema; train it with train_tree")
+    for a in t.schema:
         if a.role == CLASS:
-            return schema, a
+            return a
     raise DataError("schema has no class attribute")
 
 
-def _walk(t: TreeNode, schema):
+def _walk(t: TreeNode):
     """Every node with the conditions leading to it from t, in depth-first child order.
 
     Nodes come from an explicit stack, so depth is unbounded.
@@ -360,7 +359,7 @@ def _walk(t: TreeNode, schema):
         if node.is_leaf:
             continue
         ai = node.attr_index
-        attr = schema[ai]
+        attr = t.schema[ai]
         if node.threshold is None:
             tests = [Condition(attr.name, ai, "=", value, code)
                      for code, value in enumerate(attr.values)]
@@ -369,16 +368,16 @@ def _walk(t: TreeNode, schema):
         stack.extend(reversed([(child, conds + (c,)) for child, c in zip(node.children, tests)]))
 
 
-def tree_to_rules(t: TreeNode, schema=None) -> list[Rule]:
+def tree_to_rules(t: TreeNode) -> list[Rule]:
     """One rule per leaf, in depth-first child order.
 
     The rules partition the instance space: on complete instances, the
     first matching rule classifies exactly like the tree.
     """
-    schema, class_attr = _schema_and_class(t, schema)
+    class_attr = _class_attribute(t)
     return [
         Rule(conds, (class_attr.name, class_attr.values[node.prediction]), node.prediction)
-        for node, conds in _walk(t, schema)
+        for node, conds in _walk(t)
         if node.is_leaf
     ]
 
@@ -401,11 +400,11 @@ def _value_text(c: Condition) -> str:
     return c.value if c.op == "=" else f"{c.value:g}"
 
 
-def format_tree(t: TreeNode, schema=None) -> str:
+def format_tree(t: TreeNode) -> str:
     """Indented text rendering: one line per node below the root, or one for a lone leaf."""
-    schema, class_attr = _schema_and_class(t, schema)
+    class_attr = _class_attribute(t)
     lines: list[str] = []
-    for node, conds in _walk(t, schema):
+    for node, conds in _walk(t):
         parts = [f"{c.attribute} {c.op} {_value_text(c)}" for c in conds[-1:]]
         if node.is_leaf:
             dist = "/".join(f"{c:g}" for c in node.counts)

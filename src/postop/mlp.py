@@ -132,16 +132,21 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Output activations for an encoded input vector, or a matrix of rows.
+def _activations(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's activations, input first, for an input vector or a matrix of rows.
 
     Rows pass through each layer as a stack of one-row products, so every
     row's sums run in the same order as for a single vector.
     """
-    a = x[..., None, :]
+    acts = [x[..., None, :]]
     for w, b in zip(model.weights, model.biases):
-        a = _sigmoid(a @ w + b)
-    return a[..., 0, :]
+        acts.append(_sigmoid(acts[-1] @ w + b))
+    return [a[..., 0, :] for a in acts]
+
+
+def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Output activations for an encoded input vector, or a matrix of rows."""
+    return _activations(model, x)[-1]
 
 
 def backprop_gradient(model: MlpModel, x: np.ndarray,
@@ -151,9 +156,7 @@ def backprop_gradient(model: MlpModel, x: np.ndarray,
     Returns (loss, weight_grads, bias_grads) with the gradients shaped like
     the model's weights and biases.
     """
-    acts = [x]
-    for w, b in zip(model.weights, model.biases):
-        acts.append(_sigmoid(acts[-1] @ w + b))
+    acts = _activations(model, x)
     out = acts[-1]
     err = out - target
     delta = err * out * (1.0 - out)
@@ -194,48 +197,30 @@ def train_mlp(d: Dataset, cfg: MlpConfig) -> MlpModel:
     enc, x, y = encode(d)
     hidden = cfg.hidden_sizes if cfg.hidden_sizes is not None else (default_hidden_size(d),)
     sizes = (enc.input_width,) + tuple(hidden) + (len(enc.class_labels),)
-    layers = len(sizes) - 1
-    width = max(sizes)
-    n = x.shape[0]
-
-    # Every layer's weights, biases and momentum buffers are views into one
-    # zero-padded block. The products `h @ w` run on strided views, whose
-    # summation order differs in the last bit from that of compact arrays;
-    # the padded layout keeps reports byte-identical to those already recorded.
-    w = np.zeros((layers, width, width))
-    b = np.zeros((layers, width))
-    dw = np.zeros_like(w)
-    db = np.zeros_like(b)
-    weights = [w[l, : sizes[l], : sizes[l + 1]] for l in range(layers)]
-    biases = [b[l, : sizes[l + 1]] for l in range(layers)]
-    weight_steps = [dw[l, : sizes[l], : sizes[l + 1]] for l in range(layers)]
-    bias_steps = [db[l, : sizes[l + 1]] for l in range(layers)]
-
     rng = np.random.default_rng(cfg.seed)
     r = cfg.weight_init_range
-    for wl, bl in zip(weights, biases):
-        wl[...] = rng.uniform(-r, r, size=wl.shape)
-        bl[...] = rng.uniform(-r, r, size=bl.shape)
+    weights, biases = [], []
+    for l in range(len(sizes) - 1):
+        weights.append(rng.uniform(-r, r, size=(sizes[l], sizes[l + 1])))
+        biases.append(rng.uniform(-r, r, size=sizes[l + 1]))
 
     model = MlpModel(sizes, weights, biases, enc, loss_history=np.zeros(cfg.epochs))
+    params = [*weights, *biases]
+    steps = [np.zeros_like(p) for p in params]
     lr, mom = float(cfg.learning_rate), float(cfg.momentum)
+    n = x.shape[0]
     for ep in range(cfg.epochs):
         total = 0.0
         for idx in rng.permutation(n):
             loss, weight_grads, bias_grads = backprop_gradient(model, x[idx], y[idx])
             total += loss
-            for wl, bl, dwl, dbl, gw, gb in zip(weights, biases, weight_steps, bias_steps,
-                                                weight_grads, bias_grads):
-                dwl[...] = -lr * gw + mom * dwl
-                wl += dwl
-                dbl[...] = -lr * gb + mom * dbl
-                bl += dbl
+            for p, step, g in zip(params, steps, weight_grads + bias_grads):
+                step *= mom
+                step -= lr * g
+                p += step
         model.loss_history[ep] = total / n
         if not np.isfinite(model.loss_history[ep]):
             raise TrainingError(f"non-finite training loss at epoch {ep}")
-
-    model.weights = [wl.copy() for wl in weights]
-    model.biases = [bl.copy() for bl in biases]
     return model
 
 

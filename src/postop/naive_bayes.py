@@ -23,13 +23,16 @@ class NaiveBayesModel:
 
     nominal_tables maps attribute index -> array (classes, domain size) of
     smoothed conditional probabilities. gaussian_params maps attribute
-    index -> array (classes, 2) of (mean, variance).
+    index -> array (classes, 2) of (mean, variance), in units of the power
+    of two numeric_scales gives the attribute: 1 for columns below 2**500,
+    larger near the float range, so that no variance overflows.
     """
 
     class_labels: tuple[str, ...]
     priors: np.ndarray
     nominal_tables: dict[int, np.ndarray]
     gaussian_params: dict[int, np.ndarray]
+    numeric_scales: dict[int, float]
     attribute_names: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
@@ -41,6 +44,9 @@ class NaiveBayesModel:
             },
             "gaussian_params": {
                 self.attribute_names[i]: p.tolist() for i, p in self.gaussian_params.items()
+            },
+            "numeric_scales": {
+                self.attribute_names[i]: s for i, s in self.numeric_scales.items()
             },
         }
 
@@ -69,10 +75,14 @@ def train_nb(d: Dataset) -> NaiveBayesModel:
         observed = counts.sum(axis=1, keepdims=True)
         nominal_tables[ai] = (counts + 1.0) / (observed + size)
     gaussian_params: dict[int, np.ndarray] = {}
+    numeric_scales: dict[int, float] = {}
     for ai, vals in zip(d.numeric_predictor_indices, d.numeric_matrix().T):
         seen = ~np.isnan(vals)
         if not seen.any():
             raise DataError(f"attribute {d.schema[ai].name!r} has no observed values")
+        exponent = math.frexp(np.abs(vals[seen]).max())[1]
+        numeric_scales[ai] = math.ldexp(1.0, max(0, exponent - 500))
+        vals = vals / numeric_scales[ai]
         params = np.empty((n_classes, 2))
         for c in range(n_classes):
             mask = seen & (y == c)
@@ -85,6 +95,7 @@ def train_nb(d: Dataset) -> NaiveBayesModel:
         priors=priors,
         nominal_tables=nominal_tables,
         gaussian_params=gaussian_params,
+        numeric_scales=numeric_scales,
         attribute_names=tuple(a.name for a in d.schema),
     )
 
@@ -95,7 +106,9 @@ def nb_predict(model: NaiveBayesModel, d: Dataset) -> np.ndarray:
     Computed in log space and normalized to sum to 1 per row. Missing
     attribute values contribute nothing. Ties resolve toward the earlier
     class when the caller takes an argmax, since numpy returns the first
-    maximum.
+    maximum. Numeric values are scored in their attribute's scale units;
+    the log(scale**2) this leaves out of each density is the same for
+    every class, so it cancels in the normalization.
     """
     log_post = np.tile(np.log(model.priors), (len(d), 1))
     for ai, table in model.nominal_tables.items():
@@ -103,7 +116,7 @@ def nb_predict(model: NaiveBayesModel, d: Dataset) -> np.ndarray:
         seen = v >= 0
         log_post[seen] += np.log(table[:, v[seen]]).T
     for ai, params in model.gaussian_params.items():
-        v = d.column(ai)
+        v = d.column(ai) / model.numeric_scales[ai]
         seen = ~np.isnan(v)
         mean, var = params[:, 0], params[:, 1]
         log_post[seen] += -0.5 * (np.log(2.0 * math.pi * var)

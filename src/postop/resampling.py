@@ -182,8 +182,9 @@ def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, R
     # nominal fields: a two-parent majority vote with ties toward the
     # original, so the original's values are kept
     codes, num = d.codes_matrix(), d.numeric_matrix()
-    x = num[parent]
-    synth_num = x + lam[:, None] * (num[partner] - x)
+    # interpolated on halves, so the difference of a ±1e308 pair cannot overflow
+    half, half_partner = num[parent] / 2, num[partner] / 2
+    synth_num = 2 * (half + lam[:, None] * (half_partner - half))
     perm = rng.permutation(len(d) + total)
     out = d._derive(
         np.concatenate([codes, codes[parent]])[perm],

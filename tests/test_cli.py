@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,8 +30,8 @@ B,F
 B,F
 """
 
-# one numeric column at the edge of the float range: naive Bayes' variance
-# overflows and its posteriors come out NaN
+# one numeric column at the edge of the float range, whose class variances
+# overflow unless naive Bayes fits them in scaled units
 HUGE_ARFF = """@relation huge
 @attribute v numeric
 @attribute c {T,F}
@@ -283,17 +284,25 @@ def test_bench_records_every_flag_in_config(tiny_path, tmp_path, capsys):
     assert doc["resampling"] == {"method": "none"}
 
 
-def test_bench_exits_on_non_finite_probabilities(tmp_path):
-    # a subprocess with a timeout, so that a sweep that never ends fails the test
-    data = tmp_path / "huge.arff"
-    data.write_text(HUGE_ARFF)
-    env = dict(os.environ, PYTHONPATH=str(TESTS_DIR.parent / "src"))
-    done = subprocess.run([sys.executable, "-m", "postop.cli", *_bench_args(
-        data, tmp_path / "out")], env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 1
-    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+def test_bench_exits_on_non_finite_probabilities(tiny_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("postop.evaluation.nb_predict",
+                        lambda model, d: np.full((len(d), 2), np.nan))
+    assert main(_bench_args(tiny_path, tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == ["error: nb gave non-finite class probabilities in fold 1 of 2"]
-    assert "Traceback" not in done.stderr
+    assert "Traceback" not in err
+
+
+def test_bench_nb_at_the_edge_of_the_float_range(tmp_path, capsys):
+    data, out = tmp_path / "huge.arff", tmp_path / "out"
+    data.write_text(HUGE_ARFF)
+    # a time limit, so that a sweep that never ends fails the test
+    with time_limit(60):
+        assert main(_bench_args(data, out)) == 0
+    (report,) = json.loads((out / "report.json").read_text())["reports"]
+    assert report["metrics"]["correctly_classified"] == 50.0
+    assert _finite_or_none(report)
 
 
 # magnitudes across the float range, and adjacent doubles near 1

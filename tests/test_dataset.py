@@ -194,6 +194,15 @@ def test_impute_mean_or_mode():
     assert missing_census(d) == {}
 
 
+def test_impute_mean_of_huge_values_is_finite():
+    text = (
+        "@relation r\n@attribute v numeric\n@attribute c {T,F}\n@data\n"
+        "1e308,T\n1.5e308,T\n?,F\n1e308,F\n1.2e308,T\n1.1e308,F\n"
+    )
+    mean = impute_missing(parse_arff(text)).rows()[2][0]
+    assert mean == pytest.approx(1.16e308, rel=1e-12)
+
+
 def test_impute_mode_tie_prefers_earlier_domain_value():
     text = (
         "@relation r\n@attribute a {x,y}\n@attribute c {T,F}\n@data\n"

@@ -162,7 +162,6 @@ def test_gradient_matches_finite_differences():
 def test_training_matches_scalar_loop_oracle():
     d = _toy_dataset()
     _, x, y = encode(d)
-    # (5,) is wider than the 3 inputs, so the padded weight block has slack
     for hidden in [(3,), (4, 3), (5,)]:
         cfg = MlpConfig(seed=42, hidden_sizes=hidden, epochs=8)
         model = train_mlp(d, cfg)

@@ -98,6 +98,23 @@ def test_gaussian_parameters_and_floor():
     assert np.argmax(p) == 0
 
 
+def test_posteriors_finite_at_the_edge_of_the_float_range():
+    schema = [
+        AttributeSchema("v", "numeric"),
+        AttributeSchema("c", "nominal", ("T", "F"), role="class"),
+    ]
+    d = Dataset.from_rows(schema, [(1e308, 0), (-1e308, 0), (1e308, 0),
+                                   (1.7e308, 1), (-1e308, 1), (1e308, 1)])
+    model = train_nb(d)
+    assert all(np.isfinite(p).all() for p in model.gaussian_params.values())
+    p = nb_predict(model, d)
+    assert np.isfinite(p).all()
+    assert np.allclose(p.sum(axis=1), 1.0)
+    # class T's variance is the smaller one, so it wins at its own mean
+    (at_mean,) = nb_predict(model, query(d, (1e308 / 3, 0)))
+    assert np.argmax(at_mean) == 0
+
+
 def test_gaussian_likelihood_formula():
     schema = [
         AttributeSchema("v", "numeric"),

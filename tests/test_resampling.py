@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from postop.dataset import AttributeSchema, Dataset, class_counts, to_arff
@@ -160,7 +160,7 @@ def smote_cases(draw):
               for a in range(n_nominal)]
     schema += [AttributeSchema(f"x{a}", "numeric") for a in range(n_numeric)]
     schema.append(AttributeSchema("cls", "nominal", ("T", "F"), role="class"))
-    number = st.floats(-1e6, 1e6, allow_nan=False)
+    number = st.floats(allow_nan=False, allow_infinity=False)
 
     def rows(label, count, cell):
         row = st.tuples(*(st.integers(0, len(a.values) - 1) if a.kind == "nominal"
@@ -178,8 +178,20 @@ def smote_cases(draw):
     return d, ("T", "F")[minority], cfg
 
 
+# minority values at both ends of the float range, whose differences overflow
+EDGE_CASE = (
+    Dataset.from_rows(
+        [AttributeSchema("x0", "numeric"),
+         AttributeSchema("cls", "nominal", ("T", "F"), role="class")],
+        [(1e308, 0), (-1e308, 0), (1.5e308, 0), (0.0, 1), (1.0, 1), (2.0, 1)]),
+    "T",
+    SmoteConfig(seed=1, k_neighbors=2, percent=200),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(smote_cases())
+@example(EDGE_CASE)
 def test_smote_synthetics_stay_in_their_parent_box(case):
     d, minority, cfg = case
     out, record = smote(d, minority, cfg)
