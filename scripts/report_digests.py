@@ -38,6 +38,7 @@ RUNS = (
     ("impute-mean-or-mode", "holes.arff", ["--impute", "mean-or-mode"]),
     ("csv-schema", "cohort.csv", ["--schema", "cohort.arff"]),
     ("mlp-hidden", "cohort.arff", ["--mlp-hidden", "5,3"]),
+    ("mlp-uneven-folds", "cohort.arff", ["--folds", "7"]),
     ("tree-no-pruning", "cohort.arff", ["--tree-no-pruning"]),
     ("tree-min-leaf", "cohort.arff", ["--tree-min-leaf", "1"]),
     ("tree-confidence", "cohort.arff", ["--tree-confidence", "0.1"]),

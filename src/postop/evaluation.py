@@ -8,13 +8,13 @@ matching how the benchmark table is read.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from .dataset import DataError, Dataset
 from .decision_tree import TreeConfig, train_tree, tree_predict
-from .mlp import MlpConfig, mlp_predict, train_mlp
+from .mlp import MlpConfig, mlp_predict, train_mlp, train_mlps
 from .naive_bayes import nb_predict, train_nb
 from .seeds import derive_seed
 
@@ -242,13 +242,15 @@ class ClassifierSpec:
     train takes (dataset, seed) and returns an opaque model; predict takes
     (model, dataset) and returns class probabilities of shape (rows,
     classes), classes in declaration order. Seeds are ignored by
-    deterministic learners.
+    deterministic learners. train_folds, when set, trains all folds in one
+    call: (training tables, read once in order; seeds) -> models.
     """
 
     name: str
     train: Callable[[Dataset, int], Any]
     predict: Callable[[Any, Dataset], np.ndarray]
     config: dict = field(default_factory=dict)
+    train_folds: Callable[[Iterable[Dataset], list[int]], Iterable[Any]] | None = None
 
 
 def make_classifier(name: str, **overrides) -> ClassifierSpec:
@@ -287,6 +289,8 @@ def make_classifier(name: str, **overrides) -> ClassifierSpec:
             train=lambda d, seed: train_mlp(d, replace(base, seed=seed)),
             predict=mlp_predict,
             config=config,
+            train_folds=lambda tables, seeds: train_mlps(
+                tables, [replace(base, seed=seed) for seed in seeds]),
         )
     raise DataError(f"unknown classifier {name!r}; expected one of {CLASSIFIER_NAMES}")
 
@@ -352,14 +356,17 @@ def cross_validate(d: Dataset, spec: ClassifierSpec, folds: FoldAssignment,
     y = d.class_codes()
     probs = np.zeros((n, len(labels)))
     fold_accuracies = []
-    for t in range(folds.k):
+    scored = [t for t in range(folds.k) if folds.test_indices(t).size]
+    # maps, unlike a generator, hold no table they have handed on
+    tables = map(d.subset, map(folds.train_indices, scored))
+    if train_transform is not None:
+        tables = map(train_transform, tables,
+                     [derive_seed(folds.seed, "transform", t) for t in scored])
+    seeds = [derive_seed(folds.seed, "train", spec.name, t) for t in scored]
+    models = (spec.train_folds(tables, seeds) if spec.train_folds is not None
+              else map(spec.train, tables, seeds))
+    for t, model in zip(scored, models):
         test_idx = folds.test_indices(t)
-        if test_idx.size == 0:
-            continue
-        train_d = d.subset(folds.train_indices(t))
-        if train_transform is not None:
-            train_d = train_transform(train_d, derive_seed(folds.seed, "transform", t))
-        model = spec.train(train_d, derive_seed(folds.seed, "train", spec.name, t))
         probs[test_idx] = spec.predict(model, d.subset(test_idx))
         if not np.isfinite(probs[test_idx]).all():
             raise DataError(f"{spec.name} gave non-finite class probabilities "

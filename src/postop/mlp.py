@@ -4,13 +4,13 @@ Nominal predictors are one-hot encoded, numeric predictors min-max scaled
 to [0, 1], and the class one-hot encoded as the target vector. Training
 minimizes half the squared error per instance with stochastic gradient
 descent plus momentum, visiting instances in a fresh seeded shuffle each
-epoch. Each step takes the loss and gradients of one instance from
-`backprop_gradient`, the function the finite-difference tests check.
+epoch. The finite-difference tests check `backprop_gradient`, the
+one-model case of the stacked gradient that every training step takes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -119,34 +119,48 @@ class MlpModel:
     encoding: Encoding
     loss_history: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return {
-            "layer_sizes": list(self.layer_sizes),
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-            "class_labels": list(self.encoding.class_labels),
-        }
-
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _activations(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
+def _activations(weights, biases, x: np.ndarray) -> list[np.ndarray]:
     """Every layer's activations, input first, for an input vector or a matrix of rows.
 
     Rows pass through each layer as a stack of one-row products, so every
-    row's sums run in the same order as for a single vector.
+    row's sums run in the same order as for a single vector. Weights stacked
+    (k, in, out) with biases (k, 1, out) take x as one row per model.
     """
     acts = [x[..., None, :]]
-    for w, b in zip(model.weights, model.biases):
+    for w, b in zip(weights, biases):
         acts.append(_sigmoid(acts[-1] @ w + b))
     return [a[..., 0, :] for a in acts]
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Output activations for an encoded input vector, or a matrix of rows."""
-    return _activations(model, x)[-1]
+    return _activations(model.weights, model.biases, x)[-1]
+
+
+def stacked_gradient(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray,
+                     target: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Half the squared error of k stacked models, each at its own instance, and its gradients.
+
+    x and target hold one row per model. Returns (losses (k,), weight_grads,
+    bias_grads); each model's products are the BLAS calls it makes alone.
+    """
+    acts = _activations(weights, biases, x)
+    out = acts[-1]
+    err = out - target
+    delta = err * out * (1.0 - out)
+    weight_grads, bias_grads = [None] * len(weights), [None] * len(biases)
+    for l in range(len(weights) - 1, -1, -1):
+        weight_grads[l] = acts[l][:, :, None] * delta[:, None, :]
+        bias_grads[l] = delta[:, None, :]
+        if l > 0:
+            a = acts[l]
+            delta = (weights[l] @ delta[:, :, None])[:, :, 0] * a * (1.0 - a)
+    return 0.5 * (err[:, None, :] @ err[:, :, None])[:, 0, 0], weight_grads, bias_grads
 
 
 def backprop_gradient(model: MlpModel, x: np.ndarray,
@@ -154,21 +168,12 @@ def backprop_gradient(model: MlpModel, x: np.ndarray,
     """Half the squared error at one encoded instance, and its gradients.
 
     Returns (loss, weight_grads, bias_grads) with the gradients shaped like
-    the model's weights and biases.
+    the model's weights and biases: the k = 1 case of `stacked_gradient`.
     """
-    acts = _activations(model, x)
-    out = acts[-1]
-    err = out - target
-    delta = err * out * (1.0 - out)
-    weight_grads: list[np.ndarray] = [None] * len(model.weights)
-    bias_grads: list[np.ndarray] = [None] * len(model.biases)
-    for l in range(len(model.weights) - 1, -1, -1):
-        weight_grads[l] = np.outer(acts[l], delta)
-        bias_grads[l] = delta
-        if l > 0:
-            a = acts[l]
-            delta = (model.weights[l] @ delta) * a * (1.0 - a)
-    return 0.5 * float(err @ err), weight_grads, bias_grads
+    loss, weight_grads, bias_grads = stacked_gradient(
+        [w[None] for w in model.weights], [b[None, None] for b in model.biases],
+        x[None], target[None])
+    return float(loss[0]), [g[0] for g in weight_grads], [g[0, 0] for g in bias_grads]
 
 
 def default_hidden_size(d: Dataset) -> int:
@@ -176,52 +181,77 @@ def default_hidden_size(d: Dataset) -> int:
 
 
 def train_mlp(d: Dataset, cfg: MlpConfig) -> MlpModel:
-    """Train a network on the dataset.
+    """Train a network on the dataset: `train_mlps` for one table.
 
-    Parameters
-    ----------
-    d : Dataset
-        Training table; instances are encoded with `encode`.
-    cfg : MlpConfig
-        Shape, rates, epoch count, and seed.
-
-    Notes
-    -----
     The seeded RNG draws, in order: each layer's weight matrix then bias
     vector (uniform in +-weight_init_range), then one instance visit order
-    per epoch, drawn as that epoch starts. Each visit takes one
-    `backprop_gradient` step with momentum. Training runs exactly
-    cfg.epochs epochs and raises TrainingError if the epoch loss becomes
-    non-finite.
+    per epoch, drawn as that epoch starts. Each visit takes one gradient
+    step with momentum. Training runs exactly cfg.epochs epochs and raises
+    TrainingError if the epoch loss becomes non-finite.
     """
-    enc, x, y = encode(d)
-    hidden = cfg.hidden_sizes if cfg.hidden_sizes is not None else (default_hidden_size(d),)
-    sizes = (enc.input_width,) + tuple(hidden) + (len(enc.class_labels),)
-    rng = np.random.default_rng(cfg.seed)
-    r = cfg.weight_init_range
-    weights, biases = [], []
-    for l in range(len(sizes) - 1):
-        weights.append(rng.uniform(-r, r, size=(sizes[l], sizes[l + 1])))
-        biases.append(rng.uniform(-r, r, size=sizes[l + 1]))
+    return train_mlps([d], [cfg])[0]
 
-    model = MlpModel(sizes, weights, biases, enc, loss_history=np.zeros(cfg.epochs))
-    params = [*weights, *biases]
+
+def _compact(d: Dataset) -> tuple:
+    """(encoding, one-hot bits, numeric inputs, targets, default hidden size) of a table."""
+    enc, x, y = encode(d)
+    return enc, x.astype(bool), x[:, enc.numeric_offsets], y, default_hidden_size(d)
+
+
+def train_mlps(tables, configs: list[MlpConfig]) -> list[MlpModel]:
+    """Train one network per table in lock-step, each to the bits `train_mlp` gives it.
+
+    configs may differ only in seed. Each step runs one `stacked_gradient`
+    and momentum update over the models that still have rows: a prefix, as
+    models sort by table size, largest first. Tables are read once, in turn,
+    and kept only in `_compact` form.
+    """
+    cfg = configs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in configs):
+        raise DataError("networks trained in lock-step may differ only in seed")
+    folds = list(map(_compact, tables))
+    by_size = sorted(range(len(folds)), key=lambda j: -len(folds[j][3]))
+    encs, hot, num, y, default_hidden = zip(*map(folds.__getitem__, by_size))
+    del folds
+    n = np.array([len(t) for t in y])
+    first = np.cumsum(n) - n  # each table's first row in the joined arrays
+    hot = np.concatenate(hot)  # one at a time, so each part's pieces free in turn
+    num = np.concatenate(num)
+    y = np.concatenate(y)
+    sizes = (encs[0].input_width, *(cfg.hidden_sizes or default_hidden[:1]),
+             len(encs[0].class_labels))
+    shapes = [s for i, o in zip(sizes, sizes[1:]) for s in ((i, o), (1, o))]
+    rngs = [np.random.default_rng(configs[j].seed) for j in by_size]
+    r = cfg.weight_init_range
+    init = [np.stack(p) for p in zip(*([rng.uniform(-r, r, s) for s in shapes] for rng in rngs))]
+    weights, biases = init[0::2], init[1::2]
+    params = weights + biases
     steps = [np.zeros_like(p) for p in params]
     lr, mom = float(cfg.learning_rate), float(cfg.momentum)
-    n = x.shape[0]
+    history = np.zeros((len(n), cfg.epochs))
+    active = (n > np.arange(n[0])[:, None]).sum(axis=1).tolist()  # models with rows, per step
     for ep in range(cfg.epochs):
-        total = 0.0
-        for idx in rng.permutation(n):
-            loss, weight_grads, bias_grads = backprop_gradient(model, x[idx], y[idx])
-            total += loss
+        order = np.zeros((n[0], len(n)), dtype=np.intp)
+        for j, rng in enumerate(rngs):
+            order[: n[j], j] = first[j] + rng.permutation(n[j])
+        for i, a in enumerate(active):
+            rows = order[i, :a]
+            x = hot[rows].astype(float)
+            x[:, encs[0].numeric_offsets] = num[rows]
+            loss, weight_grads, bias_grads = stacked_gradient(
+                [w[:a] for w in weights], [b[:a] for b in biases], x, y[rows])
+            history[:a, ep] += loss
             for p, step, g in zip(params, steps, weight_grads + bias_grads):
+                step = step[:a]
                 step *= mom
                 step -= lr * g
-                p += step
-        model.loss_history[ep] = total / n
-        if not np.isfinite(model.loss_history[ep]):
+                p[:a] += step
+        history[:, ep] /= n
+        if not np.isfinite(history[:, ep]).all():
             raise TrainingError(f"non-finite training loss at epoch {ep}")
-    return model
+    models = [MlpModel(sizes, [w[j] for w in weights], [b[j, 0] for b in biases], enc, history[j])
+              for j, enc in enumerate(encs)]
+    return [models[by_size.index(j)] for j in range(len(models))]
 
 
 def mlp_predict(model: MlpModel, d: Dataset) -> np.ndarray:

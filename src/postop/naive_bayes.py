@@ -119,8 +119,11 @@ def nb_predict(model: NaiveBayesModel, d: Dataset) -> np.ndarray:
         v = d.column(ai) / model.numeric_scales[ai]
         seen = ~np.isnan(v)
         mean, var = params[:, 0], params[:, 1]
-        log_post[seen] += -0.5 * (np.log(2.0 * math.pi * var)
-                                  + (v[seen, None] - mean) ** 2 / var)
+        with np.errstate(over="ignore"):
+            z = (v[seen, None] - mean) ** 2 / var
+        # a value whose term overflows for every class goes to the widest one
+        z[np.isinf(z).all(axis=1)] = np.where(var == var.max(), 0.0, np.inf)
+        log_post[seen] += -0.5 * (np.log(2.0 * math.pi * var) + z)
     log_post -= log_post.max(axis=1, keepdims=True)
     p = np.exp(log_post)
     return p / p.sum(axis=1, keepdims=True)

@@ -1,5 +1,6 @@
 """Network encoding, gradients vs finite differences, and training vs a loop oracle."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import postop.mlp as mlp_mod
 from postop.dataset import AttributeSchema, DataError, Dataset
+from postop.evaluation import cross_validate, make_classifier, stratified_folds
 from postop.mlp import (
     MlpConfig,
     MlpModel,
@@ -17,8 +19,11 @@ from postop.mlp import (
     encode_inputs,
     forward,
     mlp_predict,
+    stacked_gradient,
     train_mlp,
+    train_mlps,
 )
+from postop.resampling import SmoteConfig, smote
 
 from conftest import nominal_dataset, query
 from oracles import (
@@ -248,10 +253,10 @@ def test_config_validation():
 def test_non_finite_loss_is_reported(monkeypatch):
     d = _toy_dataset(n=6)
     cfg = MlpConfig(seed=0, hidden_sizes=(2,), epochs=5)
-    # a NaN input makes epoch 0 non-finite
+    # a NaN in the numeric input makes epoch 0 non-finite
     def nan_encode(table):
         enc, x, y = encode(table)
-        x[0, 0] = np.nan
+        x[0, 2] = np.nan
         return enc, x, y
 
     with monkeypatch.context() as m:
@@ -261,14 +266,87 @@ def test_non_finite_loss_is_reported(monkeypatch):
     # a loss that turns infinite later is reported at the epoch it happens
     calls = []
 
-    def diverging(model, x, target):
-        loss, gw, gb = backprop_gradient(model, x, target)
+    def diverging(weights, biases, x, target):
+        loss, gw, gb = stacked_gradient(weights, biases, x, target)
         calls.append(1)
-        return (np.inf if len(calls) > 3 * len(d) else loss), gw, gb
+        return (loss + np.inf if len(calls) > 3 * len(d) else loss), gw, gb
 
-    monkeypatch.setattr(mlp_mod, "backprop_gradient", diverging)
+    monkeypatch.setattr(mlp_mod, "stacked_gradient", diverging)
     with pytest.raises(TrainingError, match="epoch 3"):
         train_mlp(d, cfg)
+
+
+def test_non_finite_loss_in_one_of_k_models_names_the_epoch(monkeypatch):
+    tables = [_toy_dataset(n=n, seed=n) for n in (7, 9, 8)]
+    cfgs = [MlpConfig(seed=s, hidden_sizes=(2,), epochs=5) for s in range(3)]
+    nan_table = tables[2]
+
+    def nan_encode(table):
+        enc, x, y = encode(table)
+        if table is nan_table:
+            x[0, 2] = np.nan
+        return enc, x, y
+
+    with monkeypatch.context() as m:
+        m.setattr(mlp_mod, "encode", nan_encode)
+        with pytest.raises(TrainingError, match="epoch 0"):
+            train_mlps(tables, cfgs)
+    # only the last model still stepping turns infinite, from epoch 2 on
+    calls = []
+
+    def diverging(weights, biases, x, target):
+        loss, gw, gb = stacked_gradient(weights, biases, x, target)
+        calls.append(1)
+        if len(calls) > 2 * 9:  # 9 lock-steps per epoch, one per row of the largest table
+            loss = loss.copy()
+            loss[-1] = np.inf
+        return loss, gw, gb
+
+    monkeypatch.setattr(mlp_mod, "stacked_gradient", diverging)
+    with pytest.raises(TrainingError, match="epoch 2"):
+        train_mlps(tables, cfgs)
+
+
+@pytest.mark.parametrize("k, overrides", [
+    (10, dict(epochs=3)),
+    (10, dict(hidden_sizes=(4, 3), epochs=2)),
+    (7, dict(epochs=2)),  # unequal folds: 402 and 403 training rows
+])
+def test_lock_step_training_equals_one_fold_at_a_time(cohort, k, overrides):
+    folds = stratified_folds(cohort, k, 5)
+    tables = [cohort.subset(folds.train_indices(t)) for t in range(k)]
+    cfgs = [MlpConfig(seed=100 + t, **overrides) for t in range(k)]
+    if k == 7:
+        assert {len(t) for t in tables} == {402, 403}
+    together = train_mlps(iter(tables), cfgs)
+    for table, cfg, got in zip(tables, cfgs, together):
+        alone = train_mlp(table, cfg)
+        assert got.layer_sizes == alone.layer_sizes
+        assert all(np.array_equal(g, w) for g, w in zip(got.weights, alone.weights))
+        assert all(np.array_equal(g, w) for g, w in zip(got.biases, alone.biases))
+        assert np.array_equal(got.loss_history, alone.loss_history)
+        assert np.array_equal(got.encoding.lo, alone.encoding.lo)
+
+
+def test_lock_step_configs_may_differ_only_in_seed():
+    d = _toy_dataset()
+    with pytest.raises(DataError, match="only in seed"):
+        train_mlps([d, d], [MlpConfig(seed=1, epochs=2), MlpConfig(seed=2, epochs=3)])
+
+
+def test_cross_validation_keeps_the_folds_compact(cohort):
+    """The fold networks train from one-hot bits, not float copies of every fold's inputs."""
+    resampled, _ = smote(cohort, "T", SmoteConfig(seed=1))
+    folds = stratified_folds(resampled, 10, 2)
+    spec = make_classifier("mlp", epochs=1)
+    cross_validate(resampled, spec, folds)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        cross_validate(resampled, spec, folds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_all_nominal_dataset_trains():

@@ -1,6 +1,7 @@
 """Naive Bayes against hand counts and a direct-enumeration oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,20 @@ def test_posteriors_finite_at_the_edge_of_the_float_range():
     # class T's variance is the smaller one, so it wins at its own mean
     (at_mean,) = nb_predict(model, query(d, (1e308 / 3, 0)))
     assert np.argmax(at_mean) == 0
+
+
+def test_a_value_far_outside_every_class_goes_to_the_widest_class():
+    schema = [
+        AttributeSchema("v", "numeric"),
+        AttributeSchema("c", "nominal", ("T", "F"), role="class"),
+    ]
+    # class F's values spread wider, so F has the larger variance
+    d = Dataset.from_rows(schema, [(1.0, 0), (2.0, 0), (3.0, 1), (5.0, 1)])
+    model = train_nb(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        p = nb_predict(model, query(d, (1e200, 0), (1e308, 0), (-1e308, 0)))
+    assert p.tolist() == [[0.0, 1.0]] * 3
 
 
 def test_gaussian_likelihood_formula():
