@@ -44,7 +44,12 @@ RUNS = (
     ("tree-confidence", "cohort.arff", ["--tree-confidence", "0.1"]),
     ("constant-in-training", "flat.arff", ["--smote-within-folds"]),
     ("edge-of-float-range", "edge.arff", []),
+    ("wide-domain", "wide.arff", ["--classifiers", "j48,nb"]),
 )
+
+# values added to DGN's domain in wide.arff, so it has 10; numpy sums 8 or more
+# terms pairwise, so this puts the tree's wide-domain scoring under the check
+WIDE_DGN = ("DGN7", "DGN9", "DGN10")
 
 # rows whose PRE5 keeps its value in flat.arff; at --seed 1 all three fall in
 # test fold 1 of 10, so that fold trains on a constant PRE5 column
@@ -52,11 +57,12 @@ FLAT_KEPT = (6, 27, 99)
 
 
 def write_inputs(text: str) -> None:
-    """cohort.arff, a CSV copy, a copy with 3% of predictor cells missing, flat.arff and edge.arff.
+    """cohort.arff, cohort.csv, holes.arff (3% of predictor cells missing), flat/edge/wide.arff.
 
     flat.arff sets PRE5 to 2.5 in every row but those of FLAT_KEPT. edge.arff
     sets AGE to one of 1e308, -1e308 and 1.5e308 in each row, and leaves it
-    missing in every 50th row.
+    missing in every 50th row. wide.arff declares WIDE_DGN in DGN's domain
+    and sets DGN to one of them in every 6th row.
     """
     header, data = text.split("@data\n")
     rows = [line for line in data.splitlines() if line.strip()]
@@ -81,6 +87,12 @@ def write_inputs(text: str) -> None:
     for i, cells in enumerate(edge):
         cells[names.index("AGE")] = "?" if i % 50 == 0 else rng.choice(("1e308", "-1e308", "1.5e308"))
     Path("edge.arff").write_text(header + "@data\n" + "\n".join(map(",".join, edge)) + "\n")
+    wide = [row.split(",") for row in rows]
+    for i, cells in enumerate(wide):
+        if i % 6 == 0:
+            cells[names.index("DGN")] = rng.choice(WIDE_DGN)
+    wide_header = header.replace("DGN1}", "DGN1," + ",".join(WIDE_DGN) + "}", 1)
+    Path("wide.arff").write_text(wide_header + "@data\n" + "\n".join(map(",".join, wide)) + "\n")
 
 
 def run(name: str, data: str, flags: list[str]) -> list[str]:

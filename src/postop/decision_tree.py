@@ -110,72 +110,72 @@ class Rule:
 # -- information measures ----------------------------------------------------
 
 
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """Sum along the last axis strictly left to right, whatever its length.
+
+    numpy's sum goes pairwise from 8 terms on, so its bits would depend on
+    how much zero padding a row carries; an accumulation does not.
+    """
+    return np.add.accumulate(a, axis=-1)[..., -1]
+
+
 def _entropy_rows(counts: np.ndarray) -> np.ndarray:
     """Entropy in bits of each count vector along the last axis."""
     p = counts / np.maximum(counts.sum(axis=-1, keepdims=True), 1.0)
-    return -(p * np.log2(p, out=np.zeros_like(p), where=p > 0)).sum(axis=-1)
+    return -_sum_last(p * np.log2(p, out=np.zeros_like(p), where=p > 0))
 
 
-def _nominal_candidate(codes, y, n_values, n_classes):
-    """(gain, split_info, None) of a full-domain nominal split, or None."""
-    counts = np.zeros((n_values, n_classes))
-    np.add.at(counts, (codes, y), 1.0)
-    sizes = counts.sum(axis=1)
-    present = sizes > 0
-    if int(present.sum()) < 2:
-        return None
-    n = float(len(codes))
-    # row 0 is the whole node, then one row per observed value
-    h = _entropy_rows(np.vstack([counts.sum(axis=0), counts[present]]))
-    gain = float(h[0]) - float((sizes[present] / n * h[1:]).sum())
-    return gain, float(_entropy_rows(sizes[present])), None
+def _nominal_keys(codes: np.ndarray, width: int, y: np.ndarray, n_classes: int) -> np.ndarray:
+    """Cell of each (row, nominal attribute) in a zero-padded (attrs, width, classes) table."""
+    return (codes + np.arange(codes.shape[1]) * width) * n_classes + y[:, None]
 
 
-def _numeric_candidate(values, y, n_classes):
-    """(gain, split_info, threshold) of the best midpoint test, or None.
+def _scan(keys, width, values, y, counts):
+    """Gains, split infos, thresholds and child class counts of every split of one node.
 
-    The threshold maximizes information gain; equal gains resolve toward
-    the smallest threshold. Split info is that of the chosen binary split.
+    keys come from _nominal_keys for the node's rows, values are the
+    rows' numeric columns and counts the node's class counts. Nominal
+    attributes come first, then numeric ones. A nominal split branches over
+    the whole domain; a numeric one is the midpoint test of best gain, the
+    lowest threshold on ties. A nominal attribute with one observed value
+    gets gain 0, a numeric one gain -inf. Needs at least two rows.
     """
-    order = np.argsort(values, kind="mergesort")
-    sv = values[order]
-    sy = y[order]
-    bounds = np.nonzero(sv[:-1] < sv[1:])[0]
-    if bounds.size == 0:
-        return None
-    n = len(sv)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), sy] = 1.0
-    cum = onehot.cumsum(axis=0)
-    total = cum[-1]
-    left = cum[bounds]
-    right = total - left
-    nl = left.sum(axis=1)
-    nr = right.sum(axis=1)
-    gains = (
-        _entropy_rows(total)
-        - nl / n * _entropy_rows(left)
-        - nr / n * _entropy_rows(right)
+    n = len(y)
+    h0 = _entropy_rows(counts)
+    shape = (keys.shape[1], width, len(counts))
+    tables = np.bincount(keys.ravel(), minlength=math.prod(shape)).reshape(shape).astype(float)
+    sizes = tables.sum(axis=-1)
+    gains = h0 - _sum_last(sizes / n * _entropy_rows(tables))
+    infos = _entropy_rows(sizes).tolist()
+    # one stable sort of every numeric column; gains between equal values are -inf
+    order = np.argsort(values, axis=0, kind="mergesort")
+    cols = np.arange(values.shape[1])
+    sv = values[order, cols]
+    left = np.cumsum(y[order][..., None] == np.arange(len(counts)), axis=0, dtype=float)[:-1]
+    nl = np.arange(1.0, n)[:, None]
+    split_gains = h0 - nl / n * _entropy_rows(left) - (n - nl) / n * _entropy_rows(counts - left)
+    split_gains = np.where(sv[:-1] < sv[1:], split_gains, -np.inf)
+    best = split_gains.argmax(axis=0)
+    a, b = sv[best, cols], sv[best + 1, cols]
+    thresholds = a / 2 + b / 2  # halved first, so the sum cannot overflow
+    thresholds = np.where((a <= thresholds) & (thresholds < b), thresholds, a)  # b stays right
+    # math.log2 keeps the bits of the pinned trees; np.log2 rounds some ratios apart
+    for pl, pr in zip(((best + 1) / n).tolist(), ((n - best - 1) / n).tolist()):
+        infos.append(-(pl * math.log2(pl) + pr * math.log2(pr)))
+    left = left[best, cols]
+    return (
+        np.concatenate([gains, split_gains[best, cols]]).tolist(),
+        infos,
+        [None] * len(gains) + thresholds.tolist(),
+        list(tables) + list(np.stack([left, counts - left], axis=1)),
     )
-    best = int(np.argmax(gains))  # first maximum: lowest threshold wins ties
-    a, b = float(sv[bounds[best]]), float(sv[bounds[best] + 1])
-    threshold = a / 2 + b / 2  # halved first, so the sum cannot overflow
-    if not a <= threshold < b:  # rounded up to b: keep b on the right
-        threshold = a
-    pl = nl[best] / n
-    pr = nr[best] / n
-    split_info = float(-(pl * math.log2(pl) + pr * math.log2(pr)))
-    return float(gains[best]), split_info, threshold
-
-
-def _candidate(attr, values, y, n_classes):
-    """(gain, split_info, threshold) of splitting rows on one attribute, or None."""
-    if attr.kind == NOMINAL:
-        return _nominal_candidate(values, y, len(attr.values), n_classes)
-    return _numeric_candidate(values, y, n_classes)
 
 
 # -- training ----------------------------------------------------------------
+
+
+def _leaf(counts: np.ndarray) -> TreeNode:
+    return TreeNode(counts=counts, prediction=int(np.argmax(counts)))
 
 
 class _Trainer:
@@ -186,18 +186,25 @@ class _Trainer:
         self.cfg = cfg
         self.n_classes = len(d.class_labels)
         self.y = d.class_codes()
+        self.width = max((len(d.schema[ai].values) for ai in d.nominal_predictor_indices),
+                         default=1)
+        self.keys = _nominal_keys(d.codes_matrix(), self.width, self.y, self.n_classes)
+        self.values = d.numeric_matrix()
+        self.attrs = d.nominal_predictor_indices + d.numeric_predictor_indices
 
-    def _best_split(self, idx):
-        candidates = []
-        for ai in self.d.predictor_indices:
-            res = _candidate(self.d.schema[ai], self.d.column(ai)[idx], self.y[idx],
-                             self.n_classes)
-            if res is None:
-                continue
-            gain, split_info, threshold = res
-            if gain <= GAIN_EPS or split_info <= 0.0:
-                continue
-            candidates.append((ai, gain, gain / split_info, threshold))
+    def _best_split(self, idx, counts):
+        """(attribute, threshold, child class counts) of the split for rows idx, or None.
+
+        Attributes with positive gain and split info whose gain reaches the
+        mean gain compete on gain ratio.
+        """
+        gains, infos, thresholds, tables = _scan(
+            self.keys[idx], self.width, self.values[idx], self.y[idx], counts)
+        candidates = sorted(
+            (ai, gain, gain / info, k)
+            for k, (ai, gain, info) in enumerate(zip(self.attrs, gains, infos))
+            if gain > GAIN_EPS and info > 0.0
+        )
         if not candidates:
             return None
         mean_gain = sum(c[1] for c in candidates) / len(candidates)
@@ -205,15 +212,12 @@ class _Trainer:
         for cand in candidates:  # schema order; strict > keeps the earliest on ties
             if cand[1] >= mean_gain - GAIN_EPS and (best is None or cand[2] > best[2]):
                 best = cand
-        return best
-
-    def _node(self, idx) -> TreeNode:
-        counts = np.bincount(self.y[idx], minlength=self.n_classes).astype(float)
-        return TreeNode(counts=counts, prediction=int(np.argmax(counts)))
+        ai, k = best[0], best[3]
+        return ai, thresholds[k], tables[k]
 
     def build(self, idx) -> TreeNode:
         """Grow the tree over rows idx from an explicit stack, so depth is unbounded."""
-        root = self._node(idx)
+        root = _leaf(np.bincount(self.y[idx], minlength=self.n_classes).astype(float))
         stack = [(root, idx)]
         while stack:
             node, idx = stack.pop()
@@ -221,17 +225,18 @@ class _Trainer:
                 continue
             if len(idx) < 2 * self.cfg.min_leaf_instances:
                 continue
-            best = self._best_split(idx)
+            best = self._best_split(idx, node.counts)
             if best is None:
                 continue
-            ai, _, _, node.threshold = best
-            node.attr_index = ai
-            vals = self.d.column(ai)[idx]
+            node.attr_index, node.threshold, child_counts = best
+            vals = self.d.column(node.attr_index)[idx]
             if node.threshold is None:
-                parts = [idx[vals == v] for v in range(len(self.d.schema[ai].values))]
+                parts = [idx[vals == v]
+                         for v in range(len(self.d.schema[node.attr_index].values))]
             else:
                 parts = [idx[vals <= node.threshold], idx[vals > node.threshold]]
-            node.children = [self._node(part) for part in parts]
+            # a copy, so the nodes do not keep the whole scan table alive
+            node.children = [_leaf(c) for c in child_counts[:len(parts)].copy()]
             stack.extend(zip(node.children, parts))
         return root
 
@@ -443,10 +448,18 @@ def gain_ratio(d: Dataset, attribute) -> float | None:
         raise DataError("gain ratio of the class attribute is undefined")
     col = d.column(ai)
     keep = ~is_missing(col)
-    res = _candidate(attr, col[keep], d.class_codes()[keep], len(d.class_labels))
-    if res is None:
+    if keep.sum() < 2:
         return None
-    gain, split_info, _ = res
-    if split_info <= 0.0:
+    col, y = col[keep, None], d.class_codes()[keep]
+    n_classes = len(d.class_labels)
+    counts = np.bincount(y, minlength=n_classes).astype(float)
+    if attr.kind == NOMINAL:
+        width = len(attr.values)
+        scan = _scan(_nominal_keys(col, width, y, n_classes), width, np.empty((len(y), 0)),
+                     y, counts)
+    else:
+        scan = _scan(np.empty((len(y), 0), dtype=np.int64), 1, col, y, counts)
+    gain, split_info = scan[0][0], scan[1][0]
+    if gain == -math.inf or split_info <= 0.0:
         return None
     return gain / split_info

@@ -111,6 +111,10 @@ def nb_predict(model: NaiveBayesModel, d: Dataset) -> np.ndarray:
     every class, so it cancels in the normalization.
     """
     log_post = np.tile(np.log(model.priors), (len(d), 1))
+    # each row's quadratic sum over numeric attributes in units of 2**1080: a
+    # gap below 2**1025 over a variance above 2**-20 stays below 2**990, and a
+    # term that overflows a double is still a normal number above 2**-56
+    quad = np.zeros_like(log_post)
     for ai, table in model.nominal_tables.items():
         v = d.column(ai)
         seen = v >= 0
@@ -119,11 +123,18 @@ def nb_predict(model: NaiveBayesModel, d: Dataset) -> np.ndarray:
         v = d.column(ai) / model.numeric_scales[ai]
         seen = ~np.isnan(v)
         mean, var = params[:, 0], params[:, 1]
+        gap = v[seen, None] - mean
+        quad[seen] += (gap * 2.0**-540) ** 2 / var
         with np.errstate(over="ignore"):
-            z = (v[seen, None] - mean) ** 2 / var
+            z = gap**2 / var
         # a value whose term overflows for every class goes to the widest one
         z[np.isinf(z).all(axis=1)] = np.where(var == var.max(), 0.0, np.inf)
         log_post[seen] += -0.5 * (np.log(2.0 * math.pi * var) + z)
+    # two such values with different widest classes leave no class finite; the
+    # quadratic terms then outweigh every log term, so the limit is one-hot on
+    # the smallest quadratic sum
+    lost = np.isneginf(log_post).all(axis=1)
+    log_post[lost] = np.where(quad[lost] == quad[lost].min(axis=1, keepdims=True), 0.0, -np.inf)
     log_post -= log_post.max(axis=1, keepdims=True)
     p = np.exp(log_post)
     return p / p.sum(axis=1, keepdims=True)

@@ -58,29 +58,37 @@ def gain_ratio_nominal(column, labels) -> float | None:
     return gain_of_partition(labels, parts) / si
 
 
-def gain_ratio_numeric(column, labels) -> float | None:
-    """Gain ratio at the best-gain midpoint threshold (ties: lowest).
+def best_threshold_split(column, labels):
+    """(threshold, gain, [left, right]) of the best-gain midpoint test, or None.
 
     Scans every midpoint between adjacent distinct sorted values and keeps
-    the first threshold achieving the maximal gain.
+    the first threshold achieving the maximal gain (ties: lowest). None
+    when the column has fewer than two distinct values.
     """
     distinct = sorted(set(column))
     if len(distinct) < 2:
         return None
-    best_gain = None
-    best_groups = None
+    best = None
     for lo, hi in zip(distinct[:-1], distinct[1:]):
         threshold = (lo + hi) / 2.0
         left = [i for i, v in enumerate(column) if v <= threshold]
         right = [i for i, v in enumerate(column) if v > threshold]
         gain = gain_of_partition(labels, [left, right])
-        if best_gain is None or gain > best_gain + 1e-15:
-            best_gain = gain
-            best_groups = [left, right]
-    si = split_info_of_partition(len(labels), best_groups)
+        if best is None or gain > best[1] + 1e-15:
+            best = (threshold, gain, [left, right])
+    return best
+
+
+def gain_ratio_numeric(column, labels) -> float | None:
+    """Gain ratio at the best-gain midpoint threshold (ties: lowest)."""
+    best = best_threshold_split(column, labels)
+    if best is None:
+        return None
+    _, gain, groups = best
+    si = split_info_of_partition(len(labels), groups)
     if si <= 0:
         return None
-    return best_gain / si
+    return gain / si
 
 
 # -- naive Bayes ----------------------------------------------------------------

@@ -8,9 +8,13 @@ import pytest
 from postop.cli import main
 from postop.dataset import AttributeSchema, DataError, Dataset, to_arff
 from postop.decision_tree import (
+    GAIN_EPS,
     TreeConfig,
     TreeNode,
     _added_errors,
+    _nodes,
+    _scan,
+    _Trainer,
     format_rules,
     format_tree,
     gain_ratio,
@@ -20,8 +24,21 @@ from postop.decision_tree import (
     tree_to_rules,
 )
 
-from conftest import fig_dataset, nominal_dataset, query, random_mixed_dataset, time_limit
-from oracles import gain_ratio_nominal, gain_ratio_numeric
+from conftest import (
+    TESTS_DIR,
+    fig_dataset,
+    nominal_dataset,
+    query,
+    random_mixed_dataset,
+    time_limit,
+)
+from oracles import (
+    best_threshold_split,
+    gain_of_partition,
+    gain_ratio_nominal,
+    gain_ratio_numeric,
+    split_info_of_partition,
+)
 
 Z = NormalDist().inv_cdf(0.75)
 
@@ -44,21 +61,89 @@ def test_gain_ratio_of_perfect_binary_attribute_is_one():
 
 def test_gain_ratio_matches_oracle_on_random_tables():
     rng = np.random.default_rng(5150)
-    for _ in range(60):
-        d = random_mixed_dataset(rng, int(rng.integers(4, 16)))
-        y = list(d.class_codes())
-        rows = d.rows()
-        for ai in d.predictor_indices:
-            col = [row[ai] for row in rows]
-            if d.schema[ai].kind == "nominal":
-                expected = gain_ratio_nominal(col, y)
+    # mixed tables, nominal-only ones with domains of up to 9 values, numeric-only ones
+    for shape in [(2, 1, 3), (2, 0, 9), (0, 2, 3)]:
+        for _ in range(60):
+            d = random_mixed_dataset(rng, int(rng.integers(4, 16)), *shape)
+            y = list(d.class_codes())
+            rows = d.rows()
+            for ai in d.predictor_indices:
+                col = [row[ai] for row in rows]
+                if d.schema[ai].kind == "nominal":
+                    expected = gain_ratio_nominal(col, y)
+                else:
+                    expected = gain_ratio_numeric(col, y)
+                got = gain_ratio(d, d.schema[ai].name)
+                if expected is None:
+                    assert got is None
+                else:
+                    assert got == pytest.approx(expected, abs=1e-10)
+
+
+def _table(columns, labels, domains):
+    """Table of the given columns in order: nominal where domains gives a size, else numeric."""
+    schema = [AttributeSchema(f"a{j}", "nominal", tuple(f"v{i}" for i in range(size)))
+              if size else AttributeSchema(f"a{j}", "numeric") for j, size in enumerate(domains)]
+    schema.append(AttributeSchema("cls", "nominal", ("c0", "c1"), role="class"))
+    return Dataset.from_rows(schema, [(*row, y) for row, y in zip(zip(*columns), labels)])
+
+
+def test_scan_matches_oracles_at_random_nodes():
+    # a 9-value attribute (numpy sums 8 or more terms pairwise), values absent
+    # from the node, attributes with one observed value, and tables with only
+    # nominal or only numeric predictors
+    rng = np.random.default_rng(2718)
+    for domains in [(9, None, 2, None, 4), (9, 3, 2), (None, None, None)] * 20:
+        n = int(rng.integers(10, 50))
+        columns = [(rng.integers(0, size, n) if size else rng.integers(0, 6, n) / 2).tolist()
+                   for size in domains]
+        if rng.random() < 0.3:
+            columns[-1] = [columns[-1][0]] * n
+        labels = rng.integers(0, 2, n).tolist()
+        trainer = _Trainer(_table(columns, labels, domains), TreeConfig())
+        idx = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        y = [labels[i] for i in idx]
+        counts = np.bincount(y, minlength=2).astype(float)
+        gains, infos, thresholds, tables = _scan(
+            trainer.keys[idx], trainer.width, trainer.values[idx], trainer.y[idx], counts)
+        for k, ai in enumerate(trainer.attrs):
+            col = [columns[ai][i] for i in idx]
+            if domains[ai]:
+                threshold = None
+                groups = [[i for i, v in enumerate(col) if v == code]
+                          for code in range(domains[ai])]
             else:
-                expected = gain_ratio_numeric(col, y)
-            got = gain_ratio(d, d.schema[ai].name)
-            if expected is None:
-                assert got is None
-            else:
-                assert got == pytest.approx(expected, abs=1e-10)
+                threshold, _, groups = best_threshold_split(col, y) or (None, None, [])
+            if sum(map(bool, groups)) < 2:  # not a candidate
+                assert not (gains[k] > GAIN_EPS and infos[k] > 0.0)
+                continue
+            assert thresholds[k] == threshold
+            assert tables[k][:len(groups)].tolist() == [[sum(y[i] == c for i in g) for c in (0, 1)]
+                                                        for g in groups]
+            assert gains[k] == pytest.approx(gain_of_partition(y, groups), abs=1e-12)
+            assert infos[k] == pytest.approx(split_info_of_partition(len(y), groups), abs=1e-12)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1)])
+def test_identical_columns_tie_and_the_earlier_attribute_splits(order):
+    # a nominal column, a numeric one, and a copy of each; the first table
+    # parts its classes exactly, so all four tie at gain ratio 1 and the
+    # earliest in schema order must take the root. In the noisy one each copy
+    # ties with its original at every node, and no node may pick the copy.
+    rng = np.random.default_rng(77)
+    for labels in ([0, 0, 1, 1, 0, 1], rng.integers(0, 2, 80).tolist()):
+        n = len(labels)
+        nominal = labels if n == 6 else rng.integers(0, 3, n).tolist()
+        numeric = [float(v) for v in labels] if n == 6 else (rng.integers(0, 8, n) / 2).tolist()
+        base = [(nominal, 3), (numeric, None), (nominal, 3), (numeric, None)]
+        picked = [base[j] for j in order]
+        d = _table([c for c, _ in picked], labels, [size for _, size in picked])
+        earlier = {j: min(k for k in range(4) if order[k] % 2 == order[j] % 2) for j in range(4)}
+        t = train_tree(d, TreeConfig(min_leaf_instances=1, pruning=False))
+        if n == 6:
+            assert t.attr_index == 0 and t.leaf_count() in (2, 3)
+        splits = [node.attr_index for node in _nodes(t) if not node.is_leaf]
+        assert splits and all(earlier[ai] == ai for ai in splits)
 
 
 def test_gain_ratio_excludes_missing_rows():
@@ -165,6 +250,17 @@ def test_rules_require_complete_instances():
     rules = tree_to_rules(train_tree(d))
     with pytest.raises(DataError, match="no rule matched instance 1"):
         rules_predict(rules, query(d, (0, 0, 0, 0), (None, 0, 0, 0)))
+
+
+@pytest.mark.parametrize("name, cfg", [
+    ("default", TreeConfig()),
+    ("no_pruning", TreeConfig(pruning=False)),
+    ("min_leaf_1", TreeConfig(min_leaf_instances=1)),
+])
+def test_cohort_tree_text_is_pinned(cohort, name, cfg):
+    # captured from the per-attribute split search these scans replaced
+    expected = (TESTS_DIR / "data" / f"cohort_tree_{name}.txt").read_text()
+    assert format_tree(train_tree(cohort, cfg)) + "\n" == expected
 
 
 # -- stopping and fallback behavior ---------------------------------------------

@@ -130,6 +130,23 @@ def test_a_value_far_outside_every_class_goes_to_the_widest_class():
     assert p.tolist() == [[0.0, 1.0]] * 3
 
 
+def test_values_overflowing_toward_different_widest_classes_give_the_one_hot_limit():
+    schema = [
+        AttributeSchema("u", "numeric"),
+        AttributeSchema("v", "numeric"),
+        AttributeSchema("c", "nominal", ("a", "b"), role="class"),
+    ]
+    # b is widest on u, a on v: each overflowing term ruled out the other's
+    # widest class, so no class was left. The quadratic sums are about
+    # 4.25 x**2 for a (u: 1/0.25, v: 1/4) and 5 x**2 for b (u: 1/1, v: 1/0.25).
+    d = Dataset.from_rows(schema, [(1.0, 1.0, 0), (2.0, 5.0, 0), (3.0, 2.0, 1), (5.0, 3.0, 1)])
+    model = train_nb(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        p = nb_predict(model, query(d, (1e308, 1e308, 0), (-1e308, 1e308, 0)))
+    assert p.tolist() == [[1.0, 0.0]] * 2
+
+
 def test_gaussian_likelihood_formula():
     schema = [
         AttributeSchema("v", "numeric"),
