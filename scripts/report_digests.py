@@ -3,11 +3,11 @@
     PYTHONPATH=src python scripts/report_digests.py
 
 Each run calls postop.cli.main in-process: one `bench` on the synthetic
-cohort (tests/data/synthetic_cohort.arff) or on a copy made from its text,
-then `plotdata` on the run's manifest. The runs work in a temporary
-directory and name their data files relatively, so report.json does not
-depend on where the checkout lives. Each output line gives the run, the
-file (report.json, report.md, report.csv, plot.csv) and its digest.
+cohort (tests/data/synthetic_cohort.arff) or on a copy made from its text.
+The runs work in a temporary directory and name their data files
+relatively, so report.json does not depend on where the checkout lives.
+Each output line gives the run, the file (report.json, report.md,
+report.csv) and its digest.
 
 To show that a change keeps every report byte-identical, run this script
 once with each commit's src/ on PYTHONPATH and diff the two outputs.
@@ -27,16 +27,14 @@ from pathlib import Path
 from postop.cli import main
 
 COHORT = Path(__file__).resolve().parent.parent / "tests" / "data" / "synthetic_cohort.arff"
-FILES = ("report.json", "report.md", "report.csv", "plot.csv")
+FILES = ("report.json", "report.md", "report.csv")
 
 # (run name, data file, bench flags beyond --data, --seed, --out and --mlp-epochs)
 RUNS = (
     ("default", "cohort.arff", []),
-    ("smote-repeat", "cohort.arff", ["--smote-repeat", "3"]),
     ("smote-within-folds", "cohort.arff", ["--smote-within-folds", "--smote-k", "3"]),
     ("impute-drop-instance", "holes.arff", ["--impute", "drop-instance"]),
     ("impute-mean-or-mode", "holes.arff", ["--impute", "mean-or-mode"]),
-    ("csv-schema", "cohort.csv", ["--schema", "cohort.arff"]),
     ("mlp-hidden", "cohort.arff", ["--mlp-hidden", "5,3"]),
     ("mlp-uneven-folds", "cohort.arff", ["--folds", "7"]),
     ("tree-no-pruning", "cohort.arff", ["--tree-no-pruning"]),
@@ -57,7 +55,7 @@ FLAT_KEPT = (6, 27, 99)
 
 
 def write_inputs(text: str) -> None:
-    """cohort.arff, cohort.csv, holes.arff (3% of predictor cells missing), flat/edge/wide.arff.
+    """cohort.arff, holes.arff (3% of predictor cells missing), flat/edge/wide.arff.
 
     flat.arff sets PRE5 to 2.5 in every row but those of FLAT_KEPT. edge.arff
     sets AGE to one of 1e308, -1e308 and 1.5e308 in each row, and leaves it
@@ -76,7 +74,6 @@ def write_inputs(text: str) -> None:
                 cells[i] = "?"
         holes.append(",".join(cells))
     Path("cohort.arff").write_text(text)
-    Path("cohort.csv").write_text("\n".join([",".join(names), *rows]) + "\n")
     Path("holes.arff").write_text(header + "@data\n" + "\n".join(holes) + "\n")
     flat = [row.split(",") for row in rows]
     for i, cells in enumerate(flat):
@@ -100,8 +97,6 @@ def run(name: str, data: str, flags: list[str]) -> list[str]:
     with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
         code = main(["bench", "--data", data, "--seed", "1", "--out", name,
                      "--mlp-epochs", "3", *flags])
-        if code == 0:
-            code = main(["plotdata", f"{name}/manifest.json"])
     if code != 0:
         sys.exit(f"run {name} exited {code}:\n{quiet.getvalue()}")
     return [f"{name} {f} {hashlib.sha256(Path(name, f).read_bytes()).hexdigest()}"

@@ -1,4 +1,4 @@
-"""Command line: inspect a dataset, rebalance it, run the benchmark, plot data.
+"""Command line: inspect a dataset, rebalance it, run the benchmark.
 
 Exit codes: 0 on success, 1 on input or data errors, 2 on usage errors.
 """
@@ -20,20 +20,17 @@ from .dataset import (
     impute_missing,
     missing_census,
     parse_arff,
-    parse_csv,
     to_arff,
-    to_csv,
 )
 from .evaluation import (
     CLASSIFIER_NAMES,
     cross_validate,
-    grid_csv,
     make_classifier,
     render_csv,
     render_markdown,
     stratified_folds,
 )
-from .resampling import ResampleRecord, SmoteConfig, smote, smote_repeated
+from .resampling import ResampleRecord, SmoteConfig, smote
 from .seeds import derive_seed
 
 DATA_DIR_ENV = "POSTOP_DATA_DIR"
@@ -54,12 +51,6 @@ def _resolve_data_path(path_str: str) -> Path:
     )
 
 
-def _infer_format(path: Path, explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    return "csv" if path.suffix.lower() == ".csv" else "arff"
-
-
 def _read_text(path: Path) -> str:
     try:
         return path.read_text()
@@ -67,19 +58,10 @@ def _read_text(path: Path) -> str:
         raise DataError(f"{path} is not readable text: {e.reason} at byte {e.start}") from None
 
 
-def _load_dataset(args) -> tuple[Dataset, Path, str]:
-    """The --data table as parsed, before imputation; its path and format."""
+def _load_dataset(args) -> tuple[Dataset, Path]:
+    """The --data table as parsed, before imputation, and its path."""
     path = _resolve_data_path(args.data)
-    fmt = _infer_format(path, args.data_format)
-    text = _read_text(path)
-    if fmt == "csv":
-        if not args.schema:
-            raise DataError("CSV input needs --schema pointing at an ARFF header")
-        schema = parse_arff(_read_text(_resolve_data_path(args.schema))).schema
-        d = parse_csv(text, schema, class_attribute=args.class_attribute)
-    else:
-        d = parse_arff(text, class_attribute=args.class_attribute)
-    return d, path, fmt
+    return parse_arff(_read_text(path), class_attribute=args.class_attribute), path
 
 
 def _positive_class(d: Dataset, requested: str | None) -> str:
@@ -93,22 +75,16 @@ def _positive_class(d: Dataset, requested: str | None) -> str:
 
 
 def _oversample(d: Dataset, minority: str, seed: int, opts) -> tuple[Dataset, ResampleRecord]:
-    """SMOTE as the smote_k, smote_percent and smote_repeat of opts ask.
-
-    opts is the parsed resample or bench command line. A non-zero
-    smote_repeat applies 100% oversampling that many times instead of one pass.
-    """
-    cfg = SmoteConfig(seed=seed, k_neighbors=opts.smote_k, percent=opts.smote_percent)
-    if opts.smote_repeat:
-        return smote_repeated(d, minority, opts.smote_repeat, cfg)
-    return smote(d, minority, cfg)
+    """SMOTE as the --smote-k and --smote-percent of opts (resample or bench flags) ask."""
+    return smote(d, minority, SmoteConfig(seed=seed, k_neighbors=opts.smote_k,
+                                          percent=opts.smote_percent))
 
 
 # -- inspect -----------------------------------------------------------------
 
 
 def _cmd_inspect(args) -> int:
-    d, path, _ = _load_dataset(args)  # not imputed: the census reports the file as-is
+    d, path = _load_dataset(args)  # not imputed: the census reports the file as-is
     nominal = sum(1 for a in d.schema if a.kind == "nominal")
     numeric = len(d.schema) - nominal
     counts = class_counts(d)
@@ -132,11 +108,11 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_resample(args) -> int:
-    d, path, fmt = _load_dataset(args)
+    d, path = _load_dataset(args)
     d = impute_missing(d, args.impute)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / f"resampled.{fmt}"
+    out_path = out_dir / "resampled.arff"
     record_path = out_dir / "resample_record.json"
 
     if args.no_smote:
@@ -153,7 +129,7 @@ def _cmd_resample(args) -> int:
 
     minority = _positive_class(d, args.positive_class)
     resampled, record = _oversample(d, minority, derive_seed(args.seed, "smote"), args)
-    out_path.write_text(to_csv(resampled) if fmt == "csv" else to_arff(resampled))
+    out_path.write_text(to_arff(resampled))
     record_path.write_text(
         json.dumps(record.to_json_dict(), indent=2, sort_keys=True) + "\n"
     )
@@ -193,8 +169,6 @@ def _parse_hidden(text: str | None) -> tuple[int, ...] | None:
 # it feeds, and how it derives from the parsed flags (None: the flag of its name).
 BENCH_CONFIG = (
     ("data", None, None),
-    ("data_format", None, lambda a: _infer_format(Path(a.data), a.data_format)),
-    ("schema", None, None),
     ("class_attribute", None, None),
     ("positive_class", None, None),
     ("impute", None, None),
@@ -203,7 +177,6 @@ BENCH_CONFIG = (
     ("smote", None, lambda a: not a.no_smote),
     ("smote_percent", None, None),
     ("smote_k", None, None),
-    ("smote_repeat", None, None),
     ("smote_within_folds", None, None),
     ("classifiers", None, lambda a: _parse_classifiers(a.classifiers)),
     ("mlp_epochs", ("mlp", "epochs"), None),
@@ -328,40 +301,11 @@ def _render_report_markdown(config, positive, resample_record, working, reports)
     return "\n".join(lines) + "\n"
 
 
-# -- plotdata ---------------------------------------------------------------------
-
-
-def _cmd_plotdata(args) -> int:
-    path = Path(args.manifest)
-    if not path.exists():
-        raise DataError(f"manifest {args.manifest!r} not found")
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as e:
-        raise DataError(f"manifest {args.manifest!r} is not valid JSON: {e}") from None
-    reports = doc.get("reports") if isinstance(doc, dict) else None
-    if not reports:
-        raise DataError("manifest contains no classifier reports")
-    if not isinstance(reports, list) or not all(
-            isinstance(r, dict) and isinstance(r.get("metrics", {}), dict) for r in reports):
-        raise DataError("manifest reports must be objects with a metrics object")
-    names = [str(r.get("display_name", r.get("classifier", "?"))) for r in reports]
-    out_path = Path(args.out) if args.out else path.parent / "plot.csv"
-    # report.csv's grid, with a blank cell where a metric is undefined
-    out_path.write_text(grid_csv(names, [r.get("metrics", {}) for r in reports], ""))
-    print(f"wrote {out_path}")
-    return 0
-
-
 # -- parser -----------------------------------------------------------------------
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
-    p.add_argument("--data", required=True, help="dataset file (ARFF or CSV)")
-    p.add_argument("--data-format", choices=["arff", "csv"], default=None,
-                   help="input format; default: by file extension")
-    p.add_argument("--schema", default=None,
-                   help="ARFF file supplying the schema for CSV input")
+    p.add_argument("--data", required=True, help="ARFF dataset file")
     p.add_argument("--class-attribute", default=None,
                    help="class attribute name; default: the last attribute")
     p.add_argument("--impute", choices=["mean-or-mode", "drop-instance"],
@@ -376,8 +320,6 @@ def _add_smote_flags(p: argparse.ArgumentParser):
                    help="synthetic minority mass, multiple of 100 (default 700)")
     p.add_argument("--smote-k", type=int, default=5,
                    help="neighbourhood size (default 5)")
-    p.add_argument("--smote-repeat", type=int, default=0,
-                   help="instead apply 100%% oversampling this many times")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,11 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["markdown", "csv", "json"], default="markdown",
                    help="what to echo to stdout (all formats are written)")
     p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser("plotdata", help="turn a manifest into a plotting-friendly CSV")
-    p.add_argument("manifest", help="manifest.json (or report.json) from bench")
-    p.add_argument("--out", default=None, help="output CSV path (default: plot.csv beside it)")
-    p.set_defaults(func=_cmd_plotdata)
 
     return parser
 

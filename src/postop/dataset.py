@@ -1,4 +1,4 @@
-"""Decision-table data model plus ARFF/CSV parsing and serialization.
+"""Decision-table data model plus ARFF parsing and serialization.
 
 A table is a fixed schema of nominal and numeric attributes with exactly
 one binary nominal class attribute, stored as three arrays: the nominal
@@ -14,8 +14,6 @@ where data enters (`Dataset.from_rows`, the parsers) or leaves
 from __future__ import annotations
 
 import copy
-import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -317,7 +315,8 @@ def minmax_scale(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     """
     span = hi / 2 - lo / 2
     constant = span == 0
-    x = np.where(constant, 0.0, (values / 2 - lo / 2) / np.where(constant, 1.0, span))
+    with np.errstate(over="ignore"):  # nan_to_num clamps an infinite quotient
+        x = np.where(constant, 0.0, (values / 2 - lo / 2) / np.where(constant, 1.0, span))
     return np.nan_to_num(x, nan=0.0)
 
 
@@ -449,15 +448,14 @@ def _assign_class(schema: list[AttributeSchema], class_attribute: str | None):
     return out
 
 
-def parse_arff(source, class_attribute: str | None = None) -> Dataset:
-    """Parse an ARFF document (string or text file object) into a Dataset.
+def parse_arff(text: str, class_attribute: str | None = None) -> Dataset:
+    """Parse an ARFF document into a Dataset.
 
     Supported subset: @relation, @attribute with a nominal domain or a
     numeric type keyword, @data with comma-separated rows, '%' comments,
     '?' for missing values. Keywords are case-insensitive. The last
     attribute is the class unless `class_attribute` names another.
     """
-    text = source.read() if hasattr(source, "read") else source
     relation = "dataset"
     schema: list[AttributeSchema] = []
     rows: list[tuple] = []
@@ -514,51 +512,3 @@ def to_arff(d: Dataset) -> str:
         out.append(",".join(_format_value(a, v) for a, v in zip(d.schema, row)))
     return "\n".join(out) + "\n"
 
-
-# -- CSV --------------------------------------------------------------------
-
-
-def parse_csv(source, schema, class_attribute: str | None = None,
-              relation: str = "dataset") -> Dataset:
-    """Parse CSV rows against an externally supplied schema.
-
-    The header row must repeat the schema's attribute names in order.
-    Values follow the same rules as ARFF rows ('?' for missing).
-    """
-    text = source.read() if hasattr(source, "read") else source
-    schema = list(schema)
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty document, expected a header row") from None
-    names = [a.name for a in schema]
-    got = [h.strip() for h in header]
-    if got != names:
-        raise ParseError(
-            f"header {got!r} does not match the expected attribute names {names!r}", line=1
-        )
-    rows = []
-    for row in reader:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        lineno = reader.line_num
-        if len(row) != len(schema):
-            raise ParseError(
-                f"row has {len(row)} values, schema expects {len(schema)}", line=lineno
-            )
-        rows.append(tuple(
-            _convert_token(tok.strip(), attr, lineno, col + 1)
-            for col, (tok, attr) in enumerate(zip(row, schema))
-        ))
-    return Dataset.from_rows(_assign_class(schema, class_attribute), rows, relation)
-
-
-def to_csv(d: Dataset) -> str:
-    """Serialize to CSV (header row plus data rows, '?' for missing)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([a.name for a in d.schema])
-    for row in d.rows():
-        writer.writerow([_format_value(a, v) for a, v in zip(d.schema, row)])
-    return buf.getvalue()

@@ -440,22 +440,11 @@ def cross_validate(d: Dataset, spec: ClassifierSpec, folds: FoldAssignment,
 # -- rendering ----------------------------------------------------------------------
 
 
-def metric_grid(names: list[str], metrics: list[dict], missing: str) -> list[list[str]]:
-    """The report's rows: a label, then each column's value to one decimal.
-
-    names and metrics are the columns. A value that is absent or None
-    prints as missing; any other value that is not a number is an error.
-    """
-    rows = []
-    for key, label in METRIC_LABELS:
-        row = [label]
-        for name, m in zip(names, metrics):
-            v = m.get(key)
-            if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
-                raise DataError(f"{name} metric {key!r} is not a number: {v!r}")
-            row.append(missing if v is None else f"{v:.1f}")
-        rows.append(row)
-    return rows
+def metric_grid(reports: list[EvaluationReport]) -> list[list[str]]:
+    """The report's rows: a label, then each report's value to one decimal, or n/a."""
+    return [[label, *("n/a" if r.metrics.get(key) is None else f"{r.metrics[key]:.1f}"
+                      for r in reports)]
+            for key, label in METRIC_LABELS]
 
 
 def render_markdown(reports: list[EvaluationReport]) -> str:
@@ -465,17 +454,12 @@ def render_markdown(reports: list[EvaluationReport]) -> str:
         "| Performance metric | " + " | ".join(names) + " |",
         "| --- | " + " | ".join("---:" for _ in names) + " |",
     ]
-    for row in metric_grid(names, [r.metrics for r in reports], "n/a"):
+    for row in metric_grid(reports):
         lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines) + "\n"
 
 
-def grid_csv(names: list[str], metrics: list[dict], missing: str) -> str:
-    """The metric grid as CSV, under a header row of "metric" and the names."""
-    rows = [["metric", *names], *metric_grid(names, metrics, missing)]
-    return "".join(",".join(row) + "\n" for row in rows)
-
-
 def render_csv(reports: list[EvaluationReport]) -> str:
     """Metrics-by-classifier CSV with the same cells as the markdown table."""
-    return grid_csv([r.display_name for r in reports], [r.metrics for r in reports], "n/a")
+    rows = [["metric", *(r.display_name for r in reports)], *metric_grid(reports)]
+    return "".join(",".join(row) + "\n" for row in rows)

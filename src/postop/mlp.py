@@ -121,6 +121,12 @@ class MlpModel:
 
 
 def _sigmoid(z):
+    """Logistic function of z.
+
+    exp(-z) overflows to inf below z = -709 and gives the right 0. Callers
+    ignore that overflow once per call (`train_mlps`, `mlp_predict`), since
+    entering np.errstate costs about as much as the sigmoid itself.
+    """
     return 1.0 / (1.0 + np.exp(-z))
 
 
@@ -198,6 +204,7 @@ def _compact(d: Dataset) -> tuple:
     return enc, x.astype(bool), x[:, enc.numeric_offsets], y, default_hidden_size(d)
 
 
+@np.errstate(over="ignore")
 def train_mlps(tables, configs: list[MlpConfig]) -> list[MlpModel]:
     """Train one network per table in lock-step, each to the bits `train_mlp` gives it.
 
@@ -254,6 +261,7 @@ def train_mlps(tables, configs: list[MlpConfig]) -> list[MlpModel]:
     return [models[by_size.index(j)] for j in range(len(models))]
 
 
+@np.errstate(over="ignore")
 def mlp_predict(model: MlpModel, d: Dataset) -> np.ndarray:
     """Class probabilities (rows, classes): output activations normalized per row."""
     out = forward(model, encode_inputs(model.encoding, d))

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import DataError, Dataset, class_counts, minmax_scale, observed_range
-from .seeds import derive_seed
 
 
 class ResampleError(DataError):
@@ -47,7 +46,7 @@ class ResampleRecord:
 
     provenance maps each output row to its source: ("original", index) or
     ("synthetic", parent_index, neighbor_index) with indexes into the input
-    dataset. It is None when per-row lineage is not tracked (repeat mode).
+    dataset.
     """
 
     method: str
@@ -56,7 +55,7 @@ class ResampleRecord:
     final_counts: dict[str, int]
     synthetic_created: int
     config: dict
-    provenance: tuple | None = field(default=None, repr=False, compare=False)
+    provenance: tuple = field(repr=False, compare=False)
 
     def __post_init__(self):
         grown = (
@@ -204,37 +203,4 @@ def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, R
         provenance=provenance,
     )
     return out, record
-
-
-def smote_repeated(d: Dataset, minority_class: str, times: int,
-                   cfg: SmoteConfig) -> tuple[Dataset, ResampleRecord]:
-    """Apply 100% oversampling `times` times, doubling the minority each round.
-
-    Each round draws a fresh sub-seed from cfg.seed, runs at percent=100
-    with cfg.k_neighbors, and feeds its output to the next round, so later
-    rounds interpolate among earlier synthetics as well.
-    """
-    if times < 1:
-        raise ResampleError("times must be at least 1")
-    counts_before = class_counts(d)
-    current = d
-    created = 0
-    for r in range(times):
-        round_cfg = SmoteConfig(
-            seed=derive_seed(cfg.seed, "round", r),
-            k_neighbors=cfg.k_neighbors,
-            percent=100,
-        )
-        current, rec = smote(current, minority_class, round_cfg)
-        created += rec.synthetic_created
-    record = ResampleRecord(
-        method="smote-repeat",
-        minority_class=minority_class,
-        original_counts=counts_before,
-        final_counts=class_counts(current),
-        synthetic_created=created,
-        config={"seed": cfg.seed, "k_neighbors": cfg.k_neighbors, "times": times},
-        provenance=None,
-    )
-    return current, record
 

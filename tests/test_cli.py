@@ -134,19 +134,6 @@ def test_resample_writes_dataset_and_record(tmp_path, capsys):
     assert record["config"]["percent"] == 100
 
 
-def test_resample_repeat_mode(tiny_path, tmp_path, capsys):
-    out = tmp_path / "rep"
-    code = main([
-        "resample", "--data", str(COHORT_PATH), "--seed", "3",
-        "--smote-repeat", "2", "--out", str(out),
-    ])
-    assert code == 0
-    record = json.loads((out / "resample_record.json").read_text())
-    assert record["method"] == "smote-repeat"
-    assert record["final_counts"] == {"T": 280, "F": 400}
-    assert record["config"]["times"] == 2
-
-
 def test_resample_no_smote_copies_input(tiny_path, tmp_path):
     out = tmp_path / "copy"
     code = main(["resample", "--data", str(tiny_path), "--seed", "1",
@@ -208,22 +195,14 @@ def test_bench_format_selects_stdout_echo(tiny_path, tmp_path, capsys):
     assert doc["reports"][0]["classifier"] == "nb"
 
 
-def test_bench_csv_input_needs_schema(tiny_path, tmp_path, capsys):
-    csv_path = tmp_path / "tiny.csv"
-    csv_path.write_text("x,c\nA,T\nA,T\nB,F\nB,F\n")
-    assert main(_bench_args(csv_path, tmp_path / "o1")) == 1
-    assert "--schema" in capsys.readouterr().err
-    code = main(_bench_args(csv_path, tmp_path / "o2", "--schema", str(tiny_path)))
-    assert code == 0
-    doc = json.loads((tmp_path / "o2" / "report.json").read_text())
-    assert doc["config"]["data_format"] == "csv"
-    assert doc["reports"][0]["cva"] == 100.0
-
-
 def test_bench_usage_and_data_errors(tiny_path, tmp_path, capsys):
     # argparse problems exit 2
     assert main(["bench", "--data", str(tiny_path)]) == 2
     assert main(["bench", "--data", str(tiny_path), "--seed", "1", "--bogus"]) == 2
+    # so are the removed CSV and repeated-SMOTE flags and the plotdata command
+    for removed in (["--smote-repeat", "2"], ["--schema", "x.arff"], ["--data-format", "csv"]):
+        assert main(["bench", "--data", str(tiny_path), "--seed", "1", *removed]) == 2
+    assert main(["plotdata", "m.json"]) == 2
     # domain problems exit 1
     base = ["bench", "--data", str(tiny_path), "--seed", "1",
             "--no-smote", "--folds", "2", "--out", str(tmp_path / "e")]
@@ -235,14 +214,11 @@ def test_bench_usage_and_data_errors(tiny_path, tmp_path, capsys):
 
 
 def test_bench_records_every_flag_in_config(tiny_path, tmp_path, capsys):
-    csv_path = tmp_path / "tiny.csv"
-    csv_path.write_text("x,c\nA,T\nA,T\nB,F\nB,F\n")
     out = tmp_path / "all"
     code = main([
-        "bench", "--data", str(csv_path), "--data-format", "csv", "--schema", str(tiny_path),
-        "--class-attribute", "c", "--positive-class", "F", "--impute", "drop-instance",
+        "bench", "--data", str(tiny_path), "--class-attribute", "c", "--positive-class", "F", "--impute", "drop-instance",
         "--folds", "2", "--seed", "5", "--no-smote", "--smote-percent", "200",
-        "--smote-k", "3", "--smote-repeat", "2", "--smote-within-folds",
+        "--smote-k", "3", "--smote-within-folds",
         "--classifiers", "nb,j48,mlp", "--mlp-epochs", "2", "--mlp-learning-rate", "0.5",
         "--mlp-momentum", "0.1", "--mlp-hidden", "3,2", "--tree-min-leaf", "1",
         "--tree-confidence", "0.1", "--tree-no-pruning", "--out", str(out),
@@ -252,9 +228,7 @@ def test_bench_records_every_flag_in_config(tiny_path, tmp_path, capsys):
     doc = json.loads((out / "report.json").read_text())
     assert json.loads(capsys.readouterr().out) == doc
     assert doc["config"] == {
-        "data": str(csv_path),
-        "data_format": "csv",
-        "schema": str(tiny_path),
+        "data": str(tiny_path),
         "class_attribute": "c",
         "positive_class": "F",
         "impute": "drop-instance",
@@ -263,7 +237,6 @@ def test_bench_records_every_flag_in_config(tiny_path, tmp_path, capsys):
         "smote": False,
         "smote_percent": 200,
         "smote_k": 3,
-        "smote_repeat": 2,
         "smote_within_folds": True,
         "classifiers": ["nb", "j48", "mlp"],
         "mlp_epochs": 2,
@@ -393,63 +366,6 @@ def test_bench_upfront_smote_balances_the_table(tmp_path, capsys):
     assert doc["class_counts"] == {"T": 560, "F": 400}
     assert doc["resampling"]["method"] == "smote"
     assert doc["reports"][0]["n_instances"] == 960
-
-
-# -- plotdata --------------------------------------------------------------------
-
-
-def test_plotdata_grid(tiny_path, tmp_path, capsys):
-    out = tmp_path / "run"
-    assert main(_bench_args(tiny_path, out)) == 0
-    capsys.readouterr()
-    assert main(["plotdata", str(out / "manifest.json")]) == 0
-    assert "wrote" in capsys.readouterr().out
-    lines = (out / "plot.csv").read_text().splitlines()
-    assert lines[0] == "metric,Naive Bayes"
-    assert len(lines) == 12
-    assert lines[1] == "Correctly Classified,100.0"
-    # report.json works as input too, and --out moves the file
-    target = tmp_path / "custom.csv"
-    assert main(["plotdata", str(out / "report.json"), "--out", str(target)]) == 0
-    assert target.read_text().splitlines()[0] == "metric,Naive Bayes"
-
-
-def test_plotdata_of_a_bench_run_is_its_report_csv(tiny_path, tmp_path, capsys):
-    out = tmp_path / "run"
-    assert main(_bench_args(tiny_path, out, "--classifiers", "nb,j48")) == 0
-    assert main(["plotdata", str(out / "manifest.json")]) == 0
-    capsys.readouterr()
-    assert (out / "plot.csv").read_bytes() == (out / "report.csv").read_bytes()
-
-
-def test_plotdata_blank_cells_for_undefined_metrics(tmp_path, capsys):
-    doc = {"reports": [{"classifier": "nb", "display_name": "Naive Bayes",
-                        "metrics": {"correctly_classified": 50.0, "roc_area": None}}]}
-    p = tmp_path / "manifest.json"
-    p.write_text(json.dumps(doc))
-    assert main(["plotdata", str(p)]) == 0
-    capsys.readouterr()
-    lines = (tmp_path / "plot.csv").read_text().splitlines()
-    assert lines[1] == "Correctly Classified,50.0"
-    assert lines[-1] == "ROC Area,"
-
-
-def test_plotdata_errors(tmp_path, capsys):
-    assert main(["plotdata", str(tmp_path / "none.json")]) == 1
-    bad = tmp_path / "bad.json"
-    bad.write_text("not json")
-    assert main(["plotdata", str(bad)]) == 1
-    empty = tmp_path / "empty.json"
-    empty.write_text("{}")
-    assert main(["plotdata", str(empty)]) == 1
-    # valid JSON of the wrong shape
-    for i, doc in enumerate(([1, 2], {"reports": [7]},
-                             {"reports": [{"metrics": {"roc_area": "high"}}]})):
-        wrong = tmp_path / f"wrong{i}.json"
-        wrong.write_text(json.dumps(doc))
-        assert main(["plotdata", str(wrong)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("error:") == 6
 
 
 # -- misc ------------------------------------------------------------------------

@@ -241,6 +241,19 @@ def test_predictions_are_normalized():
     assert (p > 0).all()
 
 
+def test_prediction_far_outside_the_training_range_raises_no_warning():
+    d = _toy_dataset()
+    model = train_mlp(d, MlpConfig(seed=0, hidden_sizes=(3,), epochs=2))
+    rows = query(d, (0, 1e6, 0), (0, -1e6, 0))
+    z = encode_inputs(model.encoding, rows) @ model.weights[0] + model.biases[0]
+    assert z.min() < -710  # exp(-z) overflows in the sigmoid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = mlp_predict(model, rows)
+    assert np.isfinite(p).all()
+    assert p.sum(axis=1) == pytest.approx(np.ones(2))
+
+
 def test_config_validation():
     for bad in (dict(learning_rate=0.0), dict(learning_rate=1.5),
                 dict(momentum=0.0), dict(momentum=1.2), dict(epochs=0),

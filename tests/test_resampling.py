@@ -14,7 +14,6 @@ from postop.resampling import (
     SmoteConfig,
     _neighbor_table,
     smote,
-    smote_repeated,
 )
 
 
@@ -130,21 +129,6 @@ def test_neighbor_table_on_extreme_magnitudes():
         warnings.simplefilter("error", RuntimeWarning)
         table = _neighbor_table(d, np.arange(4), 3)
     assert table.tolist() == [[2, 3, 1], [3, 2, 0], [3, 0, 1], [1, 2, 0]]
-
-
-def test_smote_repeated_doubles_each_round(cohort):
-    out, record = smote_repeated(cohort, "T", 3, SmoteConfig(seed=5, k_neighbors=5))
-    assert class_counts(out) == {"T": 560, "F": 400}
-    assert record.synthetic_created == 490  # 70 + 140 + 280
-    assert record.method == "smote-repeat"
-    assert record.config["times"] == 3
-
-
-def test_smote_repeated_determinism(cohort):
-    a, _ = smote_repeated(cohort, "T", 2, SmoteConfig(seed=5))
-    b, _ = smote_repeated(cohort, "T", 2, SmoteConfig(seed=5))
-    assert to_arff(a) == to_arff(b)
-
 
 
 # -- properties ------------------------------------------------------------------
