@@ -2,12 +2,13 @@
 
     PYTHONPATH=src python scripts/report_digests.py
 
-Each run calls postop.cli.main in-process: one `bench` on the synthetic
-cohort (tests/data/synthetic_cohort.arff) or on a copy made from its text.
-The runs work in a temporary directory and name their data files
-relatively, so report.json does not depend on where the checkout lives.
-Each output line gives the run, the file (report.json, report.md,
-report.csv) and its digest.
+Each run calls postop.cli.main in-process: one `bench` or `resample` on
+the synthetic cohort (tests/data/synthetic_cohort.arff) or on a copy made
+from its text. The runs work in a temporary directory and name their data
+files relatively, so report.json does not depend on where the checkout
+lives. Each output line gives the run, the file (report.json, report.md,
+report.csv of a bench; resampled.arff, resample_record.json of a resample)
+and its digest.
 
 To show that a change keeps every report byte-identical, run this script
 once with each commit's src/ on PYTHONPATH and diff the two outputs.
@@ -28,6 +29,7 @@ from postop.cli import main
 
 COHORT = Path(__file__).resolve().parent.parent / "tests" / "data" / "synthetic_cohort.arff"
 FILES = ("report.json", "report.md", "report.csv")
+RESAMPLE_FILES = ("resampled.arff", "resample_record.json")
 
 # (run name, data file, bench flags beyond --data, --seed, --out and --mlp-epochs)
 RUNS = (
@@ -43,6 +45,12 @@ RUNS = (
     ("constant-in-training", "flat.arff", ["--smote-within-folds"]),
     ("edge-of-float-range", "edge.arff", []),
     ("wide-domain", "wide.arff", ["--classifiers", "j48,nb"]),
+)
+
+# (run name, resample flags beyond --data holes.arff, --seed and --out)
+RESAMPLE_RUNS = (
+    ("resample", ["--impute", "drop-instance"]),
+    ("resample-no-smote", ["--impute", "drop-instance", "--no-smote"]),
 )
 
 # values added to DGN's domain in wide.arff, so it has 10; numpy sums 8 or more
@@ -92,15 +100,14 @@ def write_inputs(text: str) -> None:
     Path("wide.arff").write_text(wide_header + "@data\n" + "\n".join(map(",".join, wide)) + "\n")
 
 
-def run(name: str, data: str, flags: list[str]) -> list[str]:
+def run(name: str, argv: list[str], files: tuple[str, ...]) -> list[str]:
     quiet = io.StringIO()
     with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
-        code = main(["bench", "--data", data, "--seed", "1", "--out", name,
-                     "--mlp-epochs", "3", *flags])
+        code = main([*argv, "--seed", "1", "--out", name])
     if code != 0:
         sys.exit(f"run {name} exited {code}:\n{quiet.getvalue()}")
     return [f"{name} {f} {hashlib.sha256(Path(name, f).read_bytes()).hexdigest()}"
-            for f in FILES]
+            for f in files]
 
 
 def digest_lines() -> list[str]:
@@ -110,7 +117,10 @@ def digest_lines() -> list[str]:
         os.chdir(tmp)
         try:
             write_inputs(text)
-            return [line for name, data, flags in RUNS for line in run(name, data, flags)]
+            lines = [line for name, data, flags in RUNS for line in run(
+                name, ["bench", "--data", data, "--mlp-epochs", "3", *flags], FILES)]
+            return lines + [line for name, flags in RESAMPLE_RUNS for line in run(
+                name, ["resample", "--data", "holes.arff", *flags], RESAMPLE_FILES)]
         finally:
             os.chdir(cwd)
 

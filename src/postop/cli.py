@@ -108,15 +108,14 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_resample(args) -> int:
-    d, path = _load_dataset(args)
-    d = impute_missing(d, args.impute)
+    d = impute_missing(_load_dataset(args)[0], args.impute)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "resampled.arff"
     record_path = out_dir / "resample_record.json"
 
     if args.no_smote:
-        out_path.write_bytes(path.read_bytes())  # byte-identical copy
+        out_path.write_text(to_arff(d))
         record = {
             "method": "none",
             "original_counts": class_counts(d),
@@ -124,7 +123,7 @@ def _cmd_resample(args) -> int:
             "synthetic_created": 0,
         }
         record_path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        print(f"no resampling; copied input to {out_path}")
+        print(f"no resampling; wrote {out_path} and {record_path}")
         return 0
 
     minority = _positive_class(d, args.positive_class)

@@ -297,27 +297,25 @@ def missing_census(d: Dataset) -> dict[str, int]:
 
 
 def observed_range(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) of each numeric predictor column over its observed cells."""
+    """(lo, hi) of each numeric predictor column of a non-empty table."""
     num = d.numeric_matrix()
-    _check(np.isnan(num).all(axis=0), lambda j: f"attribute "
-           f"{d.schema[d.numeric_predictor_indices[j]].name!r} has no observed values to scale by")
-    return np.nanmin(num, axis=0), np.nanmax(num, axis=0)
+    return num.min(axis=0), num.max(axis=0)
 
 
 def minmax_scale(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Numeric columns scaled so each column's lo maps to 0 and hi to 1.
 
-    Values outside [lo, hi] extrapolate. Missing cells, and every cell of a
-    constant column (whose span halves to 0: lo == hi, or hi - lo a few
-    subnormals), give 0; an infinite quotient gives the largest finite
-    float of its sign. Each term is halved before it is subtracted, so no
-    difference of two finite floats overflows.
+    Values outside [lo, hi] extrapolate. Every cell of a constant column
+    (whose span halves to 0: lo == hi, or hi - lo a few subnormals) gives
+    0; an infinite quotient gives the largest finite float of its sign.
+    Each term is halved before it is subtracted, so no difference of two
+    finite floats overflows.
     """
     span = hi / 2 - lo / 2
     constant = span == 0
     with np.errstate(over="ignore"):  # nan_to_num clamps an infinite quotient
         x = np.where(constant, 0.0, (values / 2 - lo / 2) / np.where(constant, 1.0, span))
-    return np.nan_to_num(x, nan=0.0)
+    return np.nan_to_num(x)
 
 
 def impute_missing(d: Dataset, strategy: str = "mean-or-mode") -> Dataset:

@@ -16,7 +16,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dataset import CLASS, NOMINAL, DataError, Dataset, is_missing
+from .dataset import CLASS, NOMINAL, DataError, Dataset
 
 # gains this small are noise; such attributes are not split candidates
 GAIN_EPS = 1e-12
@@ -178,6 +178,14 @@ def _leaf(counts: np.ndarray) -> TreeNode:
     return TreeNode(counts=counts, prediction=int(np.argmax(counts)))
 
 
+def _route(node: TreeNode, d: Dataset, idx: np.ndarray) -> list[np.ndarray]:
+    """The rows idx split by an internal node's test, one index array per child."""
+    v = d.column(node.attr_index)[idx]
+    if node.threshold is not None:
+        v = v > node.threshold
+    return [idx[v == k] for k in range(len(node.children))]
+
+
 class _Trainer:
     def __init__(self, d: Dataset, cfg: TreeConfig):
         if (d.codes_matrix() < 0).any() or np.isnan(d.numeric_matrix()).any():
@@ -229,15 +237,10 @@ class _Trainer:
             if best is None:
                 continue
             node.attr_index, node.threshold, child_counts = best
-            vals = self.d.column(node.attr_index)[idx]
-            if node.threshold is None:
-                parts = [idx[vals == v]
-                         for v in range(len(self.d.schema[node.attr_index].values))]
-            else:
-                parts = [idx[vals <= node.threshold], idx[vals > node.threshold]]
+            size = len(self.d.schema[node.attr_index].values) or 2  # a numeric test has 2
             # a copy, so the nodes do not keep the whole scan table alive
-            node.children = [_leaf(c) for c in child_counts[:len(parts)].copy()]
-            stack.extend(zip(node.children, parts))
+            node.children = [_leaf(c) for c in child_counts[:size].copy()]
+            stack.extend(zip(node.children, _route(node, self.d, idx)))
         return root
 
 
@@ -316,26 +319,18 @@ def train_tree(d: Dataset, cfg: TreeConfig | None = None) -> TreeNode:
 def tree_predict(t: TreeNode, d: Dataset) -> np.ndarray:
     """Class probabilities (rows, classes) from the leaf each row reaches.
 
-    Row index sets are routed down the tree. The leaf's training counts
-    get a +1 correction per class, so empty leaves yield a uniform
-    distribution. Unseen or missing test values fall through to the child
-    with the largest training mass (the earliest on ties).
+    Row index sets are routed down the tree; d must have no missing cells.
+    The leaf's training counts get a +1 correction per class, so empty
+    leaves yield a uniform distribution.
     """
-    out = np.empty((len(d), len(t.counts)))
+    out = np.full((len(d), len(t.counts)), np.nan)
     stack = [(t, np.arange(len(d)))]
     while stack:
         node, idx = stack.pop()
         if node.is_leaf:
             out[idx] = (node.counts + 1.0) / (node.counts.sum() + len(node.counts))
             continue
-        v = d.column(node.attr_index)[idx]
-        if node.threshold is not None:
-            branch = np.where(v <= node.threshold, 0, 1)
-        else:
-            branch = v.copy()
-        unseen = is_missing(v) | (branch >= len(node.children))
-        branch[unseen] = np.argmax([child.counts.sum() for child in node.children])
-        stack.extend((child, idx[branch == k]) for k, child in enumerate(node.children))
+        stack.extend(zip(node.children, _route(node, d, idx)))
     return out
 
 
@@ -440,17 +435,15 @@ def gain_ratio(d: Dataset, attribute) -> float | None:
 
     Numeric attributes are scored at their best-gain midpoint threshold.
     Returns None when the attribute cannot split the data (fewer than two
-    observed values). Rows missing the attribute's value are left out.
+    distinct values). d must have no missing value in the attribute.
     """
     ai = d.attribute_index(attribute) if isinstance(attribute, str) else int(attribute)
     attr = d.schema[ai]
     if attr.role == CLASS:
         raise DataError("gain ratio of the class attribute is undefined")
-    col = d.column(ai)
-    keep = ~is_missing(col)
-    if keep.sum() < 2:
+    if len(d) < 2:
         return None
-    col, y = col[keep, None], d.class_codes()[keep]
+    col, y = d.column(ai)[:, None], d.class_codes()
     n_classes = len(d.class_labels)
     counts = np.bincount(y, minlength=n_classes).astype(float)
     if attr.kind == NOMINAL:

@@ -12,7 +12,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .dataset import DataError, Dataset
+from .dataset import DataError, Dataset, missing_census
 from .decision_tree import TreeConfig, train_tree, tree_predict
 from .mlp import MlpConfig, mlp_predict, train_mlp, train_mlps
 from .naive_bayes import nb_predict, train_nb
@@ -344,7 +344,10 @@ def cross_validate(d: Dataset, spec: ClassifierSpec, folds: FoldAssignment,
     Per-fold training seeds derive from (folds.seed, "train", name, fold).
     train_transform, when given, maps (training subset, derived seed) to
     the dataset actually trained on; test folds are never transformed.
+    d must have no missing cells.
     """
+    if missing_census(d):
+        raise DataError("cross-validation needs a table with no missing cells; impute it first")
     n = len(d)
     if folds.fold_of.shape[0] != n:
         raise DataError("fold assignment does not match the dataset size")

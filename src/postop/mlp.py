@@ -100,11 +100,9 @@ def encode(d: Dataset) -> tuple[Encoding, np.ndarray, np.ndarray]:
 
 
 def encode_inputs(enc: Encoding, d: Dataset) -> np.ndarray:
-    """Input matrix (rows, input_width); missing values encode to all-zero fields."""
+    """Input matrix (rows, input_width) of a table with no missing cells."""
     x = np.zeros((len(d), enc.input_width))
-    codes = d.codes_matrix()
-    rows, cols = np.nonzero(codes >= 0)
-    x[rows, enc.nominal_offsets[cols] + codes[rows, cols]] = 1.0
+    x[np.arange(len(d))[:, None], enc.nominal_offsets + d.codes_matrix()] = 1.0
     x[:, enc.numeric_offsets] = minmax_scale(d.numeric_matrix(), enc.lo, enc.hi)
     return x
 

@@ -69,26 +69,20 @@ def train_nb(d: Dataset) -> NaiveBayesModel:
     nominal_tables: dict[int, np.ndarray] = {}
     for ai, codes in zip(d.nominal_predictor_indices, d.codes_matrix().T):
         size = len(d.schema[ai].values)
-        seen = codes >= 0
-        counts = np.bincount(y[seen] * size + codes[seen], minlength=n_classes * size)
+        counts = np.bincount(y * size + codes, minlength=n_classes * size)
         counts = counts.reshape(n_classes, size).astype(float)
-        observed = counts.sum(axis=1, keepdims=True)
-        nominal_tables[ai] = (counts + 1.0) / (observed + size)
+        nominal_tables[ai] = (counts + 1.0) / (class_n[:, None] + size)
     gaussian_params: dict[int, np.ndarray] = {}
     numeric_scales: dict[int, float] = {}
     for ai, vals in zip(d.numeric_predictor_indices, d.numeric_matrix().T):
-        seen = ~np.isnan(vals)
-        if not seen.any():
-            raise DataError(f"attribute {d.schema[ai].name!r} has no observed values")
-        exponent = math.frexp(np.abs(vals[seen]).max())[1]
+        exponent = math.frexp(np.abs(vals).max())[1]
         numeric_scales[ai] = math.ldexp(1.0, max(0, exponent - 500))
         vals = vals / numeric_scales[ai]
         params = np.empty((n_classes, 2))
         for c in range(n_classes):
-            mask = seen & (y == c)
-            if not mask.any():
-                mask = seen  # an absent class takes the whole-data parameters
-            params[c] = (vals[mask].mean(), max(vals[mask].var(), VARIANCE_FLOOR))
+            # an absent class takes the whole-data parameters
+            own = vals[y == c] if class_n[c] else vals
+            params[c] = (own.mean(), max(own.var(), VARIANCE_FLOOR))
         gaussian_params[ai] = params
     return NaiveBayesModel(
         class_labels=d.class_labels,
@@ -103,12 +97,12 @@ def train_nb(d: Dataset) -> NaiveBayesModel:
 def nb_predict(model: NaiveBayesModel, d: Dataset) -> np.ndarray:
     """Posterior probabilities (rows, classes), in class declaration order.
 
-    Computed in log space and normalized to sum to 1 per row. Missing
-    attribute values contribute nothing. Ties resolve toward the earlier
-    class when the caller takes an argmax, since numpy returns the first
-    maximum. Numeric values are scored in their attribute's scale units;
-    the log(scale**2) this leaves out of each density is the same for
-    every class, so it cancels in the normalization.
+    Computed in log space and normalized to sum to 1 per row; d must have
+    no missing cells. Ties resolve toward the earlier class when the caller
+    takes an argmax, since numpy returns the first maximum. Numeric values
+    are scored in their attribute's scale units; the log(scale**2) this
+    leaves out of each density is the same for every class, so it cancels
+    in the normalization.
     """
     log_post = np.tile(np.log(model.priors), (len(d), 1))
     # each row's quadratic sum over numeric attributes in units of 2**1080: a
@@ -116,20 +110,17 @@ def nb_predict(model: NaiveBayesModel, d: Dataset) -> np.ndarray:
     # term that overflows a double is still a normal number above 2**-56
     quad = np.zeros_like(log_post)
     for ai, table in model.nominal_tables.items():
-        v = d.column(ai)
-        seen = v >= 0
-        log_post[seen] += np.log(table[:, v[seen]]).T
+        log_post += np.log(table[:, d.column(ai)]).T
     for ai, params in model.gaussian_params.items():
         v = d.column(ai) / model.numeric_scales[ai]
-        seen = ~np.isnan(v)
         mean, var = params[:, 0], params[:, 1]
-        gap = v[seen, None] - mean
-        quad[seen] += (gap * 2.0**-540) ** 2 / var
+        gap = v[:, None] - mean
+        quad += (gap * 2.0**-540) ** 2 / var
         with np.errstate(over="ignore"):
             z = gap**2 / var
         # a value whose term overflows for every class goes to the widest one
         z[np.isinf(z).all(axis=1)] = np.where(var == var.max(), 0.0, np.inf)
-        log_post[seen] += -0.5 * (np.log(2.0 * math.pi * var) + z)
+        log_post += -0.5 * (np.log(2.0 * math.pi * var) + z)
     # two such values with different widest classes leave no class finite; the
     # quadratic terms then outweigh every log term, so the limit is one-hot on
     # the smallest quadratic sum

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DataError, Dataset, class_counts, minmax_scale, observed_range
+from .dataset import (DataError, Dataset, class_counts, minmax_scale, missing_census,
+                      observed_range)
 
 
 class ResampleError(DataError):
@@ -96,24 +97,12 @@ def _neighbor_table(d: Dataset, min_idx: np.ndarray, k: int) -> np.ndarray:
     over the whole dataset) plus a 0/1 mismatch term per nominal attribute.
     Returns positions into min_idx, shape (len(min_idx), k).
     """
-    num = d.numeric_matrix()
-    nom = d.codes_matrix()
-    if np.isnan(num[min_idx]).any() or (nom[min_idx] < 0).any():
-        raise ResampleError("minority instances must have no missing values")
-    xn = minmax_scale(num[min_idx], *observed_range(d))  # a constant column adds 0
-    xc = nom[min_idx]
-
-    m = len(min_idx)
-    d2 = np.zeros((m, m))
-    if xn.size:
-        diff = xn[:, None, :] - xn[None, :, :]
-        d2 += (diff * diff).sum(axis=2)
-    if xc.size:
-        d2 += (xc[:, None, :] != xc[None, :, :]).sum(axis=2)
-
-    order = np.argsort(d2, axis=1, kind="stable")  # ties toward earlier rows
-    # drop each row's own position, which occurs once per row
-    return order[order != np.arange(m)[:, None]].reshape(m, m - 1)[:, :k]
+    xn = minmax_scale(d.numeric_matrix()[min_idx], *observed_range(d))  # a constant column adds 0
+    xc = d.codes_matrix()[min_idx]
+    diff = xn[:, None, :] - xn[None, :, :]
+    d2 = (diff * diff).sum(axis=2) + (xc[:, None, :] != xc[None, :, :]).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)  # no row is its own neighbour
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]  # ties toward earlier rows
 
 
 def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, ResampleRecord]:
@@ -122,7 +111,7 @@ def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, R
     Parameters
     ----------
     d : Dataset
-        Input table; minority instances must be free of missing values.
+        Input table, with no missing cells (impute it first).
     minority_class : str
         Class value to oversample.
     cfg : SmoteConfig
@@ -142,6 +131,8 @@ def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, R
     synthetics are then shuffled by the same RNG. percent=0 returns the
     input unchanged.
     """
+    if missing_census(d):
+        raise ResampleError("SMOTE needs a table with no missing cells; impute it first")
     minority_code, min_idx = _minority_indices(d, minority_class)
     m = len(min_idx)
     if m == 0:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postop.cli import main
-from postop.dataset import parse_arff
+from postop.dataset import class_counts, parse_arff
 
 from conftest import COHORT_PATH, TESTS_DIR, time_limit
 
@@ -47,6 +47,18 @@ MISSING_ARFF = """@relation holes
 x,?,F
 x,2.0,T
 y,3.0,F
+"""
+
+
+# one missing cell, in a T row
+ONE_HOLE_ARFF = """@relation hole
+@attribute a {x,y}
+@attribute c {T,F}
+@data
+?,T
+x,T
+x,F
+y,F
 """
 
 
@@ -139,10 +151,24 @@ def test_resample_no_smote_copies_input(tiny_path, tmp_path):
     code = main(["resample", "--data", str(tiny_path), "--seed", "1",
                  "--no-smote", "--out", str(out)])
     assert code == 0
-    assert (out / "resampled.arff").read_bytes() == tiny_path.read_bytes()
+    written = parse_arff((out / "resampled.arff").read_text())
+    assert written == parse_arff(tiny_path.read_text())
     record = json.loads((out / "resample_record.json").read_text())
     assert record["method"] == "none"
     assert record["synthetic_created"] == 0
+    assert record["final_counts"] == class_counts(written) == {"T": 2, "F": 2}
+
+
+def test_resample_no_smote_writes_the_imputed_table(tmp_path):
+    p = tmp_path / "hole.arff"
+    p.write_text(ONE_HOLE_ARFF)
+    out = tmp_path / "out"
+    assert main(["resample", "--data", str(p), "--seed", "1", "--no-smote",
+                 "--impute", "drop-instance", "--out", str(out)]) == 0
+    record = json.loads((out / "resample_record.json").read_text())
+    assert record["original_counts"] == record["final_counts"] == {"T": 1, "F": 2}
+    written = parse_arff((out / "resampled.arff").read_text())
+    assert class_counts(written) == record["final_counts"]
 
 
 def test_resample_requires_seed(tiny_path, capsys):

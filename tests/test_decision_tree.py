@@ -146,22 +146,11 @@ def test_identical_columns_tie_and_the_earlier_attribute_splits(order):
         assert splits and all(earlier[ai] == ai for ai in splits)
 
 
-def test_gain_ratio_excludes_missing_rows():
-    d = nominal_dataset({"a": [0, 1, 0, 1]}, [0, 0, 1, 1])
-    rows = d.rows()
-    rows[3] = (None, 1)
-    with_missing = query(d, *rows)
-    col = [0, 1, 0]
-    expected = gain_ratio_nominal(col, [0, 0, 1])
-    assert gain_ratio(with_missing, "a") == pytest.approx(expected, abs=1e-12)
-
-
 def test_gain_ratio_degenerate_cases():
     d = nominal_dataset({"a": [0, 0, 0, 0]}, [0, 0, 1, 1], domains={"a": 2})
     assert gain_ratio(d, "a") is None
     with pytest.raises(DataError, match="class"):
         gain_ratio(d, "cls")
-    assert gain_ratio(query(d, (None, 0), (None, 1)), "a") is None
 
 
 def test_numeric_threshold_is_midpoint_lowest_on_ties():
@@ -288,18 +277,6 @@ def test_empty_branch_predicts_uniformly():
     assert empty.prediction == 0
     p = tree_predict(t, query(d, (2, 0)))
     assert p.tolist() == [[0.5, 0.5]]
-
-
-def test_missing_and_unseen_values_take_largest_child():
-    d = nominal_dataset({"a": [0, 0, 0, 0, 1, 1]}, [0, 0, 0, 0, 1, 1])
-    t = train_tree(d)
-    heavy = tree_predict(t, query(d, (0, 0)))[0]
-    assert tree_predict(t, query(d, (None, 0)))[0].tolist() == heavy.tolist()
-    # a code outside the training domain (a wider test schema) also falls through
-    wider = (AttributeSchema("a", "nominal", tuple(f"av{i}" for i in range(8))), d.schema[1])
-    unseen = tree_predict(t, Dataset.from_rows(wider, [(7, 0), (1, 0)]))
-    assert unseen[0].tolist() == heavy.tolist()
-    assert unseen[1].tolist() != heavy.tolist()
 
 
 def test_leaf_probabilities_are_smoothed_counts():

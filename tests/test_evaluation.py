@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postop.dataset import DataError
+from postop.dataset import DataError, Dataset
 from postop.evaluation import (
     ClassifierSpec,
     ConfusionMatrix,
@@ -355,6 +355,15 @@ def test_cross_validate_validation_errors():
     bigger = nominal_dataset({"a": [0, 1] * 5}, [0, 1] * 5)
     with pytest.raises(DataError, match="does not match"):
         cross_validate(bigger, _cheat_spec(), folds)
+
+
+def test_cross_validate_refuses_a_missing_cell():
+    d = nominal_dataset({"a": [0, 1] * 4}, [0, 1] * 4)
+    rows = d.rows()
+    rows[5] = (None, rows[5][1])
+    holed = Dataset.from_rows(d.schema, rows)
+    with pytest.raises(DataError, match="impute it first"):
+        cross_validate(holed, make_classifier("nb"), stratified_folds(holed, 2, 0))
 
 
 # -- classifier registry ---------------------------------------------------------------

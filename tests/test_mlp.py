@@ -91,17 +91,6 @@ def test_numeric_scaling_and_constant_column():
     assert x[0, 1] == 0.0
 
 
-def test_encode_rejects_an_all_missing_numeric_column():
-    schema = [
-        AttributeSchema("u", "numeric"),
-        AttributeSchema("v", "numeric"),
-        AttributeSchema("cls", "nominal", ("T", "F"), role="class"),
-    ]
-    d = Dataset.from_rows(schema, [(1.0, None, 0), (2.0, None, 1)])
-    with pytest.raises(DataError, match="'v' has no observed values to scale by"):
-        encode(d)
-
-
 def test_extreme_magnitudes_scale_into_the_unit_interval():
     schema = [
         AttributeSchema("v", "numeric"),
@@ -112,15 +101,6 @@ def test_extreme_magnitudes_scale_into_the_unit_interval():
         warnings.simplefilter("error", RuntimeWarning)
         _, x, _ = encode(d)
     assert x[:, 0].tolist() == [0.0, 1.0, 0.5, 0.75]
-
-
-def test_missing_values_encode_to_zero():
-    d = _toy_dataset()
-    enc, _, _ = encode(d)
-    x = encode_inputs(enc, query(d, (None, None, 0), (1, None, 0), (None, 3.0, 0)))
-    assert x[0].tolist() == [0.0, 0.0, 0.0]
-    assert x[1, :2].tolist() == [0.0, 1.0] and x[1, 2] == 0.0
-    assert x[2, :2].tolist() == [0.0, 0.0] and x[2, 2] > 0.0
 
 
 def test_encode_rejects_empty_dataset():

@@ -168,22 +168,6 @@ def test_gaussian_likelihood_formula():
     assert np.allclose(got, expected, atol=1e-12)
 
 
-def test_missing_values_contribute_nothing():
-    schema = [
-        AttributeSchema("a", "nominal", ("x", "y")),
-        AttributeSchema("v", "numeric"),
-        AttributeSchema("c", "nominal", ("T", "F"), role="class"),
-    ]
-    d = Dataset.from_rows(schema, [(0, 1.0, 0), (1, 2.0, 0), (0, 4.0, 1), (1, 5.0, 1)])
-    model = train_nb(d)
-    # with both fields missing the posterior is just the smoothed prior;
-    # with one missing it equals dropping that attribute's factor
-    p, p2 = nb_predict(model, query(d, (None, None, 0), (0, None, 0)))
-    assert np.allclose(p, model.priors / model.priors.sum(), atol=1e-15)
-    joint = model.priors * model.nominal_tables[0][:, 0]
-    assert np.allclose(p2, joint / joint.sum(), atol=1e-15)
-
-
 def test_duplicated_data_still_matches_oracle():
     # smoothing is not scale invariant, so duplication may move posteriors;
     # the model must stay consistent with enumeration on the doubled rows

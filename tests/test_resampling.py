@@ -30,6 +30,14 @@ def test_config_validation():
         SmoteConfig(seed=1, k_neighbors=0)
 
 
+def test_a_missing_majority_cell_is_refused():
+    schema = [AttributeSchema("x", "numeric"),
+              AttributeSchema("cls", "nominal", ("T", "F"), role="class")]
+    d = Dataset.from_rows(schema, [(1.0, 0), (2.0, 0), (3.0, 0), (None, 1), (5.0, 1)])
+    with pytest.raises(ResampleError, match="impute it first"):
+        smote(d, "T", SmoteConfig(seed=1, k_neighbors=1, percent=100))
+
+
 def test_percent_zero_returns_input_unchanged(cohort):
     out, record = smote(cohort, "T", SmoteConfig(seed=9, percent=0))
     assert out is cohort
@@ -154,7 +162,7 @@ def smote_cases(draw):
     minority = draw(st.integers(0, 1))
     m = draw(st.integers(2, 10))
     table = rows(minority, m, number)
-    table += rows(1 - minority, draw(st.integers(0, 10)), st.none() | number)
+    table += rows(1 - minority, draw(st.integers(0, 10)), number)
     d = Dataset.from_rows(schema, draw(st.permutations(table)))
     cfg = SmoteConfig(seed=draw(st.integers(0, 2**32 - 1)),
                       k_neighbors=draw(st.integers(1, m - 1)),
