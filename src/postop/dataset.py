@@ -296,6 +296,12 @@ def missing_census(d: Dataset) -> dict[str, int]:
     return {name: n for name, n in counts if n}
 
 
+def require_complete(d: Dataset, what: str) -> None:
+    """Raise DataError unless d has no missing cell; what names the refusing step."""
+    if (d.codes_matrix() < 0).any() or np.isnan(d.numeric_matrix()).any():
+        raise DataError(f"{what} needs a table with no missing cells; impute it first")
+
+
 def observed_range(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) of each numeric predictor column of a non-empty table."""
     num = d.numeric_matrix()

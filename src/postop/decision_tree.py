@@ -16,7 +16,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dataset import CLASS, NOMINAL, DataError, Dataset
+from .dataset import CLASS, NOMINAL, DataError, Dataset, require_complete
 
 # gains this small are noise; such attributes are not split candidates
 GAIN_EPS = 1e-12
@@ -43,6 +43,7 @@ class TreeNode:
     the majority class index (ties toward the earlier class). Internal
     nodes test schema attribute attr_index: nominal tests have one child
     per domain value, numeric tests have children [<= threshold, > threshold].
+    Leaves are counted by walking _nodes; the rules come from tree_to_rules.
     """
 
     counts: np.ndarray
@@ -55,9 +56,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.children is None
-
-    def leaf_count(self) -> int:
-        return sum(node.is_leaf for node in _nodes(self))
 
 
 def _nodes(root: TreeNode):
@@ -188,8 +186,7 @@ def _route(node: TreeNode, d: Dataset, idx: np.ndarray) -> list[np.ndarray]:
 
 class _Trainer:
     def __init__(self, d: Dataset, cfg: TreeConfig):
-        if (d.codes_matrix() < 0).any() or np.isnan(d.numeric_matrix()).any():
-            raise DataError("tree training requires a dataset with no missing values")
+        require_complete(d, "tree training")
         self.d = d
         self.cfg = cfg
         self.n_classes = len(d.class_labels)
@@ -300,7 +297,7 @@ def train_tree(d: Dataset, cfg: TreeConfig | None = None) -> TreeNode:
 
     Growth stops at pure nodes, nodes smaller than twice min_leaf_instances,
     and nodes where no attribute offers positive gain. The returned root
-    carries the schema so printers and rule extraction are self-contained.
+    carries the schema, so format_tree and tree_to_rules need nothing else.
     """
     if len(d) == 0:
         raise DataError("cannot train on an empty dataset")
@@ -323,6 +320,7 @@ def tree_predict(t: TreeNode, d: Dataset) -> np.ndarray:
     The leaf's training counts get a +1 correction per class, so empty
     leaves yield a uniform distribution.
     """
+    require_complete(d, "tree prediction")
     out = np.full((len(d), len(t.counts)), np.nan)
     stack = [(t, np.arange(len(d)))]
     while stack:
@@ -392,12 +390,7 @@ def rules_predict(rules: list[Rule], d: Dataset) -> np.ndarray:
     return out
 
 
-# -- printers ------------------------------------------------------------------
-
-
-def _value_text(c: Condition) -> str:
-    """A condition's value as printed: the domain value, or the threshold."""
-    return c.value if c.op == "=" else f"{c.value:g}"
+# -- printer -------------------------------------------------------------------
 
 
 def format_tree(t: TreeNode) -> str:
@@ -405,26 +398,14 @@ def format_tree(t: TreeNode) -> str:
     class_attr = _class_attribute(t)
     lines: list[str] = []
     for node, conds in _walk(t):
-        parts = [f"{c.attribute} {c.op} {_value_text(c)}" for c in conds[-1:]]
+        parts = [f"{c.attribute} {c.op} " + (c.value if c.op == "=" else f"{c.value:g}")
+                 for c in conds[-1:]]
         if node.is_leaf:
             dist = "/".join(f"{c:g}" for c in node.counts)
             parts.append(f"{class_attr.name} = {class_attr.values[node.prediction]} ({dist})")
         if parts:
             lines.append("|   " * max(len(conds) - 1, 0) + ": ".join(parts))
     return "\n".join(lines)
-
-
-def format_rules(rules: list[Rule]) -> str:
-    """Rules as conjunction lines: (attr, value) ∩ ... ⇒ (class = value)."""
-    out = []
-    for rule in rules:
-        parts = []
-        for c in rule.antecedent:
-            shown = _value_text(c) if c.op == "=" else f"{c.op} {_value_text(c)}"
-            parts.append(f"({c.attribute}, {shown})")
-        left = " ∩ ".join(parts) or "(true)"
-        out.append(f"{left} ⇒ ({rule.consequent[0]} = {rule.consequent[1]})")
-    return "\n".join(out)
 
 
 # -- standalone split quality ---------------------------------------------------

@@ -12,7 +12,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .dataset import DataError, Dataset, missing_census
+from .dataset import DataError, Dataset, require_complete
 from .decision_tree import TreeConfig, train_tree, tree_predict
 from .mlp import MlpConfig, mlp_predict, train_mlp, train_mlps
 from .naive_bayes import nb_predict, train_nb
@@ -152,20 +152,13 @@ def error_measures(predicted: np.ndarray, actual: np.ndarray) -> dict:
 # -- ROC -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RocCurve:
-    """Threshold-sweep ROC points (fpr, tpr) from (0,0) to (1,1), and the area."""
+def roc_auc(scores, positive) -> float:
+    """Area under the ROC curve of scores for the positive class.
 
-    points: tuple[tuple[float, float], ...]
-    auc: float
-
-
-def roc_auc(scores, positive) -> RocCurve:
-    """ROC curve and area from scores for the positive class.
-
-    The sweep descends through distinct score values, moving tied
-    instances as one group; the area is the trapezoidal integral, which
-    credits ties with half weight exactly like rank counting.
+    The threshold sweep descends through distinct score values, moving
+    tied instances as one group, from (0, 0) to (1, 1); the area is the
+    trapezoidal integral, which credits ties with half weight exactly like
+    rank counting.
     """
     s = np.asarray(scores, dtype=float)
     pos = np.asarray(positive, dtype=bool)
@@ -186,8 +179,7 @@ def roc_auc(scores, positive) -> RocCurve:
     fpr = np.concatenate(([0.0], (ends + 1 - tp) / n_neg))
     terms = (fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0
     # cumsum adds in order, as a running total would; np.sum adds pairwise
-    auc = np.cumsum(terms)[-1]
-    return RocCurve(points=tuple(zip(fpr.tolist(), tpr.tolist())), auc=float(auc))
+    return float(np.cumsum(terms)[-1])
 
 
 # -- folds ----------------------------------------------------------------------
@@ -346,8 +338,7 @@ def cross_validate(d: Dataset, spec: ClassifierSpec, folds: FoldAssignment,
     the dataset actually trained on; test folds are never transformed.
     d must have no missing cells.
     """
-    if missing_census(d):
-        raise DataError("cross-validation needs a table with no missing cells; impute it first")
+    require_complete(d, "cross-validation")
     n = len(d)
     if folds.fold_of.shape[0] != n:
         raise DataError("fold assignment does not match the dataset size")
@@ -396,7 +387,7 @@ def cross_validate(d: Dataset, spec: ClassifierSpec, folds: FoldAssignment,
         entry = {k: _pct(v) for k, v in m.items()}
         entry["support"] = support
         if support and support < n:
-            entry["roc_area"] = _pct(roc_auc(probs[:, c], y == c).auc)
+            entry["roc_area"] = _pct(roc_auc(probs[:, c], y == c))
         else:
             entry["roc_area"] = None
             auc_defined = False

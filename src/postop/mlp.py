@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import DataError, Dataset, minmax_scale, observed_range
+from .dataset import DataError, Dataset, minmax_scale, observed_range, require_complete
 
 # perfbench/child.py:environment() reads this name to label the training
 # path. Training has one numpy path, so it is False.
@@ -101,6 +101,7 @@ def encode(d: Dataset) -> tuple[Encoding, np.ndarray, np.ndarray]:
 
 def encode_inputs(enc: Encoding, d: Dataset) -> np.ndarray:
     """Input matrix (rows, input_width) of a table with no missing cells."""
+    require_complete(d, "the network encoding")
     x = np.zeros((len(d), enc.input_width))
     x[np.arange(len(d))[:, None], enc.nominal_offsets + d.codes_matrix()] = 1.0
     x[:, enc.numeric_offsets] = minmax_scale(d.numeric_matrix(), enc.lo, enc.hi)

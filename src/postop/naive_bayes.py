@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataError, Dataset
+from .dataset import DataError, Dataset, require_complete
 
 VARIANCE_FLOOR = 1e-6
 
@@ -25,7 +25,8 @@ class NaiveBayesModel:
     smoothed conditional probabilities. gaussian_params maps attribute
     index -> array (classes, 2) of (mean, variance), in units of the power
     of two numeric_scales gives the attribute: 1 for columns below 2**500,
-    larger near the float range, so that no variance overflows.
+    larger near the float range, so that no variance overflows. Attributes
+    are keyed by their index in the training table's schema.
     """
 
     class_labels: tuple[str, ...]
@@ -33,22 +34,6 @@ class NaiveBayesModel:
     nominal_tables: dict[int, np.ndarray]
     gaussian_params: dict[int, np.ndarray]
     numeric_scales: dict[int, float]
-    attribute_names: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "class_labels": list(self.class_labels),
-            "priors": self.priors.tolist(),
-            "nominal_tables": {
-                self.attribute_names[i]: t.tolist() for i, t in self.nominal_tables.items()
-            },
-            "gaussian_params": {
-                self.attribute_names[i]: p.tolist() for i, p in self.gaussian_params.items()
-            },
-            "numeric_scales": {
-                self.attribute_names[i]: s for i, s in self.numeric_scales.items()
-            },
-        }
 
 
 def train_nb(d: Dataset) -> NaiveBayesModel:
@@ -61,6 +46,7 @@ def train_nb(d: Dataset) -> NaiveBayesModel:
     """
     if len(d) == 0:
         raise DataError("cannot train on an empty dataset")
+    require_complete(d, "naive Bayes training")
     y = d.class_codes()
     n_classes = len(d.class_labels)
     class_n = np.bincount(y, minlength=n_classes).astype(float)
@@ -90,7 +76,6 @@ def train_nb(d: Dataset) -> NaiveBayesModel:
         nominal_tables=nominal_tables,
         gaussian_params=gaussian_params,
         numeric_scales=numeric_scales,
-        attribute_names=tuple(a.name for a in d.schema),
     )
 
 
@@ -104,6 +89,7 @@ def nb_predict(model: NaiveBayesModel, d: Dataset) -> np.ndarray:
     leaves out of each density is the same for every class, so it cancels
     in the normalization.
     """
+    require_complete(d, "naive Bayes prediction")
     log_post = np.tile(np.log(model.priors), (len(d), 1))
     # each row's quadratic sum over numeric attributes in units of 2**1080: a
     # gap below 2**1025 over a variance above 2**-20 stays below 2**990, and a

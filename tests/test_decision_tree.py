@@ -15,7 +15,6 @@ from postop.decision_tree import (
     _nodes,
     _scan,
     _Trainer,
-    format_rules,
     format_tree,
     gain_ratio,
     rules_predict,
@@ -49,6 +48,15 @@ def _numeric_dataset(values, labels, name="x"):
         AttributeSchema("cls", "nominal", ("c0", "c1"), role="class"),
     ]
     return Dataset.from_rows(schema, zip(values, labels))
+
+
+def _leaf_count(t):
+    return sum(n.is_leaf for n in _nodes(t))
+
+
+def _antecedents(rules):
+    """Each rule's conditions as (attribute, op, value) triples."""
+    return [[(c.attribute, c.op, c.value) for c in r.antecedent] for r in rules]
 
 
 # -- split scoring -------------------------------------------------------------
@@ -141,7 +149,7 @@ def test_identical_columns_tie_and_the_earlier_attribute_splits(order):
         earlier = {j: min(k for k in range(4) if order[k] % 2 == order[j] % 2) for j in range(4)}
         t = train_tree(d, TreeConfig(min_leaf_instances=1, pruning=False))
         if n == 6:
-            assert t.attr_index == 0 and t.leaf_count() in (2, 3)
+            assert t.attr_index == 0 and _leaf_count(t) in (2, 3)
         splits = [node.attr_index for node in _nodes(t) if not node.is_leaf]
         assert splits and all(earlier[ai] == ai for ai in splits)
 
@@ -196,23 +204,21 @@ def test_mean_gain_filter_yields_known_structure():
     assert t.children[0].attr_index == d.attribute_index("S2")
     assert t.children[1].attr_index == d.attribute_index("S3")
     assert t.children[2].is_leaf
-    assert t.leaf_count() == 5
+    assert _leaf_count(t) == 5
 
 
 def test_known_tree_rules_and_rendering():
     d = fig_dataset()
     t = train_tree(d)
     rules = tree_to_rules(t)
-    assert [r.consequent[1] for r in rules] == ["1", "0", "1", "0", "1"]
-    assert format_rules(rules) == "\n".join(
-        [
-            "(S1, v11) ∩ (S2, v21) ⇒ (d = 1)",
-            "(S1, v11) ∩ (S2, v22) ⇒ (d = 0)",
-            "(S1, v12) ∩ (S3, v31) ⇒ (d = 1)",
-            "(S1, v12) ∩ (S3, v32) ⇒ (d = 0)",
-            "(S1, v13) ⇒ (d = 1)",
-        ]
-    )
+    assert [r.consequent for r in rules] == [("d", v) for v in ("1", "0", "1", "0", "1")]
+    assert _antecedents(rules) == [
+        [("S1", "=", "v11"), ("S2", "=", "v21")],
+        [("S1", "=", "v11"), ("S2", "=", "v22")],
+        [("S1", "=", "v12"), ("S3", "=", "v31")],
+        [("S1", "=", "v12"), ("S3", "=", "v32")],
+        [("S1", "=", "v13")],
+    ]
     assert format_tree(t) == "\n".join(
         [
             "S1 = v11",
@@ -316,7 +322,7 @@ def test_training_indices_route_back_to_their_leaf():
             stack.extend(node.children or ())
             if node.is_leaf:
                 leaves.append(node)
-        assert len(leaves) == t.leaf_count()
+        assert len(leaves) == _leaf_count(t)
         for leaf in leaves:
             expected = routed.get(id(leaf), np.zeros_like(leaf.counts))
             assert leaf.counts.tolist() == expected.tolist()
@@ -345,7 +351,7 @@ def test_pruning_keeps_a_clean_split():
     d = nominal_dataset({"a": [0, 0, 1, 1, 2, 2]}, [0, 0, 0, 0, 1, 1])
     t = train_tree(d)
     assert not t.is_leaf
-    assert t.leaf_count() == 3
+    assert _leaf_count(t) == 3
     assert len(tree_to_rules(t)) == 3
 
 
@@ -357,7 +363,7 @@ def test_pruning_collapses_a_noisy_split():
     d = nominal_dataset({"a": column}, labels)
     unpruned = train_tree(d, TreeConfig(pruning=False))
     pruned = train_tree(d)
-    assert unpruned.leaf_count() == 2
+    assert _leaf_count(unpruned) == 2
     assert pruned.is_leaf
     assert pruned.prediction == 0
     assert pruned.counts.tolist() == [10.0, 6.0]
@@ -369,7 +375,7 @@ def test_pruning_never_grows_the_tree():
         d = random_mixed_dataset(rng, int(rng.integers(8, 40)), n_numeric=2)
         pruned = train_tree(d)
         unpruned = train_tree(d, TreeConfig(pruning=False))
-        assert pruned.leaf_count() <= unpruned.leaf_count()
+        assert _leaf_count(pruned) <= _leaf_count(unpruned)
 
 
 def test_deep_tree_trains_predicts_and_benches(tmp_path, capsys):
@@ -388,7 +394,7 @@ def test_deep_tree_trains_predicts_and_benches(tmp_path, capsys):
         predicted = tree_predict(t, d).argmax(axis=1)
         assert (predicted == d.class_codes()).all()
         rules = tree_to_rules(t)
-        assert len(rules) == t.leaf_count()
+        assert len(rules) == _leaf_count(t)
         assert (rules_predict(rules, d) == predicted).all()
         assert len(format_tree(t).splitlines()) == nodes - 1
     path = tmp_path / "alternating.arff"
@@ -423,11 +429,8 @@ def test_numeric_rule_rendering():
     d = _numeric_dataset([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
     t = train_tree(d)
     rules = tree_to_rules(t)
-    assert format_rules(rules) == "\n".join(
-        [
-            "(x, <= 2.5) ⇒ (cls = c0)",
-            "(x, > 2.5) ⇒ (cls = c1)",
-        ]
-    )
+    assert _antecedents(rules) == [[("x", "<=", 2.5)], [("x", ">", 2.5)]]
+    assert [r.consequent for r in rules] == [("cls", "c0"), ("cls", "c1")]
     single = tree_to_rules(train_tree(nominal_dataset({"a": [0, 1]}, [0, 0])))
-    assert format_rules(single) == "(true) ⇒ (cls = c0)"
+    assert _antecedents(single) == [[]]
+    assert [r.consequent for r in single] == [("cls", "c0")]

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postop.dataset import DataError, Dataset
+from postop.dataset import AttributeSchema, DataError, Dataset
 from postop.evaluation import (
+    CLASSIFIER_NAMES,
     ClassifierSpec,
     ConfusionMatrix,
     FoldAssignment,
@@ -129,11 +130,8 @@ def test_constant_actuals_make_relative_errors_undefined():
 
 
 def test_roc_hand_cases():
-    clean = roc_auc([0.9, 0.8, 0.7, 0.6], [True, False, True, False])
-    assert clean.auc == pytest.approx(0.75)
-    assert clean.points == ((0.0, 0.0), (0.0, 0.5), (0.5, 0.5), (0.5, 1.0), (1.0, 1.0))
-    tied = roc_auc([0.9, 0.5, 0.5, 0.1], [True, True, False, False])
-    assert tied.auc == pytest.approx(0.875)
+    assert roc_auc([0.9, 0.8, 0.7, 0.6], [True, False, True, False]) == pytest.approx(0.75)
+    assert roc_auc([0.9, 0.5, 0.5, 0.1], [True, True, False, False]) == pytest.approx(0.875)
 
 
 def test_roc_matches_pair_counting_with_ties():
@@ -144,7 +142,7 @@ def test_roc_matches_pair_counting_with_ties():
         labels = rng.integers(0, 2, size=n).astype(bool)
         if labels.all() or not labels.any():
             continue
-        got = roc_auc(scores, labels).auc
+        got = roc_auc(scores, labels)
         want = auc_by_pair_counting(scores.tolist(), labels.tolist())
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -153,10 +151,10 @@ def test_roc_label_swap_complements():
     rng = np.random.default_rng(5)
     scores = rng.permutation(20) / 20.0  # distinct scores
     labels = np.array([True] * 8 + [False] * 12)
-    a = roc_auc(scores, labels).auc
-    b = roc_auc(1.0 - scores, ~labels).auc
+    a = roc_auc(scores, labels)
+    b = roc_auc(1.0 - scores, ~labels)
     assert a == pytest.approx(b)
-    assert roc_auc(scores, ~labels).auc == pytest.approx(1.0 - a)
+    assert roc_auc(scores, ~labels) == pytest.approx(1.0 - a)
 
 
 def test_roc_input_validation():
@@ -364,6 +362,25 @@ def test_cross_validate_refuses_a_missing_cell():
     holed = Dataset.from_rows(d.schema, rows)
     with pytest.raises(DataError, match="impute it first"):
         cross_validate(holed, make_classifier("nb"), stratified_folds(holed, 2, 0))
+
+
+def test_learners_refuse_a_missing_cell():
+    schema = [
+        AttributeSchema("a", "nominal", ("x", "y")),
+        AttributeSchema("n", "numeric"),
+        AttributeSchema("cls", "nominal", ("c0", "c1"), role="class"),
+    ]
+    d = Dataset.from_rows(schema, [(0, 1.0, 0), (1, 2.0, 0), (1, 3.0, 1), (0, 4.0, 1),
+                                   (1, 1.0, 0)])
+    for name in CLASSIFIER_NAMES:
+        spec = make_classifier(name, **({"epochs": 1} if name == "mlp" else {}))
+        model = spec.train(d, 0)
+        for row in ((None, 1.0, 0), (1, None, 0)):
+            holed = Dataset.from_rows(schema, [*d.rows()[:4], row])
+            with pytest.raises(DataError, match="impute it first"):
+                spec.predict(model, holed)
+            with pytest.raises(DataError, match="impute it first"):
+                spec.train(holed, 0)
 
 
 # -- classifier registry ---------------------------------------------------------------

@@ -205,9 +205,3 @@ def test_empty_dataset_rejected():
     with pytest.raises(DataError, match="empty"):
         train_nb(Dataset.from_rows(schema, []))
 
-
-def test_model_serializes():
-    model = train_nb(_toy())
-    doc = model.to_json_dict()
-    assert doc["class_labels"] == ["T", "F"]
-    assert "x" in doc["nominal_tables"]
