@@ -45,6 +45,7 @@ RUNS = (
     ("constant-in-training", "flat.arff", ["--smote-within-folds"]),
     ("edge-of-float-range", "edge.arff", []),
     ("wide-domain", "wide.arff", ["--classifiers", "j48,nb"]),
+    ("duplicated-16x", "dup.arff", ["--classifiers", "nb"]),
 )
 
 # (run name, resample flags beyond --data holes.arff, --seed and --out)
@@ -57,18 +58,23 @@ RESAMPLE_RUNS = (
 # terms pairwise, so this puts the tree's wide-domain scoring under the check
 WIDE_DGN = ("DGN7", "DGN9", "DGN10")
 
+# copies of each row in dup.arff: its 1,120 minority rows fill two of SMOTE's
+# neighbour-table blocks, and each has DUP_COPIES - 1 neighbours at distance 0
+DUP_COPIES = 16
+
 # rows whose PRE5 keeps its value in flat.arff; at --seed 1 all three fall in
 # test fold 1 of 10, so that fold trains on a constant PRE5 column
 FLAT_KEPT = (6, 27, 99)
 
 
 def write_inputs(text: str) -> None:
-    """cohort.arff, holes.arff (3% of predictor cells missing), flat/edge/wide.arff.
+    """cohort.arff, holes.arff (3% of predictor cells missing), flat/edge/wide/dup.arff.
 
     flat.arff sets PRE5 to 2.5 in every row but those of FLAT_KEPT. edge.arff
     sets AGE to one of 1e308, -1e308 and 1.5e308 in each row, and leaves it
     missing in every 50th row. wide.arff declares WIDE_DGN in DGN's domain
-    and sets DGN to one of them in every 6th row.
+    and sets DGN to one of them in every 6th row. dup.arff repeats the
+    cohort's rows DUP_COPIES times.
     """
     header, data = text.split("@data\n")
     rows = [line for line in data.splitlines() if line.strip()]
@@ -98,6 +104,7 @@ def write_inputs(text: str) -> None:
             cells[names.index("DGN")] = rng.choice(WIDE_DGN)
     wide_header = header.replace("DGN1}", "DGN1," + ",".join(WIDE_DGN) + "}", 1)
     Path("wide.arff").write_text(wide_header + "@data\n" + "\n".join(map(",".join, wide)) + "\n")
+    Path("dup.arff").write_text(header + "@data\n" + "\n".join(rows * DUP_COPIES) + "\n")
 
 
 def run(name: str, argv: list[str], files: tuple[str, ...]) -> list[str]:

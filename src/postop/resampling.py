@@ -16,6 +16,10 @@ from .dataset import (DataError, Dataset, class_counts, minmax_scale, missing_ce
                       observed_range)
 
 
+# distances computed at once by _neighbor_table: 8 MB of float64 per block
+_BLOCK_CELLS = 1 << 20
+
+
 class ResampleError(DataError):
     """Resampling preconditions or configuration violated."""
 
@@ -45,9 +49,9 @@ class SmoteConfig:
 class ResampleRecord:
     """What a resampling step did, for the run manifest.
 
-    provenance maps each output row to its source: ("original", index) or
-    ("synthetic", parent_index, neighbor_index) with indexes into the input
-    dataset.
+    provenance is a read-only (output rows, 2) int64 array: per output row
+    the input row it comes from (the original itself, or a synthetic's
+    parent) and the synthetic's interpolation partner, -1 for an original.
     """
 
     method: str
@@ -56,9 +60,10 @@ class ResampleRecord:
     final_counts: dict[str, int]
     synthetic_created: int
     config: dict
-    provenance: tuple = field(repr=False, compare=False)
+    provenance: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
+        self.provenance.setflags(write=False)
         grown = (
             self.final_counts[self.minority_class]
             - self.original_counts[self.minority_class]
@@ -95,14 +100,29 @@ def _neighbor_table(d: Dataset, min_idx: np.ndarray, k: int) -> np.ndarray:
 
     Distance is Euclidean over min-max normalized numerics (ranges taken
     over the whole dataset) plus a 0/1 mismatch term per nominal attribute.
-    Returns positions into min_idx, shape (len(min_idx), k).
+    Returns positions into min_idx, shape (len(min_idx), k), nearest first
+    and ties toward earlier rows, computed in blocks of _BLOCK_CELLS cells.
     """
     xn = minmax_scale(d.numeric_matrix()[min_idx], *observed_range(d))  # a constant column adds 0
-    xc = d.codes_matrix()[min_idx]
-    diff = xn[:, None, :] - xn[None, :, :]
-    d2 = (diff * diff).sum(axis=2) + (xc[:, None, :] != xc[None, :, :]).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)  # no row is its own neighbour
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]  # ties toward earlier rows
+    sizes = [len(d.schema[ai].values) for ai in d.nominal_predictor_indices]
+    m = len(min_idx)
+    onehot = np.zeros((m, sum(sizes)))  # a complete table: every code is in its domain
+    onehot[np.arange(m)[:, None], d.codes_matrix()[min_idx] + np.cumsum([0, *sizes])[:-1]] = 1
+    table = np.empty((m, k), dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // m)
+    for start in range(0, m, step):
+        rows = np.arange(start, min(start + step, m))
+        d2 = np.zeros((len(rows), m))
+        for col in xn.T:  # summed left to right
+            diff = col[rows, None] - col
+            d2 += diff * diff
+        d2 += len(sizes) - onehot[rows] @ onehot.T  # mismatch count, exact in float64
+        d2[np.arange(len(rows)), rows] = np.inf  # no row is its own neighbour
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        r, c = np.nonzero(d2 <= kth)  # every row's k nearest are among these
+        order = np.lexsort((c, d2[r, c], r))  # ties toward earlier rows
+        table[rows] = c[order][np.searchsorted(r, np.arange(len(rows)))[:, None] + np.arange(k)]
+    return table
 
 
 def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, ResampleRecord]:
@@ -144,6 +164,7 @@ def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, R
             f"k_neighbors={cfg.k_neighbors} needs more than {m} minority instances"
         )
     counts_before = class_counts(d)
+    sources = np.column_stack((np.arange(len(d)), np.full(len(d), -1)))
     if cfg.percent == 0:
         record = ResampleRecord(
             method="smote",
@@ -152,7 +173,7 @@ def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, R
             final_counts=counts_before,
             synthetic_created=0,
             config={"seed": cfg.seed, "k_neighbors": cfg.k_neighbors, "percent": 0},
-            provenance=tuple(("original", i) for i in range(len(d))),
+            provenance=sources,
         )
         return d, record
 
@@ -181,9 +202,6 @@ def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, R
         np.concatenate([num, synth_num])[perm],
         np.concatenate([d.class_codes(), np.full(total, minority_code)])[perm],
     )
-    sources = [("original", i) for i in range(len(d))]
-    sources += [("synthetic", int(i), int(j)) for i, j in zip(parent, partner)]
-    provenance = tuple(sources[p] for p in perm)
     record = ResampleRecord(
         method="smote",
         minority_class=minority_class,
@@ -191,7 +209,7 @@ def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, R
         final_counts=class_counts(out),
         synthetic_created=total,
         config={"seed": cfg.seed, "k_neighbors": cfg.k_neighbors, "percent": cfg.percent},
-        provenance=provenance,
+        provenance=np.concatenate([sources, np.column_stack((parent, partner))])[perm],
     )
     return out, record
 

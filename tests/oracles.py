@@ -91,6 +91,32 @@ def gain_ratio_numeric(column, labels) -> float | None:
     return gain / si
 
 
+# -- nearest neighbours -----------------------------------------------------------
+
+
+def nearest_neighbors(numeric_rows, code_rows, k) -> list[list[int]]:
+    """Per row, the indexes of its k nearest other rows.
+
+    The distance of two rows is their squared numeric differences added
+    left to right as python floats, plus the count of nominal codes that
+    differ. Each row's others are sorted by (distance, index), so ties go
+    to the lower index.
+    """
+    table = []
+    for i, (x, a) in enumerate(zip(numeric_rows, code_rows)):
+        others = []
+        for j, (y, b) in enumerate(zip(numeric_rows, code_rows)):
+            if j == i:
+                continue
+            dist = 0.0
+            for u, v in zip(x, y):
+                dist += (u - v) * (u - v)
+            dist += sum(1 for s, t in zip(a, b) if s != t)
+            others.append((dist, j))
+        table.append([j for _, j in sorted(others)[:k]])
+    return table
+
+
 # -- naive Bayes ----------------------------------------------------------------
 
 

@@ -98,13 +98,13 @@ def test_criterion_02_smote_protocol():
     interval_ok = True
     n_original = 0
     rows, out_rows = d.rows(), out.rows()
-    for pos, tag in enumerate(record.provenance):
-        if tag[0] == "original":
+    for pos, (parent, partner) in enumerate(record.provenance.tolist()):
+        if partner == -1:
             n_original += 1
-            if out_rows[pos] != rows[tag[1]]:
+            if out_rows[pos] != rows[parent]:
                 originals_ok = False
         else:
-            xi, xj = rows[tag[1]], rows[tag[2]]
+            xi, xj = rows[parent], rows[partner]
             for ai in numeric_idx:
                 lo = min(xi[ai], xj[ai])
                 hi = max(xi[ai], xj[ai])

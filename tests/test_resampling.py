@@ -1,14 +1,22 @@
 """Synthetic oversampling behavior."""
 
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from postop.dataset import AttributeSchema, Dataset, class_counts, to_arff
+from conftest import REPO_DIR
+from oracles import nearest_neighbors
+from postop import resampling
+from postop.dataset import (AttributeSchema, Dataset, class_counts, minmax_scale,
+                            observed_range, to_arff)
 from postop.resampling import (
     ResampleError,
     SmoteConfig,
@@ -63,12 +71,11 @@ def test_smote_provenance_and_parent_intervals(cohort):
     nominal = [i for i in cohort.nominal_predictor_indices]
     n_synth = 0
     originals = cohort.rows()
-    for row, source in zip(out.rows(), record.provenance):
-        if source[0] == "original":
-            assert row == originals[source[1]]
+    for row, (xi, xj) in zip(out.rows(), record.provenance.tolist()):
+        if xj == -1:
+            assert row == originals[xi]
             continue
         n_synth += 1
-        _, xi, xj = source
         parent_a = originals[xi]
         parent_b = originals[xj]
         for a in numeric:
@@ -87,10 +94,9 @@ def test_smote_shares_one_lambda_across_numeric_fields(cohort):
     numeric = _numeric_positions(cohort)
     checked = 0
     originals = cohort.rows()
-    for row, source in zip(out.rows(), record.provenance):
-        if source[0] != "synthetic":
+    for row, (xi, xj) in zip(out.rows(), record.provenance.tolist()):
+        if xj == -1:
             continue
-        _, xi, xj = source
         a_vals = originals[xi]
         b_vals = originals[xj]
         lams = []
@@ -137,6 +143,50 @@ def test_neighbor_table_on_extreme_magnitudes():
         warnings.simplefilter("error", RuntimeWarning)
         table = _neighbor_table(d, np.arange(4), 3)
     assert table.tolist() == [[2, 3, 1], [3, 2, 0], [3, 0, 1], [1, 2, 0]]
+
+
+# Runs in a fresh interpreter, so its peak RSS holds nothing of the tests.
+# The peak is a high-water mark that parsing the cohort already raised, so
+# growth is taken from the current RSS at the start of smote: an upper bound.
+HUNDREDFOLD_SMOTE = """
+import importlib.util, resource, sys, time
+import numpy as np
+from postop.dataset import parse_arff
+from postop.resampling import SmoteConfig, smote
+
+spec = importlib.util.spec_from_file_location("make_synthetic_cohort", sys.argv[1])
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+rng = np.random.default_rng(7)
+lines = ["@relation cohort-100x"]
+lines += [f"@attribute {name} " + ("numeric" if values is None else "{" + ",".join(values) + "}")
+          for name, values in script.SCHEMA]
+lines.append("@data")
+lines += [script.make_row(rng, "T") for _ in range(70 * 100)]
+lines += [script.make_row(rng, "F") for _ in range(400 * 100)]
+d = parse_arff("\\n".join(lines) + "\\n")
+del lines
+with open("/proc/self/statm") as statm:
+    start_kb = int(statm.read().split()[1]) * resource.getpagesize() // 1024
+start = time.perf_counter()
+out, _ = smote(d, "T", SmoteConfig(seed=1))
+seconds = time.perf_counter() - start
+peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(len(out), (peak_kb - start_kb) / 1024, seconds)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_smote_on_a_100x_cohort_stays_in_bounded_memory():
+    # 7,000 minority rows: one dense m x m x attrs broadcast would take gigabytes
+    env = {**os.environ, "PYTHONPATH": str(REPO_DIR / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", HUNDREDFOLD_SMOTE,
+         str(REPO_DIR / "scripts" / "make_synthetic_cohort.py")],
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    rows, growth_mb, seconds = done.stdout.split()
+    assert int(rows) == 47_000 + 7 * 7_000
+    assert float(growth_mb) < 64, f"peak RSS grew {growth_mb} MB in {seconds} s"
 
 
 # -- properties ------------------------------------------------------------------
@@ -189,12 +239,12 @@ def test_smote_synthetics_stay_in_their_parent_box(case):
     out, record = smote(d, minority, cfg)
     originals = d.rows()
     n_synth = 0
-    for row, source in zip(out.rows(), record.provenance):
-        if source[0] == "original":
-            assert row == originals[source[1]]
+    for row, (xi, xj) in zip(out.rows(), record.provenance.tolist()):
+        if xj == -1:
+            assert row == originals[xi]
             continue
         n_synth += 1
-        parent, partner = originals[source[1]], originals[source[2]]
+        parent, partner = originals[xi], originals[xj]
         for a in d.numeric_predictor_indices:
             lo, hi = sorted((parent[a], partner[a]))
             slack = 1e-9 * max(1.0, abs(lo), abs(hi))
@@ -216,3 +266,35 @@ def test_smote_final_counts_add_percent_of_the_minority(case):
     assert record.original_counts == before
     assert record.final_counts == expected == class_counts(out)
     assert len(out) == len(d) + grown
+
+
+@st.composite
+def neighbor_cases(draw):
+    """Minority rows drawn from a few distinct ones, so distances tie, and a k."""
+    n_nominal = draw(st.integers(0, 2))
+    n_numeric = draw(st.integers(0, 3))
+    schema = [AttributeSchema(f"n{a}", "nominal", ("v0", "v1", "v2")) for a in range(n_nominal)]
+    schema += [AttributeSchema(f"x{a}", "numeric") for a in range(n_numeric)]
+    schema.append(AttributeSchema("cls", "nominal", ("T", "F"), role="class"))
+    number = st.one_of(st.sampled_from((0.0, 0.5, 1.0, 2.0)), st.floats(-1e3, 1e3))
+    row = st.tuples(*(st.integers(0, 2) for _ in range(n_nominal)),
+                    *(number for _ in range(n_numeric)))
+    distinct = draw(st.lists(row, min_size=1, max_size=6))
+    m = draw(st.integers(2, 40))
+    minority = [draw(st.sampled_from(distinct)) + (0,) for _ in range(m)]
+    majority = [r + (1,) for r in draw(st.lists(row, max_size=3))]  # widen the ranges
+    d = Dataset.from_rows(schema, draw(st.permutations(minority + majority)))
+    return d, draw(st.one_of(st.just(m - 1), st.integers(1, m - 1)))
+
+
+@pytest.mark.parametrize("block_cells", [resampling._BLOCK_CELLS, 64],
+                         ids=["one-block", "uneven-blocks"])
+@settings(max_examples=150, deadline=None)
+@given(neighbor_cases())
+def test_neighbor_table_matches_the_brute_force_oracle(block_cells, case):
+    d, k = case
+    min_idx = np.flatnonzero(d.class_codes() == 0)
+    scaled = minmax_scale(d.numeric_matrix()[min_idx], *observed_range(d))
+    expected = nearest_neighbors(scaled.tolist(), d.codes_matrix()[min_idx].tolist(), k)
+    with mock.patch.object(resampling, "_BLOCK_CELLS", block_cells):
+        assert _neighbor_table(d, min_idx, k).tolist() == expected
