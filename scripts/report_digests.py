@@ -35,6 +35,8 @@ RESAMPLE_FILES = ("resampled.arff", "resample_record.json")
 RUNS = (
     ("default", "cohort.arff", []),
     ("smote-within-folds", "cohort.arff", ["--smote-within-folds", "--smote-k", "3"]),
+    # k = 1 takes no neighbour draws, so SMOTE's lambdas are one plain block
+    ("smote-within-folds-k1", "cohort.arff", ["--smote-within-folds", "--smote-k", "1"]),
     ("impute-drop-instance", "holes.arff", ["--impute", "drop-instance"]),
     ("impute-mean-or-mode", "holes.arff", ["--impute", "mean-or-mode"]),
     ("mlp-hidden", "cohort.arff", ["--mlp-hidden", "5,3"]),

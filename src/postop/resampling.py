@@ -110,19 +110,44 @@ def _neighbor_table(d: Dataset, min_idx: np.ndarray, k: int) -> np.ndarray:
     onehot[np.arange(m)[:, None], d.codes_matrix()[min_idx] + np.cumsum([0, *sizes])[:-1]] = 1
     table = np.empty((m, k), dtype=np.int64)
     step = max(1, _BLOCK_CELLS // m)
+    d2_buf, tmp_buf = np.empty((2, min(step, m), m))  # every block's temporaries go here
     for start in range(0, m, step):
         rows = np.arange(start, min(start + step, m))
-        d2 = np.zeros((len(rows), m))
+        d2, tmp = d2_buf[:len(rows)], tmp_buf[:len(rows)]
+        d2.fill(0)
         for col in xn.T:  # summed left to right
-            diff = col[rows, None] - col
-            d2 += diff * diff
-        d2 += len(sizes) - onehot[rows] @ onehot.T  # mismatch count, exact in float64
+            d2 += np.square(np.subtract(col[rows, None], col, out=tmp), out=tmp)
+        np.matmul(onehot[rows], onehot.T, out=tmp)
+        d2 += np.subtract(len(sizes), tmp, out=tmp)  # mismatch count, exact in float64
         d2[np.arange(len(rows)), rows] = np.inf  # no row is its own neighbour
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-        r, c = np.nonzero(d2 <= kth)  # every row's k nearest are among these
+        tmp[...] = d2
+        tmp.partition(k - 1, axis=1)
+        r, c = np.nonzero(d2 <= tmp[:, k - 1:k])  # every row's k nearest are among these
         order = np.lexsort((c, d2[r, c], r))  # ties toward earlier rows
         table[rows] = c[order][np.searchsorted(r, np.arange(len(rows)))[:, None] + np.arange(k)]
     return table
+
+
+def _draws(rng: np.random.Generator, k: int, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour choices and lambdas of `total` synthetics, from one block of raw words.
+
+    It is the stream of `rng.integers(0, k)` then `rng.random()` per synthetic on a
+    fresh PCG64: a choice is a 32-bit half of a word by Lemire's multiply (low half
+    first, the other cached) and a lambda a whole word, so two synthetics use three.
+    """
+    if k == 1:  # integers(0, 1) draws nothing
+        return np.zeros(total, dtype=np.int64), rng.random(total)
+    state = rng.bit_generator.state
+    words = rng.bit_generator.random_raw(3 * (total // 2)).reshape(-1, 3)
+    product = np.column_stack((words[:, 0] & 0xFFFFFFFF, words[:, 0] >> 32)).ravel() * k
+    if np.any((product & 0xFFFFFFFF) < (2**32 - k) % k):  # Lemire rejects a half and redraws
+        rng.bit_generator.state = state
+        choice, lam = zip(*[(rng.integers(0, k), rng.random()) for _ in range(total)])
+        return np.array(choice, dtype=np.int64), np.array(lam)
+    choice, lam = (product >> 32).astype(np.int64), (words[:, 1:] >> 11).ravel() * 2.0**-53
+    if total % 2:  # scalar, so the high half stays cached for the next 32-bit draw
+        choice, lam = np.append(choice, rng.integers(0, k)), np.append(lam, rng.random())
+    return choice, lam
 
 
 def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, ResampleRecord]:
@@ -148,8 +173,8 @@ def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, R
     are created; per synthetic the RNG draws the neighbour choice first
     and one interpolation factor lambda second, and lambda is shared by
     all numeric fields of that synthetic. The combined originals plus
-    synthetics are then shuffled by the same RNG. percent=0 returns the
-    input unchanged.
+    synthetics are then shuffled by the same RNG; the draws come as one
+    block of raw words, in that order. percent=0 returns the input unchanged.
     """
     if missing_census(d):
         raise ResampleError("SMOTE needs a table with no missing cells; impute it first")
@@ -181,12 +206,7 @@ def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, R
     table = _neighbor_table(d, min_idx, cfg.k_neighbors)
     rounds = cfg.percent // 100
     total = m * rounds
-    # scalar draws in the documented order: neighbour choice, then lambda
-    choice = np.empty(total, dtype=np.int64)
-    lam = np.empty(total)
-    for s in range(total):
-        choice[s] = rng.integers(0, cfg.k_neighbors)
-        lam[s] = rng.random()
+    choice, lam = _draws(rng, cfg.k_neighbors, total)
     parent = np.repeat(min_idx, rounds)
     partner = min_idx[table[np.repeat(np.arange(m), rounds), choice]]
 

@@ -117,6 +117,19 @@ def nearest_neighbors(numeric_rows, code_rows, k) -> list[list[int]]:
     return table
 
 
+# -- SMOTE draws ------------------------------------------------------------------
+
+
+def smote_draws_by_loop(rng, k, total):
+    """Per synthetic, rng.integers(0, k) for the neighbour choice, then rng.random()
+    for lambda: one scalar call each, in SMOTE's documented order."""
+    choice, lam = [], []
+    for _ in range(total):
+        choice.append(int(rng.integers(0, k)))
+        lam.append(float(rng.random()))
+    return np.array(choice, dtype=np.int64), np.array(lam)
+
+
 # -- naive Bayes ----------------------------------------------------------------
 
 

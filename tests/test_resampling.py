@@ -1,8 +1,10 @@
 """Synthetic oversampling behavior."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from unittest import mock
@@ -13,10 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import REPO_DIR
-from oracles import nearest_neighbors
+from oracles import nearest_neighbors, smote_draws_by_loop
 from postop import resampling
 from postop.dataset import (AttributeSchema, Dataset, class_counts, minmax_scale,
-                            observed_range, to_arff)
+                            observed_range, parse_arff, to_arff)
 from postop.resampling import (
     ResampleError,
     SmoteConfig,
@@ -120,6 +122,60 @@ def test_smote_determinism(cohort):
     assert to_arff(a) != to_arff(c)
 
 
+@pytest.mark.parametrize("total", [1, 2, 7, 490, 4411])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
+def test_block_draws_match_the_scalar_loop(k, total):
+    for seed in range(5):
+        block, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        choice, lam = resampling._draws(block, k, total)
+        expected_choice, expected_lam = smote_draws_by_loop(loop, k, total)
+        assert choice.dtype == np.int64 and choice.tolist() == expected_choice.tolist()
+        assert lam.dtype == np.float64 and lam.tobytes() == expected_lam.tobytes()
+        # the shuffle after the draws starts from the 32-bit half an odd total leaves cached
+        assert block.permutation(total + 470).tolist() == loop.permutation(total + 470).tolist()
+
+
+class _LowHalfZeroFirst(np.random.PCG64):
+    """PCG64 whose raw blocks start with a word whose low half is 0.
+
+    For k = 3, Lemire's multiply gives 0 * 3 there, below its threshold
+    (2**32 - 3) % 3 = 1, so numpy would reject that half and draw again.
+    The generator's own calls (integers, random) still see the true stream.
+    """
+
+    def random_raw(self, size=None, output=True):
+        words = super().random_raw(size, output)
+        words[0] &= np.uint64(0xFFFFFFFF00000000)
+        return words
+
+
+@pytest.mark.parametrize("seed", [1, 6])
+def test_a_rejected_lemire_draw_falls_back_to_the_scalar_loop(seed):
+    block, loop = np.random.Generator(_LowHalfZeroFirst(seed)), np.random.default_rng(seed)
+    choice, lam = resampling._draws(block, 3, 7)
+    expected_choice, expected_lam = smote_draws_by_loop(loop, 3, 7)
+    assert expected_choice[0] != 0  # so the stubbed block, taken as it is, would differ
+    assert choice.tolist() == expected_choice.tolist()
+    assert lam.tobytes() == expected_lam.tobytes()
+    assert block.permutation(40).tolist() == loop.permutation(40).tolist()
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("drop_one", [False, True], ids=["490-synthetics", "483-synthetics"])
+def test_smote_equals_a_run_on_the_scalar_draw_loop(cohort, k, drop_one):
+    # dropping one of the 70 minority rows makes the synthetic count odd
+    first_minority = np.flatnonzero(cohort.class_codes() == 0)[0]
+    d = cohort.subset(np.delete(np.arange(len(cohort)), first_minority)) if drop_one else cohort
+    cfg = SmoteConfig(seed=13, k_neighbors=k, percent=700)
+    with mock.patch.object(resampling, "_draws", smote_draws_by_loop):
+        expected, expected_record = smote(d, "T", cfg)
+    out, record = smote(d, "T", cfg)
+    assert out.numeric_matrix().tobytes() == expected.numeric_matrix().tobytes()
+    assert np.array_equal(out.codes_matrix(), expected.codes_matrix())
+    assert np.array_equal(out.class_codes(), expected.class_codes())
+    assert np.array_equal(record.provenance, expected_record.provenance)
+
+
 def test_smote_errors(cohort):
     with pytest.raises(ResampleError, match="not a value"):
         smote(cohort, "X", SmoteConfig(seed=1))
@@ -187,6 +243,28 @@ def test_smote_on_a_100x_cohort_stays_in_bounded_memory():
     rows, growth_mb, seconds = done.stdout.split()
     assert int(rows) == 47_000 + 7 * 7_000
     assert float(growth_mb) < 64, f"peak RSS grew {growth_mb} MB in {seconds} s"
+
+
+def test_neighbor_table_of_the_100x_minority_peaks_within_three_blocks():
+    # the 7,000 minority rows of a 100x cohort: one block holds 149 x 7,000
+    # distances (8 MB), and the table reuses two such buffers across blocks
+    spec = importlib.util.spec_from_file_location(
+        "make_synthetic_cohort", REPO_DIR / "scripts" / "make_synthetic_cohort.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    rng = np.random.default_rng(7)
+    header = [f"@attribute {name} " + ("numeric" if values is None else "{" + ",".join(values) + "}")
+              for name, values in script.SCHEMA]
+    d = parse_arff("\n".join(["@relation minority-100x", *header, "@data",
+                               *(script.make_row(rng, "T") for _ in range(70 * 100))]) + "\n")
+    tracemalloc.start()
+    try:
+        table = _neighbor_table(d, np.arange(len(d)), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (7_000, 5)
+    assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # -- properties ------------------------------------------------------------------
