@@ -6,14 +6,16 @@ predictors as int domain codes (-1 for missing), the numeric predictors
 as floats (nan for missing), and the class as int codes (never missing).
 The arrays are checked once, vectorized, when a table is built; tables
 derived from a checked one (row subsets, imputed or resampled copies) are
-not checked again. Rows as tuples, with None for missing cells, exist only
-where data enters (`Dataset.from_rows`, the parsers) or leaves
-(`Dataset.rows`, the serializers).
+not checked again. The ARFF parser converts data lines, a block of rows
+and a column at a time, straight into the three arrays. Rows as tuples,
+with None for missing cells, exist only where data leaves (`Dataset.rows`,
+`to_arff`).
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,6 +32,9 @@ CLASS = "class"
 _NUMERIC_KEYWORDS = {"numeric", "real", "integer"}
 
 MISSING_TOKEN = "?"
+
+# data lines converted together, so only one block's token strings are alive at a time
+_BLOCK_ROWS = 512
 
 
 class DataError(ValueError):
@@ -72,15 +77,6 @@ class AttributeSchema:
                 raise DataError(f"nominal attribute {self.name!r} declares duplicate values")
         elif self.values:
             raise DataError(f"numeric attribute {self.name!r} cannot declare a domain")
-
-    def index_of(self, token: str) -> int:
-        """Domain index of a nominal value token."""
-        try:
-            return self.values.index(token)
-        except ValueError:
-            raise DataError(
-                f"value {token!r} is not in the domain of attribute {self.name!r}"
-            ) from None
 
 
 def is_missing(column: np.ndarray) -> np.ndarray:
@@ -151,39 +147,6 @@ class Dataset:
         self._codes = _frozen(codes.astype(np.int64))
         self._numerics = _frozen(numerics.copy())
         self._classes = _frozen(classes.astype(np.int64))
-
-    @classmethod
-    def from_rows(cls, schema, rows, relation: str = "dataset") -> "Dataset":
-        """Table from value tuples aligned with the schema, None for missing.
-
-        Nominal and class values are int domain codes, numeric values
-        reals. This is how parsed files and hand-built tables come in.
-        """
-        schema = tuple(schema)
-        ci = _class_position(schema)
-        rows = list(rows)
-        width = len(schema)
-        for n, length in enumerate(map(len, rows)):
-            if length != width:
-                raise DataError(f"instance {n} has {length} values, schema expects {width}")
-        cells = np.empty((len(rows), width), dtype=object)
-        if rows:
-            cells[:] = rows
-        missing = cells == None  # noqa: E711 - elementwise on an object array
-        try:
-            values = np.where(missing, 0.0, cells).astype(np.float64)
-        except (TypeError, ValueError):
-            raise DataError("cell values must be numbers or None") from None
-        _check(~np.isfinite(values),
-               lambda r, a: f"instance {r}: non-finite value for {schema[a].name!r}")
-        nominal = [i for i, a in enumerate(schema) if a.kind == NOMINAL and i != ci] + [ci]
-        numeric = [i for i, a in enumerate(schema) if a.kind == NUMERIC]
-        ints = values[:, nominal]
-        _check(ints != np.floor(ints), lambda r, j: f"instance {r}: nominal attribute "
-               f"{schema[nominal[j]].name!r} needs an int index")
-        ints = np.where(missing[:, nominal], -1, ints).astype(np.int64)
-        numerics = np.where(missing[:, numeric], np.nan, values[:, numeric])
-        return cls(schema, ints[:, :-1], numerics, ints[:, -1], relation)
 
     def _derive(self, codes, numerics, classes) -> "Dataset":
         """Same schema over arrays computed from this table's; not re-checked."""
@@ -404,42 +367,6 @@ def _parse_attribute_decl(rest: str, lineno: int) -> AttributeSchema:
     raise ParseError(f"attribute {name!r} has unsupported type {spec!r}", line=lineno)
 
 
-def _split_data_line(line: str) -> list[tuple[str, int]]:
-    """Comma-split a data row, keeping each field's 1-based start column."""
-    fields = []
-    start = 0
-    while True:
-        pos = line.find(",", start)
-        if pos < 0:
-            fields.append((line[start:], start + 1))
-            return fields
-        fields.append((line[start:pos], start + 1))
-        start = pos + 1
-
-
-def _convert_token(token: str, attr: AttributeSchema, line: int, column: int):
-    if token == MISSING_TOKEN:
-        return None
-    if attr.kind == NOMINAL:
-        try:
-            return attr.index_of(token)
-        except DataError as e:
-            raise ParseError(str(e), line=line, column=column) from None
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(
-            f"invalid numeric literal {token!r} for attribute {attr.name!r}",
-            line=line,
-            column=column,
-        ) from None
-    if not math.isfinite(value):
-        raise ParseError(
-            f"non-finite numeric value for attribute {attr.name!r}", line=line, column=column
-        )
-    return value
-
-
 def _assign_class(schema: list[AttributeSchema], class_attribute: str | None):
     names = [a.name for a in schema]
     target = class_attribute if class_attribute is not None else names[-1]
@@ -452,47 +379,95 @@ def _assign_class(schema: list[AttributeSchema], class_attribute: str | None):
     return out
 
 
+def _real(token: str) -> float:
+    """A numeric cell: nan if missing, -inf for an invalid literal, inf if non-finite."""
+    token = token.strip()
+    if token == MISSING_TOKEN:
+        return math.nan
+    try:
+        value = float(token)
+    except ValueError:
+        return -math.inf
+    return value if math.isfinite(value) else math.inf
+
+
+def _parse_rows(schema, data, capacity: int):
+    """The codes, numerics and classes blocks of at most capacity data rows.
+
+    data yields (line number, stripped line) pairs. They are split and
+    converted a block of _BLOCK_ROWS lines at a time, a column at a time;
+    each block raises its first fault in file order: a ragged row, or the
+    row's leftmost bad cell. Range and missing-class checks are Dataset's.
+    """
+    ci = _class_position(schema)
+    nominal = [i for i, a in enumerate(schema) if a.kind == NOMINAL and i != ci] + [ci]
+    numeric = [i for i, a in enumerate(schema) if a.kind == NUMERIC]
+    lookups = [{v: i for i, v in enumerate(a.values)} | {MISSING_TOKEN: -1} for a in schema]
+    codes = np.empty((capacity, len(nominal)), dtype=np.int64)  # the class last
+    numerics = np.empty((capacity, len(numeric)))
+    n = 0
+    while block := list(itertools.islice(data, _BLOCK_ROWS)):
+        fields = [line.split(",") for _, line in block]
+        good = next((r for r, f in enumerate(fields) if len(f) != len(schema)), len(block))
+        columns = list(zip(*fields[:good])) or [()] * len(schema)
+        cells = [np.array([_real(t) for t in col]) if a.kind == NUMERIC
+                 else np.array([lookup.get(t.strip(), -2) for t in col], dtype=np.int64)
+                 for a, lookup, col in zip(schema, lookups, columns)]
+        bad = [np.isinf(c) if a.kind == NUMERIC else c < -1 for a, c in zip(schema, cells)]
+        faults = np.argwhere(np.array(bad).T)
+        if faults.size:
+            r, j = faults[0].tolist()
+            attr, token = schema[j], fields[r][j].strip()
+            if attr.kind == NOMINAL:
+                message = f"value {token!r} is not in the domain of attribute {attr.name!r}"
+            elif _real(token) < 0:
+                message = f"invalid numeric literal {token!r} for attribute {attr.name!r}"
+            else:
+                message = f"non-finite numeric value for attribute {attr.name!r}"
+            column = sum(map(len, fields[r][:j])) + j + 1  # where field j starts, from 1
+            raise ParseError(message, line=block[r][0], column=column)
+        if good < len(block):
+            raise ParseError(f"row has {len(fields[good])} values, schema expects "
+                             f"{len(schema)}", line=block[good][0])
+        for out, positions in ((codes, nominal), (numerics, numeric)):
+            out[n:n + good] = np.array([cells[i] for i in positions]).reshape(-1, good).T
+        n += good
+    return codes[:n, :-1], numerics[:n], codes[:n, -1]
+
+
 def parse_arff(text: str, class_attribute: str | None = None) -> Dataset:
     """Parse an ARFF document into a Dataset.
 
     Supported subset: @relation, @attribute with a nominal domain or a
     numeric type keyword, @data with comma-separated rows, '%' comments,
     '?' for missing values. Keywords are case-insensitive. The last
-    attribute is the class unless `class_attribute` names another.
+    attribute is the class unless `class_attribute` names another. The
+    header is checked before the first data row.
     """
     relation = "dataset"
     schema: list[AttributeSchema] = []
-    rows: list[tuple] = []
-    in_data = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    numbered = enumerate(lines, start=1)
+    for lineno, raw in numbered:
         line = _strip_comment(raw).strip()
         if not line:
             continue
-        if not in_data:
-            low = line.lower()
-            if low.startswith("@relation"):
-                relation = line[len("@relation") :].strip().strip("'\"") or relation
-            elif low.startswith("@attribute"):
-                schema.append(_parse_attribute_decl(line[len("@attribute") :], lineno))
-            elif low.startswith("@data"):
-                if not schema:
-                    raise ParseError("@data before any attribute declaration", line=lineno)
-                in_data = True
-            else:
-                raise ParseError(f"unrecognized declaration {line.split()[0]!r}", line=lineno)
-            continue
-        fields = _split_data_line(line)
-        if len(fields) != len(schema):
-            raise ParseError(
-                f"row has {len(fields)} values, schema expects {len(schema)}", line=lineno
-            )
-        rows.append(tuple(
-            _convert_token(tok.strip(), attr, lineno, col)
-            for (tok, col), attr in zip(fields, schema)
-        ))
-    if not in_data:
+        low = line.lower()
+        if low.startswith("@relation"):
+            relation = line[len("@relation") :].strip().strip("'\"") or relation
+        elif low.startswith("@attribute"):
+            schema.append(_parse_attribute_decl(line[len("@attribute") :], lineno))
+        elif low.startswith("@data"):
+            if not schema:
+                raise ParseError("@data before any attribute declaration", line=lineno)
+            break
+        else:
+            raise ParseError(f"unrecognized declaration {line.split()[0]!r}", line=lineno)
+    else:
         raise ParseError("missing @data section")
-    return Dataset.from_rows(_assign_class(schema, class_attribute), rows, relation)
+    schema = _assign_class(schema, class_attribute)
+    data = ((n, line) for n, raw in numbered if (line := _strip_comment(raw).strip()))
+    return Dataset(schema, *_parse_rows(schema, data, len(lines) - lineno), relation)
 
 
 def _format_value(attr: AttributeSchema, v) -> str:
@@ -507,10 +482,14 @@ def to_arff(d: Dataset) -> str:
     """Serialize to ARFF; re-parsing the result reproduces the dataset."""
     out = [f"@relation {d.relation}"]
     for a in d.schema:
+        name = a.name  # quoted where the unquoted form would read another name
+        if name.split() != [name] or "{" in name or name[0] in "'\"":
+            quote = '"' if "'" in name else "'"
+            name = quote + name + quote
         if a.kind == NOMINAL:
-            out.append(f"@attribute {a.name} {{{','.join(a.values)}}}")
+            out.append(f"@attribute {name} {{{','.join(a.values)}}}")
         else:
-            out.append(f"@attribute {a.name} numeric")
+            out.append(f"@attribute {name} numeric")
     out.append("@data")
     for row in d.rows():
         out.append(",".join(_format_value(a, v) for a, v in zip(d.schema, row)))

@@ -67,9 +67,28 @@ def time_limit(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
+def from_rows(schema, rows, relation: str = "dataset") -> Dataset:
+    """A table from value tuples in schema order, None for missing cells.
+
+    Nominal and class values are int domain codes, numeric values reals;
+    the Dataset constructor checks the arrays built from them.
+    """
+    schema, rows = tuple(schema), [tuple(r) for r in rows]
+
+    def block(kind, missing, dtype):
+        positions = [i for i, a in enumerate(schema) if a.kind == kind and a.role != "class"]
+        cells = [[missing if r[i] is None else r[i] for i in positions] for r in rows]
+        return np.array(cells, dtype=dtype).reshape(len(rows), len(positions))
+
+    ci = [a.role for a in schema].index("class")
+    classes = np.array([-1 if r[ci] is None else r[ci] for r in rows], dtype=np.int64)
+    return Dataset(schema, block("nominal", -1, np.int64), block("numeric", np.nan, np.float64),
+                   classes, relation)
+
+
 def query(d: Dataset, *rows) -> Dataset:
     """A table over d's schema holding the given value tuples."""
-    return Dataset.from_rows(d.schema, rows)
+    return from_rows(d.schema, rows)
 
 
 def nominal_dataset(columns, class_column, domains=None, class_values=("c0", "c1")):
@@ -87,7 +106,7 @@ def nominal_dataset(columns, class_column, domains=None, class_values=("c0", "c1
     schema.append(AttributeSchema("cls", "nominal", tuple(class_values), role="class"))
     rows = [tuple(columns[n][i] for n in names) + (class_column[i],)
             for i in range(len(class_column))]
-    return Dataset.from_rows(schema, rows)
+    return from_rows(schema, rows)
 
 
 def fig_dataset() -> Dataset:
@@ -116,7 +135,7 @@ def fig_dataset() -> Dataset:
         ("v13", "v22", "v32", "1"),
     ]
     coded = [tuple(schema[i].values.index(tok) for i, tok in enumerate(row)) for row in rows]
-    return Dataset.from_rows(schema, coded, relation="figure-tree")
+    return from_rows(schema, coded, relation="figure-tree")
 
 
 def random_mixed_dataset(rng, n_rows, n_nominal=2, n_numeric=1, max_domain=3):
@@ -136,7 +155,7 @@ def random_mixed_dataset(rng, n_rows, n_nominal=2, n_numeric=1, max_domain=3):
     schema.append(AttributeSchema("cls", "nominal", ("c0", "c1"), role="class"))
     labels = rng.integers(0, 2, size=n_rows).tolist()
     rows = [tuple(col[i] for col in columns) + (labels[i],) for i in range(n_rows)]
-    return Dataset.from_rows(schema, rows)
+    return from_rows(schema, rows)
 
 
 # -- acceptance reporting -----------------------------------------------------

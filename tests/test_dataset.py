@@ -1,5 +1,7 @@
 """Parser, serializer, and data-model behavior."""
 
+import importlib.util
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +22,7 @@ from postop.dataset import (
     to_arff,
 )
 
-from conftest import COHORT_PATH
+from conftest import COHORT_PATH, REPO_DIR, from_rows
 
 TOY = """% a toy table
 @RELATION 'toy'
@@ -43,6 +45,10 @@ def test_parse_basics():
     assert d.schema[1].kind == "numeric"
     assert d.class_attribute.name == "outcome"
     assert d.rows() == [(0, 1.5, 0), (1, 2.0, 1), (2, None, 0)]
+    # numeric cells read as Python's float() reads them
+    head = "@relation r\n@attribute v numeric\n@attribute c {T,F}\n@data\n"
+    d = parse_arff(head + "".join(f"{t},T\n" for t in ["1_0", " 2 ", "+.5", "5.", "4.9e-324"]))
+    assert d.numeric_matrix()[:, 0].tolist() == [10.0, 2.0, 0.5, 5.0, 5e-324]
 
 
 def test_parse_accepts_numeric_keyword_synonyms():
@@ -86,10 +92,13 @@ def test_parse_error_cases():
         parse_arff("@relation r\n@attribute a string\n@data\n")
     with pytest.raises(ParseError, match="unrecognized declaration"):
         parse_arff("@relation r\n@nonsense here\n@data\n")
-    with pytest.raises(ParseError, match="invalid numeric literal"):
-        parse_arff("@relation r\n@attribute a numeric\n@attribute c {T,F}\n@data\nabc,T\n")
-    with pytest.raises(ParseError, match="non-finite"):
-        parse_arff("@relation r\n@attribute a numeric\n@attribute c {T,F}\n@data\n1e999,T\n")
+    numeric_head = "@relation r\n@attribute a numeric\n@attribute c {T,F}\n@data\n"
+    for token in ("abc", "0x10", "1 2"):
+        with pytest.raises(ParseError, match="invalid numeric literal"):
+            parse_arff(numeric_head + token + ",T\n")
+    for token in ("nan", "inf", "1e999"):
+        with pytest.raises(ParseError, match="non-finite"):
+            parse_arff(numeric_head + token + ",T\n")
     with pytest.raises(ParseError, match="duplicate"):
         parse_arff("@relation r\n@attribute a {x,x}\n@data\n")
     with pytest.raises(ParseError, match="line 2: empty attribute name"):
@@ -113,23 +122,13 @@ def test_instance_validation():
         AttributeSchema("a", "nominal", ("x", "y")),
         AttributeSchema("c", "nominal", ("T", "F"), role="class"),
     ]
-    with pytest.raises(DataError, match="missing class value"):
-        Dataset.from_rows(schema, [(0, None)])
-    with pytest.raises(DataError, match="out of range"):
-        Dataset.from_rows(schema, [(5, 0)])
-    with pytest.raises(DataError, match="schema expects"):
-        Dataset.from_rows(schema, [(0, 0, 0)])
-    with pytest.raises(DataError, match="int index"):
-        Dataset.from_rows(schema, [(0.5, 0)])
-    with pytest.raises(DataError, match="numbers or None"):
-        Dataset.from_rows(schema, [("x", 0)])
     num_schema = [
         AttributeSchema("x", "numeric"),
         AttributeSchema("c", "nominal", ("T", "F"), role="class"),
     ]
-    with pytest.raises(DataError, match="non-finite"):
-        Dataset.from_rows(num_schema, [(float("nan"), 0)])
-    # the array constructor checks the same things, vectorized
+    # the array constructor is the one check of a table's cells, vectorized
+    with pytest.raises(DataError, match="missing class value"):
+        Dataset(schema, [[0]], np.zeros((1, 0)), [-1])
     with pytest.raises(DataError, match="non-finite"):
         Dataset(num_schema, np.zeros((1, 0), dtype=int), [[np.inf]], [0])
     with pytest.raises(DataError, match="out of range"):
@@ -152,6 +151,70 @@ def test_round_trip_arff():
 def test_round_trip_cohort_file():
     d = parse_arff(COHORT_PATH.read_text())
     assert parse_arff(to_arff(d)) == d
+
+
+@pytest.mark.parametrize("declared", ["'pre op'", "'a{b'", "\"it's x\""])
+def test_round_trip_quotes_attribute_names_the_bare_form_would_misread(declared):
+    d = parse_arff(f"@relation r\n@attribute {declared} numeric\n"
+                   "@attribute c {T,F}\n@data\n1,T\n")
+    assert f"@attribute {declared} numeric" in to_arff(d)
+    assert parse_arff(to_arff(d)) == d
+
+
+_HEAD = "@relation r\n@attribute a {x,y}\n@attribute v numeric\n@attribute c {T,F}\n@data\n"
+
+
+# (data rows, message, line, column), each with more than one fault; the
+# first in file order is reported: the earlier row, then the leftmost cell
+@pytest.mark.parametrize("rows, message, line, column", [
+    ("x,1,T\nz,1,T\nx,1\n",
+     "line 7, column 1: value 'z' is not in the domain of attribute 'a'", 7, 1),
+    ("x,1,T,extra\nx,abc,T\n", "line 6: row has 4 values, schema expects 3", 6, None),
+    ("x, abc ,Q\n", "line 6, column 3: invalid numeric literal 'abc' for attribute 'v'", 6, 3),
+    ("x,1,Q\nz,1,T\n", "line 6, column 5: value 'Q' is not in the domain of attribute 'c'", 6, 5),
+    # past the first block of data rows, after a blank line and a comment
+    ("x,1,T\n" * 600 + "\n% c\ny, 2,T\ny,0x10,F\n",
+     "line 609, column 3: invalid numeric literal '0x10' for attribute 'v'", 609, 3),
+])
+def test_parse_error_positions_in_file_order(rows, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_arff(_HEAD + rows)
+    assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
+
+
+def test_reformatted_cohort_parses_to_the_same_table():
+    text = COHORT_PATH.read_text()
+    head, data = text.split("@data\n")
+    rows = [row.replace(",", ", ") + " % note" for row in data.splitlines()]
+    d = parse_arff("\r\n".join(head.splitlines()) + "\r\n@data\r\n\r\n" + "\r\n\r\n".join(rows))
+    cohort = parse_arff(text)
+    assert d == cohort
+    assert d.rows() == cohort.rows()
+    assert d.codes_matrix().flags.c_contiguous
+    assert d.numeric_matrix().flags.c_contiguous
+
+
+def test_parse_of_a_100x_cohort_peaks_below_its_row_tuples():
+    # 47,000 rows: a tuple per row, all alive at once, would peak near 40 MB
+    spec = importlib.util.spec_from_file_location(
+        "make_synthetic_cohort", REPO_DIR / "scripts" / "make_synthetic_cohort.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    rng = np.random.default_rng(7)
+    header = [f"@attribute {name} "
+              + ("numeric" if values is None else "{" + ",".join(values) + "}")
+              for name, values in script.SCHEMA]
+    rows = [script.make_row(rng, label) for label in ["T"] * 7_000 + ["F"] * 40_000]
+    text = "\n".join(["@relation cohort-100x", *header, "@data", *rows]) + "\n"
+    del rows
+    tracemalloc.start()
+    try:
+        d = parse_arff(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(d) == 47_000
+    assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_class_counts_and_census():
@@ -235,7 +298,7 @@ def test_serializer_float_formatting_round_trips():
         AttributeSchema("c", "nominal", ("T", "F"), role="class"),
     ]
     values = [0.1, 1 / 3, 2.5e-10, 123456.789, 60.0]
-    d = Dataset.from_rows(schema, [(v, 0) for v in values])
+    d = from_rows(schema, [(v, 0) for v in values])
     again = parse_arff(to_arff(d))
     assert [row[0] for row in again.rows()] == values  # exact, not approximate
 
@@ -269,10 +332,12 @@ def mixed_tables(draw):
     """Small tables of nominal and numeric predictors, missing cells included."""
     n_nominal = draw(st.integers(0, 3))
     n_numeric = draw(st.integers(0, 3))
-    schema = [AttributeSchema(f"n{a}", "nominal",
+    # a name sometimes holds a space, which the serializer must quote
+    prefix = draw(st.sampled_from(["", "pre op "]))
+    schema = [AttributeSchema(f"{prefix}n{a}", "nominal",
                               tuple(f"v{i}" for i in range(draw(st.integers(1, 3)))))
               for a in range(n_nominal)]
-    schema += [AttributeSchema(f"x{a}", "numeric") for a in range(n_numeric)]
+    schema += [AttributeSchema(f"{prefix}x{a}", "numeric") for a in range(n_numeric)]
     schema.insert(draw(st.integers(0, len(schema))),
                   AttributeSchema("cls", "nominal", ("T", "F"), role="class"))
     cell = {
@@ -281,7 +346,7 @@ def mixed_tables(draw):
     }
     row = st.tuples(*(st.integers(0, 1) if a.role == "class" else cell[a.kind](a)
                       for a in schema))
-    return Dataset.from_rows(schema, draw(st.lists(row, max_size=12)), relation="gen")
+    return from_rows(schema, draw(st.lists(row, max_size=12)), relation="gen")
 
 
 @settings(max_examples=150, deadline=None)
@@ -299,4 +364,4 @@ def test_subset_equals_the_table_rebuilt_from_its_rows(d, data):
     idx = data.draw(st.lists(st.integers(0, max(len(d) - 1, 0)), max_size=15)
                     if len(d) else st.just([]))
     rows = d.rows()
-    assert d.subset(idx) == Dataset.from_rows(d.schema, [rows[i] for i in idx])
+    assert d.subset(idx) == from_rows(d.schema, [rows[i] for i in idx])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from postop.cli import main
-from postop.dataset import AttributeSchema, DataError, Dataset, to_arff
+from postop.dataset import AttributeSchema, DataError, to_arff
 from postop.decision_tree import (
     GAIN_EPS,
     TreeConfig,
@@ -26,6 +26,7 @@ from postop.decision_tree import (
 from conftest import (
     TESTS_DIR,
     fig_dataset,
+    from_rows,
     nominal_dataset,
     query,
     random_mixed_dataset,
@@ -47,7 +48,7 @@ def _numeric_dataset(values, labels, name="x"):
         AttributeSchema(name, "numeric"),
         AttributeSchema("cls", "nominal", ("c0", "c1"), role="class"),
     ]
-    return Dataset.from_rows(schema, zip(values, labels))
+    return from_rows(schema, zip(values, labels))
 
 
 def _leaf_count(t):
@@ -93,7 +94,7 @@ def _table(columns, labels, domains):
     schema = [AttributeSchema(f"a{j}", "nominal", tuple(f"v{i}" for i in range(size)))
               if size else AttributeSchema(f"a{j}", "numeric") for j, size in enumerate(domains)]
     schema.append(AttributeSchema("cls", "nominal", ("c0", "c1"), role="class"))
-    return Dataset.from_rows(schema, [(*row, y) for row, y in zip(zip(*columns), labels)])
+    return from_rows(schema, [(*row, y) for row, y in zip(zip(*columns), labels)])
 
 
 def test_scan_matches_oracles_at_random_nodes():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postop.dataset import AttributeSchema, DataError, Dataset
+from postop.dataset import AttributeSchema, DataError
 from postop.evaluation import (
     CLASSIFIER_NAMES,
     ClassifierSpec,
@@ -25,7 +25,7 @@ from postop.evaluation import (
 from postop.resampling import SmoteConfig, smote
 from postop.seeds import derive_seed
 
-from conftest import nominal_dataset
+from conftest import from_rows, nominal_dataset
 from oracles import auc_by_pair_counting, error_measures_direct
 
 
@@ -359,7 +359,7 @@ def test_cross_validate_refuses_a_missing_cell():
     d = nominal_dataset({"a": [0, 1] * 4}, [0, 1] * 4)
     rows = d.rows()
     rows[5] = (None, rows[5][1])
-    holed = Dataset.from_rows(d.schema, rows)
+    holed = from_rows(d.schema, rows)
     with pytest.raises(DataError, match="impute it first"):
         cross_validate(holed, make_classifier("nb"), stratified_folds(holed, 2, 0))
 
@@ -370,13 +370,13 @@ def test_learners_refuse_a_missing_cell():
         AttributeSchema("n", "numeric"),
         AttributeSchema("cls", "nominal", ("c0", "c1"), role="class"),
     ]
-    d = Dataset.from_rows(schema, [(0, 1.0, 0), (1, 2.0, 0), (1, 3.0, 1), (0, 4.0, 1),
-                                   (1, 1.0, 0)])
+    d = from_rows(schema, [(0, 1.0, 0), (1, 2.0, 0), (1, 3.0, 1), (0, 4.0, 1),
+                          (1, 1.0, 0)])
     for name in CLASSIFIER_NAMES:
         spec = make_classifier(name, **({"epochs": 1} if name == "mlp" else {}))
         model = spec.train(d, 0)
         for row in ((None, 1.0, 0), (1, None, 0)):
-            holed = Dataset.from_rows(schema, [*d.rows()[:4], row])
+            holed = from_rows(schema, [*d.rows()[:4], row])
             with pytest.raises(DataError, match="impute it first"):
                 spec.predict(model, holed)
             with pytest.raises(DataError, match="impute it first"):

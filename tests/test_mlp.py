@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import postop.mlp as mlp_mod
-from postop.dataset import AttributeSchema, DataError, Dataset
+from postop.dataset import AttributeSchema, DataError
 from postop.evaluation import cross_validate, make_classifier, stratified_folds
 from postop.mlp import (
     MlpConfig,
@@ -25,7 +25,7 @@ from postop.mlp import (
 )
 from postop.resampling import SmoteConfig, smote
 
-from conftest import nominal_dataset, query
+from conftest import from_rows, nominal_dataset, query
 from oracles import (
     finite_difference_grads, forward_by_loops, max_relative_error, sgd_by_loops,
 )
@@ -43,7 +43,7 @@ def _toy_dataset(n=24, seed=3):
     for i in range(n):
         c = i % 2
         rows.append((c, float(rng.normal(loc=3.0 * c, scale=0.3)), c))
-    return Dataset.from_rows(schema, rows)
+    return from_rows(schema, rows)
 
 
 def _random_net(rng, sizes):
@@ -79,7 +79,7 @@ def test_numeric_scaling_and_constant_column():
         AttributeSchema("v", "numeric"),
         AttributeSchema("cls", "nominal", ("T", "F"), role="class"),
     ]
-    d = Dataset.from_rows(schema, [(2.0, 5.0, 0), (4.0, 5.0, 1), (6.0, 5.0, 0)])
+    d = from_rows(schema, [(2.0, 5.0, 0), (4.0, 5.0, 1), (6.0, 5.0, 0)])
     enc, x, _ = encode(d)
     assert x[:, 0].tolist() == [0.0, 0.5, 1.0]
     assert enc.lo[1] == enc.hi[1] == 5.0
@@ -96,7 +96,7 @@ def test_extreme_magnitudes_scale_into_the_unit_interval():
         AttributeSchema("v", "numeric"),
         AttributeSchema("cls", "nominal", ("T", "F"), role="class"),
     ]
-    d = Dataset.from_rows(schema, [(-1e308, 0), (1e308, 1), (0.0, 0), (5e307, 1)])
+    d = from_rows(schema, [(-1e308, 0), (1e308, 1), (0.0, 0), (5e307, 1)])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         _, x, _ = encode(d)

@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from postop.dataset import AttributeSchema, DataError, Dataset
+from postop.dataset import AttributeSchema, DataError
 from postop.naive_bayes import VARIANCE_FLOOR, nb_predict, train_nb
 
-from conftest import nominal_dataset, query
+from conftest import from_rows, nominal_dataset, query
 from oracles import gaussian_logpdf, nb_enumerate
 
 
@@ -79,7 +79,7 @@ def test_gaussian_parameters_and_floor():
         AttributeSchema("w", "numeric"),
         AttributeSchema("c", "nominal", ("T", "F"), role="class"),
     ]
-    d = Dataset.from_rows(schema, [
+    d = from_rows(schema, [
         (1.0, 5.0, 0),
         (2.0, 5.0, 0),
         (3.0, 5.0, 0),
@@ -104,8 +104,8 @@ def test_posteriors_finite_at_the_edge_of_the_float_range():
         AttributeSchema("v", "numeric"),
         AttributeSchema("c", "nominal", ("T", "F"), role="class"),
     ]
-    d = Dataset.from_rows(schema, [(1e308, 0), (-1e308, 0), (1e308, 0),
-                                   (1.7e308, 1), (-1e308, 1), (1e308, 1)])
+    d = from_rows(schema, [(1e308, 0), (-1e308, 0), (1e308, 0),
+                          (1.7e308, 1), (-1e308, 1), (1e308, 1)])
     model = train_nb(d)
     assert all(np.isfinite(p).all() for p in model.gaussian_params.values())
     p = nb_predict(model, d)
@@ -122,7 +122,7 @@ def test_a_value_far_outside_every_class_goes_to_the_widest_class():
         AttributeSchema("c", "nominal", ("T", "F"), role="class"),
     ]
     # class F's values spread wider, so F has the larger variance
-    d = Dataset.from_rows(schema, [(1.0, 0), (2.0, 0), (3.0, 1), (5.0, 1)])
+    d = from_rows(schema, [(1.0, 0), (2.0, 0), (3.0, 1), (5.0, 1)])
     model = train_nb(d)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -139,7 +139,7 @@ def test_values_overflowing_toward_different_widest_classes_give_the_one_hot_lim
     # b is widest on u, a on v: each overflowing term ruled out the other's
     # widest class, so no class was left. The quadratic sums are about
     # 4.25 x**2 for a (u: 1/0.25, v: 1/4) and 5 x**2 for b (u: 1/1, v: 1/0.25).
-    d = Dataset.from_rows(schema, [(1.0, 1.0, 0), (2.0, 5.0, 0), (3.0, 2.0, 1), (5.0, 3.0, 1)])
+    d = from_rows(schema, [(1.0, 1.0, 0), (2.0, 5.0, 0), (3.0, 2.0, 1), (5.0, 3.0, 1)])
     model = train_nb(d)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -152,7 +152,7 @@ def test_gaussian_likelihood_formula():
         AttributeSchema("v", "numeric"),
         AttributeSchema("c", "nominal", ("T", "F"), role="class"),
     ]
-    d = Dataset.from_rows(schema, [(1.0, 0), (3.0, 0), (4.0, 1), (8.0, 1)])
+    d = from_rows(schema, [(1.0, 0), (3.0, 0), (4.0, 1), (8.0, 1)])
     model = train_nb(d)
     x = 2.2
     log_joint = [
@@ -203,5 +203,5 @@ def test_empty_dataset_rejected():
         AttributeSchema("c", "nominal", ("T", "F"), role="class"),
     ]
     with pytest.raises(DataError, match="empty"):
-        train_nb(Dataset.from_rows(schema, []))
+        train_nb(from_rows(schema, []))
 

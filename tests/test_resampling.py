@@ -14,10 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REPO_DIR
+from conftest import REPO_DIR, from_rows
 from oracles import nearest_neighbors, smote_draws_by_loop
 from postop import resampling
-from postop.dataset import (AttributeSchema, Dataset, class_counts, minmax_scale,
+from postop.dataset import (AttributeSchema, class_counts, minmax_scale,
                             observed_range, parse_arff, to_arff)
 from postop.resampling import (
     ResampleError,
@@ -43,7 +43,7 @@ def test_config_validation():
 def test_a_missing_majority_cell_is_refused():
     schema = [AttributeSchema("x", "numeric"),
               AttributeSchema("cls", "nominal", ("T", "F"), role="class")]
-    d = Dataset.from_rows(schema, [(1.0, 0), (2.0, 0), (3.0, 0), (None, 1), (5.0, 1)])
+    d = from_rows(schema, [(1.0, 0), (2.0, 0), (3.0, 0), (None, 1), (5.0, 1)])
     with pytest.raises(ResampleError, match="impute it first"):
         smote(d, "T", SmoteConfig(seed=1, k_neighbors=1, percent=100))
 
@@ -194,7 +194,7 @@ def test_neighbor_table_on_extreme_magnitudes():
         AttributeSchema("v", "numeric"),
         AttributeSchema("cls", "nominal", ("T", "F"), role="class"),
     ]
-    d = Dataset.from_rows(schema, [(-1e308, 0), (1e308, 0), (0.0, 0), (5e307, 0), (1.0, 1)])
+    d = from_rows(schema, [(-1e308, 0), (1e308, 0), (0.0, 0), (5e307, 0), (1.0, 1)])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         table = _neighbor_table(d, np.arange(4), 3)
@@ -291,7 +291,7 @@ def smote_cases(draw):
     m = draw(st.integers(2, 10))
     table = rows(minority, m, number)
     table += rows(1 - minority, draw(st.integers(0, 10)), number)
-    d = Dataset.from_rows(schema, draw(st.permutations(table)))
+    d = from_rows(schema, draw(st.permutations(table)))
     cfg = SmoteConfig(seed=draw(st.integers(0, 2**32 - 1)),
                       k_neighbors=draw(st.integers(1, m - 1)),
                       percent=100 * draw(st.integers(0, 4)))
@@ -300,7 +300,7 @@ def smote_cases(draw):
 
 # minority values at both ends of the float range, whose differences overflow
 EDGE_CASE = (
-    Dataset.from_rows(
+    from_rows(
         [AttributeSchema("x0", "numeric"),
          AttributeSchema("cls", "nominal", ("T", "F"), role="class")],
         [(1e308, 0), (-1e308, 0), (1.5e308, 0), (0.0, 1), (1.0, 1), (2.0, 1)]),
@@ -361,7 +361,7 @@ def neighbor_cases(draw):
     m = draw(st.integers(2, 40))
     minority = [draw(st.sampled_from(distinct)) + (0,) for _ in range(m)]
     majority = [r + (1,) for r in draw(st.lists(row, max_size=3))]  # widen the ranges
-    d = Dataset.from_rows(schema, draw(st.permutations(minority + majority)))
+    d = from_rows(schema, draw(st.permutations(minority + majority)))
     return d, draw(st.one_of(st.just(m - 1), st.integers(1, m - 1)))
 
 
