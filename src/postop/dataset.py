@@ -332,6 +332,8 @@ def _strip_comment(raw: str) -> str:
 
 def _parse_attribute_decl(rest: str, lineno: int) -> AttributeSchema:
     rest = rest.strip()
+    if rest[:1] not in ("'", '"'):  # a quoted name may hold a %; elsewhere it starts a comment
+        rest = _strip_comment(rest).strip()
     if not rest:
         raise ParseError("attribute declaration needs a name and a type", line=lineno)
     if rest[0] in "'\"":
@@ -340,7 +342,7 @@ def _parse_attribute_decl(rest: str, lineno: int) -> AttributeSchema:
         if end < 0:
             raise ParseError("unterminated quoted attribute name", line=lineno)
         name = rest[1:end]
-        spec = rest[end + 1 :].strip()
+        spec = _strip_comment(rest[end + 1 :]).strip()
     else:
         brace = rest.find("{")
         head = rest if brace < 0 else rest[:brace]
@@ -456,7 +458,7 @@ def parse_arff(text: str, class_attribute: str | None = None) -> Dataset:
         if low.startswith("@relation"):
             relation = line[len("@relation") :].strip().strip("'\"") or relation
         elif low.startswith("@attribute"):
-            schema.append(_parse_attribute_decl(line[len("@attribute") :], lineno))
+            schema.append(_parse_attribute_decl(raw.lstrip()[len("@attribute") :], lineno))
         elif low.startswith("@data"):
             if not schema:
                 raise ParseError("@data before any attribute declaration", line=lineno)
@@ -483,7 +485,7 @@ def to_arff(d: Dataset) -> str:
     out = [f"@relation {d.relation}"]
     for a in d.schema:
         name = a.name  # quoted where the unquoted form would read another name
-        if name.split() != [name] or "{" in name or name[0] in "'\"":
+        if name.split() != [name] or "{" in name or "%" in name or name[0] in "'\"":
             quote = '"' if "'" in name else "'"
             name = quote + name + quote
         if a.kind == NOMINAL:

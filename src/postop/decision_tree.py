@@ -3,9 +3,10 @@
 Splits are chosen by gain ratio among attributes whose information gain
 reaches the mean gain of the viable candidates. Nominal attributes branch
 over their whole declared domain; numeric attributes get a binary test at
-the midpoint between adjacent observed values that maximizes gain. Pruning
-replaces subtrees with leaves when a pessimistic error estimate (upper
-confidence bound on the training error) says the leaf is no worse.
+the midpoint between adjacent observed values that maximizes gain. Trees
+grow a level at a time, one scan scoring every split of a level's nodes.
+Pruning replaces subtrees with leaves when a pessimistic error estimate
+(upper confidence bound on the training error) says the leaf is no worse.
 """
 
 from __future__ import annotations
@@ -80,15 +81,6 @@ class Condition:
     value: str | float
     code: int | None = None  # domain index backing an "=" test
 
-    def matches(self, d: Dataset) -> np.ndarray:
-        """Which rows satisfy the test; a missing value satisfies none."""
-        v = d.column(self.attr_index)
-        if self.op == "=":
-            return v == self.code
-        if self.op == "<=":
-            return v <= self.value
-        return v > self.value
-
 
 @dataclass(frozen=True)
 class Rule:
@@ -97,12 +89,6 @@ class Rule:
     antecedent: tuple[Condition, ...]
     consequent: tuple[str, str]  # (class attribute name, class value token)
     class_code: int
-
-    def matches(self, d: Dataset) -> np.ndarray:
-        hits = np.ones(len(d), dtype=bool)
-        for c in self.antecedent:
-            hits &= c.matches(d)
-        return hits
 
 
 # -- information measures ----------------------------------------------------
@@ -128,45 +114,72 @@ def _nominal_keys(codes: np.ndarray, width: int, y: np.ndarray, n_classes: int) 
     return (codes + np.arange(codes.shape[1]) * width) * n_classes + y[:, None]
 
 
-def _scan(keys, width, values, y, counts):
-    """Gains, split infos, thresholds and child class counts of every split of one node.
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """Each value's position among its column's distinct values; -0.0 and 0.0 tie."""
+    ranks = [np.unique(col, return_inverse=True)[1] for col in values.T]
+    return np.array(ranks, dtype=np.int64).reshape(values.shape[::-1]).T
 
-    keys come from _nominal_keys for the node's rows, values are the
-    rows' numeric columns and counts the node's class counts. Nominal
-    attributes come first, then numeric ones. A nominal split branches over
-    the whole domain; a numeric one is the midpoint test of best gain, the
-    lowest threshold on ties. A nominal attribute with one observed value
-    gets gain 0, a numeric one gain -inf. Needs at least two rows.
+
+def _scan(keys, width, values, ranks, y, counts):
+    """Gains, split infos, thresholds and child class counts of every split of many nodes.
+
+    Node i has class counts counts[i] and its rows in the i-th contiguous
+    segment of keys (from _nominal_keys), values, their _ranks and y; keys
+    and ranks are overwritten. Results have a row per node and the nominal
+    attributes' columns first: thresholds are nan for them, child counts
+    are (nodes, attributes, max(width, 2), classes). A nominal split
+    branches over the whole domain, a numeric one is the best-gain midpoint
+    test, the lowest on ties. One observed value gives a nominal attribute
+    gain 0, a numeric one gain -inf. Each node needs two rows and is scored
+    alone.
     """
-    n = len(y)
+    n_nodes, n_classes = counts.shape
+    n = counts.sum(axis=1)
+    sizes = n.astype(np.int64)
+    starts = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(n_nodes), sizes)
     h0 = _entropy_rows(counts)
-    shape = (keys.shape[1], width, len(counts))
+    shape = (n_nodes, keys.shape[1], width, n_classes)
+    keys += (seg * math.prod(shape[1:]))[:, None]  # each node its own block of tables
     tables = np.bincount(keys.ravel(), minlength=math.prod(shape)).reshape(shape).astype(float)
-    sizes = tables.sum(axis=-1)
-    gains = h0 - _sum_last(sizes / n * _entropy_rows(tables))
-    infos = _entropy_rows(sizes).tolist()
-    # one stable sort of every numeric column; gains between equal values are -inf
-    order = np.argsort(values, axis=0, kind="mergesort")
+    del keys  # the level's largest block, not needed past the count
+    branch = tables.sum(axis=-1)
+    gains = h0[:, None] - _sum_last(branch / n[:, None, None] * _entropy_rows(tables))
+    infos = _entropy_rows(branch)
+    # one stable sort of every numeric column inside its segments, ties in row order
+    ranks += (seg * (ranks.max(initial=0) + 1))[:, None]
+    order = np.argsort(ranks, axis=0, kind="stable")
     cols = np.arange(values.shape[1])
     sv = values[order, cols]
-    left = np.cumsum(y[order][..., None] == np.arange(len(counts)), axis=0, dtype=float)[:-1]
-    nl = np.arange(1.0, n)[:, None]
-    split_gains = h0 - nl / n * _entropy_rows(left) - (n - nl) / n * _entropy_rows(counts - left)
-    split_gains = np.where(sv[:-1] < sv[1:], split_gains, -np.inf)
-    best = split_gains.argmax(axis=0)
-    a, b = sv[best, cols], sv[best + 1, cols]
+    left = np.cumsum(y[order][..., None] == np.arange(n_classes), axis=0, dtype=float)
+    # counts before each segment, to subtract; integers, so the differences are exact
+    before = np.concatenate([np.zeros((1,) + left.shape[1:]), left[starts[1:] - 1]])
+    # a split after every position but a segment's last
+    pos = np.delete(np.arange(len(y)), starts + sizes - 1)
+    at = seg[pos]
+    left = left[pos] - before[at]
+    local = (pos - starts[at])[:, None]  # position inside the segment
+    nl, nn = local + 1.0, n[at][:, None]
+    split_gains = (h0[at][:, None] - nl / nn * _entropy_rows(left)
+                   - (nn - nl) / nn * _entropy_rows(counts[at][:, None] - left))
+    split_gains = np.where(sv[pos] < sv[pos + 1], split_gains, -np.inf)
+    # the first position of each segment's best gain; gains between equal values are -inf
+    first = starts - np.arange(n_nodes)
+    top = np.maximum.reduceat(split_gains, first, axis=0)
+    best = np.minimum.reduceat(np.where(split_gains == top[at], local, len(y)), first, axis=0)
+    a, b = sv[starts[:, None] + best, cols], sv[starts[:, None] + best + 1, cols]
     thresholds = a / 2 + b / 2  # halved first, so the sum cannot overflow
     thresholds = np.where((a <= thresholds) & (thresholds < b), thresholds, a)  # b stays right
     # math.log2 keeps the bits of the pinned trees; np.log2 rounds some ratios apart
-    for pl, pr in zip(((best + 1) / n).tolist(), ((n - best - 1) / n).tolist()):
-        infos.append(-(pl * math.log2(pl) + pr * math.log2(pr)))
-    left = left[best, cols]
-    return (
-        np.concatenate([gains, split_gains[best, cols]]).tolist(),
-        infos,
-        [None] * len(gains) + thresholds.tolist(),
-        list(tables) + list(np.stack([left, counts - left], axis=1)),
-    )
+    split_infos = [-(pl * math.log2(pl) + pr * math.log2(pr)) for pl, pr in
+                   zip(((best + 1) / n[:, None]).flat, ((n[:, None] - best - 1) / n[:, None]).flat)]
+    left = left[first[:, None] + best, cols]
+    children = np.zeros((n_nodes, shape[1] + len(cols), max(width, 2), n_classes))
+    children[:, :shape[1], :width] = tables
+    children[:, shape[1]:, :2] = np.stack([left, counts[:, None] - left], axis=2)
+    infos = np.concatenate([infos, np.reshape(split_infos, best.shape)], axis=1)
+    thresholds = np.concatenate([np.full(gains.shape, np.nan), thresholds], axis=1)
+    return np.concatenate([gains, top], axis=1), infos, thresholds, children
 
 
 # -- training ----------------------------------------------------------------
@@ -187,58 +200,70 @@ def _route(node: TreeNode, d: Dataset, idx: np.ndarray) -> list[np.ndarray]:
 class _Trainer:
     def __init__(self, d: Dataset, cfg: TreeConfig):
         require_complete(d, "tree training")
-        self.d = d
         self.cfg = cfg
         self.n_classes = len(d.class_labels)
         self.y = d.class_codes()
-        self.width = max((len(d.schema[ai].values) for ai in d.nominal_predictor_indices),
-                         default=1)
-        self.keys = _nominal_keys(d.codes_matrix(), self.width, self.y, self.n_classes)
-        self.values = d.numeric_matrix()
+        n_nominal = len(d.nominal_predictor_indices)
         self.attrs = d.nominal_predictor_indices + d.numeric_predictor_indices
+        self.schema_order = np.argsort(self.attrs)
+        self.branches = [len(d.schema[ai].values) or 2 for ai in self.attrs]  # a numeric test has 2
+        self.width = max(self.branches[:n_nominal], default=1)
+        self.keys = _nominal_keys(d.codes_matrix(), self.width, self.y, self.n_classes)
+        # every predictor as floats in scan order, nominal codes first, to route rows by
+        self.columns = np.hstack([d.codes_matrix(), d.numeric_matrix()])
+        self.values = self.columns[:, n_nominal:]
+        self.ranks = _ranks(self.values)
 
-    def _best_split(self, idx, counts):
-        """(attribute, threshold, child class counts) of the split for rows idx, or None.
+    def _choose(self, gains: np.ndarray, infos: np.ndarray) -> np.ndarray:
+        """Scan column of each node's split, or -1 where no split is worth it.
 
         Attributes with positive gain and split info whose gain reaches the
-        mean gain compete on gain ratio.
+        mean gain compete on gain ratio; the earliest in schema order wins ties.
         """
-        gains, infos, thresholds, tables = _scan(
-            self.keys[idx], self.width, self.values[idx], self.y[idx], counts)
-        candidates = sorted(
-            (ai, gain, gain / info, k)
-            for k, (ai, gain, info) in enumerate(zip(self.attrs, gains, infos))
-            if gain > GAIN_EPS and info > 0.0
-        )
-        if not candidates:
-            return None
-        mean_gain = sum(c[1] for c in candidates) / len(candidates)
-        best = None
-        for cand in candidates:  # schema order; strict > keeps the earliest on ties
-            if cand[1] >= mean_gain - GAIN_EPS and (best is None or cand[2] > best[2]):
-                best = cand
-        ai, k = best[0], best[3]
-        return ai, thresholds[k], tables[k]
+        gains, infos = gains[:, self.schema_order], infos[:, self.schema_order]
+        candidate = (gains > GAIN_EPS) & (infos > 0.0)
+        n = candidate.sum(axis=1)
+        # summed left to right in schema order, as Python's sum over the candidates
+        mean_gain = _sum_last(np.where(candidate, gains, 0.0)) / np.maximum(n, 1)
+        eligible = candidate & (gains >= mean_gain[:, None] - GAIN_EPS)
+        ratios = np.divide(gains, infos, out=np.full(gains.shape, -np.inf), where=eligible)
+        return np.where(n > 0, self.schema_order[ratios.argmax(axis=1)], -1)
 
-    def build(self, idx) -> TreeNode:
-        """Grow the tree over rows idx from an explicit stack, so depth is unbounded."""
-        root = _leaf(np.bincount(self.y[idx], minlength=self.n_classes).astype(float))
-        stack = [(root, idx)]
-        while stack:
-            node, idx = stack.pop()
-            if int((node.counts > 0).sum()) <= 1:
-                continue
-            if len(idx) < 2 * self.cfg.min_leaf_instances:
-                continue
-            best = self._best_split(idx, node.counts)
-            if best is None:
-                continue
-            node.attr_index, node.threshold, child_counts = best
-            size = len(self.d.schema[node.attr_index].values) or 2  # a numeric test has 2
-            # a copy, so the nodes do not keep the whole scan table alive
-            node.children = [_leaf(c) for c in child_counts[:size].copy()]
-            stack.extend(zip(node.children, _route(node, self.d, idx)))
-        return root
+    def build(self) -> TreeNode:
+        """Grow the tree a level at a time; one _scan scores every node of a level.
+
+        A level's rows sit in one segment per growing node, ascending inside each.
+        A node's split depends only on its rows, so growth order does not change the tree.
+        """
+        counts = np.bincount(self.y, minlength=self.n_classes).astype(float)[None]
+        children = [root := _leaf(counts[0])]
+        rows, child = np.arange(len(self.y)), np.zeros(len(self.y), dtype=np.int64)
+        while True:
+            # a node grows when it holds two classes and twice min_leaf_instances rows
+            grows = ((counts > 0).sum(axis=1) > 1) & (
+                counts.sum(axis=1) >= 2 * self.cfg.min_leaf_instances) & bool(self.attrs)
+            rows = rows[grows[child]][np.argsort(child[grows[child]], kind="stable")]
+            nodes, counts = [c for c, g in zip(children, grows) if g], counts[grows]
+            if not nodes:
+                return root
+            gains, infos, thresholds, tables = _scan(self.keys[rows], self.width, self.values[rows],
+                                                     self.ranks[rows], self.y[rows], counts)
+            chosen = self._choose(gains, infos)
+            children, first = [], np.zeros(len(nodes), dtype=np.int64)
+            for s in np.flatnonzero(chosen >= 0):
+                node, k = nodes[s], chosen[s]
+                first[s] = len(children)
+                node.attr_index = self.attrs[k]
+                node.threshold = None if np.isnan(thresholds[s, k]) else thresholds[s, k].item()
+                # a copy, so the nodes do not keep the whole scan table alive
+                node.children = [_leaf(c) for c in tables[s, k, :self.branches[k]].copy()]
+                children += node.children
+            # each row's child: its node's first child plus the branch its test takes
+            seg = np.repeat(np.arange(len(nodes)), counts.sum(axis=1).astype(np.int64))
+            rows, seg = rows[chosen[seg] >= 0], seg[chosen[seg] >= 0]
+            v, t = self.columns[rows, chosen[seg]], thresholds[seg, chosen[seg]]
+            child = first[seg] + np.where(np.isnan(t), v, v > t).astype(np.int64)
+            counts = np.reshape([c.counts for c in children], (-1, self.n_classes))
 
 
 def _added_errors(n: float, e: float, cf: float, z: float) -> float:
@@ -248,9 +273,7 @@ def _added_errors(n: float, e: float, cf: float, z: float) -> float:
     with a continuity correction; the small-e branches interpolate the
     exact bound for e < 1.
     """
-    if n <= 0:
-        return 0.0
-    if cf > 0.5:
+    if n <= 0 or cf > 0.5:
         return 0.0
     if e < 1:
         base = n * (1.0 - cf ** (1.0 / n))
@@ -302,7 +325,7 @@ def train_tree(d: Dataset, cfg: TreeConfig | None = None) -> TreeNode:
     if len(d) == 0:
         raise DataError("cannot train on an empty dataset")
     cfg = cfg or TreeConfig()
-    root = _Trainer(d, cfg).build(np.arange(len(d)))
+    root = _Trainer(d, cfg).build()
     if cfg.pruning:
         z = NormalDist().inv_cdf(1.0 - cfg.pruning_confidence)
         _prune(root, cfg.pruning_confidence, z)
@@ -380,16 +403,6 @@ def tree_to_rules(t: TreeNode) -> list[Rule]:
     ]
 
 
-def rules_predict(rules: list[Rule], d: Dataset) -> np.ndarray:
-    """Class code of the first rule each row matches."""
-    out = np.full(len(d), -1)
-    for rule in reversed(rules):  # earlier rules overwrite later ones
-        out[rule.matches(d)] = rule.class_code
-    if (out < 0).any():
-        raise DataError(f"no rule matched instance {int(np.argmax(out < 0))}")
-    return out
-
-
 # -- printer -------------------------------------------------------------------
 
 
@@ -425,15 +438,14 @@ def gain_ratio(d: Dataset, attribute) -> float | None:
     if len(d) < 2:
         return None
     col, y = d.column(ai)[:, None], d.class_codes()
-    n_classes = len(d.class_labels)
-    counts = np.bincount(y, minlength=n_classes).astype(float)
+    counts = np.bincount(y, minlength=len(d.class_labels)).astype(float)[None]
+    empty = np.empty((len(y), 0), dtype=np.int64)
     if attr.kind == NOMINAL:
         width = len(attr.values)
-        scan = _scan(_nominal_keys(col, width, y, n_classes), width, np.empty((len(y), 0)),
-                     y, counts)
+        scan = _scan(_nominal_keys(col, width, y, counts.shape[1]), width, empty, empty, y, counts)
     else:
-        scan = _scan(np.empty((len(y), 0), dtype=np.int64), 1, col, y, counts)
-    gain, split_info = scan[0][0], scan[1][0]
+        scan = _scan(empty, 1, col, _ranks(col), y, counts)
+    gain, split_info = scan[0][0, 0], scan[1][0, 0]
     if gain == -math.inf or split_info <= 0.0:
         return None
     return gain / split_info

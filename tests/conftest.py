@@ -1,6 +1,7 @@
 """Shared fixtures: toy tables, the stand-in cohort, and the real-file locator."""
 
 import contextlib
+import importlib.util
 import os
 import signal
 from pathlib import Path
@@ -84,6 +85,20 @@ def from_rows(schema, rows, relation: str = "dataset") -> Dataset:
     classes = np.array([-1 if r[ci] is None else r[ci] for r in rows], dtype=np.int64)
     return Dataset(schema, block("nominal", -1, np.int64), block("numeric", np.nan, np.float64),
                    classes, relation)
+
+
+def synthetic_cohort_text(n_t: int, n_f: int, relation: str) -> str:
+    """ARFF of n_t T rows, then n_f F rows, drawn by scripts/make_synthetic_cohort.py (seed 7)."""
+    spec = importlib.util.spec_from_file_location(
+        "make_synthetic_cohort", REPO_DIR / "scripts" / "make_synthetic_cohort.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    rng = np.random.default_rng(7)
+    header = [f"@attribute {name} "
+              + ("numeric" if values is None else "{" + ",".join(values) + "}")
+              for name, values in script.SCHEMA]
+    rows = [script.make_row(rng, label) for label in ["T"] * n_t + ["F"] * n_f]
+    return "\n".join([f"@relation {relation}", *header, "@data", *rows]) + "\n"
 
 
 def query(d: Dataset, *rows) -> Dataset:

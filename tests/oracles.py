@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from postop.dataset import DataError
+
 
 # -- information theory --------------------------------------------------------
 
@@ -89,6 +91,29 @@ def gain_ratio_numeric(column, labels) -> float | None:
     if si <= 0:
         return None
     return gain / si
+
+
+def condition_matches(condition, d) -> np.ndarray:
+    """Which rows of d satisfy one rule condition; a missing value satisfies none."""
+    v = d.column(condition.attr_index)
+    if condition.op == "=":
+        return v == condition.code
+    if condition.op == "<=":
+        return v <= condition.value
+    return v > condition.value
+
+
+def rules_predict(rules, d) -> np.ndarray:
+    """Class code of the first rule each row of d matches, every condition tested."""
+    out = np.full(len(d), -1)
+    for rule in reversed(rules):  # earlier rules overwrite later ones
+        hits = np.ones(len(d), dtype=bool)
+        for c in rule.antecedent:
+            hits &= condition_matches(c, d)
+        out[hits] = rule.class_code
+    if (out < 0).any():
+        raise DataError(f"no rule matched instance {int(np.argmax(out < 0))}")
+    return out
 
 
 # -- nearest neighbours -----------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from postop.cli import main
 from postop.dataset import class_counts, impute_missing, parse_arff
-from postop.decision_tree import gain_ratio, rules_predict, train_tree, tree_predict, tree_to_rules
+from postop.decision_tree import gain_ratio, train_tree, tree_predict, tree_to_rules
 from postop.evaluation import (
     ConfusionMatrix,
     confusion_metrics,
@@ -38,6 +38,7 @@ from oracles import (
     gain_ratio_numeric,
     max_relative_error,
     nb_enumerate,
+    rules_predict,
 )
 
 MISSING_FILE_HELP = (

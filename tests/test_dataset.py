@@ -1,6 +1,5 @@
 """Parser, serializer, and data-model behavior."""
 
-import importlib.util
 import tracemalloc
 import warnings
 
@@ -22,7 +21,7 @@ from postop.dataset import (
     to_arff,
 )
 
-from conftest import COHORT_PATH, REPO_DIR, from_rows
+from conftest import COHORT_PATH, from_rows, synthetic_cohort_text
 
 TOY = """% a toy table
 @RELATION 'toy'
@@ -153,7 +152,7 @@ def test_round_trip_cohort_file():
     assert parse_arff(to_arff(d)) == d
 
 
-@pytest.mark.parametrize("declared", ["'pre op'", "'a{b'", "\"it's x\""])
+@pytest.mark.parametrize("declared", ["'pre op'", "'a{b'", "\"it's x\"", "'a%b'"])
 def test_round_trip_quotes_attribute_names_the_bare_form_would_misread(declared):
     d = parse_arff(f"@relation r\n@attribute {declared} numeric\n"
                    "@attribute c {T,F}\n@data\n1,T\n")
@@ -196,17 +195,7 @@ def test_reformatted_cohort_parses_to_the_same_table():
 
 def test_parse_of_a_100x_cohort_peaks_below_its_row_tuples():
     # 47,000 rows: a tuple per row, all alive at once, would peak near 40 MB
-    spec = importlib.util.spec_from_file_location(
-        "make_synthetic_cohort", REPO_DIR / "scripts" / "make_synthetic_cohort.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    rng = np.random.default_rng(7)
-    header = [f"@attribute {name} "
-              + ("numeric" if values is None else "{" + ",".join(values) + "}")
-              for name, values in script.SCHEMA]
-    rows = [script.make_row(rng, label) for label in ["T"] * 7_000 + ["F"] * 40_000]
-    text = "\n".join(["@relation cohort-100x", *header, "@data", *rows]) + "\n"
-    del rows
+    text = synthetic_cohort_text(7_000, 40_000, "cohort-100x")
     tracemalloc.start()
     try:
         d = parse_arff(text)

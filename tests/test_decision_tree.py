@@ -1,23 +1,25 @@
 """Tree induction against hand-worked tables and brute-force split scoring."""
 
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from postop.cli import main
-from postop.dataset import AttributeSchema, DataError, to_arff
+from postop import decision_tree
+from postop.dataset import AttributeSchema, DataError, impute_missing, parse_arff, to_arff
 from postop.decision_tree import (
     GAIN_EPS,
     TreeConfig,
     TreeNode,
     _added_errors,
     _nodes,
+    _ranks,
     _scan,
     _Trainer,
     format_tree,
     gain_ratio,
-    rules_predict,
     train_tree,
     tree_predict,
     tree_to_rules,
@@ -30,6 +32,7 @@ from conftest import (
     nominal_dataset,
     query,
     random_mixed_dataset,
+    synthetic_cohort_text,
     time_limit,
 )
 from oracles import (
@@ -37,6 +40,7 @@ from oracles import (
     gain_of_partition,
     gain_ratio_nominal,
     gain_ratio_numeric,
+    rules_predict,
     split_info_of_partition,
 )
 
@@ -97,10 +101,19 @@ def _table(columns, labels, domains):
     return from_rows(schema, [(*row, y) for row, y in zip(zip(*columns), labels)])
 
 
+def _scan_nodes(trainer, nodes, ranks=None):
+    """_scan over the given nodes' rows, one segment per node in order."""
+    rows = np.concatenate(nodes)
+    counts = np.array([np.bincount(trainer.y[idx], minlength=2) for idx in nodes], dtype=float)
+    ranks = trainer.ranks[rows] if ranks is None else ranks
+    return _scan(trainer.keys[rows], trainer.width, trainer.values[rows], ranks,
+                 trainer.y[rows], counts)
+
+
 def test_scan_matches_oracles_at_random_nodes():
     # a 9-value attribute (numpy sums 8 or more terms pairwise), values absent
-    # from the node, attributes with one observed value, and tables with only
-    # nominal or only numeric predictors
+    # from a node, attributes with one observed value, and tables with only
+    # nominal or only numeric predictors; one scan scores up to four nodes
     rng = np.random.default_rng(2718)
     for domains in [(9, None, 2, None, 4), (9, 3, 2), (None, None, None)] * 20:
         n = int(rng.integers(10, 50))
@@ -110,27 +123,92 @@ def test_scan_matches_oracles_at_random_nodes():
             columns[-1] = [columns[-1][0]] * n
         labels = rng.integers(0, 2, n).tolist()
         trainer = _Trainer(_table(columns, labels, domains), TreeConfig())
-        idx = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
-        y = [labels[i] for i in idx]
-        counts = np.bincount(y, minlength=2).astype(float)
-        gains, infos, thresholds, tables = _scan(
-            trainer.keys[idx], trainer.width, trainer.values[idx], trainer.y[idx], counts)
-        for k, ai in enumerate(trainer.attrs):
-            col = [columns[ai][i] for i in idx]
-            if domains[ai]:
-                threshold = None
-                groups = [[i for i, v in enumerate(col) if v == code]
-                          for code in range(domains[ai])]
-            else:
-                threshold, _, groups = best_threshold_split(col, y) or (None, None, [])
-            if sum(map(bool, groups)) < 2:  # not a candidate
-                assert not (gains[k] > GAIN_EPS and infos[k] > 0.0)
-                continue
-            assert thresholds[k] == threshold
-            assert tables[k][:len(groups)].tolist() == [[sum(y[i] == c for i in g) for c in (0, 1)]
-                                                        for g in groups]
-            assert gains[k] == pytest.approx(gain_of_partition(y, groups), abs=1e-12)
-            assert infos[k] == pytest.approx(split_info_of_partition(len(y), groups), abs=1e-12)
+        nodes = [np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+                 for _ in range(int(rng.integers(1, 5)))]
+        gains, infos, thresholds, tables = _scan_nodes(trainer, nodes)
+        assert gains.shape == infos.shape == thresholds.shape == (len(nodes), len(domains))
+        for s, idx in enumerate(nodes):
+            y = [labels[i] for i in idx]
+            for k, ai in enumerate(trainer.attrs):
+                col = [columns[ai][i] for i in idx]
+                if domains[ai]:
+                    threshold = None
+                    groups = [[i for i, v in enumerate(col) if v == code]
+                              for code in range(domains[ai])]
+                else:
+                    threshold, gain, groups = best_threshold_split(col, y) or (None, None, [])
+                    if threshold is not None and thresholds[s, k] != threshold:
+                        # thresholds whose gains tie in exact arithmetic differ in the
+                        # last bits; the oracle takes the lowest within 1e-15, the scan
+                        # the largest rounded gain
+                        distinct = sorted(set(col))
+                        threshold = thresholds[s, k]
+                        assert threshold in [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
+                        groups = [[i for i, v in enumerate(col) if v <= threshold],
+                                  [i for i, v in enumerate(col) if v > threshold]]
+                        assert gain_of_partition(y, groups) == pytest.approx(gain, abs=1e-12)
+                if sum(map(bool, groups)) < 2:  # not a candidate
+                    assert not (gains[s, k] > GAIN_EPS and infos[s, k] > 0.0)
+                    continue
+                if threshold is None:
+                    assert np.isnan(thresholds[s, k])
+                else:
+                    assert thresholds[s, k] == threshold
+                assert tables[s, k, :len(groups)].tolist() == [
+                    [sum(y[i] == c for i in g) for c in (0, 1)] for g in groups]
+                assert gains[s, k] == pytest.approx(gain_of_partition(y, groups), abs=1e-12)
+                assert infos[s, k] == pytest.approx(split_info_of_partition(len(y), groups),
+                                                    abs=1e-12)
+
+
+def test_one_scan_of_many_nodes_equals_a_scan_per_node():
+    # 2-row nodes, a 9-value domain, a numeric column constant in one node
+    # only, and one holding both -0.0 and 0.0 (they tie); each node alone is
+    # also scanned with ranks of its own rows, so rank numbering cannot matter
+    rng = np.random.default_rng(4242)
+    domains = (9, None, None, 2)
+    for _ in range(40):
+        n = int(rng.integers(12, 60))
+        order, nodes = rng.permutation(n), []
+        while sum(map(len, nodes)) < n - 1 and len(nodes) < 6:
+            size = 2 if len(nodes) < 2 else int(rng.integers(2, n // 2))
+            nodes.append(np.sort(order[sum(map(len, nodes)):][:size]))
+        nodes = [idx for idx in nodes if len(idx) >= 2]
+        columns = [rng.integers(0, 9, n).tolist(), (rng.integers(0, 6, n) / 2).tolist(),
+                   rng.choice([-0.0, 0.0, 0.5, -1.5], n).tolist(), rng.integers(0, 2, n).tolist()]
+        for i in nodes[int(rng.integers(len(nodes)))]:
+            columns[1][i] = 1.5
+        trainer = _Trainer(_table(columns, rng.integers(0, 2, n).tolist(), domains), TreeConfig())
+        together = _scan_nodes(trainer, nodes)
+        for s, idx in enumerate(nodes):
+            alone = _scan_nodes(trainer, [idx], _ranks(trainer.values[idx]))
+            for got, expected in zip(together, alone):
+                assert got[s].tobytes() == expected[0].tobytes()
+
+
+def _levels(t):
+    """Number of levels of the tree, the root's included."""
+    levels, stack = 0, [(t, 1)]
+    while stack:
+        node, level = stack.pop()
+        levels = max(levels, level)
+        stack.extend((child, level + 1) for child in node.children or ())
+    return levels
+
+
+def test_growth_scans_once_per_level(cohort, monkeypatch):
+    # every level holding an internal node is scanned once; the deepest level
+    # is scanned too when a leaf there could grow but no split pays
+    calls = []
+    scan = decision_tree._scan
+    monkeypatch.setattr(decision_tree, "_scan", lambda *args: calls.append(1) or scan(*args))
+    rng = np.random.default_rng(12)
+    for d in (cohort, random_mixed_dataset(rng, 200, n_nominal=2, n_numeric=2)):
+        for cfg in (TreeConfig(pruning=False), TreeConfig(min_leaf_instances=1, pruning=False)):
+            calls.clear()
+            t = train_tree(d, cfg)
+            nodes = sum(not node.is_leaf for node in _nodes(t))
+            assert _levels(t) - 1 <= len(calls) <= _levels(t) < nodes
 
 
 @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1)])
@@ -404,6 +482,20 @@ def test_deep_tree_trains_predicts_and_benches(tmp_path, capsys):
                  "--no-smote", "--folds", "2", "--out", str(tmp_path / "out")])
     assert code == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_training_on_a_100x_cohort_peaks_below_36_mb():
+    # 47,000 rows: a level's rows, keys and numeric sort scratch are alive at
+    # once, next to the table's keys, ranks and float columns
+    d = impute_missing(parse_arff(synthetic_cohort_text(7_000, 40_000, "cohort-100x")))
+    tracemalloc.start()
+    try:
+        t = train_tree(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(d) == 47_000 and not t.is_leaf
+    assert peak <= 36 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # -- configuration and wiring ------------------------------------------------------

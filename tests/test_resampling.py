@@ -1,6 +1,5 @@
 """Synthetic oversampling behavior."""
 
-import importlib.util
 import os
 import subprocess
 import sys
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REPO_DIR, from_rows
+from conftest import REPO_DIR, from_rows, synthetic_cohort_text
 from oracles import nearest_neighbors, smote_draws_by_loop
 from postop import resampling
 from postop.dataset import (AttributeSchema, class_counts, minmax_scale,
@@ -201,9 +200,11 @@ def test_neighbor_table_on_extreme_magnitudes():
     assert table.tolist() == [[2, 3, 1], [3, 2, 0], [3, 0, 1], [1, 2, 0]]
 
 
-# Runs in a fresh interpreter, so its peak RSS holds nothing of the tests.
-# The peak is a high-water mark that parsing the cohort already raised, so
-# growth is taken from the current RSS at the start of smote: an upper bound.
+# Runs in a fresh interpreter, and reads its peak from VmHWM, the high-water
+# mark of this process's own memory: ru_maxrss would also count the peak of
+# the pytest process that forked it. Parsing the cohort already raised that
+# mark, so growth is taken from the current RSS at the start of smote: an
+# upper bound.
 HUNDREDFOLD_SMOTE = """
 import importlib.util, resource, sys, time
 import numpy as np
@@ -227,12 +228,14 @@ with open("/proc/self/statm") as statm:
 start = time.perf_counter()
 out, _ = smote(d, "T", SmoteConfig(seed=1))
 seconds = time.perf_counter() - start
-peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 print(len(out), (peak_kb - start_kb) / 1024, seconds)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/statm and status")
 def test_smote_on_a_100x_cohort_stays_in_bounded_memory():
     # 7,000 minority rows: one dense m x m x attrs broadcast would take gigabytes
     env = {**os.environ, "PYTHONPATH": str(REPO_DIR / "src")}
@@ -248,15 +251,7 @@ def test_smote_on_a_100x_cohort_stays_in_bounded_memory():
 def test_neighbor_table_of_the_100x_minority_peaks_within_three_blocks():
     # the 7,000 minority rows of a 100x cohort: one block holds 149 x 7,000
     # distances (8 MB), and the table reuses two such buffers across blocks
-    spec = importlib.util.spec_from_file_location(
-        "make_synthetic_cohort", REPO_DIR / "scripts" / "make_synthetic_cohort.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    rng = np.random.default_rng(7)
-    header = [f"@attribute {name} " + ("numeric" if values is None else "{" + ",".join(values) + "}")
-              for name, values in script.SCHEMA]
-    d = parse_arff("\n".join(["@relation minority-100x", *header, "@data",
-                               *(script.make_row(rng, "T") for _ in range(70 * 100))]) + "\n")
+    d = parse_arff(synthetic_cohort_text(70 * 100, 0, "minority-100x"))
     tracemalloc.start()
     try:
         table = _neighbor_table(d, np.arange(len(d)), 5)
