@@ -128,10 +128,10 @@ def _scan(keys, width, values, ranks, y, counts):
     and ranks are overwritten. Results have a row per node and the nominal
     attributes' columns first: thresholds are nan for them, child counts
     are (nodes, attributes, max(width, 2), classes). A nominal split
-    branches over the whole domain, a numeric one is the best-gain midpoint
-    test, the lowest on ties. One observed value gives a nominal attribute
-    gain 0, a numeric one gain -inf. Each node needs two rows and is scored
-    alone.
+    branches over the whole domain, a numeric one is the midpoint test at
+    the first position of the largest computed gain, so rounding decides a
+    tie of exact gains. One observed value gives a nominal attribute gain 0,
+    a numeric one gain -inf. Each node needs two rows and is scored alone.
     """
     n_nodes, n_classes = counts.shape
     n = counts.sum(axis=1)

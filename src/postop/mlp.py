@@ -4,13 +4,18 @@ Nominal predictors are one-hot encoded, numeric predictors min-max scaled
 to [0, 1], and the class one-hot encoded as the target vector. Training
 minimizes half the squared error per instance with stochastic gradient
 descent plus momentum, visiting instances in a fresh seeded shuffle each
-epoch. The finite-difference tests check `backprop_gradient`, the
-one-model case of the stacked gradient that every training step takes.
+epoch. Networks train in lock-step from one flat buffer per quantity
+(parameters, momentum steps, gradients), laid out param-major so that each
+layer's weights of all networks are one contiguous view; the gradient
+kernel writes into those views in place. The finite-difference tests check
+`backprop_gradient`, the one-model case of that kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from itertools import accumulate, chain, product
 
 import numpy as np
 
@@ -19,6 +24,8 @@ from .dataset import DataError, Dataset, minmax_scale, observed_range, require_c
 # perfbench/child.py:environment() reads this name to label the training
 # path. Training has one numpy path, so it is False.
 _HAVE_NUMBA = False
+
+_GATHER = 64  # steps per gather of inputs; a whole epoch's takes rows x models x inputs floats
 
 
 class TrainingError(RuntimeError):
@@ -119,53 +126,67 @@ class MlpModel:
     loss_history: np.ndarray
 
 
-def _sigmoid(z):
-    """Logistic function of z.
-
-    exp(-z) overflows to inf below z = -709 and gives the right 0. Callers
-    ignore that overflow once per call (`train_mlps`, `mlp_predict`), since
-    entering np.errstate costs about as much as the sigmoid itself.
-    """
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def _activations(weights, biases, x: np.ndarray) -> list[np.ndarray]:
-    """Every layer's activations, input first, for an input vector or a matrix of rows.
+def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Output activations for an encoded input vector, or a matrix of rows.
 
     Rows pass through each layer as a stack of one-row products, so every
-    row's sums run in the same order as for a single vector. Weights stacked
-    (k, in, out) with biases (k, 1, out) take x as one row per model.
+    row's sums run in the same order as for a single vector. exp(-z)
+    overflows to inf below z = -709 and gives the right 0. Callers ignore
+    that overflow once per call (`mlp_predict`, and `train_mlps` for
+    `stacked_gradient`), since entering np.errstate costs about as much as
+    the logistic function itself.
     """
-    acts = [x[..., None, :]]
-    for w, b in zip(weights, biases):
-        acts.append(_sigmoid(acts[-1] @ w + b))
-    return [a[..., 0, :] for a in acts]
+    a = x[..., None, :]
+    for w, b in zip(model.weights, model.biases):
+        a = 1.0 / (1.0 + np.exp(-(a @ w + b)))
+    return a[..., 0, :]
 
 
-def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Output activations for an encoded input vector, or a matrix of rows."""
-    return _activations(model.weights, model.biases, x)[-1]
-
-
-def stacked_gradient(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray,
-                     target: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+def stacked_gradient(params, grads, acts, target, err, loss) -> np.ndarray:
     """Half the squared error of k stacked models, each at its own instance, and its gradients.
 
-    x and target hold one row per model. Returns (losses (k,), weight_grads,
-    bias_grads); each model's products are the BLAS calls it makes alone.
+    params and grads list W1, b1, W2, ... as (k, in, out) and (k, 1, out)
+    arrays, and acts[0] is the input (k, 1, in). The kernel writes the
+    activations into acts[1:], the error into err (k, 1, classes), the
+    gradients into grads and the losses into loss (k, 1, 1), returned as
+    (k,). Each model's products are the BLAS calls it makes alone, and each
+    element takes `forward`'s and textbook backprop's operations in order.
     """
-    acts = _activations(weights, biases, x)
-    out = acts[-1]
-    err = out - target
-    delta = err * out * (1.0 - out)
-    weight_grads, bias_grads = [None] * len(weights), [None] * len(biases)
-    for l in range(len(weights) - 1, -1, -1):
-        weight_grads[l] = acts[l][:, :, None] * delta[:, None, :]
-        bias_grads[l] = delta[:, None, :]
-        if l > 0:
-            a = acts[l]
-            delta = (weights[l] @ delta[:, :, None])[:, :, 0] * a * (1.0 - a)
-    return 0.5 * (err[:, None, :] @ err[:, :, None])[:, 0, 0], weight_grads, bias_grads
+    for w, b, x, z in zip(params[0::2], params[1::2], acts, acts[1:]):
+        np.matmul(x, w, out=z)
+        z += b
+        np.exp(np.negative(z, out=z), out=z)  # then the rest of the logistic, in place
+        z += 1.0
+        np.divide(1.0, z, out=z)
+    np.subtract(acts[-1], target, out=err)
+    np.matmul(err, err.mT, out=loss)
+    loss *= 0.5
+    for l in range(len(acts) - 1, 0, -1):
+        a, delta = acts[l], grads[2 * l - 1]  # a bias gradient is its layer's delta
+        if l == len(acts) - 1:
+            np.multiply(err, a, out=delta)
+        else:
+            np.matmul(params[2 * l], grads[2 * l + 1].mT, out=delta.mT)
+            delta *= a
+        np.subtract(1.0, a, out=a)  # from here on only 1 - a is needed
+        delta *= a
+        np.multiply(acts[l - 1].mT, delta, out=grads[2 * l - 2])
+    return loss[:, 0, 0]
+
+
+def _workspace(sizes, k: int):
+    """The arrays that k networks of these layer sizes train in.
+
+    Flat buffers of parameters, momentum steps and gradients, each buffer's
+    param-major (k, *shape) views (all models' W1, then b1, ...), and the
+    activations, error and loss that `stacked_gradient` writes.
+    """
+    shapes = [s for i, o in zip(sizes, sizes[1:]) for s in ((i, o), (1, o))]
+    ends = [0, *accumulate(k * math.prod(s) for s in shapes)]
+    buffers = [np.zeros(ends[-1]) for _ in range(3)]  # apart: trained models keep only the first
+    views = [[b[i:j].reshape(k, *s) for i, j, s in zip(ends, ends[1:], shapes)] for b in buffers]
+    acts = [np.zeros((k, 1, o)) for o in sizes[1:]]
+    return buffers, views, (acts, np.zeros((k, 1, sizes[-1])), np.zeros((k, 1, 1)))
 
 
 def backprop_gradient(model: MlpModel, x: np.ndarray,
@@ -175,10 +196,10 @@ def backprop_gradient(model: MlpModel, x: np.ndarray,
     Returns (loss, weight_grads, bias_grads) with the gradients shaped like
     the model's weights and biases: the k = 1 case of `stacked_gradient`.
     """
-    loss, weight_grads, bias_grads = stacked_gradient(
-        [w[None] for w in model.weights], [b[None, None] for b in model.biases],
-        x[None], target[None])
-    return float(loss[0]), [g[0] for g in weight_grads], [g[0, 0] for g in bias_grads]
+    _, (_, _, grads), (acts, err, loss) = _workspace(model.layer_sizes, 1)
+    params = [p.reshape(g.shape) for p, g in zip(chain(*zip(model.weights, model.biases)), grads)]
+    loss = stacked_gradient(params, grads, [x[None, None], *acts], target[None, None], err, loss)
+    return float(loss[0]), [g[0] for g in grads[0::2]], [g[0, 0] for g in grads[1::2]]
 
 
 def default_hidden_size(d: Dataset) -> int:
@@ -209,8 +230,9 @@ def train_mlps(tables, configs: list[MlpConfig]) -> list[MlpModel]:
 
     configs may differ only in seed. Each step runs one `stacked_gradient`
     and momentum update over the models that still have rows: a prefix, as
-    models sort by table size, largest first. Tables are read once, in turn,
-    and kept only in `_compact` form.
+    models sort by table size, largest first, and four whole-buffer
+    operations when that is all of them. Tables are read once, in turn, and
+    kept only in `_compact` form.
     """
     cfg = configs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in configs):
@@ -226,37 +248,41 @@ def train_mlps(tables, configs: list[MlpConfig]) -> list[MlpModel]:
     y = np.concatenate(y)
     sizes = (encs[0].input_width, *(cfg.hidden_sizes or default_hidden[:1]),
              len(encs[0].class_labels))
-    shapes = [s for i, o in zip(sizes, sizes[1:]) for s in ((i, o), (1, o))]
+    k = len(n)
+    try:  # every buffer of the run, sized up front
+        (p, s, g), (params, steps, grads), (acts, err, loss) = _workspace(sizes, k)
+        history = np.zeros((k, cfg.epochs))
+    except (MemoryError, ValueError) as e:
+        raise DataError(f"cannot allocate {k} networks of layer sizes {sizes} "
+                        f"over {cfg.epochs} epochs: {e}") from None
     rngs = [np.random.default_rng(configs[j].seed) for j in by_size]
-    r = cfg.weight_init_range
-    init = [np.stack(p) for p in zip(*([rng.uniform(-r, r, s) for s in shapes] for rng in rngs))]
-    weights, biases = init[0::2], init[1::2]
-    params = weights + biases
-    steps = [np.zeros_like(p) for p in params]
+    for j, v in product(range(k), params):  # each model's draws in parameter order
+        v[j] = rngs[j].uniform(-cfg.weight_init_range, cfg.weight_init_range, v.shape[1:])
     lr, mom = float(cfg.learning_rate), float(cfg.momentum)
-    history = np.zeros((len(n), cfg.epochs))
     active = (n > np.arange(n[0])[:, None]).sum(axis=1).tolist()  # models with rows, per step
+    views = {a: [[v[:a] for v in vs] for vs in (params, steps, grads, acts, (err, loss))]
+             for a in set(active)}
     for ep in range(cfg.epochs):
-        order = np.zeros((n[0], len(n)), dtype=np.intp)
+        order = np.zeros((n[0], k), dtype=np.intp)
         for j, rng in enumerate(rngs):
             order[: n[j], j] = first[j] + rng.permutation(n[j])
-        for i, a in enumerate(active):
-            rows = order[i, :a]
-            x = hot[rows].astype(float)
-            x[:, encs[0].numeric_offsets] = num[rows]
-            loss, weight_grads, bias_grads = stacked_gradient(
-                [w[:a] for w in weights], [b[:a] for b in biases], x, y[rows])
-            history[:a, ep] += loss
-            for p, step, g in zip(params, steps, weight_grads + bias_grads):
-                step = step[:a]
-                step *= mom
-                step -= lr * g
-                p[:a] += step
+        for i in range(0, n[0], _GATHER):
+            rows = order[i : i + _GATHER, :, None]
+            xs, ys = hot[rows].astype(float), y[rows]
+            xs[..., encs[0].numeric_offsets] = num[rows]
+            for x, t, a in zip(xs, ys, active[i : i + _GATHER]):
+                pa, sa, ga, acts_a, (err_a, loss_a) = views[a]
+                history[:a, ep] += stacked_gradient(pa, ga, [x[:a], *acts_a], t[:a], err_a, loss_a)
+                for pv, sv, gv in ((p, s, g),) if a == k else zip(pa, sa, ga):
+                    gv *= lr
+                    sv *= mom
+                    sv -= gv
+                    pv += sv
         history[:, ep] /= n
         if not np.isfinite(history[:, ep]).all():
             raise TrainingError(f"non-finite training loss at epoch {ep}")
-    models = [MlpModel(sizes, [w[j] for w in weights], [b[j, 0] for b in biases], enc, history[j])
-              for j, enc in enumerate(encs)]
+    models = [MlpModel(sizes, [w[j] for w in params[0::2]], [b[j, 0] for b in params[1::2]], enc,
+                       history[j]) for j, enc in enumerate(encs)]
     return [models[by_size.index(j)] for j in range(len(models))]
 
 

@@ -297,6 +297,69 @@ def sgd_by_loops(weights, biases, xs, ys, orders, lr, mom):
     return losses
 
 
+def stacked_gradient_by_layers(weights, biases, x, target):
+    """Half the squared error of k stacked models at one row each, and its gradients.
+
+    weights (k, in, out) and biases (k, 1, out) per layer, x and target one
+    row per model. Every intermediate is a fresh per-layer array. Returns
+    (losses (k,), gradients listed W1, b1, W2, b2, ...).
+    """
+    acts = [x[:, None, :]]
+    for w, b in zip(weights, biases):
+        acts.append(1.0 / (1.0 + np.exp(-(acts[-1] @ w + b))))
+    acts = [a[:, 0, :] for a in acts]
+    out = acts[-1]
+    err = out - target
+    delta = err * out * (1.0 - out)
+    grads = [None] * (2 * len(weights))
+    for l in range(len(weights) - 1, -1, -1):
+        grads[2 * l] = acts[l][:, :, None] * delta[:, None, :]
+        grads[2 * l + 1] = delta[:, None, :]
+        if l > 0:
+            a = acts[l]
+            delta = (weights[l] @ delta[:, :, None])[:, :, 0] * a * (1.0 - a)
+    return 0.5 * (err[:, None, :] @ err[:, :, None])[:, 0, 0], grads
+
+
+@np.errstate(over="ignore")
+def sgd_lock_step_by_layers(xs, ys, sizes, seeds, epochs, lr, mom, init_range):
+    """Online backprop of one network per (x, y) table in lock-step, from per-layer arrays.
+
+    Each network's RNG draws its layers' weights then biases, then one
+    permutation of its rows per epoch. Every step stacks the models that
+    still have rows (tables run largest first), takes a fresh
+    `stacked_gradient_by_layers` and updates each parameter's momentum step
+    in turn. Returns (weights, biases, mean loss per epoch) per table.
+    """
+    by_size = sorted(range(len(xs)), key=lambda j: -len(xs[j]))
+    xs, ys = [xs[j] for j in by_size], [ys[j] for j in by_size]
+    n = [len(x) for x in xs]
+    shapes = [s for i, o in zip(sizes, sizes[1:]) for s in ((i, o), (1, o))]
+    rngs = [np.random.default_rng(seeds[j]) for j in by_size]
+    r = init_range
+    params = [np.stack(p) for p in zip(*([rng.uniform(-r, r, s) for s in shapes] for rng in rngs))]
+    steps = [np.zeros_like(p) for p in params]
+    history = np.zeros((len(n), epochs))
+    for ep in range(epochs):
+        orders = [rng.permutation(m) for rng, m in zip(rngs, n)]
+        for i in range(n[0]):
+            a = sum(m > i for m in n)
+            x = np.stack([xs[j][orders[j][i]] for j in range(a)])
+            target = np.stack([ys[j][orders[j][i]] for j in range(a)])
+            loss, grads = stacked_gradient_by_layers(
+                [w[:a] for w in params[0::2]], [b[:a] for b in params[1::2]], x, target)
+            history[:a, ep] += loss
+            for p, step, g in zip(params, steps, grads):
+                step = step[:a]
+                step *= mom
+                step -= lr * g
+                p[:a] += step
+        history[:, ep] /= n
+    trained = [([w[j] for w in params[0::2]], [b[j, 0] for b in params[1::2]], history[j])
+               for j in range(len(n))]
+    return [trained[by_size.index(j)] for j in range(len(n))]
+
+
 def half_squared_error(weights, biases, x, target) -> float:
     out = forward_by_loops(weights, biases, x)
     return 0.5 * sum((o - t) ** 2 for o, t in zip(out, target))

@@ -237,6 +237,10 @@ def test_bench_usage_and_data_errors(tiny_path, tmp_path, capsys):
     assert main(base + ["--positive-class", "Q"]) == 1
     assert main(base + ["--mlp-hidden", "x"]) == 1
     capsys.readouterr()
+    # so is a network too large to allocate, in one line
+    assert main(base + ["--classifiers", "mlp", "--mlp-hidden", str(10**18)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot allocate") and len(err.splitlines()) == 1
 
 
 def test_bench_records_every_flag_in_config(tiny_path, tmp_path, capsys):

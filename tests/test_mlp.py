@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import postop.mlp as mlp_mod
-from postop.dataset import AttributeSchema, DataError
+from postop.dataset import AttributeSchema, DataError, parse_arff
 from postop.evaluation import cross_validate, make_classifier, stratified_folds
 from postop.mlp import (
     MlpConfig,
@@ -25,9 +25,10 @@ from postop.mlp import (
 )
 from postop.resampling import SmoteConfig, smote
 
-from conftest import from_rows, nominal_dataset, query
+from conftest import from_rows, nominal_dataset, query, synthetic_cohort_text
 from oracles import (
     finite_difference_grads, forward_by_loops, max_relative_error, sgd_by_loops,
+    sgd_lock_step_by_layers,
 )
 
 
@@ -259,10 +260,10 @@ def test_non_finite_loss_is_reported(monkeypatch):
     # a loss that turns infinite later is reported at the epoch it happens
     calls = []
 
-    def diverging(weights, biases, x, target):
-        loss, gw, gb = stacked_gradient(weights, biases, x, target)
+    def diverging(*buffers):
+        loss = stacked_gradient(*buffers)
         calls.append(1)
-        return (loss + np.inf if len(calls) > 3 * len(d) else loss), gw, gb
+        return loss + np.inf if len(calls) > 3 * len(d) else loss
 
     monkeypatch.setattr(mlp_mod, "stacked_gradient", diverging)
     with pytest.raises(TrainingError, match="epoch 3"):
@@ -287,13 +288,13 @@ def test_non_finite_loss_in_one_of_k_models_names_the_epoch(monkeypatch):
     # only the last model still stepping turns infinite, from epoch 2 on
     calls = []
 
-    def diverging(weights, biases, x, target):
-        loss, gw, gb = stacked_gradient(weights, biases, x, target)
+    def diverging(*buffers):
+        loss = stacked_gradient(*buffers)
         calls.append(1)
         if len(calls) > 2 * 9:  # 9 lock-steps per epoch, one per row of the largest table
             loss = loss.copy()
             loss[-1] = np.inf
-        return loss, gw, gb
+        return loss
 
     monkeypatch.setattr(mlp_mod, "stacked_gradient", diverging)
     with pytest.raises(TrainingError, match="epoch 2"):
@@ -319,6 +320,65 @@ def test_lock_step_training_equals_one_fold_at_a_time(cohort, k, overrides):
         assert all(np.array_equal(g, w) for g, w in zip(got.biases, alone.biases))
         assert np.array_equal(got.loss_history, alone.loss_history)
         assert np.array_equal(got.encoding.lo, alone.encoding.lo)
+
+
+@pytest.mark.parametrize("k, overrides", [
+    (10, dict(epochs=3)),
+    (10, dict(hidden_sizes=(4, 3), epochs=2)),
+    (7, dict(epochs=2)),  # unequal folds: the last step updates only the larger models
+    (10, dict(learning_rate=0.05, momentum=0.9, epochs=2)),
+])
+def test_param_major_training_equals_the_per_layer_loop(cohort, k, overrides):
+    folds = stratified_folds(cohort, k, 5)
+    tables = [cohort.subset(folds.train_indices(t)) for t in range(k)]
+    cfgs = [MlpConfig(seed=100 + t, **overrides) for t in range(k)]
+    if k == 7:
+        assert {len(t) for t in tables} == {402, 403}
+    got = train_mlps(tables, cfgs)
+    xs, ys = zip(*(encode(t)[1:] for t in tables))
+    cfg = cfgs[0]
+    want = sgd_lock_step_by_layers(xs, ys, got[0].layer_sizes, [c.seed for c in cfgs], cfg.epochs,
+                                   cfg.learning_rate, cfg.momentum, cfg.weight_init_range)
+    for model, (weights, biases, history) in zip(got, want):
+        assert all(np.array_equal(g, w) for g, w in zip(model.weights, weights))
+        assert all(np.array_equal(g, w) for g, w in zip(model.biases, biases))
+        assert np.array_equal(model.loss_history, history)
+
+
+def test_networks_too_large_to_allocate_are_a_data_error(monkeypatch):
+    d = _toy_dataset()
+    # numpy refuses this size before it allocates anything
+    with pytest.raises(DataError, match=r"layer sizes \(3, 1000000000000000000, 2\)"):
+        train_mlp(d, MlpConfig(hidden_sizes=(10**18,), epochs=1))
+    with pytest.raises(DataError, match="over 1000000000000000000 epochs"):
+        train_mlp(d, MlpConfig(hidden_sizes=(2,), epochs=10**18))
+    zeros = np.zeros
+
+    def short_of_memory(shape, *args, **kwargs):
+        if np.prod(shape) > 10**6:
+            raise MemoryError("Unable to allocate")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", short_of_memory)
+    with pytest.raises(DataError, match=r"layer sizes \(3, 1000000, 2\)"):
+        train_mlp(d, MlpConfig(hidden_sizes=(10**6,), epochs=1))
+
+
+def test_an_epoch_gathers_its_inputs_a_block_at_a_time():
+    # 4,230 training rows per fold: training peaks at 4.6 MB, and one epoch's
+    # inputs for all ten networks gathered at once would add 4,230 x 10 x 37
+    # floats, 12.5 MB
+    d = parse_arff(synthetic_cohort_text(700, 4_000, "cohort-10x"))
+    folds = stratified_folds(d, 10, 1)
+    tables = [d.subset(folds.train_indices(t)) for t in range(10)]
+    cfgs = [MlpConfig(seed=t, epochs=1) for t in range(10)]
+    tracemalloc.start()
+    try:
+        train_mlps(tables, cfgs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.6 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_lock_step_configs_may_differ_only_in_seed():
