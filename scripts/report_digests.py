@@ -48,6 +48,9 @@ RUNS = (
     ("edge-of-float-range", "edge.arff", []),
     ("wide-domain", "wide.arff", ["--classifiers", "j48,nb"]),
     ("duplicated-16x", "dup.arff", ["--classifiers", "nb"]),
+    # every numeric value occurs 16 times, so most adjacent values in a sorted
+    # column are equal and the tree scan masks their positions
+    ("tree-duplicated-16x", "dup.arff", ["--classifiers", "j48", "--no-smote"]),
 )
 
 # (run name, resample flags beyond --data holes.arff, --seed and --out)

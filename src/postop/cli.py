@@ -190,12 +190,18 @@ BENCH_CONFIG = (
 
 def _cmd_bench(args) -> int:
     started = time.perf_counter()
+    config = {key: derive(args) if derive else getattr(args, key)
+              for key, _, derive in BENCH_CONFIG}
+    overrides = {name: {} for name in CLASSIFIER_NAMES}
+    for key, target, _ in BENCH_CONFIG:
+        if target:
+            overrides[target[0]][target[1]] = config[key]
+    # every classifier's options are checked before the data loads, not only those run
+    specs = {name: make_classifier(name, **overrides[name]) for name in CLASSIFIER_NAMES}
     timings: dict[str, float] = {}
     d = impute_missing(_load_dataset(args)[0], args.impute)
     timings["load"] = time.perf_counter() - started
 
-    config = {key: derive(args) if derive else getattr(args, key)
-              for key, _, derive in BENCH_CONFIG}
     positive = _positive_class(d, args.positive_class)
 
     resample_record = None
@@ -215,13 +221,8 @@ def _cmd_bench(args) -> int:
     folds = stratified_folds(working, args.folds, derive_seed(args.seed, "folds"))
     timings["folds"] = time.perf_counter() - t0
 
-    overrides = {name: {} for name in CLASSIFIER_NAMES}
-    for key, target, _ in BENCH_CONFIG:
-        if target:
-            overrides[target[0]][target[1]] = config[key]
-    specs = [make_classifier(name, **overrides[name]) for name in config["classifiers"]]
     reports = []
-    for spec in specs:
+    for spec in map(specs.get, config["classifiers"]):
         t0 = time.perf_counter()
         reports.append(
             cross_validate(working, spec, folds, positive_class=positive,

@@ -2,15 +2,16 @@
 
 Splits are chosen by gain ratio among attributes whose information gain
 reaches the mean gain of the viable candidates. Nominal attributes branch
-over their whole declared domain; numeric attributes get a binary test at
-the midpoint between adjacent observed values that maximizes gain. Trees
-grow a level at a time, one scan scoring every split of a level's nodes.
-Pruning replaces subtrees with leaves when a pessimistic error estimate
-(upper confidence bound on the training error) says the leaf is no worse.
+over their whole domain; numeric ones test the gain-maximizing midpoint
+between adjacent observed values. Trees grow a level at a time, one scan
+scoring every split of a level's nodes on two count planes, one per class
+of the binary class. Pruning makes a subtree a leaf when the leaf's
+pessimistic error estimate (an upper confidence bound) is no worse.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -98,20 +99,26 @@ def _sum_last(a: np.ndarray) -> np.ndarray:
     """Sum along the last axis strictly left to right, whatever its length.
 
     numpy's sum goes pairwise from 8 terms on, so its bits would depend on
-    how much zero padding a row carries; an accumulation does not.
+    how much zero padding a row carries; one elementwise add per term does
+    not, and is fast where a reduction over a short strided axis is slow.
     """
-    return np.add.accumulate(a, axis=-1)[..., -1]
+    return functools.reduce(np.add, np.moveaxis(a, -1, 0))
 
 
-def _entropy_rows(counts: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each count vector along the last axis."""
-    p = counts / np.maximum(counts.sum(axis=-1, keepdims=True), 1.0)
-    return -_sum_last(p * np.log2(p, out=np.zeros_like(p), where=p > 0))
+def _plogp(p: np.ndarray) -> np.ndarray:
+    """p * log2(p), and 0 where p is 0."""
+    return p * np.log2(p, out=np.zeros_like(p), where=p > 0)
 
 
-def _nominal_keys(codes: np.ndarray, width: int, y: np.ndarray, n_classes: int) -> np.ndarray:
-    """Cell of each (row, nominal attribute) in a zero-padded (attrs, width, classes) table."""
-    return (codes + np.arange(codes.shape[1]) * width) * n_classes + y[:, None]
+def _entropy2(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    """Entropy in bits of the class counts c0 and c1 (two arrays of one shape)."""
+    n = np.maximum(c0 + c1, 1.0)
+    return -(_plogp(c0 / n) + _plogp(c1 / n))
+
+
+def _nominal_keys(codes: np.ndarray, width: int, y: np.ndarray) -> np.ndarray:
+    """Cell of each (row, nominal attribute) in a zero-padded (attrs, width, 2 classes) table."""
+    return (codes + np.arange(codes.shape[1]) * width) * 2 + y[:, None]
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
@@ -125,46 +132,48 @@ def _scan(keys, width, values, ranks, y, counts):
 
     Node i has class counts counts[i] and its rows in the i-th contiguous
     segment of keys (from _nominal_keys), values, their _ranks and y; keys
-    and ranks are overwritten. Results have a row per node and the nominal
-    attributes' columns first: thresholds are nan for them, child counts
-    are (nodes, attributes, max(width, 2), classes). A nominal split
+    and ranks are overwritten. Each class is scored as a count plane of its
+    own, so nothing is summed over a class axis. Results have a row per node
+    and the nominal attributes' columns first: thresholds are nan for them,
+    child counts are (nodes, attributes, max(width, 2), 2). A nominal split
     branches over the whole domain, a numeric one is the midpoint test at
     the first position of the largest computed gain, so rounding decides a
     tie of exact gains. One observed value gives a nominal attribute gain 0,
     a numeric one gain -inf. Each node needs two rows and is scored alone.
     """
-    n_nodes, n_classes = counts.shape
-    n = counts.sum(axis=1)
+    c0, c1 = counts[:, 0], counts[:, 1]
+    n = c0 + c1
     sizes = n.astype(np.int64)
     starts = np.cumsum(sizes) - sizes
-    seg = np.repeat(np.arange(n_nodes), sizes)
-    h0 = _entropy_rows(counts)
-    shape = (n_nodes, keys.shape[1], width, n_classes)
+    seg = np.repeat(np.arange(len(n)), sizes)
+    h0 = _entropy2(c0, c1)
+    shape = (len(n), keys.shape[1], width, 2)
     keys += (seg * math.prod(shape[1:]))[:, None]  # each node its own block of tables
     tables = np.bincount(keys.ravel(), minlength=math.prod(shape)).reshape(shape).astype(float)
     del keys  # the level's largest block, not needed past the count
-    branch = tables.sum(axis=-1)
-    gains = h0[:, None] - _sum_last(branch / n[:, None, None] * _entropy_rows(tables))
-    infos = _entropy_rows(branch)
+    t0, t1 = tables[..., 0], tables[..., 1]
+    shares = (t0 + t1) / n[:, None, None]  # each branch's share of its node's rows
+    gains = h0[:, None] - _sum_last(shares * _entropy2(t0, t1))
+    infos = -_sum_last(_plogp(shares))
     # one stable sort of every numeric column inside its segments, ties in row order
     ranks += (seg * (ranks.max(initial=0) + 1))[:, None]
     order = np.argsort(ranks, axis=0, kind="stable")
     cols = np.arange(values.shape[1])
     sv = values[order, cols]
-    left = np.cumsum(y[order][..., None] == np.arange(n_classes), axis=0, dtype=float)
-    # counts before each segment, to subtract; integers, so the differences are exact
-    before = np.concatenate([np.zeros((1,) + left.shape[1:]), left[starts[1:] - 1]])
+    # class-1 rows before each position; integers, so the differences are exact
+    ones = np.concatenate([np.zeros((1, len(cols)), dtype=np.int64), np.cumsum(y[order], axis=0)])
     # a split after every position but a segment's last
     pos = np.delete(np.arange(len(y)), starts + sizes - 1)
     at = seg[pos]
-    left = left[pos] - before[at]
     local = (pos - starts[at])[:, None]  # position inside the segment
     nl, nn = local + 1.0, n[at][:, None]
-    split_gains = (h0[at][:, None] - nl / nn * _entropy_rows(left)
-                   - (nn - nl) / nn * _entropy_rows(counts[at][:, None] - left))
+    l1 = (ones[pos + 1] - ones[starts[at]]).astype(float)
+    l0 = nl - l1
+    split_gains = (h0[at][:, None] - nl / nn * _entropy2(l0, l1)
+                   - (nn - nl) / nn * _entropy2(c0[at][:, None] - l0, c1[at][:, None] - l1))
     split_gains = np.where(sv[pos] < sv[pos + 1], split_gains, -np.inf)
     # the first position of each segment's best gain; gains between equal values are -inf
-    first = starts - np.arange(n_nodes)
+    first = starts - np.arange(len(n))
     top = np.maximum.reduceat(split_gains, first, axis=0)
     best = np.minimum.reduceat(np.where(split_gains == top[at], local, len(y)), first, axis=0)
     a, b = sv[starts[:, None] + best, cols], sv[starts[:, None] + best + 1, cols]
@@ -173,8 +182,8 @@ def _scan(keys, width, values, ranks, y, counts):
     # math.log2 keeps the bits of the pinned trees; np.log2 rounds some ratios apart
     split_infos = [-(pl * math.log2(pl) + pr * math.log2(pr)) for pl, pr in
                    zip(((best + 1) / n[:, None]).flat, ((n[:, None] - best - 1) / n[:, None]).flat)]
-    left = left[first[:, None] + best, cols]
-    children = np.zeros((n_nodes, shape[1] + len(cols), max(width, 2), n_classes))
+    left = np.stack([plane[first[:, None] + best, cols] for plane in (l0, l1)], axis=-1)
+    children = np.zeros((len(n), shape[1] + len(cols), max(width, 2), 2))
     children[:, :shape[1], :width] = tables
     children[:, shape[1]:, :2] = np.stack([left, counts[:, None] - left], axis=2)
     infos = np.concatenate([infos, np.reshape(split_infos, best.shape)], axis=1)
@@ -185,8 +194,9 @@ def _scan(keys, width, values, ranks, y, counts):
 # -- training ----------------------------------------------------------------
 
 
-def _leaf(counts: np.ndarray) -> TreeNode:
-    return TreeNode(counts=counts, prediction=int(np.argmax(counts)))
+def _leaves(counts: np.ndarray) -> list[TreeNode]:
+    """A leaf per row of class counts, predicting its majority class (ties toward class 0)."""
+    return [TreeNode(c, p) for c, p in zip(counts, counts.argmax(axis=1).tolist())]
 
 
 def _route(node: TreeNode, d: Dataset, idx: np.ndarray) -> list[np.ndarray]:
@@ -201,14 +211,13 @@ class _Trainer:
     def __init__(self, d: Dataset, cfg: TreeConfig):
         require_complete(d, "tree training")
         self.cfg = cfg
-        self.n_classes = len(d.class_labels)
         self.y = d.class_codes()
         n_nominal = len(d.nominal_predictor_indices)
         self.attrs = d.nominal_predictor_indices + d.numeric_predictor_indices
         self.schema_order = np.argsort(self.attrs)
         self.branches = [len(d.schema[ai].values) or 2 for ai in self.attrs]  # a numeric test has 2
         self.width = max(self.branches[:n_nominal], default=1)
-        self.keys = _nominal_keys(d.codes_matrix(), self.width, self.y, self.n_classes)
+        self.keys = _nominal_keys(d.codes_matrix(), self.width, self.y)
         # every predictor as floats in scan order, nominal codes first, to route rows by
         self.columns = np.hstack([d.codes_matrix(), d.numeric_matrix()])
         self.values = self.columns[:, n_nominal:]
@@ -235,35 +244,39 @@ class _Trainer:
         A level's rows sit in one segment per growing node, ascending inside each.
         A node's split depends only on its rows, so growth order does not change the tree.
         """
-        counts = np.bincount(self.y, minlength=self.n_classes).astype(float)[None]
-        children = [root := _leaf(counts[0])]
+        counts = np.bincount(self.y, minlength=2).astype(float)[None]
+        children = _leaves(counts)
+        root = children[0]
         rows, child = np.arange(len(self.y)), np.zeros(len(self.y), dtype=np.int64)
         while True:
+            n = counts[:, 0] + counts[:, 1]
             # a node grows when it holds two classes and twice min_leaf_instances rows
-            grows = ((counts > 0).sum(axis=1) > 1) & (
-                counts.sum(axis=1) >= 2 * self.cfg.min_leaf_instances) & bool(self.attrs)
+            grows = (counts[:, 0] > 0) & (counts[:, 1] > 0) & (
+                n >= 2 * self.cfg.min_leaf_instances) & bool(self.attrs)
             rows = rows[grows[child]][np.argsort(child[grows[child]], kind="stable")]
-            nodes, counts = [c for c, g in zip(children, grows) if g], counts[grows]
+            nodes, counts, n = [c for c, g in zip(children, grows) if g], counts[grows], n[grows]
             if not nodes:
                 return root
             gains, infos, thresholds, tables = _scan(self.keys[rows], self.width, self.values[rows],
                                                      self.ranks[rows], self.y[rows], counts)
             chosen = self._choose(gains, infos)
-            children, first = [], np.zeros(len(nodes), dtype=np.int64)
-            for s in np.flatnonzero(chosen >= 0):
-                node, k = nodes[s], chosen[s]
-                first[s] = len(children)
-                node.attr_index = self.attrs[k]
-                node.threshold = None if np.isnan(thresholds[s, k]) else thresholds[s, k].item()
-                # a copy, so the nodes do not keep the whole scan table alive
-                node.children = [_leaf(c) for c in tables[s, k, :self.branches[k]].copy()]
-                children += node.children
+            split = np.flatnonzero(chosen >= 0)
+            k, branches = chosen[split], np.take(self.branches, chosen[split])
+            # every branch of every split, in order: a copy, so no node keeps the scan table alive
+            counts = tables[split, k][np.arange(tables.shape[2]) < branches[:, None]]
+            children = _leaves(counts)
+            first = np.zeros(len(nodes), dtype=np.int64)
+            first[split] = np.cumsum(branches) - branches
+            for s, ks, f, t in zip(split.tolist(), k.tolist(), first[split].tolist(),
+                                   thresholds[split, k].tolist()):
+                node = nodes[s]
+                node.attr_index, node.threshold = self.attrs[ks], None if math.isnan(t) else t
+                node.children = children[f:f + self.branches[ks]]
             # each row's child: its node's first child plus the branch its test takes
-            seg = np.repeat(np.arange(len(nodes)), counts.sum(axis=1).astype(np.int64))
+            seg = np.repeat(np.arange(len(nodes)), n.astype(np.int64))
             rows, seg = rows[chosen[seg] >= 0], seg[chosen[seg] >= 0]
             v, t = self.columns[rows, chosen[seg]], thresholds[seg, chosen[seg]]
             child = first[seg] + np.where(np.isnan(t), v, v > t).astype(np.int64)
-            counts = np.reshape([c.counts for c in children], (-1, self.n_classes))
 
 
 def _added_errors(n: float, e: float, cf: float, z: float) -> float:
@@ -290,9 +303,9 @@ def _added_errors(n: float, e: float, cf: float, z: float) -> float:
 
 
 def _leaf_estimate(node: TreeNode, cf: float, z: float) -> float:
-    n = float(node.counts.sum())
-    e = n - float(node.counts.max()) if n > 0 else 0.0
-    return e + _added_errors(n, e, cf, z)
+    c0, c1 = node.counts.tolist()
+    e = min(c0, c1)  # integer counts, so exactly n minus the majority count
+    return e + _added_errors(c0 + c1, e, cf, z)
 
 
 def _prune(root: TreeNode, cf: float, z: float) -> None:
@@ -438,11 +451,11 @@ def gain_ratio(d: Dataset, attribute) -> float | None:
     if len(d) < 2:
         return None
     col, y = d.column(ai)[:, None], d.class_codes()
-    counts = np.bincount(y, minlength=len(d.class_labels)).astype(float)[None]
+    counts = np.bincount(y, minlength=2).astype(float)[None]
     empty = np.empty((len(y), 0), dtype=np.int64)
     if attr.kind == NOMINAL:
         width = len(attr.values)
-        scan = _scan(_nominal_keys(col, width, y, counts.shape[1]), width, empty, empty, y, counts)
+        scan = _scan(_nominal_keys(col, width, y), width, empty, empty, y, counts)
     else:
         scan = _scan(empty, 1, col, _ranks(col), y, counts)
     gain, split_info = scan[0][0, 0], scan[1][0, 0]

@@ -28,6 +28,21 @@ def entropy_of_labels(labels) -> float:
     return h
 
 
+def entropy_of_counts(counts) -> float:
+    """Entropy in bits of one class count vector, its terms added left to right.
+
+    Each term is p * log2(p) with numpy's log2, so the result has the bits
+    of a vectorized entropy that adds its terms in the same order.
+    """
+    total = max(float(sum(counts)), 1.0)
+    h = 0.0
+    for c in counts:
+        p = c / total
+        if p > 0:
+            h += p * float(np.log2(p))
+    return -h
+
+
 def gain_of_partition(labels, groups) -> float:
     """Information gain of partitioning labels into the given index groups."""
     n = len(labels)

@@ -243,6 +243,19 @@ def test_bench_usage_and_data_errors(tiny_path, tmp_path, capsys):
     assert err.startswith("error: cannot allocate") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag", [
+    ["--tree-confidence", "nan"], ["--tree-min-leaf", "0"], ["--mlp-epochs", "0"],
+    ["--mlp-momentum", "inf"], ["--mlp-learning-rate", "nan"], ["--mlp-hidden", "0"],
+])
+def test_bench_checks_options_of_classifiers_it_does_not_run(flag, tiny_path, tmp_path, capsys):
+    # nb alone runs, so a bad tree or network option would otherwise reach report.json
+    out = tmp_path / "out"
+    assert main(_bench_args(tiny_path, out, *flag)) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_bench_records_every_flag_in_config(tiny_path, tmp_path, capsys):
     out = tmp_path / "all"
     code = main([

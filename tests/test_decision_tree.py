@@ -37,6 +37,7 @@ from conftest import (
 )
 from oracles import (
     best_threshold_split,
+    entropy_of_counts,
     gain_of_partition,
     gain_ratio_nominal,
     gain_ratio_numeric,
@@ -91,6 +92,40 @@ def test_gain_ratio_matches_oracle_on_random_tables():
                     assert got is None
                 else:
                     assert got == pytest.approx(expected, abs=1e-10)
+
+
+def test_entropy_matches_a_per_vector_loop_bit_for_bit():
+    # class count pairs of mixed magnitude scored as two planes, zeros and zero
+    # totals included; then the split info of one nominal attribute of 1-20
+    # values over many nodes, where unobserved values leave zeros in the sum
+    rng = np.random.default_rng(31)
+    pairs = rng.integers(0, 10 ** rng.integers(0, 6, (2000, 1)), (2000, 2))
+    pairs[rng.random(pairs.shape) < 0.2] = 0
+    assert (pairs.sum(axis=1) == 0).any()
+    expected = np.array([entropy_of_counts(v) for v in pairs.tolist()])
+    assert decision_tree._entropy2(*pairs.T.astype(float)).tobytes() == expected.tobytes()
+    for width in range(1, 21):
+        sizes = rng.integers(2, 300, 30)
+        seg = np.repeat(np.arange(len(sizes)), sizes)
+        observed = np.flatnonzero(rng.random(width) < 0.7)
+        codes = rng.choice(observed if observed.size else [0], (len(seg), 1))
+        y = rng.integers(0, 2, len(seg))
+        counts = np.stack([np.bincount(seg, weights=1 - y), np.bincount(seg, weights=y)], axis=1)
+        empty = np.empty((len(y), 0), dtype=np.int64)
+        keys = decision_tree._nominal_keys(codes, width, y)
+        infos = _scan(keys, width, empty, empty, y, counts)[1][:, 0]
+        expected = np.array([entropy_of_counts(np.bincount(codes[seg == s, 0], minlength=width))
+                             for s in range(len(sizes))])
+        assert infos.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("length", range(1, 21))
+def test_sum_last_has_the_bits_of_an_accumulation(length):
+    # mixed magnitudes, so a pairwise or reordered sum rounds differently
+    rng = np.random.default_rng(length)
+    a = rng.standard_normal((200, 3, length)) * 10.0 ** rng.integers(-8, 9, (200, 3, length))
+    expected = np.add.accumulate(a, axis=-1)[..., -1]
+    assert decision_tree._sum_last(a).tobytes() == expected.tobytes()
 
 
 def _table(columns, labels, domains):
