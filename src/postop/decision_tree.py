@@ -442,8 +442,9 @@ def gain_ratio(d: Dataset, attribute) -> float | None:
 
     Numeric attributes are scored at their best-gain midpoint threshold.
     Returns None when the attribute cannot split the data (fewer than two
-    distinct values). d must have no missing value in the attribute.
+    distinct values). d must have no missing cells.
     """
+    require_complete(d, "gain ratio")
     ai = d.attribute_index(attribute) if isinstance(attribute, str) else int(attribute)
     attr = d.schema[ai]
     if attr.role == CLASS:

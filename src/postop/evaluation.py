@@ -7,6 +7,9 @@ matching how the benchmark table is read.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Iterable
 
@@ -325,6 +328,49 @@ def _pct(v):
     return None if v is None else 100.0 * v
 
 
+def _fold_workers() -> int:
+    """How many processes cross-validate: one per CPU this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _in_workers(run: Callable[[list], list], items: list) -> list:
+    """run over contiguous groups of items, the first here and each other in a forked child
+    that pickles back its results or exception; every child is reaped before this ends."""
+    n = max(1, min(_fold_workers(), len(items)))
+    groups = [items[len(items) * i // n:len(items) * (i + 1) // n] for i in range(n)]
+    children, codes = [], []  # (pid, read end of its pipe); exit codes once reaped
+    try:
+        for group in groups[1:]:
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    with open(w, "wb") as pipe:
+                        try:
+                            pickle.dump(run(group), pipe)
+                        except Exception as e:
+                            pickle.dump(e, pipe)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        results, sent = run(groups[0]), [pipe.read() for _, pipe in children]
+    finally:  # a child that has sent everything is done, so the kill changes nothing
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for group, data, code in zip(groups[1:], sent, codes):
+        try:
+            out = pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):  # it died, or sent only part
+            out = DataError(f"the worker for folds {group[0] + 1}-{group[-1] + 1} ended "
+                            f"without its results (exit code {code})")
+        if isinstance(out, Exception):
+            raise out
+        results += out
+    return results
+
+
 def cross_validate(d: Dataset, spec: ClassifierSpec, folds: FoldAssignment,
                    positive_class: str | None = None,
                    train_transform: Callable[[Dataset, int], Dataset] | None = None,
@@ -336,7 +382,8 @@ def cross_validate(d: Dataset, spec: ClassifierSpec, folds: FoldAssignment,
     Per-fold training seeds derive from (folds.seed, "train", name, fold).
     train_transform, when given, maps (training subset, derived seed) to
     the dataset actually trained on; test folds are never transformed.
-    d must have no missing cells.
+    The folds run on one process per usable CPU (_in_workers), and the
+    report is the same whatever their number. d must have no missing cells.
     """
     require_complete(d, "cross-validation")
     n = len(d)
@@ -351,22 +398,25 @@ def cross_validate(d: Dataset, spec: ClassifierSpec, folds: FoldAssignment,
     probs = np.zeros((n, len(labels)))
     fold_accuracies = []
     scored = [t for t in range(folds.k) if folds.test_indices(t).size]
-    # maps, unlike a generator, hold no table they have handed on
-    tables = map(d.subset, map(folds.train_indices, scored))
-    if train_transform is not None:
-        tables = map(train_transform, tables,
-                     [derive_seed(folds.seed, "transform", t) for t in scored])
-    seeds = [derive_seed(folds.seed, "train", spec.name, t) for t in scored]
-    models = (spec.train_folds(tables, seeds) if spec.train_folds is not None
-              else map(spec.train, tables, seeds))
-    for t, model in zip(scored, models):
+
+    def fold_probabilities(group: list[int]) -> list[np.ndarray]:
+        # maps, unlike a generator, hold no table they have handed on
+        tables = map(d.subset, map(folds.train_indices, group))
+        if train_transform is not None:
+            tables = map(train_transform, tables,
+                         [derive_seed(folds.seed, "transform", t) for t in group])
+        seeds = [derive_seed(folds.seed, "train", spec.name, t) for t in group]
+        models = (spec.train_folds(tables, seeds) if spec.train_folds is not None
+                  else map(spec.train, tables, seeds))
+        return [spec.predict(m, d.subset(folds.test_indices(t))) for t, m in zip(group, models)]
+
+    for t, fold_probs in zip(scored, _in_workers(fold_probabilities, scored)):
         test_idx = folds.test_indices(t)
-        probs[test_idx] = spec.predict(model, d.subset(test_idx))
-        if not np.isfinite(probs[test_idx]).all():
+        probs[test_idx] = fold_probs
+        if not np.isfinite(fold_probs).all():
             raise DataError(f"{spec.name} gave non-finite class probabilities "
                             f"in fold {t + 1} of {folds.k}")
-        predicted = probs[test_idx].argmax(axis=1)
-        fold_accuracies.append(float((predicted == y[test_idx]).mean()))
+        fold_accuracies.append(float((fold_probs.argmax(axis=1) == y[test_idx]).mean()))
 
     predicted_all = probs.argmax(axis=1)
     accuracy = float((predicted_all == y).mean())
@@ -379,10 +429,8 @@ def cross_validate(d: Dataset, spec: ClassifierSpec, folds: FoldAssignment,
     weighted_auc = 0.0
     auc_defined = True
     for c, label in enumerate(labels):
-        cm_c = ConfusionMatrix.from_predictions(y == c, predicted_all == c)
-        m = confusion_metrics(cm_c)
-        for note in m.pop("flags"):
-            flags.append(f"{label}:{note}")
+        m = confusion_metrics(ConfusionMatrix.from_predictions(y == c, predicted_all == c))
+        flags += [f"{label}:{note}" for note in m.pop("flags")]
         support = int((y == c).sum())
         entry = {k: _pct(v) for k, v in m.items()}
         entry["support"] = support
@@ -400,22 +448,12 @@ def cross_validate(d: Dataset, spec: ClassifierSpec, folds: FoldAssignment,
             weighted_auc += w * (entry["roc_area"] / 100.0)
 
     err = error_measures(probs, np.eye(len(labels))[y])
-    for note in err.pop("flags"):
-        flags.append(note)
+    flags += err.pop("flags")
 
-    metrics = {
-        "correctly_classified": _pct(accuracy),
-        "mean_absolute_error": _pct(err["mean_absolute_error"]),
-        "root_mean_squared_error": _pct(err["root_mean_squared_error"]),
-        "relative_absolute_error": _pct(err["relative_absolute_error"]),
-        "root_relative_squared_error": _pct(err["root_relative_squared_error"]),
-        "tp_rate": _pct(weighted["tp_rate"]),
-        "fp_rate": _pct(weighted["fp_rate"]),
-        "precision": _pct(weighted["precision"]),
-        "recall": _pct(weighted["recall"]),
-        "f_measure": _pct(weighted["f_measure"]),
-        "roc_area": _pct(weighted_auc) if auc_defined else None,
-    }
+    # the report rows, in METRIC_LABELS order
+    metrics = {"correctly_classified": _pct(accuracy), **{k: _pct(v) for k, v in err.items()},
+               **{k: _pct(v) for k, v in weighted.items()},
+               "roc_area": _pct(weighted_auc) if auc_defined else None}
     return EvaluationReport(
         classifier=spec.name,
         n_instances=n,

@@ -106,8 +106,9 @@ def _neighbor_table(d: Dataset, min_idx: np.ndarray, k: int) -> np.ndarray:
     xn = minmax_scale(d.numeric_matrix()[min_idx], *observed_range(d))  # a constant column adds 0
     sizes = [len(d.schema[ai].values) for ai in d.nominal_predictor_indices]
     m = len(min_idx)
-    onehot = np.zeros((m, sum(sizes)))  # a complete table: every code is in its domain
-    onehot[np.arange(m)[:, None], d.codes_matrix()[min_idx] + np.cumsum([0, *sizes])[:-1]] = 1
+    bits = np.zeros((m, 64 * (sum(sizes) // 64 + 1)), dtype=bool)  # one-hot, in 64-bit words
+    bits[np.arange(m)[:, None], d.codes_matrix()[min_idx] + np.cumsum([0, *sizes])[:-1]] = True
+    first, *rest = np.packbits(bits, axis=1, bitorder="little").view(np.uint64).T
     table = np.empty((m, k), dtype=np.int64)
     step = max(1, _BLOCK_CELLS // m)
     d2_buf, tmp_buf = np.empty((2, min(step, m), m))  # every block's temporaries go here
@@ -117,8 +118,12 @@ def _neighbor_table(d: Dataset, min_idx: np.ndarray, k: int) -> np.ndarray:
         d2.fill(0)
         for col in xn.T:  # summed left to right
             d2 += np.square(np.subtract(col[rows, None], col, out=tmp), out=tmp)
-        np.matmul(onehot[rows], onehot.T, out=tmp)
-        d2 += np.subtract(len(sizes), tmp, out=tmp)  # mismatch count, exact in float64
+        # differing bits, counted in place and summed over the words before d2 gets them
+        count = tmp.view(np.uint64)
+        np.bitwise_count(np.bitwise_xor(first[rows, None], first, out=count), out=count)
+        for w in rest:  # more than 64 one-hot bits
+            count += np.bitwise_count(w[rows, None] ^ w)
+        d2 += np.right_shift(count, 1, out=count)  # two bits differ per mismatched attribute
         d2[np.arange(len(rows)), rows] = np.inf  # no row is its own neighbour
         tmp[...] = d2
         tmp.partition(k - 1, axis=1)

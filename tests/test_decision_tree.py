@@ -94,6 +94,32 @@ def test_gain_ratio_matches_oracle_on_random_tables():
                     assert got == pytest.approx(expected, abs=1e-10)
 
 
+def _holed_table(hole):
+    """Four complete rows of (a, n, cls) and one with hole in place of a or n."""
+    schema = [
+        AttributeSchema("a", "nominal", ("x", "y")),
+        AttributeSchema("n", "numeric"),
+        AttributeSchema("cls", "nominal", ("c0", "c1"), role="class"),
+    ]
+    return from_rows(schema, [(0, 1.0, 0), (1, 2.0, 0), (1, 3.0, 1), (0, 4.0, 1), hole])
+
+
+def test_gain_ratio_refuses_a_missing_nominal_code():
+    # numpy's bincount raised its own ValueError on the code -1
+    d = _holed_table((None, 5.0, 1))
+    for attribute in ("a", "n"):
+        with pytest.raises(DataError, match="gain ratio needs a table with no missing cells"):
+            gain_ratio(d, attribute)
+
+
+def test_gain_ratio_refuses_a_missing_numeric_value():
+    # a NaN was sorted last and scored as a value: the ratio came out as a number
+    d = _holed_table((1, None, 1))
+    for attribute in ("a", "n"):
+        with pytest.raises(DataError, match="gain ratio needs a table with no missing cells"):
+            gain_ratio(d, attribute)
+
+
 def test_entropy_matches_a_per_vector_loop_bit_for_bit():
     # class count pairs of mixed magnitude scored as two planes, zeros and zero
     # totals included; then the split info of one nominal attribute of 1-20

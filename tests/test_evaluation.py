@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from postop import evaluation
 from postop.dataset import AttributeSchema, DataError
 from postop.evaluation import (
     CLASSIFIER_NAMES,
@@ -278,7 +279,9 @@ def test_pooled_accuracy_differs_from_fold_mean():
     assert report.metrics["correctly_classified"] == pytest.approx(100 * 4 / 6)
 
 
-def test_empty_fold_is_skipped():
+def test_empty_fold_is_skipped(monkeypatch):
+    # the calls are seen through a closure, so every fold runs in this process
+    monkeypatch.setattr(evaluation, "_fold_workers", lambda: 1)
     d = nominal_dataset({"a": [0, 1] * 2}, [0, 1, 0, 1])
     folds = FoldAssignment(k=3, fold_of=np.array([0, 0, 1, 1]), seed=0)
     calls = []
@@ -291,7 +294,9 @@ def test_empty_fold_is_skipped():
     assert calls == [2, 2]
 
 
-def test_training_seeds_and_transform_wiring():
+def test_training_seeds_and_transform_wiring(monkeypatch):
+    # the calls are seen through closures, so every fold runs in this process
+    monkeypatch.setattr(evaluation, "_fold_workers", lambda: 1)
     d = nominal_dataset({"a": [0, 1] * 8}, [0, 1] * 8)
     folds = stratified_folds(d, 4, 123)
     seen_seeds = []

@@ -371,3 +371,41 @@ def test_neighbor_table_matches_the_brute_force_oracle(block_cells, case):
     expected = nearest_neighbors(scaled.tolist(), d.codes_matrix()[min_idx].tolist(), k)
     with mock.patch.object(resampling, "_BLOCK_CELLS", block_cells):
         assert _neighbor_table(d, min_idx, k).tolist() == expected
+
+
+@st.composite
+def wide_nominal_cases(draw):
+    """Minority rows over nominal domains of up to 70 values, and one numeric column.
+
+    A domain of 70 values takes more than one 64-bit word of one-hot bits;
+    its codes are drawn near the word boundary as well as anywhere. The
+    numeric column's scaled squares are on the scale of one mismatch.
+    """
+    sizes = draw(st.lists(st.sampled_from((1, 2, 3, 70)), min_size=1, max_size=4))
+    schema = [AttributeSchema(f"n{a}", "nominal", tuple(f"v{i}" for i in range(size)))
+              for a, size in enumerate(sizes)]
+    schema += [AttributeSchema("x", "numeric"),
+               AttributeSchema("cls", "nominal", ("T", "F"), role="class")]
+
+    def code(size):
+        near_edges = [c for c in (0, 1, 60, 61, 62, 63, 64, 69) if c < size]
+        return st.one_of(st.sampled_from(near_edges), st.integers(0, size - 1))
+
+    row = st.tuples(*map(code, sizes), st.sampled_from((0.0, 0.5, 1.0, 2.0)))
+    rows = draw(st.lists(row, min_size=2, max_size=30))
+    return from_rows(schema, [r + (0,) for r in rows]), sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_nominal_cases())
+def test_mismatch_count_equals_the_one_hot_product(case):
+    # every row's others ranked by (distance, row), where the nominal term is the
+    # count of attributes minus the product of the rows' one-hot vectors
+    d, sizes = case
+    m, codes = len(d), d.codes_matrix()
+    onehot = np.concatenate([np.eye(size)[codes[:, a]] for a, size in enumerate(sizes)], axis=1)
+    x = minmax_scale(d.numeric_matrix(), *observed_range(d))[:, 0]
+    d2 = np.square(x[:, None] - x) + (len(sizes) - onehot @ onehot.T)
+    expected = [sorted((j for j in range(m) if j != i), key=lambda j: (d2[i, j], j))
+                for i in range(m)]
+    assert _neighbor_table(d, np.arange(m), m - 1).tolist() == expected
