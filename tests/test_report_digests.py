@@ -9,14 +9,10 @@ the reason in CHANGES.md:
 """
 
 import importlib.util
-import sys
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))  # when run as a script
-
-from conftest import REPO_DIR, TESTS_DIR  # noqa: E402
+from conftest import REPO_DIR, TESTS_DIR
 
 PINNED = TESTS_DIR / "data" / "report_digests.txt"
 
