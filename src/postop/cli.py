@@ -24,7 +24,7 @@ from .dataset import (
 )
 from .evaluation import (
     CLASSIFIER_NAMES,
-    cross_validate,
+    cross_validate_all,
     make_classifier,
     render_csv,
     render_markdown,
@@ -149,6 +149,8 @@ def _parse_classifiers(text: str) -> tuple[str, ...]:
     for n in names:
         if n not in CLASSIFIER_NAMES:
             raise DataError(f"unknown classifier {n!r}; expected one of {CLASSIFIER_NAMES}")
+        if names.count(n) > 1:
+            raise DataError(f"classifier {n!r} is requested more than once")
     return names
 
 
@@ -221,14 +223,12 @@ def _cmd_bench(args) -> int:
     folds = stratified_folds(working, args.folds, derive_seed(args.seed, "folds"))
     timings["folds"] = time.perf_counter() - t0
 
-    reports = []
-    for spec in map(specs.get, config["classifiers"]):
-        t0 = time.perf_counter()
-        reports.append(
-            cross_validate(working, spec, folds, positive_class=positive,
-                           train_transform=train_transform)
-        )
-        timings[f"cv-{spec.name}"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    reports, schedule = cross_validate_all(working, [specs[n] for n in config["classifiers"]],
+                                           folds, positive, train_transform)
+    timings["cv"] = time.perf_counter() - t0
+    # each classifier's busy seconds, summed over the processes that ran its folds
+    timings |= {f"cv-{name}": s for name, s in schedule.pop("busy_seconds").items()}
     timings["total"] = time.perf_counter() - started
 
     out_dir = Path(args.out)
@@ -246,6 +246,7 @@ def _cmd_bench(args) -> int:
     report_json = json.dumps(report_doc, indent=2, sort_keys=True) + "\n"
     manifest_doc = dict(report_doc)
     manifest_doc["timings_seconds"] = {k: round(v, 6) for k, v in timings.items()}
+    manifest_doc["cv_schedule"] = schedule
     manifest_json = json.dumps(manifest_doc, indent=2, sort_keys=True) + "\n"
 
     files = {

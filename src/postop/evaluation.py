@@ -7,10 +7,14 @@ matching how the benchmark table is read.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import pickle
+import select
 import signal
+import time
 from dataclasses import asdict, dataclass, field, replace
+from itertools import groupby, pairwise
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -238,14 +242,14 @@ class ClassifierSpec:
     (model, dataset) and returns class probabilities of shape (rows,
     classes), classes in declaration order. Seeds are ignored by
     deterministic learners. train_folds, when set, trains all folds in one
-    call: (training tables, read once in order; seeds) -> models.
+    call: (training tables, read once in order; seeds; a split hook) -> models.
     """
 
     name: str
     train: Callable[[Dataset, int], Any]
     predict: Callable[[Any, Dataset], np.ndarray]
     config: dict = field(default_factory=dict)
-    train_folds: Callable[[Iterable[Dataset], list[int]], Iterable[Any]] | None = None
+    train_folds: Callable[[Iterable[Dataset], list[int], Callable], Iterable[Any]] | None = None
 
 
 def make_classifier(name: str, **overrides) -> ClassifierSpec:
@@ -284,8 +288,8 @@ def make_classifier(name: str, **overrides) -> ClassifierSpec:
             train=lambda d, seed: train_mlp(d, replace(base, seed=seed)),
             predict=mlp_predict,
             config=config,
-            train_folds=lambda tables, seeds: train_mlps(
-                tables, [replace(base, seed=seed) for seed in seeds]),
+            train_folds=lambda tables, seeds, split: train_mlps(
+                tables, [replace(base, seed=seed) for seed in seeds], split),
         )
     raise DataError(f"unknown classifier {name!r}; expected one of {CLASSIFIER_NAMES}")
 
@@ -333,57 +337,86 @@ def _fold_workers() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _in_workers(run: Callable[[list], list], items: list) -> list:
-    """run over contiguous groups of items, the first here and each other in a forked child
-    that pickles back its results or exception; every child is reaped before this ends."""
-    n = max(1, min(_fold_workers(), len(items)))
-    groups = [items[len(items) * i // n:len(items) * (i + 1) // n] for i in range(n)]
+def _forked(here: Callable[[], Any], others: list[Callable[[], Any]]) -> tuple[Any, list]:
+    """here(), run here while each of others runs in a forked child, and the children's results:
+    what each returns, pickled back, or its exit code if it ended without sending that. A
+    child's exception is raised here as itself. On every path each child is killed and reaped."""
     children, codes = [], []  # (pid, read end of its pipe); exit codes once reaped
     try:
-        for group in groups[1:]:
+        for run in others:
             r, w = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
                     with open(w, "wb") as pipe:
                         try:
-                            pickle.dump(run(group), pipe)
+                            pickle.dump(run(), pipe)
                         except Exception as e:
                             pickle.dump(e, pipe)
                 finally:
                     os._exit(0)
             os.close(w)
             children.append((pid, open(r, "rb")))
-        results, sent = run(groups[0]), [pipe.read() for _, pipe in children]
+        mine, sent = here(), [pipe.read() for _, pipe in children]
     finally:  # a child that has sent everything is done, so the kill changes nothing
         for pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for group, data, code in zip(groups[1:], sent, codes):
+    theirs = []
+    for data, code in zip(sent, codes):
         try:
             out = pickle.loads(data)
         except (EOFError, pickle.UnpicklingError):  # it died, or sent only part
-            out = DataError(f"the worker for folds {group[0] + 1}-{group[-1] + 1} ended "
-                            f"without its results (exit code {code})")
+            out = code
         if isinstance(out, Exception):
             raise out
-        results += out
-    return results
+        theirs.append(out)
+    return mine, theirs
 
 
-def cross_validate(d: Dataset, spec: ClassifierSpec, folds: FoldAssignment,
-                   positive_class: str | None = None,
-                   train_transform: Callable[[Dataset, int], Dataset] | None = None,
-                   ) -> EvaluationReport:
-    """Train and score a classifier under an existing fold assignment.
+def _lost(missing: list[tuple[str, int]], code: int) -> DataError:  # (classifier, fold) pairs
+    named = " and ".join(f"{name} folds {', '.join(str(t + 1) for _, t in pairs)}"
+                         for name, pairs in groupby(missing, key=lambda pair: pair[0]))
+    return DataError(f"the worker for {named} ended without its results (exit code {code})")
+
+
+def _splitter(spare: int, name: str, group: list[int], epochs: list[int]):
+    """A `train_mlps` split hook for folds group that, in this process only, hands each byte
+    waiting in the pipe spare (an idle CPU) a share of the networks, and logs the epoch."""
+    caller, waiting = os.getpid(), select.poll()
+    waiting.register(spare, select.POLLIN)
+
+    def split(ep, held, rest):
+        if os.getpid() != caller or not waiting.poll(0):
+            return None
+        epochs.append(ep)
+        cpus = len(os.read(spare, len(held) - 1))
+        shares = list(pairwise(len(held) * i // (cpus + 1) for i in range(cpus + 2)))
+        mine, theirs = _forked(lambda: rest(*shares[0]), [lambda s=s: rest(*s) for s in shares[1:]])
+        for (a, b), out in zip(shares[1:], theirs):
+            if isinstance(out, int):
+                raise _lost([(name, group[h]) for h in sorted(held[a:b])], out)
+        return [*mine, *(model for models in theirs for model in models)]
+
+    return split
+
+
+def cross_validate_all(d: Dataset, specs: list[ClassifierSpec], folds: FoldAssignment,
+                       positive_class: str | None = None,
+                       train_transform: Callable[[Dataset, int], Dataset] | None = None):
+    """Train and score classifiers under an existing fold assignment: (a report for each, schedule).
 
     Predictions are pooled over all folds before the confusion, error,
     and ROC measures are computed; per-fold accuracies feed the CVA mean.
     Per-fold training seeds derive from (folds.seed, "train", name, fold).
     train_transform, when given, maps (training subset, derived seed) to
     the dataset actually trained on; test folds are never transformed.
-    The folds run on one process per usable CPU (_in_workers), and the
-    report is the same whatever their number. d must have no missing cells.
+    d must have no missing cells. One process per usable CPU runs the
+    folds: this one runs each lock-step spec's as one item, then pulls the
+    other folds from one queue, as do min(CPUs - 1, queued folds) forked
+    children. Each CPU left idle goes to the lock-step (`_splitter`). The
+    schedule holds the worker count, each spec's busy seconds (in whichever
+    process ran its items) and the epochs at which a lock-step split.
     """
     require_complete(d, "cross-validation")
     n = len(d)
@@ -393,24 +426,73 @@ def cross_validate(d: Dataset, spec: ClassifierSpec, folds: FoldAssignment,
     pos_label = positive_class if positive_class is not None else labels[0]
     if pos_label not in labels:
         raise DataError(f"positive class {pos_label!r} is not a class value")
-    pos = labels.index(pos_label)
-    y = d.class_codes()
-    probs = np.zeros((n, len(labels)))
-    fold_accuracies = []
     scored = [t for t in range(folds.k) if folds.test_indices(t).size]
+    lock_step = [(spec, scored) for spec in specs if spec.train_folds is not None]
+    items = lock_step + [(spec, [t]) for spec in specs if spec.train_folds is None for t in scored]
+    workers = _fold_workers()
+    children = min(workers - 1, len(items) - len(lock_step))
+    splits = {spec.name: [] for spec, _ in lock_step}
+    (queue, queue_w), (spare, spare_w) = os.pipe(), os.pipe()
 
-    def fold_probabilities(group: list[int]) -> list[np.ndarray]:
+    def run(i: int) -> tuple[list[np.ndarray], float]:
+        spec, group = items[i]
+        start = time.perf_counter()
         # maps, unlike a generator, hold no table they have handed on
         tables = map(d.subset, map(folds.train_indices, group))
         if train_transform is not None:
             tables = map(train_transform, tables,
                          [derive_seed(folds.seed, "transform", t) for t in group])
         seeds = [derive_seed(folds.seed, "train", spec.name, t) for t in group]
-        models = (spec.train_folds(tables, seeds) if spec.train_folds is not None
-                  else map(spec.train, tables, seeds))
-        return [spec.predict(m, d.subset(folds.test_indices(t))) for t, m in zip(group, models)]
+        models = (spec.train_folds(tables, seeds, _splitter(spare, spec.name, group,
+                                                            splits[spec.name]))
+                  if spec.train_folds is not None else map(spec.train, tables, seeds))
+        probs = [spec.predict(m, d.subset(folds.test_indices(t))) for t, m in zip(group, models)]
+        return probs, time.perf_counter() - start
 
-    for t, fold_probs in zip(scored, _in_workers(fold_probabilities, scored)):
+    def pull() -> dict:
+        done = {}
+        while index := os.read(queue, 4):
+            i = int.from_bytes(index, "little")
+            done[i] = run(i)
+        os.write(spare_w, b".")  # this CPU is free for the lock-step, if that still runs
+        return done
+
+    try:
+        with open(queue_w, "wb") as pipe:  # closed before the forks: an empty queue reads as EOF
+            pending = np.arange(len(lock_step), len(items), dtype="<u4").tobytes()
+            fcntl.fcntl(pipe, fcntl.F_SETPIPE_SZ, max(len(pending), 1))  # or the write may block
+            pipe.write(pending)
+        os.write(spare_w, b"." * (workers - 1 - children))
+        mine, theirs = _forked(lambda: {i: run(i) for i in range(len(lock_step))} | pull(),
+                               [pull] * children)
+    finally:
+        for fd in (queue, spare, spare_w):
+            os.close(fd)
+    for out in theirs:
+        mine |= {} if isinstance(out, int) else out
+    if missing := [(spec.name, t) for i, (spec, (t, *_)) in enumerate(items) if i not in mine]:
+        raise _lost(missing, next(code for code in theirs if isinstance(code, int)))
+    reports, busy = [], {}
+    for spec in specs:
+        done = [mine[i] for i, (s, _) in enumerate(items) if s is spec]
+        busy[spec.name] = sum(seconds for _, seconds in done)
+        reports.append(_score(d, spec, folds, scored, [p for ps, _ in done for p in ps], pos_label))
+    return reports, {"workers": workers, "busy_seconds": busy, "split_epochs": splits}
+
+
+def cross_validate(d, spec, folds, positive_class=None, train_transform=None) -> EvaluationReport:
+    """`cross_validate_all` for one classifier."""
+    return cross_validate_all(d, [spec], folds, positive_class, train_transform)[0][0]
+
+
+def _score(d, spec, folds, scored, by_fold, pos_label) -> EvaluationReport:
+    """The report of spec from its probabilities for each scored fold, in order."""
+    n, labels = len(d), d.class_labels
+    pos = labels.index(pos_label)
+    y = d.class_codes()
+    probs = np.zeros((n, len(labels)))
+    fold_accuracies = []
+    for t, fold_probs in zip(scored, by_fold):
         test_idx = folds.test_indices(t)
         probs[test_idx] = fold_probs
         if not np.isfinite(fold_probs).all():

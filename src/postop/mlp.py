@@ -225,14 +225,17 @@ def _compact(d: Dataset) -> tuple:
 
 
 @np.errstate(over="ignore")
-def train_mlps(tables, configs: list[MlpConfig]) -> list[MlpModel]:
+def train_mlps(tables, configs: list[MlpConfig], split=None) -> list[MlpModel]:
     """Train one network per table in lock-step, each to the bits `train_mlp` gives it.
 
     configs may differ only in seed. Each step runs one `stacked_gradient`
     and momentum update over the models that still have rows: a prefix, as
     models sort by table size, largest first, and four whole-buffer
     operations when that is all of them. Tables are read once, in turn, and
-    kept only in `_compact` form.
+    kept only in `_compact` form. split, if given, is called as each epoch
+    starts while more than one network trains here: split(epoch, held, rest),
+    held their tables' positions, largest first. It returns None, or their
+    models after rest(a, b) has trained held[a:b] on from their state.
     """
     cfg = configs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in configs):
@@ -250,40 +253,56 @@ def train_mlps(tables, configs: list[MlpConfig]) -> list[MlpModel]:
              len(encs[0].class_labels))
     k = len(n)
     try:  # every buffer of the run, sized up front
-        (p, s, g), (params, steps, grads), (acts, err, loss) = _workspace(sizes, k)
+        workspace = _workspace(sizes, k)
         history = np.zeros((k, cfg.epochs))
     except (MemoryError, ValueError) as e:
         raise DataError(f"cannot allocate {k} networks of layer sizes {sizes} "
                         f"over {cfg.epochs} epochs: {e}") from None
     rngs = [np.random.default_rng(configs[j].seed) for j in by_size]
-    for j, v in product(range(k), params):  # each model's draws in parameter order
+    for j, v in product(range(k), workspace[1][0]):  # each model's draws in parameter order
         v[j] = rngs[j].uniform(-cfg.weight_init_range, cfg.weight_init_range, v.shape[1:])
     lr, mom = float(cfg.learning_rate), float(cfg.momentum)
-    active = (n > np.arange(n[0])[:, None]).sum(axis=1).tolist()  # models with rows, per step
-    views = {a: [[v[:a] for v in vs] for vs in (params, steps, grads, acts, (err, loss))]
-             for a in set(active)}
-    for ep in range(cfg.epochs):
-        order = np.zeros((n[0], k), dtype=np.intp)
-        for j, rng in enumerate(rngs):
-            order[: n[j], j] = first[j] + rng.permutation(n[j])
-        for i in range(0, n[0], _GATHER):
-            rows = order[i : i + _GATHER, :, None]
-            xs, ys = hot[rows].astype(float), y[rows]
-            xs[..., encs[0].numeric_offsets] = num[rows]
-            for x, t, a in zip(xs, ys, active[i : i + _GATHER]):
-                pa, sa, ga, acts_a, (err_a, loss_a) = views[a]
-                history[:a, ep] += stacked_gradient(pa, ga, [x[:a], *acts_a], t[:a], err_a, loss_a)
-                for pv, sv, gv in ((p, s, g),) if a == k else zip(pa, sa, ga):
-                    gv *= lr
-                    sv *= mom
-                    sv -= gv
-                    pv += sv
-        history[:, ep] /= n
-        if not np.isfinite(history[:, ep]).all():
-            raise TrainingError(f"non-finite training loss at epoch {ep}")
-    models = [MlpModel(sizes, [w[j] for w in params[0::2]], [b[j, 0] for b in params[1::2]], enc,
-                       history[j]) for j, enc in enumerate(encs)]
-    return [models[by_size.index(j)] for j in range(len(models))]
+
+    def train(lo, hi, workspace, history, start):  # networks lo..hi-1 in size order
+        (p, s, g), (params, steps, grads), (acts, err, loss) = workspace
+        k, m = hi - lo, n[lo]
+        active = (n[lo:hi] > np.arange(m)[:, None]).sum(axis=1).tolist()  # models with rows
+        views = {a: [[v[:a] for v in vs] for vs in (params, steps, grads, acts, (err, loss))]
+                 for a in set(active)}
+        for ep in range(start, cfg.epochs):
+
+            def rest(a, b):  # on buffers of their own, whole for the four-operation update
+                share = _workspace(sizes, b - a)
+                for new, old in zip(share[1][0] + share[1][1], params + steps):
+                    new[:] = old[a:b]
+                return train(lo + a, lo + b, share, history[a:b], ep)
+
+            if k > 1 and split and (models := split(ep, by_size[lo:hi], rest)) is not None:
+                return models
+            order = np.zeros((m, k), dtype=np.intp)
+            for j in range(k):
+                order[: n[lo + j], j] = first[lo + j] + rngs[lo + j].permutation(n[lo + j])
+            for i in range(0, m, _GATHER):
+                rows = order[i : i + _GATHER, :, None]
+                xs, ys = hot[rows].astype(float), y[rows]
+                xs[..., encs[0].numeric_offsets] = num[rows]
+                for x, t, a in zip(xs, ys, active[i : i + _GATHER]):
+                    pa, sa, ga, acts_a, (err_a, loss_a) = views[a]
+                    history[:a, ep] += stacked_gradient(pa, ga, [x[:a], *acts_a], t[:a],
+                                                        err_a, loss_a)
+                    for pv, sv, gv in ((p, s, g),) if a == k else zip(pa, sa, ga):
+                        gv *= lr
+                        sv *= mom
+                        sv -= gv
+                        pv += sv
+            history[:, ep] /= n[lo:hi]
+            if not np.isfinite(history[:, ep]).all():
+                raise TrainingError(f"non-finite training loss at epoch {ep}")
+        return [MlpModel(sizes, [w[j] for w in params[0::2]], [b[j, 0] for b in params[1::2]],
+                         encs[lo + j], history[j]) for j in range(k)]
+
+    models = train(0, k, workspace, history, 0)
+    return [models[by_size.index(j)] for j in range(k)]
 
 
 @np.errstate(over="ignore")

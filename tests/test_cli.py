@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from postop import evaluation
 from postop.cli import main
 from postop.dataset import class_counts, parse_arff
 
@@ -194,7 +195,9 @@ def test_bench_tiny_run_writes_all_formats(tiny_path, tmp_path, capsys):
     assert nb_report["metrics"]["correctly_classified"] == 100.0
     manifest = json.loads((out / "manifest.json").read_text())
     assert "timings_seconds" in manifest
-    assert set(manifest["timings_seconds"]) >= {"load", "folds", "cv-nb", "total"}
+    assert set(manifest["timings_seconds"]) >= {"load", "folds", "cv", "cv-nb", "total"}
+    # the one fork-join's schedule: nb has no lock-step to split
+    assert manifest["cv_schedule"] == {"workers": evaluation._fold_workers(), "split_epochs": {}}
     # markdown is echoed by default; the status line goes to stderr
     assert captured.out.startswith("# Benchmark report")
     assert "| Performance metric | Naive Bayes |" in captured.out
@@ -210,6 +213,13 @@ def test_bench_report_json_is_reproducible(tiny_path, tmp_path, capsys):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     doc = json.loads((a / "report.json").read_text())
     assert [r["classifier"] for r in doc["reports"]] == ["nb", "j48", "mlp"]
+    manifest = json.loads((a / "manifest.json").read_text())
+    timings = manifest["timings_seconds"]
+    assert {"cv", "cv-nb", "cv-j48", "cv-mlp"} <= set(timings)
+    # busy seconds of each classifier, measured in whichever process ran its folds
+    assert all(timings[f"cv-{name}"] > 0 for name in ("nb", "j48", "mlp"))
+    (epochs,) = manifest["cv_schedule"]["split_epochs"].values()
+    assert all(0 <= ep < 4 for ep in epochs)
 
 
 def test_bench_format_selects_stdout_echo(tiny_path, tmp_path, capsys):
@@ -241,6 +251,14 @@ def test_bench_usage_and_data_errors(tiny_path, tmp_path, capsys):
     assert main(base + ["--classifiers", "mlp", "--mlp-hidden", str(10**18)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot allocate") and len(err.splitlines()) == 1
+
+
+def test_bench_refuses_a_repeated_classifier(tiny_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(_bench_args(tiny_path, out, "--classifiers", "nb,j48,nb")) == 1
+    err = capsys.readouterr().err
+    assert err == "error: classifier 'nb' is requested more than once\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", [

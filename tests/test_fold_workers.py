@@ -1,7 +1,10 @@
 """Cross-validation on forked fold workers: the same reports, the same errors, no process left.
 
 The worker count is one per usable CPU; these tests set it by replacing
-postop.evaluation._fold_workers.
+postop.evaluation._fold_workers. Workers pull folds from one queue, and the
+MLP lock-step splits onto CPUs that go idle, so the tests that need a fold
+in a given process arrange it with a lock-step item that this process runs
+first and that waits until the child has ended.
 """
 
 import os
@@ -11,9 +14,15 @@ import time
 import numpy as np
 import pytest
 
-from postop import evaluation
+from postop import evaluation, mlp
 from postop.dataset import DataError
-from postop.evaluation import ClassifierSpec, cross_validate, make_classifier, stratified_folds
+from postop.evaluation import (
+    ClassifierSpec,
+    cross_validate,
+    cross_validate_all,
+    make_classifier,
+    stratified_folds,
+)
 from postop.mlp import TrainingError
 from postop.resampling import SmoteConfig, smote
 from postop.seeds import derive_seed
@@ -47,6 +56,10 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
 def smote_within_folds(train_d, seed):
     return smote(train_d, "T", SmoteConfig(seed=seed))[0]
 
@@ -72,16 +85,34 @@ def test_reports_are_equal_with_one_two_and_three_workers(
     assert three == one
 
 
-def test_more_workers_than_folds_fork_one_child_per_fold_but_the_first(
-        cohort, monkeypatch, forks):
+def test_more_workers_than_folds_fork_one_child_per_fold(cohort, monkeypatch, forks):
     use_workers(monkeypatch, 8)
     small = cohort.subset(range(60))
     folds = stratified_folds(small, 3, FOLDS_SEED)
     one = cross_validate(small, make_classifier("nb"), folds)
-    assert len(forks) == 2
+    assert len(forks) == 3
     assert_reaped(forks)
     use_workers(monkeypatch, 1)
     assert cross_validate(small, make_classifier("nb"), folds) == one
+
+
+@pytest.mark.parametrize("transform", [None, smote_within_folds],
+                         ids=["smote-up-front", "smote-within-folds"])
+def test_a_three_classifier_schedule_gives_equal_reports_with_one_two_and_three_workers(
+        cohort, monkeypatch, forks, transform):
+    folds = stratified_folds(cohort, 10, FOLDS_SEED)
+    specs = [make_classifier("nb"), make_classifier("mlp", epochs=3), make_classifier("j48")]
+    use_workers(monkeypatch, 1)
+    alone = [cross_validate(cohort, spec, folds, train_transform=transform) for spec in specs]
+    assert not forks
+    for count in (1, 2, 3):
+        use_workers(monkeypatch, count)
+        reports, schedule = cross_validate_all(cohort, specs, folds, train_transform=transform)
+        assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in alone]
+        assert schedule["workers"] == count
+        assert set(schedule["busy_seconds"]) == {"nb", "mlp", "j48"}
+        assert set(schedule["split_epochs"]) == {"mlp"}
+    assert_reaped(forks)
 
 
 def _probe(**actions):
@@ -95,20 +126,40 @@ def _probe(**actions):
     return ClassifierSpec("probe", train, lambda m, d: np.full((len(d), 2), 0.5))
 
 
+def _lock_step(action):
+    """A lock-step spec, run first by the calling process, whose training calls action()."""
+
+    def train_folds(tables, seeds, split):
+        action()
+        return [None for _ in tables]
+
+    return ClassifierSpec("lock", None, lambda m, d: np.full((len(d), 2), 0.5),
+                          train_folds=train_folds)
+
+
+def _until_the_child_ends(forks):
+    """An action that waits for the first forked child to end, leaving it for the reaper."""
+    return lambda: os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+
+
 @pytest.mark.parametrize("error", [DataError, TrainingError])
 def test_an_error_in_a_child_reaches_the_caller(cohort, monkeypatch, forks, error):
     use_workers(monkeypatch, 2)
     parent = os.getpid()
 
     def fail():
-        assert os.getpid() != parent, "fold 7 should be trained by the second worker"
+        assert os.getpid() != parent, "fold 7 should be trained by the child"
         raise error("fold 7 cannot be trained")
 
+    # this process waits in its lock-step item until the child has pulled fold 7
+    specs = [_lock_step(_until_the_child_ends(forks)), _probe(fold7=fail)]
     folds = stratified_folds(cohort, 10, FOLDS_SEED)
+    fds = open_fds()
     with pytest.raises(error, match="^fold 7 cannot be trained$"):
-        cross_validate(cohort, _probe(fold7=fail), folds)
+        cross_validate_all(cohort, specs, folds)
     assert len(forks) == 1
     assert_reaped(forks)
+    assert open_fds() == fds
 
 
 def test_a_child_killed_by_a_signal_becomes_one_data_error(cohort, monkeypatch, forks):
@@ -119,13 +170,17 @@ def test_a_child_killed_by_a_signal_becomes_one_data_error(cohort, monkeypatch, 
         if os.getpid() != parent:  # never this process
             os.kill(os.getpid(), signal.SIGKILL)
 
+    # the child pulls folds 1-7 while this process waits, and dies at fold 7
+    specs = [_lock_step(_until_the_child_ends(forks)), _probe(fold7=die)]
     folds = stratified_folds(cohort, 10, FOLDS_SEED)
+    fds = open_fds()
     with pytest.raises(DataError) as raised:
-        cross_validate(cohort, _probe(fold7=die), folds)
-    assert str(raised.value) == \
-        "the worker for folds 6-10 ended without its results (exit code -9)"
+        cross_validate_all(cohort, specs, folds)
+    assert str(raised.value) == ("the worker for probe folds 1, 2, 3, 4, 5, 6, 7 "
+                                 "ended without its results (exit code -9)")
     assert len(forks) == 1
     assert_reaped(forks)
+    assert open_fds() == fds
 
 
 def test_an_error_in_this_process_kills_a_child_that_is_still_running(
@@ -135,14 +190,132 @@ def test_an_error_in_this_process_kills_a_child_that_is_still_running(
 
     def fail_here():
         assert os.getpid() == parent
-        raise DataError("fold 1 cannot be trained")
+        raise DataError("the lock-step cannot be trained")
 
-    # the child's first fold takes a minute: only a kill ends it sooner
-    spec = _probe(fold1=fail_here, fold6=lambda: time.sleep(60))
+    # each of the child's folds takes a minute: only a kill ends it sooner
+    naps = {f"fold{n}": lambda: time.sleep(60) for n in range(1, 11)}
+    specs = [_lock_step(fail_here), _probe(**naps)]
     folds = stratified_folds(cohort, 10, FOLDS_SEED)
+    fds = open_fds()
     start = time.monotonic()
-    with pytest.raises(DataError, match="^fold 1 cannot be trained$"):
-        cross_validate(cohort, spec, folds)
+    with pytest.raises(DataError, match="^the lock-step cannot be trained$"):
+        cross_validate_all(cohort, specs, folds)
     assert time.monotonic() - start < 30
     assert len(forks) == 1
     assert_reaped(forks)
+    assert open_fds() == fds
+
+
+# -- the lock-step's split onto idle CPUs ------------------------------------------
+
+
+def _fold_tables(cohort, k):
+    folds = stratified_folds(cohort, k, FOLDS_SEED)
+    return [cohort.subset(folds.train_indices(t)) for t in range(k)]
+
+
+@pytest.mark.parametrize("k, tokens, epochs", [
+    (10, {0: 1}, [0]),  # a CPU idle from the start
+    (10, {1: 1}, [1]),
+    (10, {2: 1}, [2]),  # the last epoch
+    (10, {0: 2}, [0]),  # three parts
+    (7, {1: 1, 2: 2}, [1, 2]),  # unequal tables, and a second split of this process's share
+])
+def test_forced_splits_train_the_bits_of_an_unsplit_lock_step(
+        cohort, forks, k, tokens, epochs):
+    tables = _fold_tables(cohort, k)
+    cfgs = [mlp.MlpConfig(seed=100 + t, epochs=3) for t in range(k)]
+    whole = mlp.train_mlps(tables, cfgs)
+    fds = open_fds()
+    r, w = os.pipe()
+    os.set_blocking(r, False)
+    logged, tokens = [], dict(tokens)
+    forked = sum(tokens.values())
+    hook = evaluation._splitter(r, "mlp", list(range(k)), logged)
+
+    def split(ep, held, rest):
+        os.write(w, b"." * tokens.pop(ep, 0))  # each epoch's tokens once, on its first call
+        return hook(ep, held, rest)
+
+    try:
+        parts = mlp.train_mlps(tables, cfgs, split)
+    finally:
+        os.close(r)
+        os.close(w)
+    assert logged == epochs
+    assert len(forks) == forked
+    for got, want in zip(parts, whole, strict=True):
+        assert got.layer_sizes == want.layer_sizes
+        assert all(np.array_equal(g, x) for g, x in zip(got.weights, want.weights, strict=True))
+        assert all(np.array_equal(g, x) for g, x in zip(got.biases, want.biases, strict=True))
+        assert np.array_equal(got.loss_history, want.loss_history)
+    assert_reaped(forks)
+    assert open_fds() == fds
+
+
+def _in_a_split_child(monkeypatch, action):
+    """Make the MLP's gradient kernel call action() first, in forked processes only."""
+    parent, kernel = os.getpid(), mlp.stacked_gradient
+
+    def kernel_or_action(*buffers):
+        if os.getpid() != parent:
+            action()
+        return kernel(*buffers)
+
+    monkeypatch.setattr(mlp, "stacked_gradient", kernel_or_action)
+
+
+def test_a_training_error_in_a_split_child_reaches_the_caller(cohort, monkeypatch, forks):
+    use_workers(monkeypatch, 2)  # the MLP alone leaves one CPU idle: it splits at epoch 0
+
+    def fail():
+        raise TrainingError("a share cannot be trained")
+
+    _in_a_split_child(monkeypatch, fail)
+    folds = stratified_folds(cohort, 10, FOLDS_SEED)
+    fds = open_fds()
+    with pytest.raises(TrainingError, match="^a share cannot be trained$"):
+        cross_validate(cohort, make_classifier("mlp", epochs=2), folds)
+    assert len(forks) == 1
+    assert_reaped(forks)
+    assert open_fds() == fds
+
+
+def test_a_split_child_killed_by_a_signal_becomes_one_data_error(cohort, monkeypatch, forks):
+    use_workers(monkeypatch, 2)
+    _in_a_split_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    folds = stratified_folds(cohort, 10, FOLDS_SEED)  # ten training tables of 423 rows
+    fds = open_fds()
+    with pytest.raises(DataError) as raised:
+        cross_validate(cohort, make_classifier("mlp", epochs=2), folds)
+    # equal tables keep fold order, so the child took the second half
+    assert str(raised.value) == ("the worker for mlp folds 6, 7, 8, 9, 10 "
+                                 "ended without its results (exit code -9)")
+    assert len(forks) == 1
+    assert_reaped(forks)
+    assert open_fds() == fds
+
+
+def test_an_error_in_this_process_kills_queue_and_split_children(cohort, monkeypatch, forks):
+    # four CPUs and two folds of each classifier: two queue children, and one
+    # CPU left idle, onto which the MLP splits at epoch 0
+    use_workers(monkeypatch, 4)
+    parent, kernel = os.getpid(), mlp.stacked_gradient
+
+    def fail_here_or_nap(*buffers):
+        if os.getpid() == parent:
+            raise DataError("this share cannot be trained")
+        time.sleep(60)
+
+    monkeypatch.setattr(mlp, "stacked_gradient", fail_here_or_nap)
+    specs = [make_classifier("mlp", epochs=2),
+             _probe(fold1=lambda: time.sleep(60), fold2=lambda: time.sleep(60))]
+    folds = stratified_folds(cohort, 2, FOLDS_SEED)
+    fds = open_fds()
+    start = time.monotonic()
+    with pytest.raises(DataError, match="^this share cannot be trained$"):
+        cross_validate_all(cohort, specs, folds)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 3
+    assert_reaped(forks)
+    assert open_fds() == fds
