@@ -7,11 +7,11 @@ matching how the benchmark table is read.
 
 from __future__ import annotations
 
-import fcntl
 import os
 import pickle
 import select
 import signal
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field, replace
 from itertools import groupby, pairwise
@@ -383,11 +383,10 @@ def _lost(missing: list[tuple[str, int]], code: int) -> DataError:  # (classifie
 def _splitter(spare: int, name: str, group: list[int], epochs: list[int]):
     """A `train_mlps` split hook for folds group that, in this process only, hands each byte
     waiting in the pipe spare (an idle CPU) a share of the networks, and logs the epoch."""
-    caller, waiting = os.getpid(), select.poll()
-    waiting.register(spare, select.POLLIN)
+    caller = os.getpid()
 
     def split(ep, held, rest):
-        if os.getpid() != caller or not waiting.poll(0):
+        if os.getpid() != caller or not select.select([spare], [], [], 0)[0]:
             return None
         epochs.append(ep)
         cpus = len(os.read(spare, len(held) - 1))
@@ -411,12 +410,10 @@ def cross_validate_all(d: Dataset, specs: list[ClassifierSpec], folds: FoldAssig
     Per-fold training seeds derive from (folds.seed, "train", name, fold).
     train_transform, when given, maps (training subset, derived seed) to
     the dataset actually trained on; test folds are never transformed.
-    d must have no missing cells. One process per usable CPU runs the
-    folds: this one runs each lock-step spec's as one item, then pulls the
-    other folds from one queue, as do min(CPUs - 1, queued folds) forked
-    children. Each CPU left idle goes to the lock-step (`_splitter`). The
-    schedule holds the worker count, each spec's busy seconds (in whichever
-    process ran its items) and the epochs at which a lock-step split.
+    d must have no missing cells. This process runs each lock-step spec's
+    folds as one item, then pulls the other folds from one queue, as do
+    forked children, one per other usable CPU; a CPU left idle goes to the
+    lock-step (`_splitter`). The schedule is (workers, busy_seconds, split_epochs).
     """
     require_complete(d, "cross-validation")
     n = len(d)
@@ -430,9 +427,8 @@ def cross_validate_all(d: Dataset, specs: list[ClassifierSpec], folds: FoldAssig
     lock_step = [(spec, scored) for spec in specs if spec.train_folds is not None]
     items = lock_step + [(spec, [t]) for spec in specs if spec.train_folds is None for t in scored]
     workers = _fold_workers()
-    children = min(workers - 1, len(items) - len(lock_step))
+    children = min(workers - 1, len(items) - max(len(lock_step), 1))  # this process pulls too
     splits = {spec.name: [] for spec, _ in lock_step}
-    (queue, queue_w), (spare, spare_w) = os.pipe(), os.pipe()
 
     def run(i: int) -> tuple[list[np.ndarray], float]:
         spec, group = items[i]
@@ -443,41 +439,34 @@ def cross_validate_all(d: Dataset, specs: list[ClassifierSpec], folds: FoldAssig
             tables = map(train_transform, tables,
                          [derive_seed(folds.seed, "transform", t) for t in group])
         seeds = [derive_seed(folds.seed, "train", spec.name, t) for t in group]
-        models = (spec.train_folds(tables, seeds, _splitter(spare, spec.name, group,
-                                                            splits[spec.name]))
-                  if spec.train_folds is not None else map(spec.train, tables, seeds))
+        models = (map(spec.train, tables, seeds) if spec.train_folds is None else
+                  spec.train_folds(tables, seeds, None if workers == 1 else  # no CPU to spare
+                                   _splitter(spare, spec.name, group, splits[spec.name])))
         probs = [spec.predict(m, d.subset(folds.test_indices(t))) for t, m in zip(group, models)]
         return probs, time.perf_counter() - start
 
     def pull() -> dict:
         done = {}
-        while index := os.read(queue, 4):
-            i = int.from_bytes(index, "little")
-            done[i] = run(i)
+        while index := os.read(queue.fileno(), 4):  # each read takes the next index
+            done[i] = run(i := int.from_bytes(index, "little"))
         os.write(spare_w, b".")  # this CPU is free for the lock-step, if that still runs
         return done
 
-    try:
-        with open(queue_w, "wb") as pipe:  # closed before the forks: an empty queue reads as EOF
-            pending = np.arange(len(lock_step), len(items), dtype="<u4").tobytes()
-            fcntl.fcntl(pipe, fcntl.F_SETPIPE_SZ, max(len(pending), 1))  # or the write may block
-            pipe.write(pending)
+    spare, spare_w = os.pipe()  # a byte for each CPU free to take a share of the lock-step
+    # the queue is a file: unlike a pipe, it holds any number of indices before anyone reads
+    with open(spare, "rb", 0), open(spare_w, "wb", 0), tempfile.TemporaryFile(buffering=0) as queue:
+        queue.write(np.arange(len(lock_step), len(items), dtype="<u4").tobytes())
+        queue.seek(0)
         os.write(spare_w, b"." * (workers - 1 - children))
         mine, theirs = _forked(lambda: {i: run(i) for i in range(len(lock_step))} | pull(),
                                [pull] * children)
-    finally:
-        for fd in (queue, spare, spare_w):
-            os.close(fd)
-    for out in theirs:
-        mine |= {} if isinstance(out, int) else out
+    mine |= {i: out[i] for out in theirs if isinstance(out, dict) for i in out}
     if missing := [(spec.name, t) for i, (spec, (t, *_)) in enumerate(items) if i not in mine]:
         raise _lost(missing, next(code for code in theirs if isinstance(code, int)))
-    reports, busy = [], {}
-    for spec in specs:
-        done = [mine[i] for i, (s, _) in enumerate(items) if s is spec]
-        busy[spec.name] = sum(seconds for _, seconds in done)
-        reports.append(_score(d, spec, folds, scored, [p for ps, _ in done for p in ps], pos_label))
-    return reports, {"workers": workers, "busy_seconds": busy, "split_epochs": splits}
+    ran = {spec.name: [mine[i] for i, (s, _) in enumerate(items) if s is spec] for spec in specs}
+    busy = {name: sum(seconds for _, seconds in runs) for name, runs in ran.items()}
+    return ([_score(d, spec, folds, scored, ran[spec.name], pos_label) for spec in specs],
+            {"workers": workers, "busy_seconds": busy, "split_epochs": splits})
 
 
 def cross_validate(d, spec, folds, positive_class=None, train_transform=None) -> EvaluationReport:
@@ -485,14 +474,14 @@ def cross_validate(d, spec, folds, positive_class=None, train_transform=None) ->
     return cross_validate_all(d, [spec], folds, positive_class, train_transform)[0][0]
 
 
-def _score(d, spec, folds, scored, by_fold, pos_label) -> EvaluationReport:
-    """The report of spec from its probabilities for each scored fold, in order."""
+def _score(d, spec, folds, scored, runs, pos_label) -> EvaluationReport:
+    """The report of spec from its runs' (probabilities of each fold, seconds), in fold order."""
     n, labels = len(d), d.class_labels
     pos = labels.index(pos_label)
     y = d.class_codes()
     probs = np.zeros((n, len(labels)))
     fold_accuracies = []
-    for t, fold_probs in zip(scored, by_fold):
+    for t, fold_probs in zip(scored, (p for ps, _ in runs for p in ps)):
         test_idx = folds.test_indices(t)
         probs[test_idx] = fold_probs
         if not np.isfinite(fold_probs).all():

@@ -7,7 +7,9 @@ in a given process arrange it with a lock-step item that this process runs
 first and that waits until the child has ended.
 """
 
+import fcntl
 import os
+import select
 import signal
 import time
 
@@ -85,12 +87,13 @@ def test_reports_are_equal_with_one_two_and_three_workers(
     assert three == one
 
 
-def test_more_workers_than_folds_fork_one_child_per_fold(cohort, monkeypatch, forks):
+def test_more_workers_than_folds_fork_one_child_per_fold_but_the_first(
+        cohort, monkeypatch, forks):
     use_workers(monkeypatch, 8)
     small = cohort.subset(range(60))
     folds = stratified_folds(small, 3, FOLDS_SEED)
     one = cross_validate(small, make_classifier("nb"), folds)
-    assert len(forks) == 3
+    assert len(forks) == 2
     assert_reaped(forks)
     use_workers(monkeypatch, 1)
     assert cross_validate(small, make_classifier("nb"), folds) == one
@@ -113,6 +116,51 @@ def test_a_three_classifier_schedule_gives_equal_reports_with_one_two_and_three_
         assert set(schedule["busy_seconds"]) == {"nb", "mlp", "j48"}
         assert set(schedule["split_epochs"]) == {"mlp"}
     assert_reaped(forks)
+
+
+def test_one_worker_calls_nothing_that_only_some_platforms_have(cohort, monkeypatch):
+    specs = [make_classifier("nb"), make_classifier("mlp", epochs=2), make_classifier("j48")]
+    folds = stratified_folds(cohort, 10, FOLDS_SEED)
+    use_workers(monkeypatch, 2)
+    two, _ = cross_validate_all(cohort, specs, folds)
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "sched_getaffinity")  # as where it is missing: one worker
+
+    def absent(*args):
+        raise AttributeError("not on this platform")
+
+    for module, name in [(os, "fork"), (os, "kill"), (select, "select"), (select, "poll")]:
+        monkeypatch.setattr(module, name, absent)
+    monkeypatch.delattr(signal, "SIGKILL")
+    monkeypatch.delattr(fcntl, "F_SETPIPE_SZ", raising=False)
+    one, schedule = cross_validate_all(cohort, specs, folds)
+    assert schedule["workers"] == 1
+    assert schedule["split_epochs"] == {"mlp": []}
+    assert [r.to_json_dict() for r in one] == [r.to_json_dict() for r in two]
+
+
+def test_a_queue_longer_than_a_pipe_holds_runs_each_item_once(
+        cohort, monkeypatch, forks, tmp_path):
+    use_workers(monkeypatch, 6)  # more pullers than this machine's cores, racing for each index
+    folds = stratified_folds(cohort, len(cohort), FOLDS_SEED)  # 400 folds of one row or two
+    log = tmp_path / "seeds"
+
+    def train(d, seed):
+        with open(log, "a") as f:  # one append, whole, per call
+            f.write(f"{seed}\n")
+
+    specs = [ClassifierSpec(f"probe{j}", train, lambda m, d: np.full((len(d), 2), 0.5))
+             for j in range(42)]
+    fds = open_fds()
+    start = time.monotonic()
+    reports, _ = cross_validate_all(cohort, specs, folds)  # 16,800 items: 67,200 queued bytes
+    assert time.monotonic() - start < 60
+    assert [len(r.fold_accuracies) for r in reports] == [400] * 42
+    assert sorted(map(int, log.read_text().split())) == sorted(
+        derive_seed(FOLDS_SEED, "train", spec.name, t) for spec in specs for t in range(400))
+    assert len(forks) == 5
+    assert_reaped(forks)
+    assert open_fds() == fds
 
 
 def _probe(**actions):
