@@ -142,10 +142,16 @@ def _cmd_resample(args) -> int:
 # -- bench ---------------------------------------------------------------------
 
 
+def _items(text: str, flag: str) -> list[str]:
+    """The comma-separated items of a flag's value, stripped; an empty one is an error."""
+    items = [t.strip() for t in text.split(",")]
+    if "" in items:
+        raise DataError(f"invalid {flag} value {text!r}: an empty item")
+    return items
+
+
 def _parse_classifiers(text: str) -> tuple[str, ...]:
-    names = tuple(t.strip() for t in text.split(",") if t.strip())
-    if not names:
-        raise DataError("no classifiers requested")
+    names = tuple(_items(text, "--classifiers"))
     for n in names:
         if n not in CLASSIFIER_NAMES:
             raise DataError(f"unknown classifier {n!r}; expected one of {CLASSIFIER_NAMES}")
@@ -157,13 +163,11 @@ def _parse_classifiers(text: str) -> tuple[str, ...]:
 def _parse_hidden(text: str | None) -> tuple[int, ...] | None:
     if text is None:
         return None
+    items = _items(text, "--mlp-hidden")
     try:
-        sizes = tuple(int(t) for t in text.split(",") if t.strip())
+        return tuple(map(int, items))
     except ValueError:
         raise DataError(f"invalid --mlp-hidden value {text!r}") from None
-    if not sizes:
-        raise DataError(f"invalid --mlp-hidden value {text!r}")
-    return sizes
 
 
 # One row per report.json config key: the (classifier, make_classifier override)

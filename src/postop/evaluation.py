@@ -13,7 +13,7 @@ import select
 import signal
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import groupby, pairwise
 from typing import Any, Callable, Iterable
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataset import DataError, Dataset, require_complete
 from .decision_tree import TreeConfig, train_tree, tree_predict
-from .mlp import MlpConfig, mlp_predict, train_mlp, train_mlps
+from .mlp import WEIGHT_INIT_RANGE, MlpConfig, mlp_predict, train_mlps
 from .naive_bayes import nb_predict, train_nb
 from .seeds import derive_seed
 
@@ -242,11 +242,12 @@ class ClassifierSpec:
     (model, dataset) and returns class probabilities of shape (rows,
     classes), classes in declaration order. Seeds are ignored by
     deterministic learners. train_folds, when set, trains all folds in one
-    call: (training tables, read once in order; seeds; a split hook) -> models.
+    call: (training tables, read once in order; seeds; a split hook) -> models;
+    such a lock-step spec has train None.
     """
 
     name: str
-    train: Callable[[Dataset, int], Any]
+    train: Callable[[Dataset, int], Any] | None
     predict: Callable[[Any, Dataset], np.ndarray]
     config: dict = field(default_factory=dict)
     train_folds: Callable[[Iterable[Dataset], list[int], Callable], Iterable[Any]] | None = None
@@ -276,20 +277,16 @@ def make_classifier(name: str, **overrides) -> ClassifierSpec:
             config=asdict(cfg),
         )
     if name == "mlp":
-        if "seed" in overrides:
-            raise DataError("the network seed is derived per fold, not configured")
-        base = MlpConfig(**overrides)
-        config = asdict(base)
-        del config["seed"]
-        config["hidden_sizes"] = list(base.hidden_sizes) if base.hidden_sizes else None
-        config["seed_policy"] = "derived per fold from the fold seed"
+        cfg = MlpConfig(**overrides)
+        config = {**asdict(cfg), "hidden_sizes": list(cfg.hidden_sizes) if cfg.hidden_sizes else None,
+                  "weight_init_range": WEIGHT_INIT_RANGE,
+                  "seed_policy": "derived per fold from the fold seed"}
         return ClassifierSpec(
             name="mlp",
-            train=lambda d, seed: train_mlp(d, replace(base, seed=seed)),
+            train=None,
             predict=mlp_predict,
             config=config,
-            train_folds=lambda tables, seeds, split: train_mlps(
-                tables, [replace(base, seed=seed) for seed in seeds], split),
+            train_folds=lambda tables, seeds, split: train_mlps(tables, cfg, seeds, split),
         )
     raise DataError(f"unknown classifier {name!r}; expected one of {CLASSIFIER_NAMES}")
 

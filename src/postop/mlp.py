@@ -14,7 +14,7 @@ kernel writes into those views in place. The finite-difference tests check
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, chain, product
 
 import numpy as np
@@ -32,6 +32,9 @@ class TrainingError(RuntimeError):
     """Training diverged or could not proceed."""
 
 
+WEIGHT_INIT_RANGE = 0.05  # initial weights and biases are uniform in +-this
+
+
 @dataclass(frozen=True)
 class MlpConfig:
     """Network shape and optimization knobs.
@@ -40,12 +43,10 @@ class MlpConfig:
     predictor attribute count and the class count (at least one unit).
     """
 
-    seed: int = 0
     hidden_sizes: tuple[int, ...] | None = None
     learning_rate: float = 0.3
     momentum: float = 0.2
     epochs: int = 500
-    weight_init_range: float = 0.05
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate <= 1.0:
@@ -54,8 +55,6 @@ class MlpConfig:
             raise DataError("momentum must be in (0, 1]")
         if self.epochs < 1:
             raise DataError("epochs must be at least 1")
-        if self.weight_init_range <= 0.0:
-            raise DataError("weight_init_range must be positive")
         if self.hidden_sizes is not None:
             if len(self.hidden_sizes) == 0 or any(h < 1 for h in self.hidden_sizes):
                 raise DataError("hidden_sizes must be a non-empty tuple of positive ints")
@@ -126,20 +125,28 @@ class MlpModel:
     loss_history: np.ndarray
 
 
-def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Output activations for an encoded input vector, or a matrix of rows.
+def _forward(weights, biases, acts) -> np.ndarray:
+    """The one forward pass, in place: acts[l + 1] = 1 / (1 + exp(-(acts[l] @ W + b))).
 
-    Rows pass through each layer as a stack of one-row products, so every
-    row's sums run in the same order as for a single vector. exp(-z)
-    overflows to inf below z = -709 and gives the right 0. Callers ignore
-    that overflow once per call (`mlp_predict`, and `train_mlps` for
-    `stacked_gradient`), since entering np.errstate costs about as much as
-    the logistic function itself.
+    Activations are (..., 1, units), so each product is one row's whatever
+    stacks it: a row sums in the same order in training and prediction.
+    exp(-z) overflows to inf below z = -709 and gives the right 0. Callers
+    ignore that overflow once per call (`mlp_predict`, `train_mlps`), since
+    entering np.errstate costs about as much as the logistic function itself.
     """
-    a = x[..., None, :]
-    for w, b in zip(model.weights, model.biases):
-        a = 1.0 / (1.0 + np.exp(-(a @ w + b)))
-    return a[..., 0, :]
+    for w, b, x, z in zip(weights, biases, acts, acts[1:]):
+        np.matmul(x, w, out=z)
+        z += b
+        np.exp(np.negative(z, out=z), out=z)  # then the rest of the logistic, in place
+        z += 1.0
+        np.divide(1.0, z, out=z)
+    return acts[-1]
+
+
+def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Output activations for an encoded input vector, or a matrix of rows."""
+    acts = [x[..., None, :], *(np.empty((*x.shape[:-1], 1, o)) for o in model.layer_sizes[1:])]
+    return _forward(model.weights, model.biases, acts)[..., 0, :]
 
 
 def stacked_gradient(params, grads, acts, target, err, loss) -> np.ndarray:
@@ -147,17 +154,12 @@ def stacked_gradient(params, grads, acts, target, err, loss) -> np.ndarray:
 
     params and grads list W1, b1, W2, ... as (k, in, out) and (k, 1, out)
     arrays, and acts[0] is the input (k, 1, in). The kernel writes the
-    activations into acts[1:], the error into err (k, 1, classes), the
-    gradients into grads and the losses into loss (k, 1, 1), returned as
-    (k,). Each model's products are the BLAS calls it makes alone, and each
-    element takes `forward`'s and textbook backprop's operations in order.
+    activations into acts[1:] (`_forward`), the error into err (k, 1,
+    classes), the gradients into grads and the losses into loss (k, 1, 1),
+    returned as (k,). Each model's products are the BLAS calls it makes
+    alone, and each element takes textbook backprop's operations in order.
     """
-    for w, b, x, z in zip(params[0::2], params[1::2], acts, acts[1:]):
-        np.matmul(x, w, out=z)
-        z += b
-        np.exp(np.negative(z, out=z), out=z)  # then the rest of the logistic, in place
-        z += 1.0
-        np.divide(1.0, z, out=z)
+    _forward(params[0::2], params[1::2], acts)
     np.subtract(acts[-1], target, out=err)
     np.matmul(err, err.mT, out=loss)
     loss *= 0.5
@@ -206,18 +208,6 @@ def default_hidden_size(d: Dataset) -> int:
     return max(1, (len(d.predictor_indices) + len(d.class_labels)) // 2)
 
 
-def train_mlp(d: Dataset, cfg: MlpConfig) -> MlpModel:
-    """Train a network on the dataset: `train_mlps` for one table.
-
-    The seeded RNG draws, in order: each layer's weight matrix then bias
-    vector (uniform in +-weight_init_range), then one instance visit order
-    per epoch, drawn as that epoch starts. Each visit takes one gradient
-    step with momentum. Training runs exactly cfg.epochs epochs and raises
-    TrainingError if the epoch loss becomes non-finite.
-    """
-    return train_mlps([d], [cfg])[0]
-
-
 def _compact(d: Dataset) -> tuple:
     """(encoding, one-hot bits, numeric inputs, targets, default hidden size) of a table."""
     enc, x, y = encode(d)
@@ -225,21 +215,23 @@ def _compact(d: Dataset) -> tuple:
 
 
 @np.errstate(over="ignore")
-def train_mlps(tables, configs: list[MlpConfig], split=None) -> list[MlpModel]:
-    """Train one network per table in lock-step, each to the bits `train_mlp` gives it.
+def train_mlps(tables, cfg: MlpConfig, seeds: list[int], split=None) -> list[MlpModel]:
+    """Train one network per table in lock-step, each to the bits it gets trained alone.
 
-    configs may differ only in seed. Each step runs one `stacked_gradient`
-    and momentum update over the models that still have rows: a prefix, as
-    models sort by table size, largest first, and four whole-buffer
-    operations when that is all of them. Tables are read once, in turn, and
-    kept only in `_compact` form. split, if given, is called as each epoch
-    starts while more than one network trains here: split(epoch, held, rest),
-    held their tables' positions, largest first. It returns None, or their
-    models after rest(a, b) has trained held[a:b] on from their state.
+    Network j's RNG, seeded with seeds[j], draws in order: each layer's
+    weight matrix then bias vector (uniform in +-WEIGHT_INIT_RANGE), then
+    one instance visit order per epoch, drawn as that epoch starts. Each
+    visit takes one gradient step with momentum. Training runs exactly
+    cfg.epochs epochs and raises TrainingError if an epoch loss becomes
+    non-finite. Each step runs one `stacked_gradient` and momentum update
+    over the models that still have rows: a prefix, as models sort by table
+    size, largest first, and four whole-buffer operations when that is all
+    of them. Tables are read once, in turn, and kept only in `_compact`
+    form. split, if given, is called as each epoch starts while more than
+    one network trains here: split(epoch, held, rest), held their tables'
+    positions, largest first. It returns None, or their models after
+    rest(a, b) has trained held[a:b] on from their state.
     """
-    cfg = configs[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in configs):
-        raise DataError("networks trained in lock-step may differ only in seed")
     folds = list(map(_compact, tables))
     by_size = sorted(range(len(folds)), key=lambda j: -len(folds[j][3]))
     encs, hot, num, y, default_hidden = zip(*map(folds.__getitem__, by_size))
@@ -258,9 +250,9 @@ def train_mlps(tables, configs: list[MlpConfig], split=None) -> list[MlpModel]:
     except (MemoryError, ValueError) as e:
         raise DataError(f"cannot allocate {k} networks of layer sizes {sizes} "
                         f"over {cfg.epochs} epochs: {e}") from None
-    rngs = [np.random.default_rng(configs[j].seed) for j in by_size]
+    rngs = [np.random.default_rng(seeds[j]) for j in by_size]
     for j, v in product(range(k), workspace[1][0]):  # each model's draws in parameter order
-        v[j] = rngs[j].uniform(-cfg.weight_init_range, cfg.weight_init_range, v.shape[1:])
+        v[j] = rngs[j].uniform(-WEIGHT_INIT_RANGE, WEIGHT_INIT_RANGE, v.shape[1:])
     lr, mom = float(cfg.learning_rate), float(cfg.momentum)
 
     def train(lo, hi, workspace, history, start):  # networks lo..hi-1 in size order

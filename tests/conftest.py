@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from postop.dataset import AttributeSchema, Dataset, parse_arff
+from postop.mlp import MlpConfig, MlpModel, train_mlps
 
 TESTS_DIR = Path(__file__).resolve().parent
 REPO_DIR = TESTS_DIR.parent
@@ -104,6 +105,11 @@ def synthetic_cohort_text(n_t: int, n_f: int, relation: str) -> str:
 def query(d: Dataset, *rows) -> Dataset:
     """A table over d's schema holding the given value tuples."""
     return from_rows(d.schema, rows)
+
+
+def train_one(d: Dataset, cfg: MlpConfig, seed: int) -> MlpModel:
+    """One network trained on d: the one-table case of the lock-step trainer."""
+    return train_mlps([d], cfg, [seed])[0]
 
 
 def nominal_dataset(columns, class_column, domains=None, class_values=("c0", "c1")):

@@ -259,6 +259,14 @@ def forward_by_loops(weights, biases, x) -> list[float]:
     return act
 
 
+def forward_by_layers(weights, biases, x) -> np.ndarray:
+    """Sigmoid network forward pass of one input vector, a fresh array per layer."""
+    a = x
+    for w, b in zip(weights, biases):
+        a = 1.0 / (1.0 + np.exp(-(a @ w + b)))
+    return a
+
+
 def sgd_by_loops(weights, biases, xs, ys, orders, lr, mom):
     """Online backprop with momentum in scalar python loops.
 

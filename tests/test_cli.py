@@ -262,6 +262,24 @@ def test_bench_refuses_a_repeated_classifier(tiny_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", [
+    ["--mlp-hidden", "1,,2"], ["--mlp-hidden", "3,"],
+    ["--classifiers", "nb,,j48"], ["--classifiers", "nb,"],
+])
+def test_bench_refuses_an_empty_list_item(flag, tiny_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(_bench_args(tiny_path, out, *flag)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: invalid {flag[0]} value {flag[1]!r}: an empty item\n"
+    assert not out.exists()
+
+
+def test_bench_accepts_spaces_around_list_items(tiny_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(_bench_args(tiny_path, out, "--classifiers", "nb, j48", "--mlp-hidden", "2, 1")) == 0
+    assert json.loads((out / "report.json").read_text())["config"]["mlp_hidden"] == [2, 1]
+
+
+@pytest.mark.parametrize("flag", [
     ["--tree-confidence", "nan"], ["--tree-min-leaf", "0"], ["--mlp-epochs", "0"],
     ["--mlp-momentum", "inf"], ["--mlp-learning-rate", "nan"], ["--mlp-hidden", "0"],
 ])

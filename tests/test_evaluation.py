@@ -330,11 +330,16 @@ def test_binary_per_class_auc_symmetry(cohort):
     assert report.metrics["roc_area"] == pytest.approx(t_auc, abs=1e-9)
 
 
+def _train(spec, d, seed):
+    """A model of spec on d: its lock-step `train_folds` for one table, if it has one."""
+    return spec.train(d, seed) if spec.train_folds is None else spec.train_folds([d], [seed], None)[0]
+
+
 def test_batch_predictions_equal_one_row_predictions(cohort):
     train, test = cohort.subset(range(200)), cohort.subset(range(200, 260))
     for name, overrides in (("mlp", {"epochs": 3}), ("j48", {}), ("nb", {})):
         spec = make_classifier(name, **overrides)
-        model = spec.train(train, 5)
+        model = _train(spec, train, 5)
         batch = spec.predict(model, test)
         assert batch.shape == (len(test), 2)
         for i in range(len(test)):
@@ -379,13 +384,13 @@ def test_learners_refuse_a_missing_cell():
                           (1, 1.0, 0)])
     for name in CLASSIFIER_NAMES:
         spec = make_classifier(name, **({"epochs": 1} if name == "mlp" else {}))
-        model = spec.train(d, 0)
+        model = _train(spec, d, 0)
         for row in ((None, 1.0, 0), (1, None, 0)):
             holed = from_rows(schema, [*d.rows()[:4], row])
             with pytest.raises(DataError, match="impute it first"):
                 spec.predict(model, holed)
             with pytest.raises(DataError, match="impute it first"):
-                spec.train(holed, 0)
+                _train(spec, holed, 0)
 
 
 # -- classifier registry ---------------------------------------------------------------
@@ -401,12 +406,16 @@ def test_make_classifier_configs_and_errors():
     assert mlp.config["epochs"] == 10
     assert mlp.config["hidden_sizes"] == [4]
     assert "derived per fold" in mlp.config["seed_policy"]
+    assert mlp.train is None  # the network trains only in lock-step, through train_folds
     with pytest.raises(DataError, match="unknown classifier"):
         make_classifier("svm")
     with pytest.raises(DataError, match="no overrides"):
         make_classifier("nb", alpha=1.0)
-    with pytest.raises(DataError, match="derived per fold"):
-        make_classifier("mlp", seed=3)
+    # the network's seed is derived per fold, and its weight range is fixed
+    for fixed in ({"seed": 3}, {"weight_init_range": 0.1}):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            make_classifier("mlp", **fixed)
+    assert mlp.config["weight_init_range"] == 0.05
 
 
 def test_mlp_spec_derives_fold_seeds():

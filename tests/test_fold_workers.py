@@ -272,8 +272,8 @@ def _fold_tables(cohort, k):
 def test_forced_splits_train_the_bits_of_an_unsplit_lock_step(
         cohort, forks, k, tokens, epochs):
     tables = _fold_tables(cohort, k)
-    cfgs = [mlp.MlpConfig(seed=100 + t, epochs=3) for t in range(k)]
-    whole = mlp.train_mlps(tables, cfgs)
+    cfg, seeds = mlp.MlpConfig(epochs=3), [100 + t for t in range(k)]
+    whole = mlp.train_mlps(tables, cfg, seeds)
     fds = open_fds()
     r, w = os.pipe()
     os.set_blocking(r, False)
@@ -286,7 +286,7 @@ def test_forced_splits_train_the_bits_of_an_unsplit_lock_step(
         return hook(ep, held, rest)
 
     try:
-        parts = mlp.train_mlps(tables, cfgs, split)
+        parts = mlp.train_mlps(tables, cfg, seeds, split)
     finally:
         os.close(r)
         os.close(w)

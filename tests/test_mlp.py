@@ -19,16 +19,16 @@ from postop.mlp import (
     encode_inputs,
     forward,
     mlp_predict,
+    WEIGHT_INIT_RANGE,
     stacked_gradient,
-    train_mlp,
     train_mlps,
 )
 from postop.resampling import SmoteConfig, smote
 
-from conftest import from_rows, nominal_dataset, query, synthetic_cohort_text
+from conftest import from_rows, nominal_dataset, query, synthetic_cohort_text, train_one
 from oracles import (
-    finite_difference_grads, forward_by_loops, max_relative_error, sgd_by_loops,
-    sgd_lock_step_by_layers,
+    finite_difference_grads, forward_by_layers, forward_by_loops, max_relative_error,
+    sgd_by_loops, sgd_lock_step_by_layers,
 )
 
 
@@ -127,6 +127,26 @@ def test_forward_matches_loop_oracle():
         assert all(np.array_equal(batch[i], forward(model, r)) for i, r in enumerate(rows))
 
 
+@np.errstate(over="ignore")
+@pytest.mark.parametrize("scale", [0.7, 900.0])  # 900: |z| passes 709 both ways, exp(-z) overflows
+def test_forward_equals_the_per_layer_oracle_bit_for_bit(scale):
+    rng = np.random.default_rng(12)
+    z = []
+    for sizes in [(3, 2), (4, 5, 2), (2, 3, 3, 2), (37, 9, 2)]:
+        model = _random_net(rng, sizes)
+        model.weights = [w * scale for w in model.weights]
+        rows = rng.uniform(0, 1, size=(9, sizes[0]))
+        batch = forward(model, rows)
+        assert batch.shape == (9, sizes[-1])
+        for i, x in enumerate(rows):
+            want = forward_by_layers(model.weights, model.biases, x)
+            assert forward(model, x).tobytes() == want.tobytes()
+            assert batch[i].tobytes() == want.tobytes()
+        z.append(rows @ model.weights[0] + model.biases[0])
+    z = np.concatenate([a.ravel() for a in z])
+    assert (z.min() < -709 and z.max() > 709) == (scale > 1)
+
+
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     for _ in range(10):
@@ -149,12 +169,12 @@ def test_training_matches_scalar_loop_oracle():
     d = _toy_dataset()
     _, x, y = encode(d)
     for hidden in [(3,), (4, 3), (5,)]:
-        cfg = MlpConfig(seed=42, hidden_sizes=hidden, epochs=8)
-        model = train_mlp(d, cfg)
-        # the draws in the order train_mlp's docstring gives
+        cfg = MlpConfig(hidden_sizes=hidden, epochs=8)
+        model = train_one(d, cfg, 42)
+        # the draws in the order train_mlps's docstring gives
         sizes = (x.shape[1],) + hidden + (y.shape[1],)
-        rng = np.random.default_rng(cfg.seed)
-        r = cfg.weight_init_range
+        rng = np.random.default_rng(42)
+        r = WEIGHT_INIT_RANGE
         weights, biases = [], []
         for l in range(len(sizes) - 1):
             weights.append(rng.uniform(-r, r, size=(sizes[l], sizes[l + 1])).tolist())
@@ -172,9 +192,9 @@ def test_training_matches_scalar_loop_oracle():
 
 def test_same_seed_is_bitwise_reproducible():
     d = _toy_dataset()
-    cfg = MlpConfig(seed=7, hidden_sizes=(4,), epochs=5)
-    m1 = train_mlp(d, cfg)
-    m2 = train_mlp(d, cfg)
+    cfg = MlpConfig(hidden_sizes=(4,), epochs=5)
+    m1 = train_one(d, cfg, 7)
+    m2 = train_one(d, cfg, 7)
     for w1, w2 in zip(m1.weights, m2.weights):
         assert np.array_equal(w1, w2)
     for b1, b2 in zip(m1.biases, m2.biases):
@@ -184,14 +204,14 @@ def test_same_seed_is_bitwise_reproducible():
 
 def test_different_seeds_differ():
     d = _toy_dataset()
-    m1 = train_mlp(d, MlpConfig(seed=1, hidden_sizes=(3,), epochs=2))
-    m2 = train_mlp(d, MlpConfig(seed=2, hidden_sizes=(3,), epochs=2))
+    m1 = train_one(d, MlpConfig(hidden_sizes=(3,), epochs=2), 1)
+    m2 = train_one(d, MlpConfig(hidden_sizes=(3,), epochs=2), 2)
     assert not np.allclose(m1.weights[0], m2.weights[0])
 
 
 def test_loss_history_and_learning_progress():
     d = _toy_dataset()
-    model = train_mlp(d, MlpConfig(seed=5, hidden_sizes=(3,), epochs=60))
+    model = train_one(d, MlpConfig(hidden_sizes=(3,), epochs=60), 5)
     assert model.loss_history.shape == (60,)
     assert np.isfinite(model.loss_history).all()
     assert model.loss_history[-1] < model.loss_history[0]
@@ -202,20 +222,20 @@ def test_loss_history_and_learning_progress():
 
 def test_default_topology(cohort):
     assert default_hidden_size(cohort) == 9
-    model = train_mlp(cohort.subset(range(40)), MlpConfig(seed=0, epochs=1))
+    model = train_one(cohort.subset(range(40)), MlpConfig(epochs=1), 0)
     assert model.layer_sizes == (37, 9, 2)
 
 
 def test_multiple_hidden_layers():
     d = _toy_dataset()
-    model = train_mlp(d, MlpConfig(seed=0, hidden_sizes=(4, 3), epochs=3))
+    model = train_one(d, MlpConfig(hidden_sizes=(4, 3), epochs=3), 0)
     assert model.layer_sizes == (3, 4, 3, 2)
     assert [w.shape for w in model.weights] == [(3, 4), (4, 3), (3, 2)]
 
 
 def test_predictions_are_normalized():
     d = _toy_dataset()
-    model = train_mlp(d, MlpConfig(seed=0, hidden_sizes=(3,), epochs=2))
+    model = train_one(d, MlpConfig(hidden_sizes=(3,), epochs=2), 0)
     p = mlp_predict(model, d)
     assert p.shape == (len(d), 2)
     assert p.sum(axis=1) == pytest.approx(np.ones(len(d)))
@@ -224,7 +244,7 @@ def test_predictions_are_normalized():
 
 def test_prediction_far_outside_the_training_range_raises_no_warning():
     d = _toy_dataset()
-    model = train_mlp(d, MlpConfig(seed=0, hidden_sizes=(3,), epochs=2))
+    model = train_one(d, MlpConfig(hidden_sizes=(3,), epochs=2), 0)
     rows = query(d, (0, 1e6, 0), (0, -1e6, 0))
     z = encode_inputs(model.encoding, rows) @ model.weights[0] + model.biases[0]
     assert z.min() < -710  # exp(-z) overflows in the sigmoid
@@ -238,15 +258,14 @@ def test_prediction_far_outside_the_training_range_raises_no_warning():
 def test_config_validation():
     for bad in (dict(learning_rate=0.0), dict(learning_rate=1.5),
                 dict(momentum=0.0), dict(momentum=1.2), dict(epochs=0),
-                dict(weight_init_range=0.0), dict(hidden_sizes=()),
-                dict(hidden_sizes=(3, 0))):
+                dict(hidden_sizes=()), dict(hidden_sizes=(3, 0))):
         with pytest.raises(DataError):
             MlpConfig(**bad)
 
 
 def test_non_finite_loss_is_reported(monkeypatch):
     d = _toy_dataset(n=6)
-    cfg = MlpConfig(seed=0, hidden_sizes=(2,), epochs=5)
+    cfg = MlpConfig(hidden_sizes=(2,), epochs=5)
     # a NaN in the numeric input makes epoch 0 non-finite
     def nan_encode(table):
         enc, x, y = encode(table)
@@ -256,7 +275,7 @@ def test_non_finite_loss_is_reported(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(mlp_mod, "encode", nan_encode)
         with pytest.raises(TrainingError, match="epoch 0"):
-            train_mlp(d, cfg)
+            train_one(d, cfg, 0)
     # a loss that turns infinite later is reported at the epoch it happens
     calls = []
 
@@ -267,12 +286,12 @@ def test_non_finite_loss_is_reported(monkeypatch):
 
     monkeypatch.setattr(mlp_mod, "stacked_gradient", diverging)
     with pytest.raises(TrainingError, match="epoch 3"):
-        train_mlp(d, cfg)
+        train_one(d, cfg, 0)
 
 
 def test_non_finite_loss_in_one_of_k_models_names_the_epoch(monkeypatch):
     tables = [_toy_dataset(n=n, seed=n) for n in (7, 9, 8)]
-    cfgs = [MlpConfig(seed=s, hidden_sizes=(2,), epochs=5) for s in range(3)]
+    cfg = MlpConfig(hidden_sizes=(2,), epochs=5)
     nan_table = tables[2]
 
     def nan_encode(table):
@@ -284,7 +303,7 @@ def test_non_finite_loss_in_one_of_k_models_names_the_epoch(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(mlp_mod, "encode", nan_encode)
         with pytest.raises(TrainingError, match="epoch 0"):
-            train_mlps(tables, cfgs)
+            train_mlps(tables, cfg, range(3))
     # only the last model still stepping turns infinite, from epoch 2 on
     calls = []
 
@@ -298,7 +317,7 @@ def test_non_finite_loss_in_one_of_k_models_names_the_epoch(monkeypatch):
 
     monkeypatch.setattr(mlp_mod, "stacked_gradient", diverging)
     with pytest.raises(TrainingError, match="epoch 2"):
-        train_mlps(tables, cfgs)
+        train_mlps(tables, cfg, range(3))
 
 
 @pytest.mark.parametrize("k, overrides", [
@@ -309,12 +328,12 @@ def test_non_finite_loss_in_one_of_k_models_names_the_epoch(monkeypatch):
 def test_lock_step_training_equals_one_fold_at_a_time(cohort, k, overrides):
     folds = stratified_folds(cohort, k, 5)
     tables = [cohort.subset(folds.train_indices(t)) for t in range(k)]
-    cfgs = [MlpConfig(seed=100 + t, **overrides) for t in range(k)]
+    cfg, seeds = MlpConfig(**overrides), [100 + t for t in range(k)]
     if k == 7:
         assert {len(t) for t in tables} == {402, 403}
-    together = train_mlps(iter(tables), cfgs)
-    for table, cfg, got in zip(tables, cfgs, together):
-        alone = train_mlp(table, cfg)
+    together = train_mlps(iter(tables), cfg, seeds)
+    for table, seed, got in zip(tables, seeds, together):
+        alone = train_one(table, cfg, seed)
         assert got.layer_sizes == alone.layer_sizes
         assert all(np.array_equal(g, w) for g, w in zip(got.weights, alone.weights))
         assert all(np.array_equal(g, w) for g, w in zip(got.biases, alone.biases))
@@ -331,14 +350,13 @@ def test_lock_step_training_equals_one_fold_at_a_time(cohort, k, overrides):
 def test_param_major_training_equals_the_per_layer_loop(cohort, k, overrides):
     folds = stratified_folds(cohort, k, 5)
     tables = [cohort.subset(folds.train_indices(t)) for t in range(k)]
-    cfgs = [MlpConfig(seed=100 + t, **overrides) for t in range(k)]
+    cfg, seeds = MlpConfig(**overrides), [100 + t for t in range(k)]
     if k == 7:
         assert {len(t) for t in tables} == {402, 403}
-    got = train_mlps(tables, cfgs)
+    got = train_mlps(tables, cfg, seeds)
     xs, ys = zip(*(encode(t)[1:] for t in tables))
-    cfg = cfgs[0]
-    want = sgd_lock_step_by_layers(xs, ys, got[0].layer_sizes, [c.seed for c in cfgs], cfg.epochs,
-                                   cfg.learning_rate, cfg.momentum, cfg.weight_init_range)
+    want = sgd_lock_step_by_layers(xs, ys, got[0].layer_sizes, seeds, cfg.epochs,
+                                   cfg.learning_rate, cfg.momentum, WEIGHT_INIT_RANGE)
     for model, (weights, biases, history) in zip(got, want):
         assert all(np.array_equal(g, w) for g, w in zip(model.weights, weights))
         assert all(np.array_equal(g, w) for g, w in zip(model.biases, biases))
@@ -349,9 +367,9 @@ def test_networks_too_large_to_allocate_are_a_data_error(monkeypatch):
     d = _toy_dataset()
     # numpy refuses this size before it allocates anything
     with pytest.raises(DataError, match=r"layer sizes \(3, 1000000000000000000, 2\)"):
-        train_mlp(d, MlpConfig(hidden_sizes=(10**18,), epochs=1))
+        train_one(d, MlpConfig(hidden_sizes=(10**18,), epochs=1), 0)
     with pytest.raises(DataError, match="over 1000000000000000000 epochs"):
-        train_mlp(d, MlpConfig(hidden_sizes=(2,), epochs=10**18))
+        train_one(d, MlpConfig(hidden_sizes=(2,), epochs=10**18), 0)
     zeros = np.zeros
 
     def short_of_memory(shape, *args, **kwargs):
@@ -361,7 +379,7 @@ def test_networks_too_large_to_allocate_are_a_data_error(monkeypatch):
 
     monkeypatch.setattr(np, "zeros", short_of_memory)
     with pytest.raises(DataError, match=r"layer sizes \(3, 1000000, 2\)"):
-        train_mlp(d, MlpConfig(hidden_sizes=(10**6,), epochs=1))
+        train_one(d, MlpConfig(hidden_sizes=(10**6,), epochs=1), 0)
 
 
 def test_an_epoch_gathers_its_inputs_a_block_at_a_time():
@@ -371,20 +389,13 @@ def test_an_epoch_gathers_its_inputs_a_block_at_a_time():
     d = parse_arff(synthetic_cohort_text(700, 4_000, "cohort-10x"))
     folds = stratified_folds(d, 10, 1)
     tables = [d.subset(folds.train_indices(t)) for t in range(10)]
-    cfgs = [MlpConfig(seed=t, epochs=1) for t in range(10)]
     tracemalloc.start()
     try:
-        train_mlps(tables, cfgs)
+        train_mlps(tables, MlpConfig(epochs=1), range(10))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 6.6 * 2**20, f"peak {peak / 2**20:.1f} MB"
-
-
-def test_lock_step_configs_may_differ_only_in_seed():
-    d = _toy_dataset()
-    with pytest.raises(DataError, match="only in seed"):
-        train_mlps([d, d], [MlpConfig(seed=1, epochs=2), MlpConfig(seed=2, epochs=3)])
 
 
 def test_cross_validation_keeps_the_folds_compact(cohort):
@@ -405,6 +416,6 @@ def test_cross_validation_keeps_the_folds_compact(cohort):
 def test_all_nominal_dataset_trains():
     d = nominal_dataset({"a": [0, 1, 0, 1, 0, 1], "b": [0, 0, 1, 1, 0, 0]},
                         [0, 1, 0, 1, 0, 1])
-    model = train_mlp(d, MlpConfig(seed=0, hidden_sizes=(2,), epochs=30))
+    model = train_one(d, MlpConfig(hidden_sizes=(2,), epochs=30), 0)
     assert model.layer_sizes == (4, 2, 2)
     assert np.isfinite(model.loss_history).all()
