@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from os import environ
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .evaluation import (
     render_markdown,
     stratified_folds,
 )
-from .resampling import ResampleRecord, SmoteConfig, smote
+from .resampling import SmoteConfig, smote
 from .seeds import derive_seed
 
 DATA_DIR_ENV = "POSTOP_DATA_DIR"
@@ -74,10 +75,10 @@ def _positive_class(d: Dataset, requested: str | None) -> str:
     return requested
 
 
-def _oversample(d: Dataset, minority: str, seed: int, opts) -> tuple[Dataset, ResampleRecord]:
-    """SMOTE as the --smote-k and --smote-percent of opts (resample or bench flags) ask."""
-    return smote(d, minority, SmoteConfig(seed=seed, k_neighbors=opts.smote_k,
-                                          percent=opts.smote_percent))
+def _smote_config(args) -> SmoteConfig:
+    """The --smote-k and --smote-percent of a run, checked also when --no-smote skips SMOTE."""
+    return SmoteConfig(seed=derive_seed(args.seed, "smote"), k_neighbors=args.smote_k,
+                       percent=args.smote_percent)
 
 
 # -- inspect -----------------------------------------------------------------
@@ -108,6 +109,7 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_resample(args) -> int:
+    smote_cfg = _smote_config(args)
     d = impute_missing(_load_dataset(args)[0], args.impute)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -127,7 +129,7 @@ def _cmd_resample(args) -> int:
         return 0
 
     minority = _positive_class(d, args.positive_class)
-    resampled, record = _oversample(d, minority, derive_seed(args.seed, "smote"), args)
+    resampled, record = smote(d, minority, smote_cfg)
     out_path.write_text(to_arff(resampled))
     record_path.write_text(
         json.dumps(record.to_json_dict(), indent=2, sort_keys=True) + "\n"
@@ -202,8 +204,9 @@ def _cmd_bench(args) -> int:
     for key, target, _ in BENCH_CONFIG:
         if target:
             overrides[target[0]][target[1]] = config[key]
-    # every classifier's options are checked before the data loads, not only those run
+    # every classifier's options and SMOTE's are checked before the data loads, used or not
     specs = {name: make_classifier(name, **overrides[name]) for name in CLASSIFIER_NAMES}
+    smote_cfg = _smote_config(args)
     timings: dict[str, float] = {}
     d = impute_missing(_load_dataset(args)[0], args.impute)
     timings["load"] = time.perf_counter() - started
@@ -215,11 +218,11 @@ def _cmd_bench(args) -> int:
     working = d
     t0 = time.perf_counter()
     if config["smote"] and not args.smote_within_folds:
-        working, resample_record = _oversample(d, positive, derive_seed(args.seed, "smote"), args)
+        working, resample_record = smote(d, positive, smote_cfg)
     elif config["smote"]:
 
         def train_transform(train_d, seed):
-            return _oversample(train_d, positive, seed, args)[0]
+            return smote(train_d, positive, replace(smote_cfg, seed=seed))[0]
 
     timings["resample"] = time.perf_counter() - t0
 

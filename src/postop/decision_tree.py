@@ -33,8 +33,10 @@ class TreeConfig:
     def __post_init__(self):
         if self.min_leaf_instances < 1:
             raise DataError("min_leaf_instances must be at least 1")
-        if not 0.0 < self.pruning_confidence < 1.0:
-            raise DataError("pruning_confidence must be strictly between 0 and 1")
+        # pruning takes the normal quantile at 1 - cf, so that is what must lie in (0, 1)
+        if not 0.0 < 1.0 - self.pruning_confidence < 1.0:
+            raise DataError("pruning_confidence must be strictly between 0 and 1, "
+                            f"and so must 1 - pruning_confidence (got {self.pruning_confidence})")
 
 
 @dataclass

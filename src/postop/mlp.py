@@ -7,15 +7,14 @@ descent plus momentum, visiting instances in a fresh seeded shuffle each
 epoch. Networks train in lock-step from one flat buffer per quantity
 (parameters, momentum steps, gradients), laid out param-major so that each
 layer's weights of all networks are one contiguous view; the gradient
-kernel writes into those views in place. The finite-difference tests check
-`backprop_gradient`, the one-model case of that kernel.
+kernel writes into those views in place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -189,19 +188,6 @@ def _workspace(sizes, k: int):
     views = [[b[i:j].reshape(k, *s) for i, j, s in zip(ends, ends[1:], shapes)] for b in buffers]
     acts = [np.zeros((k, 1, o)) for o in sizes[1:]]
     return buffers, views, (acts, np.zeros((k, 1, sizes[-1])), np.zeros((k, 1, 1)))
-
-
-def backprop_gradient(model: MlpModel, x: np.ndarray,
-                      target: np.ndarray) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Half the squared error at one encoded instance, and its gradients.
-
-    Returns (loss, weight_grads, bias_grads) with the gradients shaped like
-    the model's weights and biases: the k = 1 case of `stacked_gradient`.
-    """
-    _, (_, _, grads), (acts, err, loss) = _workspace(model.layer_sizes, 1)
-    params = [p.reshape(g.shape) for p, g in zip(chain(*zip(model.weights, model.biases)), grads)]
-    loss = stacked_gradient(params, grads, [x[None, None], *acts], target[None, None], err, loss)
-    return float(loss[0]), [g[0] for g in grads[0::2]], [g[0, 0] for g in grads[1::2]]
 
 
 def default_hidden_size(d: Dataset) -> int:

@@ -8,7 +8,7 @@ inside the minority region instead of duplicating rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -75,14 +75,7 @@ class ResampleRecord:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "minority_class": self.minority_class,
-            "original_counts": dict(self.original_counts),
-            "final_counts": dict(self.final_counts),
-            "synthetic_created": self.synthetic_created,
-            "config": dict(self.config),
-        }
+        return {k: v for k, v in asdict(self).items() if k != "provenance"}
 
 
 def _minority_indices(d: Dataset, minority_class: str) -> tuple[int, np.ndarray]:
@@ -211,7 +204,11 @@ def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, R
     table = _neighbor_table(d, min_idx, cfg.k_neighbors)
     rounds = cfg.percent // 100
     total = m * rounds
-    choice, lam = _draws(rng, cfg.k_neighbors, total)
+    try:  # the first array of `total` entries: a size numpy cannot allocate fails here
+        choice, lam = _draws(rng, cfg.k_neighbors, total)
+    except (MemoryError, ValueError) as e:
+        raise ResampleError(f"cannot allocate {total} synthetic rows "
+                            f"({rounds} per minority row): {e}") from None
     parent = np.repeat(min_idx, rounds)
     partner = min_idx[table[np.repeat(np.arange(m), rounds), choice]]
 

@@ -4,13 +4,14 @@ import contextlib
 import importlib.util
 import os
 import signal
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from postop.dataset import AttributeSchema, Dataset, parse_arff
-from postop.mlp import MlpConfig, MlpModel, train_mlps
+from postop.mlp import MlpConfig, MlpModel, _workspace, stacked_gradient, train_mlps
 
 TESTS_DIR = Path(__file__).resolve().parent
 REPO_DIR = TESTS_DIR.parent
@@ -110,6 +111,19 @@ def query(d: Dataset, *rows) -> Dataset:
 def train_one(d: Dataset, cfg: MlpConfig, seed: int) -> MlpModel:
     """One network trained on d: the one-table case of the lock-step trainer."""
     return train_mlps([d], cfg, [seed])[0]
+
+
+def gradient_at(model: MlpModel, x: np.ndarray, target: np.ndarray):
+    """(loss, weight gradients, bias gradients) of one network at one encoded instance.
+
+    The one-network case of `stacked_gradient`, on the `_workspace` that training
+    gives it; the gradients are shaped like the model's weights and biases.
+    """
+    _, (params, _, grads), (acts, err, loss) = _workspace(model.layer_sizes, 1)
+    for view, p in zip(params, chain(*zip(model.weights, model.biases))):
+        view[0] = p
+    loss = stacked_gradient(params, grads, [x[None, None], *acts], target[None, None], err, loss)
+    return float(loss[0]), [g[0] for g in grads[0::2]], [g[0, 0] for g in grads[1::2]]
 
 
 def nominal_dataset(columns, class_column, domains=None, class_values=("c0", "c1")):

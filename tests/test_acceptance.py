@@ -22,14 +22,15 @@ from postop.evaluation import (
     roc_auc,
     stratified_folds,
 )
-from postop.mlp import MlpModel, backprop_gradient
+from postop.mlp import MlpModel
 from postop.naive_bayes import nb_predict, train_nb
 from postop.resampling import SmoteConfig, smote
 from postop.seeds import derive_seed
 
 import conftest
 from conftest import (
-    COHORT_PATH, fig_dataset, nominal_dataset, query, random_mixed_dataset, thoracic_path,
+    COHORT_PATH, fig_dataset, gradient_at, nominal_dataset, query, random_mixed_dataset,
+    thoracic_path,
 )
 from oracles import (
     auc_by_pair_counting,
@@ -215,7 +216,7 @@ def test_criterion_06_gradient_check():
                          loss_history=np.zeros(0))
         x = rng.uniform(-1, 1, size=sizes[0])
         target = rng.uniform(0, 1, size=sizes[-1])
-        _, gw, gb = backprop_gradient(model, x, target)
+        _, gw, gb = gradient_at(model, x, target)
         nw, nb_grads = finite_difference_grads(weights, biases, x.tolist(), target.tolist())
         worst = max(worst, max_relative_error(gw, nw), max_relative_error(gb, nb_grads))
     elapsed = time.perf_counter() - start

@@ -292,6 +292,53 @@ def test_bench_checks_options_of_classifiers_it_does_not_run(flag, tiny_path, tm
     assert not out.exists()
 
 
+_BIG = str(10**20)
+
+
+# (command and flags, exit code, start of the error, whether it comes before the data is read)
+_EXTREME_FLAGS = [
+    (["bench", "--classifiers", "j48", "--tree-confidence", "1e-17"], 1,
+     "pruning_confidence must be strictly between 0 and 1", True),
+    (["bench", "--classifiers", "j48", "--tree-confidence", "6e-17"], 0, None, False),
+    *[([command, "--no-smote", *flag], 1, error, True)
+      for command in ("bench", "resample")
+      for flag, error in ((["--smote-percent", "150"], "percent must be a non-negative multiple"),
+                          (["--smote-k", "0"], "k_neighbors must be at least 1"))],
+    # 70 T rows up front, 63 in each training fold
+    *[([command, *mode, "--smote-percent", str(percent)], 1,
+       f"cannot allocate {minority * (percent // 100)} synthetic rows", False)
+      for percent in (10**15, 10**20)
+      for command, mode, minority in (("bench", [], 70), ("bench", ["--smote-within-folds"], 63),
+                                      ("resample", [], 70))],
+    (["bench", "--classifiers", "mlp", "--no-smote", "--mlp-epochs", _BIG], 1,
+     "cannot allocate 10 networks", False),
+    (["bench", "--classifiers", "mlp", "--no-smote", "--mlp-hidden", _BIG], 1,
+     "cannot allocate 10 networks", False),
+    (["bench", "--no-smote", "--folds", _BIG], 1, f"fold count {_BIG} out of range", False),
+    (["bench", "--smote-k", _BIG], 1, f"k_neighbors={_BIG} needs more than 70", False),
+]
+
+
+@pytest.mark.parametrize("argv, code, error, before_data", _EXTREME_FLAGS,
+                         ids=[" ".join(row[0]) for row in _EXTREME_FLAGS])
+def test_extreme_flag_values_end_with_a_report_or_one_error(argv, code, error, before_data,
+                                                            tmp_path, capfd):
+    command, *flags = argv
+    out = tmp_path / "out"
+    # one cheap classifier and epoch unless the row asks otherwise: argparse keeps the last value
+    cheap = ["--classifiers", "nb", "--mlp-epochs", "1"] if command == "bench" else []
+    for data in [COHORT_PATH, tmp_path / "missing.arff"][: 1 + before_data]:
+        assert main([command, "--seed", "1", "--out", str(out), "--data", str(data),
+                     *cheap, *flags]) == code
+        err = capfd.readouterr().err  # file descriptor 2, so forked workers' output counts too
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        if code == 0:
+            assert errors == [] and (out / "report.json").exists()
+        else:
+            assert len(errors) == 1 and errors[0].startswith(f"error: {error}"), err
+
+
 def test_bench_records_every_flag_in_config(tiny_path, tmp_path, capsys):
     out = tmp_path / "all"
     code = main([

@@ -1,5 +1,6 @@
 """Tree induction against hand-worked tables and brute-force split scoring."""
 
+import math
 import tracemalloc
 from statistics import NormalDist
 
@@ -565,10 +566,21 @@ def test_training_on_a_100x_cohort_peaks_below_36_mb():
 def test_config_validation():
     with pytest.raises(DataError, match="min_leaf_instances"):
         TreeConfig(min_leaf_instances=0)
-    with pytest.raises(DataError, match="pruning_confidence"):
-        TreeConfig(pruning_confidence=0.0)
-    with pytest.raises(DataError, match="pruning_confidence"):
-        TreeConfig(pruning_confidence=1.0)
+
+
+@pytest.mark.parametrize("cf, taken", [
+    (6e-17, True), (1e-16, True), (0.25, True), (0.5, True), (1 - 2**-53, True),
+    (1e-17, False), (5e-324, False), (-1e-17, False), (0.0, False), (1.0, False),
+    (math.nan, False), (math.inf, False), (-math.inf, False),
+])
+def test_the_config_alone_decides_which_confidences_prune(cf, taken):
+    # 1 - 1e-17 rounds to 1, where pruning's normal quantile is undefined; a
+    # confidence taken prunes, and one near 0 prunes the hand-worked tree to its root
+    if taken:
+        assert train_tree(fig_dataset(), TreeConfig(pruning_confidence=cf)).is_leaf == (cf < 0.25)
+    else:
+        with pytest.raises(DataError, match="^pruning_confidence must be strictly between 0 and 1"):
+            TreeConfig(pruning_confidence=cf)
 
 
 def test_rules_need_a_schema():

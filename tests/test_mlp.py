@@ -13,7 +13,6 @@ from postop.mlp import (
     MlpConfig,
     MlpModel,
     TrainingError,
-    backprop_gradient,
     default_hidden_size,
     encode,
     encode_inputs,
@@ -25,7 +24,9 @@ from postop.mlp import (
 )
 from postop.resampling import SmoteConfig, smote
 
-from conftest import from_rows, nominal_dataset, query, synthetic_cohort_text, train_one
+from conftest import (
+    from_rows, gradient_at, nominal_dataset, query, synthetic_cohort_text, train_one,
+)
 from oracles import (
     finite_difference_grads, forward_by_layers, forward_by_loops, max_relative_error,
     sgd_by_loops, sgd_lock_step_by_layers,
@@ -155,7 +156,7 @@ def test_gradient_matches_finite_differences():
         model = _random_net(rng, sizes)
         x = rng.uniform(-1, 1, size=sizes[0])
         target = rng.uniform(0, 1, size=sizes[-1])
-        _, gw, gb = backprop_gradient(model, x, target)
+        _, gw, gb = gradient_at(model, x, target)
         nw, nb = finite_difference_grads(model.weights, model.biases,
                                          x.tolist(), target.tolist())
         assert max_relative_error(gw, nw) < 1e-5

@@ -59,6 +59,11 @@ def test_smote_counts_and_originals(cohort):
     assert class_counts(out) == {"T": 560, "F": 400}
     assert record.synthetic_created == 490
     assert record.original_counts == {"T": 70, "F": 400}
+    assert record.to_json_dict() == {
+        "method": "smote", "minority_class": "T", "original_counts": {"T": 70, "F": 400},
+        "final_counts": {"T": 560, "F": 400}, "synthetic_created": 490,
+        "config": {"seed": 42, "k_neighbors": 5, "percent": 700},
+    }
     # all originals survive verbatim: output rows are a multiset superset
     out_counter = Counter(out.rows())
     in_counter = Counter(cohort.rows())
@@ -184,6 +189,17 @@ def test_smote_errors(cohort):
     # tiny is all-F: the minority class T has no instances
     with pytest.raises(ResampleError, match="no instances"):
         smote(tiny, "T", SmoteConfig(seed=1))
+
+
+# Sizes numpy refuses before a page is touched: 7.46 PiB of raw words, and a
+# length past the largest array dimension. A smaller size could be granted.
+@pytest.mark.parametrize("percent", [10**15, 10**20])
+@pytest.mark.parametrize("k", [1, 5])  # k = 1 draws its lambdas without raw words
+def test_smote_refuses_a_size_it_cannot_allocate(cohort, percent, k):
+    total = 70 * (percent // 100)
+    with pytest.raises(ResampleError, match=f"^cannot allocate {total} synthetic rows "
+                                            f"\\({percent // 100} per minority row\\): "):
+        smote(cohort, "T", SmoteConfig(seed=1, k_neighbors=k, percent=percent))
 
 
 def test_neighbor_table_on_extreme_magnitudes():
