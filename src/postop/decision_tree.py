@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -22,6 +23,9 @@ from .dataset import CLASS, NOMINAL, DataError, Dataset, require_complete
 
 # gains this small are noise; such attributes are not split candidates
 GAIN_EPS = 1e-12
+# rows per _scan call and per forest: a larger node is scanned alone, a larger table grows alone
+_SCAN_ROWS = 1 << 11
+_FOREST_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,7 @@ class TreeConfig:
                             f"and so must 1 - pruning_confidence (got {self.pruning_confidence})")
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """One node; a leaf when children is None.
 
@@ -124,9 +128,9 @@ def _nominal_keys(codes: np.ndarray, width: int, y: np.ndarray) -> np.ndarray:
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
-    """Each value's position among its column's distinct values; -0.0 and 0.0 tie."""
+    """Each value's position among its column's distinct values (-0.0 and 0.0 tie), held small."""
     ranks = [np.unique(col, return_inverse=True)[1] for col in values.T]
-    return np.array(ranks, dtype=np.int64).reshape(values.shape[::-1]).T
+    return np.array(ranks, dtype=np.min_scalar_type(len(values))).reshape(values.shape[::-1]).T
 
 
 def _scan(keys, width, values, ranks, y, counts):
@@ -134,8 +138,8 @@ def _scan(keys, width, values, ranks, y, counts):
 
     Node i has class counts counts[i] and its rows in the i-th contiguous
     segment of keys (from _nominal_keys), values, their _ranks and y; keys
-    and ranks are overwritten. Each class is scored as a count plane of its
-    own, so nothing is summed over a class axis. Results have a row per node
+    is overwritten. Each class is scored as a count plane of its own, so
+    nothing is summed over a class axis. Results have a row per node
     and the nominal attributes' columns first: thresholds are nan for them,
     child counts are (nodes, attributes, max(width, 2), 2). A nominal split
     branches over the whole domain, a numeric one is the midpoint test at
@@ -157,13 +161,14 @@ def _scan(keys, width, values, ranks, y, counts):
     shares = (t0 + t1) / n[:, None, None]  # each branch's share of its node's rows
     gains = h0[:, None] - _sum_last(shares * _entropy2(t0, t1))
     infos = -_sum_last(_plogp(shares))
-    # one stable sort of every numeric column inside its segments, ties in row order
-    ranks += (seg * (ranks.max(initial=0) + 1))[:, None]
-    order = np.argsort(ranks, axis=0, kind="stable")
+    # numeric columns sorted in their segments, ties in row order: keys unique, so any sort does
+    order = (ranks + (seg * (int(ranks.max(initial=0)) + 1))[:, None]) * len(y)
+    order = np.argsort(order + np.arange(len(y))[:, None], axis=0)
     cols = np.arange(values.shape[1])
     sv = values[order, cols]
     # class-1 rows before each position; integers, so the differences are exact
     ones = np.concatenate([np.zeros((1, len(cols)), dtype=np.int64), np.cumsum(y[order], axis=0)])
+    del order
     # a split after every position but a segment's last
     pos = np.delete(np.arange(len(y)), starts + sizes - 1)
     at = seg[pos]
@@ -201,29 +206,25 @@ def _leaves(counts: np.ndarray) -> list[TreeNode]:
     return [TreeNode(c, p) for c, p in zip(counts, counts.argmax(axis=1).tolist())]
 
 
-def _route(node: TreeNode, d: Dataset, idx: np.ndarray) -> list[np.ndarray]:
-    """The rows idx split by an internal node's test, one index array per child."""
-    v = d.column(node.attr_index)[idx]
-    if node.threshold is not None:
-        v = v > node.threshold
-    return [idx[v == k] for k in range(len(node.children))]
-
-
 class _Trainer:
+    """A forest: the layout of one schema, and the rows of its tables, held compactly."""
+
     def __init__(self, d: Dataset, cfg: TreeConfig):
-        require_complete(d, "tree training")
-        self.cfg = cfg
-        self.y = d.class_codes()
-        n_nominal = len(d.nominal_predictor_indices)
+        self.cfg, self.schema, self.parts, self.rows = cfg, d.schema, [], 0
+        self.n_nominal = len(d.nominal_predictor_indices)
         self.attrs = d.nominal_predictor_indices + d.numeric_predictor_indices
         self.schema_order = np.argsort(self.attrs)
         self.branches = [len(d.schema[ai].values) or 2 for ai in self.attrs]  # a numeric test has 2
-        self.width = max(self.branches[:n_nominal], default=1)
-        self.keys = _nominal_keys(d.codes_matrix(), self.width, self.y)
-        # every predictor as floats in scan order, nominal codes first, to route rows by
-        self.columns = np.hstack([d.codes_matrix(), d.numeric_matrix()])
-        self.values = self.columns[:, n_nominal:]
-        self.ranks = _ranks(self.values)
+        self.width = max(self.branches[:self.n_nominal], default=1)
+
+    def add(self, d: Dataset) -> None:
+        """Join d's tree to the forest: d is kept as codes, values, _ranks, classes, table index."""
+        require_complete(d, "tree training")
+        if len(d) == 0:
+            raise DataError("cannot train on an empty dataset")
+        v, self.rows = d.numeric_matrix(), self.rows + len(d)
+        self.parts.append((d.codes_matrix().astype(np.min_scalar_type(self.width)), v, _ranks(v),
+                           d.class_codes().astype(np.int8), np.full(len(d), len(self.parts))))
 
     def _choose(self, gains: np.ndarray, infos: np.ndarray) -> np.ndarray:
         """Scan column of each node's split, or -1 where no split is worth it.
@@ -240,16 +241,25 @@ class _Trainer:
         ratios = np.divide(gains, infos, out=np.full(gains.shape, -np.inf), where=eligible)
         return np.where(n > 0, self.schema_order[ratios.argmax(axis=1)], -1)
 
-    def build(self) -> TreeNode:
-        """Grow the tree a level at a time; one _scan scores every node of a level.
+    def _split(self, rows: np.ndarray, counts: np.ndarray) -> tuple:
+        """Each node's chosen scan column (-1 for none), its threshold and child class counts."""
+        y = self.y[rows]
+        gains, infos, thresholds, tables = _scan(_nominal_keys(self.codes[rows], self.width, y),
+                                                 self.width, self.values[rows], self.ranks[rows],
+                                                 y, counts)
+        chosen, at = self._choose(gains, infos), np.arange(len(counts))
+        return chosen, thresholds[at, chosen], tables[at, chosen]  # copies: the scan frees
 
-        A level's rows sit in one segment per growing node, ascending inside each.
-        A node's split depends only on its rows, so growth order does not change the tree.
+    def build(self) -> list[TreeNode]:
+        """Grow every tree a level at a time, then prune each; the roots in table order.
+
+        A level's rows sit in one segment per growing node, ascending inside each. A
+        node's split depends only on its rows, so the scans may group nodes freely.
         """
-        counts = np.bincount(self.y, minlength=2).astype(float)[None]
-        children = _leaves(counts)
-        root = children[0]
-        rows, child = np.arange(len(self.y)), np.zeros(len(self.y), dtype=np.int64)
+        counts = np.array([np.bincount(part[3], minlength=2) for part in self.parts], dtype=float)
+        self.codes, self.values, self.ranks, self.y, child = map(np.concatenate, zip(*self.parts))
+        children = roots = _leaves(counts)
+        rows, self.parts = np.arange(self.rows), []  # child: each row's node, its tree's root
         while True:
             n = counts[:, 0] + counts[:, 1]
             # a node grows when it holds two classes and twice min_leaf_instances rows
@@ -258,27 +268,37 @@ class _Trainer:
             rows = rows[grows[child]][np.argsort(child[grows[child]], kind="stable")]
             nodes, counts, n = [c for c, g in zip(children, grows) if g], counts[grows], n[grows]
             if not nodes:
-                return root
-            gains, infos, thresholds, tables = _scan(self.keys[rows], self.width, self.values[rows],
-                                                     self.ranks[rows], self.y[rows], counts)
-            chosen = self._choose(gains, infos)
+                break
+            ends, a, splits = np.cumsum(n.astype(np.int64)), 0, []
+            while a < len(nodes):  # one scan per run of nodes in _SCAN_ROWS rows, or larger node
+                b = max(a + 1, int(np.searchsorted(ends, ends[a] - n[a] + _SCAN_ROWS, "right")))
+                splits.append(self._split(rows[ends[a] - int(n[a]):ends[b - 1]], counts[a:b]))
+                a = b
+            chosen, thresholds, tables = map(np.concatenate, zip(*splits))
             split = np.flatnonzero(chosen >= 0)
             k, branches = chosen[split], np.take(self.branches, chosen[split])
-            # every branch of every split, in order: a copy, so no node keeps the scan table alive
-            counts = tables[split, k][np.arange(tables.shape[2]) < branches[:, None]]
+            counts = tables[split][np.arange(tables.shape[1]) < branches[:, None]]
             children = _leaves(counts)
             first = np.zeros(len(nodes), dtype=np.int64)
             first[split] = np.cumsum(branches) - branches
             for s, ks, f, t in zip(split.tolist(), k.tolist(), first[split].tolist(),
-                                   thresholds[split, k].tolist()):
+                                   thresholds[split].tolist()):
                 node = nodes[s]
                 node.attr_index, node.threshold = self.attrs[ks], None if math.isnan(t) else t
                 node.children = children[f:f + self.branches[ks]]
             # each row's child: its node's first child plus the branch its test takes
             seg = np.repeat(np.arange(len(nodes)), n.astype(np.int64))
             rows, seg = rows[chosen[seg] >= 0], seg[chosen[seg] >= 0]
-            v, t = self.columns[rows, chosen[seg]], thresholds[seg, chosen[seg]]
-            child = first[seg] + np.where(np.isnan(t), v, v > t).astype(np.int64)
+            k, t, child = chosen[seg], thresholds[seg], first[seg]
+            nominal, numeric = k < self.n_nominal, k >= self.n_nominal
+            child[nominal] += self.codes[rows[nominal], k[nominal]]
+            child[numeric] += self.values[rows[numeric], k[numeric] - self.n_nominal] > t[numeric]
+        cf = self.cfg.pruning_confidence
+        for root in roots:
+            root.schema = self.schema
+            if self.cfg.pruning:
+                _prune(root, cf, NormalDist().inv_cdf(1.0 - cf))
+        return roots
 
 
 def _added_errors(n: float, e: float, cf: float, z: float) -> float:
@@ -330,22 +350,29 @@ def _prune(root: TreeNode, cf: float, z: float) -> None:
         estimates[id(node)] = estimate
 
 
-def train_tree(d: Dataset, cfg: TreeConfig | None = None) -> TreeNode:
-    """Grow (and by default prune) a tree for the dataset's class attribute.
+def train_trees(tables: Iterable[Dataset], cfg: TreeConfig | None = None) -> list[TreeNode]:
+    """Grow (and by default prune) a tree for each table's class attribute.
 
     Growth stops at pure nodes, nodes smaller than twice min_leaf_instances,
-    and nodes where no attribute offers positive gain. The returned root
-    carries the schema, so format_tree and tree_to_rules need nothing else.
+    and nodes where no attribute offers positive gain. Tables are read once,
+    in turn; consecutive tables of one schema and at most _FOREST_ROWS rows
+    grow as one forest, so each tree is the one its table grows alone. Roots
+    carry their schema, so format_tree and tree_to_rules need nothing else.
     """
-    if len(d) == 0:
-        raise DataError("cannot train on an empty dataset")
     cfg = cfg or TreeConfig()
-    root = _Trainer(d, cfg).build()
-    if cfg.pruning:
-        z = NormalDist().inv_cdf(1.0 - cfg.pruning_confidence)
-        _prune(root, cfg.pruning_confidence, z)
-    root.schema = d.schema
-    return root
+    trees, forest = [], None
+    for d in tables:
+        if forest is None or forest.rows + len(d) > _FOREST_ROWS or d.schema != forest.schema:
+            trees += forest.build() if forest else []
+            forest = _Trainer(d, cfg)
+        forest.add(d)
+    d = None  # the forest holds the last table compactly; the table itself may go
+    return trees + (forest.build() if forest else [])
+
+
+def train_tree(d: Dataset, cfg: TreeConfig | None = None) -> TreeNode:
+    """`train_trees` for one table."""
+    return train_trees([d], cfg)[0]
 
 
 # -- prediction ---------------------------------------------------------------
@@ -366,7 +393,9 @@ def tree_predict(t: TreeNode, d: Dataset) -> np.ndarray:
         if node.is_leaf:
             out[idx] = (node.counts + 1.0) / (node.counts.sum() + len(node.counts))
             continue
-        stack.extend(zip(node.children, _route(node, d, idx)))
+        v = d.column(node.attr_index)[idx]  # each row's branch of the node's test
+        v = v if node.threshold is None else v > node.threshold
+        stack.extend((child, idx[v == k]) for k, child in enumerate(node.children))
     return out
 
 

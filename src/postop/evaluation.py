@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .dataset import DataError, Dataset, require_complete
-from .decision_tree import TreeConfig, train_tree, tree_predict
+from .decision_tree import TreeConfig, train_tree, train_trees, tree_predict
 from .mlp import WEIGHT_INIT_RANGE, MlpConfig, mlp_predict, train_mlps
 from .naive_bayes import nb_predict, train_nb
 from .seeds import derive_seed
@@ -241,9 +241,9 @@ class ClassifierSpec:
     train takes (dataset, seed) and returns an opaque model; predict takes
     (model, dataset) and returns class probabilities of shape (rows,
     classes), classes in declaration order. Seeds are ignored by
-    deterministic learners. train_folds, when set, trains all folds in one
+    deterministic learners. train_folds, when set, trains many folds in one
     call: (training tables, read once in order; seeds; a split hook) -> models;
-    such a lock-step spec has train None.
+    a lock-step spec (all folds in one call, split onto idle CPUs) has train None.
     """
 
     name: str
@@ -275,6 +275,7 @@ def make_classifier(name: str, **overrides) -> ClassifierSpec:
             train=lambda d, seed: train_tree(d, cfg),
             predict=tree_predict,
             config=asdict(cfg),
+            train_folds=lambda tables, seeds, split: train_trees(tables, cfg),
         )
     if name == "mlp":
         cfg = MlpConfig(**overrides)
@@ -408,9 +409,9 @@ def cross_validate_all(d: Dataset, specs: list[ClassifierSpec], folds: FoldAssig
     train_transform, when given, maps (training subset, derived seed) to
     the dataset actually trained on; test folds are never transformed.
     d must have no missing cells. This process runs each lock-step spec's
-    folds as one item, then pulls the other folds from one queue, as do
-    forked children, one per other usable CPU; a CPU left idle goes to the
-    lock-step (`_splitter`). The schedule is (workers, busy_seconds, split_epochs).
+    folds as one item, then pulls the other specs' folds, one run per worker, from
+    one queue, as do forked children, one per other usable CPU; a CPU left idle goes
+    to the lock-step (`_splitter`). The schedule is (workers, busy_seconds, split_epochs).
     """
     require_complete(d, "cross-validation")
     n = len(d)
@@ -421,9 +422,10 @@ def cross_validate_all(d: Dataset, specs: list[ClassifierSpec], folds: FoldAssig
     if pos_label not in labels:
         raise DataError(f"positive class {pos_label!r} is not a class value")
     scored = [t for t in range(folds.k) if folds.test_indices(t).size]
-    lock_step = [(spec, scored) for spec in specs if spec.train_folds is not None]
-    items = lock_step + [(spec, [t]) for spec in specs if spec.train_folds is None for t in scored]
     workers = _fold_workers()
+    shares = [s.tolist() for s in np.array_split(scored, workers) if s.size]  # one per worker
+    lock_step = [(spec, scored) for spec in specs if spec.train is None]
+    items = lock_step + [(spec, share) for spec in specs if spec.train for share in shares]
     children = min(workers - 1, len(items) - max(len(lock_step), 1))  # this process pulls too
     splits = {spec.name: [] for spec, _ in lock_step}
 
@@ -437,7 +439,7 @@ def cross_validate_all(d: Dataset, specs: list[ClassifierSpec], folds: FoldAssig
                          [derive_seed(folds.seed, "transform", t) for t in group])
         seeds = [derive_seed(folds.seed, "train", spec.name, t) for t in group]
         models = (map(spec.train, tables, seeds) if spec.train_folds is None else
-                  spec.train_folds(tables, seeds, None if workers == 1 else  # no CPU to spare
+                  spec.train_folds(tables, seeds, None if spec.train or workers == 1 else
                                    _splitter(spare, spec.name, group, splits[spec.name])))
         probs = [spec.predict(m, d.subset(folds.test_indices(t))) for t, m in zip(group, models)]
         return probs, time.perf_counter() - start
@@ -458,7 +460,7 @@ def cross_validate_all(d: Dataset, specs: list[ClassifierSpec], folds: FoldAssig
         mine, theirs = _forked(lambda: {i: run(i) for i in range(len(lock_step))} | pull(),
                                [pull] * children)
     mine |= {i: out[i] for out in theirs if isinstance(out, dict) for i in out}
-    if missing := [(spec.name, t) for i, (spec, (t, *_)) in enumerate(items) if i not in mine]:
+    if missing := [(s.name, t) for i, (s, g) in enumerate(items) if i not in mine for t in g]:
         raise _lost(missing, next(code for code in theirs if isinstance(code, int)))
     ran = {spec.name: [mine[i] for i, (s, _) in enumerate(items) if s is spec] for spec in specs}
     busy = {name: sum(seconds for _, seconds in runs) for name, runs in ran.items()}

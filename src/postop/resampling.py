@@ -16,8 +16,8 @@ from .dataset import (DataError, Dataset, class_counts, minmax_scale, missing_ce
                       observed_range)
 
 
-# distances computed at once by _neighbor_table: 8 MB of float64 per block
-_BLOCK_CELLS = 1 << 20
+# distances computed at once by _neighbor_table: 512 KB of float64 per block
+_BLOCK_CELLS = 1 << 16
 
 
 class ResampleError(DataError):

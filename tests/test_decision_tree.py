@@ -2,14 +2,20 @@
 
 import math
 import tracemalloc
+from itertools import pairwise
 from statistics import NormalDist
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postop.cli import main
 from postop import decision_tree
 from postop.dataset import AttributeSchema, DataError, impute_missing, parse_arff, to_arff
+from postop.evaluation import stratified_folds
+from postop.resampling import SmoteConfig, smote
 from postop.decision_tree import (
     GAIN_EPS,
     TreeConfig,
@@ -22,6 +28,7 @@ from postop.decision_tree import (
     format_tree,
     gain_ratio,
     train_tree,
+    train_trees,
     tree_predict,
     tree_to_rules,
 )
@@ -163,13 +170,22 @@ def _table(columns, labels, domains):
     return from_rows(schema, [(*row, y) for row, y in zip(zip(*columns), labels)])
 
 
+def _trainer(d):
+    """A one-table forest of d, with its compact inputs as codes, values, ranks and y."""
+    trainer = _Trainer(d, TreeConfig())
+    trainer.add(d)
+    trainer.codes, trainer.values, trainer.ranks, trainer.y, _ = trainer.parts[0]
+    return trainer
+
+
 def _scan_nodes(trainer, nodes, ranks=None):
-    """_scan over the given nodes' rows, one segment per node in order."""
+    """_scan over the given nodes' rows, one segment per node in order; keys made per scan."""
     rows = np.concatenate(nodes)
+    y = trainer.y[rows]
     counts = np.array([np.bincount(trainer.y[idx], minlength=2) for idx in nodes], dtype=float)
     ranks = trainer.ranks[rows] if ranks is None else ranks
-    return _scan(trainer.keys[rows], trainer.width, trainer.values[rows], ranks,
-                 trainer.y[rows], counts)
+    keys = decision_tree._nominal_keys(trainer.codes[rows], trainer.width, y)
+    return _scan(keys, trainer.width, trainer.values[rows], ranks, y, counts)
 
 
 def test_scan_matches_oracles_at_random_nodes():
@@ -184,7 +200,7 @@ def test_scan_matches_oracles_at_random_nodes():
         if rng.random() < 0.3:
             columns[-1] = [columns[-1][0]] * n
         labels = rng.integers(0, 2, n).tolist()
-        trainer = _Trainer(_table(columns, labels, domains), TreeConfig())
+        trainer = _trainer(_table(columns, labels, domains))
         nodes = [np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
                  for _ in range(int(rng.integers(1, 5)))]
         gains, infos, thresholds, tables = _scan_nodes(trainer, nodes)
@@ -240,7 +256,7 @@ def test_one_scan_of_many_nodes_equals_a_scan_per_node():
                    rng.choice([-0.0, 0.0, 0.5, -1.5], n).tolist(), rng.integers(0, 2, n).tolist()]
         for i in nodes[int(rng.integers(len(nodes)))]:
             columns[1][i] = 1.5
-        trainer = _Trainer(_table(columns, rng.integers(0, 2, n).tolist(), domains), TreeConfig())
+        trainer = _trainer(_table(columns, rng.integers(0, 2, n).tolist(), domains))
         together = _scan_nodes(trainer, nodes)
         for s, idx in enumerate(nodes):
             alone = _scan_nodes(trainer, [idx], _ranks(trainer.values[idx]))
@@ -558,6 +574,107 @@ def test_training_on_a_100x_cohort_peaks_below_36_mb():
         tracemalloc.stop()
     assert len(d) == 47_000 and not t.is_leaf
     assert peak <= 36 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# -- forests --------------------------------------------------------------------------
+
+
+def _assert_same_tree(got, want):
+    """Node for node: class count bytes, attribute, threshold bits, prediction and shape."""
+    assert got.schema == want.schema
+    for g, w in zip(_nodes(got), _nodes(want), strict=True):
+        assert g.counts.tobytes() == w.counts.tobytes()
+        assert (g.attr_index, g.prediction, g.is_leaf) == (w.attr_index, w.prediction, w.is_leaf)
+        got_bits, want_bits = (t if t is None else t.hex() for t in (g.threshold, w.threshold))
+        assert got_bits == want_bits
+
+
+def _fold_tables(d):
+    """The ten training tables of d after SMOTE up front, as `postop bench` cuts them."""
+    d = smote(d, "T", SmoteConfig(seed=1))[0]
+    folds = stratified_folds(d, 10, 1)
+    return [d.subset(folds.train_indices(t)) for t in range(10)]
+
+
+@pytest.fixture(scope="module")
+def cohort_folds(cohort):
+    """The 1x folds, a table of one class (it stays one leaf), then the 2x folds."""
+    one_x = _fold_tables(cohort)
+    leaf = one_x[0].subset(np.flatnonzero(one_x[0].class_codes() == 0))
+    two_x = impute_missing(parse_arff(synthetic_cohort_text(140, 800, "cohort-2x")))
+    return [*one_x, leaf, *_fold_tables(two_x)]
+
+
+@pytest.mark.parametrize("cfg", [TreeConfig(), TreeConfig(pruning=False),
+                                 TreeConfig(min_leaf_instances=1)],
+                         ids=["pruned", "unpruned", "min-leaf-1"])
+def test_a_forest_grows_the_tree_each_table_grows_alone(cohort_folds, monkeypatch, cfg):
+    alone = [train_tree(t, cfg) for t in cohort_folds]
+    assert alone[10].is_leaf and not any(t.is_leaf for t in alone[:10] + alone[11:])
+    few = [0, 1, 10, 11, 12]  # two 1x folds, the leaf and two 2x folds
+    for scan_rows, forest_rows, picked in [
+            (decision_tree._SCAN_ROWS, decision_tree._FOREST_ROWS, range(21)),
+            (decision_tree._SCAN_ROWS, 4_000, range(21)),  # 1x folds in pairs, 2x folds in ones
+            (1, decision_tree._FOREST_ROWS, few),  # a scan per node
+            (7, decision_tree._FOREST_ROWS, few)]:  # scan groups end inside levels
+        monkeypatch.setattr(decision_tree, "_SCAN_ROWS", scan_rows)
+        monkeypatch.setattr(decision_tree, "_FOREST_ROWS", forest_rows)
+        forest = train_trees(map(cohort_folds.__getitem__, picked), cfg)
+        for i, tree in zip(picked, forest, strict=True):
+            _assert_same_tree(tree, alone[i])
+
+
+def test_a_forest_scans_each_level_across_its_trees(cohort_folds, monkeypatch):
+    calls = []
+    scan = decision_tree._scan
+    monkeypatch.setattr(decision_tree, "_scan", lambda *args: calls.append(1) or scan(*args))
+    for t in cohort_folds[:10]:
+        train_tree(t)
+    alone, calls[:] = len(calls), []
+    train_trees(cohort_folds[:10])
+    assert len(calls) < alone / 2, (len(calls), alone)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sizes=st.lists(st.integers(1, 60), min_size=1, max_size=6),
+       n_nominal=st.integers(0, 2), n_numeric=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+       cfg=st.sampled_from([TreeConfig(), TreeConfig(pruning=False),
+                            TreeConfig(min_leaf_instances=1)]),
+       scan_rows=st.sampled_from([1, 7, decision_tree._SCAN_ROWS]))
+def test_forests_of_drawn_tables_grow_each_tree_alone(sizes, n_nominal, n_numeric, seed, cfg,
+                                                      scan_rows):
+    rng = np.random.default_rng(seed)
+    d = random_mixed_dataset(rng, sum(sizes), n_nominal=n_nominal, n_numeric=n_numeric)
+    tables = [d.subset(range(a, b)) for a, b in pairwise(np.cumsum([0, *sizes]).tolist())]
+    alone = [train_tree(t, cfg) for t in tables]
+    with mock.patch.object(decision_tree, "_SCAN_ROWS", scan_rows):
+        forest = train_trees(iter(tables), cfg)
+    for tree, want in zip(forest, alone, strict=True):
+        _assert_same_tree(tree, want)
+
+
+def test_a_five_table_forest_of_2x_folds_peaks_within_two_and_a_half_trees(cohort_folds):
+    # tables arrive one at a time, as cross-validation hands them on; the
+    # forest holds five tables' compact inputs and unpruned trees (2.2 times
+    # one tree's peak, which is mostly the scan of its root), and scan groups
+    # of 4,096 rows would take it past 3
+    two_x = cohort_folds[11:16]
+    peaks = []
+    for tables in (two_x[:1], two_x):
+        copies = (t.subset(range(len(t))) for t in tables)
+        tracemalloc.start()
+        try:
+            trees = train_trees(copies)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(trees) == len(tables)
+    forest, tree = (peak / 2**20 for peak in peaks)
+    assert forest <= 2.5 * tree, f"forest {forest:.2f} MB, tree {tree:.2f} MB"
+
+
+def test_no_tables_grow_no_trees():
+    assert train_trees([]) == []
 
 
 # -- configuration and wiring ------------------------------------------------------

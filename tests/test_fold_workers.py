@@ -1,8 +1,9 @@
 """Cross-validation on forked fold workers: the same reports, the same errors, no process left.
 
 The worker count is one per usable CPU; these tests set it by replacing
-postop.evaluation._fold_workers. Workers pull folds from one queue, and the
-MLP lock-step splits onto CPUs that go idle, so the tests that need a fold
+postop.evaluation._fold_workers. Workers pull items from one queue (each
+other spec's folds cut into one run per worker), and the MLP lock-step
+splits onto CPUs that go idle, so the tests that need a fold
 in a given process arrange it with a lock-step item that this process runs
 first and that waits until the child has ended.
 """
@@ -142,7 +143,7 @@ def test_one_worker_calls_nothing_that_only_some_platforms_have(cohort, monkeypa
 def test_a_queue_longer_than_a_pipe_holds_runs_each_item_once(
         cohort, monkeypatch, forks, tmp_path):
     use_workers(monkeypatch, 6)  # more pullers than this machine's cores, racing for each index
-    folds = stratified_folds(cohort, len(cohort), FOLDS_SEED)  # 400 folds of one row or two
+    folds = stratified_folds(cohort, 6, FOLDS_SEED)  # a share of one fold per worker
     log = tmp_path / "seeds"
 
     def train(d, seed):
@@ -150,17 +151,64 @@ def test_a_queue_longer_than_a_pipe_holds_runs_each_item_once(
             f.write(f"{seed}\n")
 
     specs = [ClassifierSpec(f"probe{j}", train, lambda m, d: np.full((len(d), 2), 0.5))
-             for j in range(42)]
+             for j in range(2_800)]
     fds = open_fds()
     start = time.monotonic()
     reports, _ = cross_validate_all(cohort, specs, folds)  # 16,800 items: 67,200 queued bytes
     assert time.monotonic() - start < 60
-    assert [len(r.fold_accuracies) for r in reports] == [400] * 42
+    assert [len(r.fold_accuracies) for r in reports] == [6] * 2_800
     assert sorted(map(int, log.read_text().split())) == sorted(
-        derive_seed(FOLDS_SEED, "train", spec.name, t) for spec in specs for t in range(400))
+        derive_seed(FOLDS_SEED, "train", spec.name, t) for spec in specs for t in range(6))
     assert len(forks) == 5
     assert_reaped(forks)
     assert open_fds() == fds
+
+
+@pytest.mark.parametrize("workers, cuts", [(1, [0, 10]), (2, [0, 5, 10]), (3, [0, 4, 7, 10])])
+def test_each_worker_trains_one_run_of_a_spec_s_folds_in_one_call(
+        cohort, monkeypatch, forks, tmp_path, workers, cuts):
+    use_workers(monkeypatch, workers)
+    log = tmp_path / "calls"
+
+    def train(d, seed):
+        raise AssertionError("a spec with train_folds trains its shares through it")
+
+    def train_folds(tables, seeds, split):
+        assert split is None  # only a lock-step spec splits
+        with open(log, "a") as f:  # one append, whole, per call
+            f.write(" ".join(map(str, seeds)) + "\n")
+        return [len(t) for t in tables]
+
+    spec = ClassifierSpec("share", train, lambda m, d: np.full((len(d), 2), 0.5),
+                          train_folds=train_folds)
+    folds = stratified_folds(cohort, 10, FOLDS_SEED)
+    report = cross_validate(cohort, spec, folds)
+    seeds = [derive_seed(FOLDS_SEED, "train", "share", t) for t in range(10)]
+    calls = sorted(list(map(int, line.split())) for line in log.read_text().splitlines())
+    assert calls == sorted(seeds[a:b] for a, b in zip(cuts, cuts[1:]))
+    assert len(report.fold_accuracies) == 10
+    assert len(forks) == workers - 1
+    assert_reaped(forks)
+
+
+def test_j48_trains_each_share_as_one_forest(cohort, monkeypatch, forks, tmp_path):
+    use_workers(monkeypatch, 2)
+    log, grow = tmp_path / "forests", evaluation.train_trees
+
+    def logged(tables, cfg):
+        trees = grow(tables, cfg)
+        with open(log, "a") as f:
+            f.write(f"{len(trees)}\n")
+        return trees
+
+    monkeypatch.setattr(evaluation, "train_trees", logged)
+    monkeypatch.setattr(evaluation, "train_tree", None)  # not called
+    folds = stratified_folds(cohort, 10, FOLDS_SEED)
+    report = cross_validate(cohort, make_classifier("j48"), folds)
+    assert sorted(log.read_text().split()) == ["5", "5"]
+    monkeypatch.undo()
+    use_workers(monkeypatch, 1)
+    assert cross_validate(cohort, make_classifier("j48"), folds) == report
 
 
 def _probe(**actions):
@@ -188,6 +236,30 @@ def _lock_step(action):
 def _until_the_child_ends(forks):
     """An action that waits for the first forked child to end, leaving it for the reaper."""
     return lambda: os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+
+
+def test_a_lost_worker_names_every_fold_of_each_share_it_sent_nothing_for(
+        cohort, monkeypatch, forks):
+    use_workers(monkeypatch, 2)
+    parent = os.getpid()
+    dies = derive_seed(FOLDS_SEED, "train", "second", 2)  # fold 3 of the second probe
+
+    def train(d, seed):
+        if seed == dies and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    probes = [ClassifierSpec(name, train, lambda m, d: np.full((len(d), 2), 0.5))
+              for name in ("first", "second")]
+    # the child pulls both shares of the first probe and the first of the
+    # second, and dies in it; this process then pulls the last share itself
+    specs = [_lock_step(_until_the_child_ends(forks)), *probes]
+    folds = stratified_folds(cohort, 10, FOLDS_SEED)
+    with pytest.raises(DataError) as raised:
+        cross_validate_all(cohort, specs, folds)
+    assert str(raised.value) == ("the worker for first folds 1, 2, 3, 4, 5, 6, 7, 8, 9, 10 and "
+                                 "second folds 1, 2, 3, 4, 5 ended without its results "
+                                 "(exit code -9)")
+    assert_reaped(forks)
 
 
 @pytest.mark.parametrize("error", [DataError, TrainingError])
@@ -218,13 +290,14 @@ def test_a_child_killed_by_a_signal_becomes_one_data_error(cohort, monkeypatch, 
         if os.getpid() != parent:  # never this process
             os.kill(os.getpid(), signal.SIGKILL)
 
-    # the child pulls folds 1-7 while this process waits, and dies at fold 7
+    # the child pulls both shares (folds 1-5 and 6-10) while this process
+    # waits, and dies at fold 7: neither share's results were sent
     specs = [_lock_step(_until_the_child_ends(forks)), _probe(fold7=die)]
     folds = stratified_folds(cohort, 10, FOLDS_SEED)
     fds = open_fds()
     with pytest.raises(DataError) as raised:
         cross_validate_all(cohort, specs, folds)
-    assert str(raised.value) == ("the worker for probe folds 1, 2, 3, 4, 5, 6, 7 "
+    assert str(raised.value) == ("the worker for probe folds 1, 2, 3, 4, 5, 6, 7, 8, 9, 10 "
                                  "ended without its results (exit code -9)")
     assert len(forks) == 1
     assert_reaped(forks)

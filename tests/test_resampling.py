@@ -265,8 +265,8 @@ def test_smote_on_a_100x_cohort_stays_in_bounded_memory():
 
 
 def test_neighbor_table_of_the_100x_minority_peaks_within_three_blocks():
-    # the 7,000 minority rows of a 100x cohort: one block holds 149 x 7,000
-    # distances (8 MB), and the table reuses two such buffers across blocks
+    # the 7,000 minority rows of a 100x cohort: one block holds 9 x 7,000
+    # distances (504 KB), and the table reuses two such buffers across blocks
     d = parse_arff(synthetic_cohort_text(70 * 100, 0, "minority-100x"))
     tracemalloc.start()
     try:
