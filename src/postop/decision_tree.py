@@ -23,9 +23,8 @@ from .dataset import CLASS, NOMINAL, DataError, Dataset, require_complete
 
 # gains this small are noise; such attributes are not split candidates
 GAIN_EPS = 1e-12
-# rows per _scan call and per forest: a larger node is scanned alone, a larger table grows alone
+# rows per _scan call: a larger node is scanned alone
 _SCAN_ROWS = 1 << 11
-_FOREST_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -206,11 +205,19 @@ def _leaves(counts: np.ndarray) -> list[TreeNode]:
     return [TreeNode(c, p) for c, p in zip(counts, counts.argmax(axis=1).tolist())]
 
 
+def _route(node: TreeNode, d: Dataset, idx: np.ndarray) -> list[np.ndarray]:
+    """The rows idx split by an internal node's test, one index array per child."""
+    v = d.column(node.attr_index)[idx]
+    if node.threshold is not None:
+        v = v > node.threshold
+    return [idx[v == k] for k in range(len(node.children))]
+
+
 class _Trainer:
     """A forest: the layout of one schema, and the rows of its tables, held compactly."""
 
     def __init__(self, d: Dataset, cfg: TreeConfig):
-        self.cfg, self.schema, self.parts, self.rows = cfg, d.schema, [], 0
+        self.cfg, self.schema, self.parts = cfg, d.schema, []
         self.n_nominal = len(d.nominal_predictor_indices)
         self.attrs = d.nominal_predictor_indices + d.numeric_predictor_indices
         self.schema_order = np.argsort(self.attrs)
@@ -218,13 +225,14 @@ class _Trainer:
         self.width = max(self.branches[:self.n_nominal], default=1)
 
     def add(self, d: Dataset) -> None:
-        """Join d's tree to the forest: d is kept as codes, values, _ranks, classes, table index."""
+        """Join d's tree to the forest: d is kept as codes, values, their _ranks and classes."""
         require_complete(d, "tree training")
         if len(d) == 0:
             raise DataError("cannot train on an empty dataset")
-        v, self.rows = d.numeric_matrix(), self.rows + len(d)
-        self.parts.append((d.codes_matrix().astype(np.min_scalar_type(self.width)), v, _ranks(v),
-                           d.class_codes().astype(np.int8), np.full(len(d), len(self.parts))))
+        if d.schema != self.schema:
+            raise DataError("the tables of one forest must share one schema")
+        self.parts.append((d.codes_matrix().astype(np.min_scalar_type(self.width)),
+                           v := d.numeric_matrix(), _ranks(v), d.class_codes().astype(np.int8)))
 
     def _choose(self, gains: np.ndarray, infos: np.ndarray) -> np.ndarray:
         """Scan column of each node's split, or -1 where no split is worth it.
@@ -253,13 +261,14 @@ class _Trainer:
     def build(self) -> list[TreeNode]:
         """Grow every tree a level at a time, then prune each; the roots in table order.
 
-        A level's rows sit in one segment per growing node, ascending inside each. A
-        node's split depends only on its rows, so the scans may group nodes freely.
+        Inputs join a field at a time. A level's rows sit in a segment per growing node,
+        ascending; a node's split depends only on its rows, so the scans may group nodes freely.
         """
         counts = np.array([np.bincount(part[3], minlength=2) for part in self.parts], dtype=float)
-        self.codes, self.values, self.ranks, self.y, child = map(np.concatenate, zip(*self.parts))
+        sizes, fields, self.parts = [len(part[3]) for part in self.parts], [*zip(*self.parts)], []
+        self.codes, self.values, self.ranks, self.y = (np.concatenate(fields.pop(0)) for _ in range(4))
         children = roots = _leaves(counts)
-        rows, self.parts = np.arange(self.rows), []  # child: each row's node, its tree's root
+        rows, child = np.arange(sum(sizes)), np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
         while True:
             n = counts[:, 0] + counts[:, 1]
             # a node grows when it holds two classes and twice min_leaf_instances rows
@@ -293,6 +302,7 @@ class _Trainer:
             nominal, numeric = k < self.n_nominal, k >= self.n_nominal
             child[nominal] += self.codes[rows[nominal], k[nominal]]
             child[numeric] += self.values[rows[numeric], k[numeric] - self.n_nominal] > t[numeric]
+            del seg, k, t, nominal, numeric  # each row's child is all the next level needs
         cf = self.cfg.pruning_confidence
         for root in roots:
             root.schema = self.schema
@@ -354,20 +364,16 @@ def train_trees(tables: Iterable[Dataset], cfg: TreeConfig | None = None) -> lis
     """Grow (and by default prune) a tree for each table's class attribute.
 
     Growth stops at pure nodes, nodes smaller than twice min_leaf_instances,
-    and nodes where no attribute offers positive gain. Tables are read once,
-    in turn; consecutive tables of one schema and at most _FOREST_ROWS rows
-    grow as one forest, so each tree is the one its table grows alone. Roots
-    carry their schema, so format_tree and tree_to_rules need nothing else.
+    and nodes where no attribute offers positive gain. The tables, read once in
+    turn, share one schema and grow as one forest: each tree is the one its table
+    grows alone. Roots carry their schema for format_tree and tree_to_rules.
     """
-    cfg = cfg or TreeConfig()
-    trees, forest = [], None
+    forest = None
     for d in tables:
-        if forest is None or forest.rows + len(d) > _FOREST_ROWS or d.schema != forest.schema:
-            trees += forest.build() if forest else []
-            forest = _Trainer(d, cfg)
+        forest = forest or _Trainer(d, cfg or TreeConfig())
         forest.add(d)
     d = None  # the forest holds the last table compactly; the table itself may go
-    return trees + (forest.build() if forest else [])
+    return forest.build() if forest else []
 
 
 def train_tree(d: Dataset, cfg: TreeConfig | None = None) -> TreeNode:
@@ -393,9 +399,7 @@ def tree_predict(t: TreeNode, d: Dataset) -> np.ndarray:
         if node.is_leaf:
             out[idx] = (node.counts + 1.0) / (node.counts.sum() + len(node.counts))
             continue
-        v = d.column(node.attr_index)[idx]  # each row's branch of the node's test
-        v = v if node.threshold is None else v > node.threshold
-        stack.extend((child, idx[v == k]) for k, child in enumerate(node.children))
+        stack.extend(zip(node.children, _route(node, d, idx)))
     return out
 
 

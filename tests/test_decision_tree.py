@@ -174,7 +174,7 @@ def _trainer(d):
     """A one-table forest of d, with its compact inputs as codes, values, ranks and y."""
     trainer = _Trainer(d, TreeConfig())
     trainer.add(d)
-    trainer.codes, trainer.values, trainer.ranks, trainer.y, _ = trainer.parts[0]
+    trainer.codes, trainer.values, trainer.ranks, trainer.y = trainer.parts[0]
     return trainer
 
 
@@ -612,13 +612,10 @@ def test_a_forest_grows_the_tree_each_table_grows_alone(cohort_folds, monkeypatc
     alone = [train_tree(t, cfg) for t in cohort_folds]
     assert alone[10].is_leaf and not any(t.is_leaf for t in alone[:10] + alone[11:])
     few = [0, 1, 10, 11, 12]  # two 1x folds, the leaf and two 2x folds
-    for scan_rows, forest_rows, picked in [
-            (decision_tree._SCAN_ROWS, decision_tree._FOREST_ROWS, range(21)),
-            (decision_tree._SCAN_ROWS, 4_000, range(21)),  # 1x folds in pairs, 2x folds in ones
-            (1, decision_tree._FOREST_ROWS, few),  # a scan per node
-            (7, decision_tree._FOREST_ROWS, few)]:  # scan groups end inside levels
+    for scan_rows, picked in [(decision_tree._SCAN_ROWS, range(21)),
+                              (1, few),  # a scan per node
+                              (7, few)]:  # scan groups end inside levels
         monkeypatch.setattr(decision_tree, "_SCAN_ROWS", scan_rows)
-        monkeypatch.setattr(decision_tree, "_FOREST_ROWS", forest_rows)
         forest = train_trees(map(cohort_folds.__getitem__, picked), cfg)
         for i, tree in zip(picked, forest, strict=True):
             _assert_same_tree(tree, alone[i])
@@ -653,14 +650,17 @@ def test_forests_of_drawn_tables_grow_each_tree_alone(sizes, n_nominal, n_numeri
         _assert_same_tree(tree, want)
 
 
-def test_a_five_table_forest_of_2x_folds_peaks_within_two_and_a_half_trees(cohort_folds):
-    # tables arrive one at a time, as cross-validation hands them on; the
-    # forest holds five tables' compact inputs and unpruned trees (2.2 times
-    # one tree's peak, which is mostly the scan of its root), and scan groups
-    # of 4,096 rows would take it past 3
+# A five-table forest holds five tables' compact inputs (0.37 MB) and about
+# 2,800 unpruned nodes (0.41 MB) when it scans its largest group, and a
+# 2,048-row scan group takes more scratch than one tree's 1,728-row root:
+# the forest peaks at 1.66 MB, 2.25 times one tree's 0.74 MB.
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="a five-table forest peaks at 2.25 times one tree")
+def test_a_five_table_forest_of_2x_folds_peaks_within_1_2_trees(cohort_folds):
     two_x = cohort_folds[11:16]
     peaks = []
     for tables in (two_x[:1], two_x):
+        # tables arrive one at a time, as cross-validation hands them on
         copies = (t.subset(range(len(t))) for t in tables)
         tracemalloc.start()
         try:
@@ -669,8 +669,15 @@ def test_a_five_table_forest_of_2x_folds_peaks_within_two_and_a_half_trees(cohor
         finally:
             tracemalloc.stop()
         assert len(trees) == len(tables)
-    forest, tree = (peak / 2**20 for peak in peaks)
-    assert forest <= 2.5 * tree, f"forest {forest:.2f} MB, tree {tree:.2f} MB"
+    tree, forest = (peak / 2**20 for peak in peaks)
+    assert forest <= 1.2 * tree, f"forest {forest:.2f} MB, tree {tree:.2f} MB"
+
+
+def test_the_tables_of_a_forest_share_one_schema():
+    rng = np.random.default_rng(5)
+    tables = [random_mixed_dataset(rng, 20), random_mixed_dataset(rng, 20, n_numeric=2)]
+    with pytest.raises(DataError, match="one schema"):
+        train_trees(tables)
 
 
 def test_no_tables_grow_no_trees():

@@ -88,6 +88,19 @@ def test_reports_are_equal_with_one_two_and_three_workers(
     assert three == one
 
 
+def test_folds_of_one_row_or_two_give_equal_reports_on_three_workers(
+        cohort, monkeypatch, forks):
+    folds = stratified_folds(cohort, len(cohort), FOLDS_SEED)  # 400 folds of one row or two
+    specs = [make_classifier("j48"), make_classifier("nb")]
+    reports = []
+    for count in (1, 3):
+        use_workers(monkeypatch, count)
+        reports.append([r.to_json_dict() for r in cross_validate_all(cohort, specs, folds)[0]])
+    assert len(forks) == 2
+    assert_reaped(forks)
+    assert reports[1] == reports[0]
+
+
 def test_more_workers_than_folds_fork_one_child_per_fold_but_the_first(
         cohort, monkeypatch, forks):
     use_workers(monkeypatch, 8)
