@@ -5,11 +5,14 @@ loops, closed-form math) so the fast implementations are checked against
 code that shares none of their structure.
 """
 
+import copy
 import math
+from statistics import NormalDist
 
 import numpy as np
 
 from postop.dataset import DataError
+from postop.decision_tree import _added_errors
 
 
 # -- information theory --------------------------------------------------------
@@ -129,6 +132,38 @@ def rules_predict(rules, d) -> np.ndarray:
     if (out < 0).any():
         raise DataError(f"no rule matched instance {int(np.argmax(out < 0))}")
     return out
+
+
+# -- pruning ----------------------------------------------------------------------
+
+
+def prune_by_recursion(tree, cf):
+    """A pruned copy of an unpruned tree, by C4.5's pessimistic rule written out plainly.
+
+    A node's leaf estimate is its minority count plus `_added_errors` at
+    confidence cf. A subtree's estimate is its pruned children's estimates,
+    added as Python floats in child order from 0.0. The subtree becomes a
+    leaf when its leaf estimate is no more than that. Recursive, so for
+    shallow trees only.
+    """
+    z = NormalDist().inv_cdf(1.0 - cf)
+    tree = copy.deepcopy(tree)
+
+    def estimate(node) -> float:
+        c0, c1 = node.counts.tolist()
+        leaf = min(c0, c1) + _added_errors(c0 + c1, min(c0, c1), cf, z)
+        if node.children is None:
+            return leaf
+        subtree = 0.0
+        for child in node.children:
+            subtree += estimate(child)
+        if leaf <= subtree:
+            node.attr_index = node.threshold = node.children = None
+            return leaf
+        return subtree
+
+    estimate(tree)
+    return tree
 
 
 # -- nearest neighbours -----------------------------------------------------------

@@ -49,6 +49,7 @@ from oracles import (
     gain_of_partition,
     gain_ratio_nominal,
     gain_ratio_numeric,
+    prune_by_recursion,
     rules_predict,
     split_info_of_partition,
 )
@@ -533,6 +534,26 @@ def test_pruning_never_grows_the_tree():
         pruned = train_tree(d)
         unpruned = train_tree(d, TreeConfig(pruning=False))
         assert _leaf_count(pruned) <= _leaf_count(unpruned)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_rows=st.integers(1, 60), n_nominal=st.integers(0, 2), n_numeric=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1), min_leaf=st.integers(1, 3),
+       cf=st.sampled_from([0.1, 0.25, 0.5]))
+def test_pruning_matches_the_recursive_rule_on_drawn_tables(n_rows, n_nominal, n_numeric, seed,
+                                                             min_leaf, cf):
+    # at cf 0.5 a leaf and its subtree often tie, which the rule resolves toward the leaf
+    d = random_mixed_dataset(np.random.default_rng(seed), n_rows, n_nominal, n_numeric)
+    unpruned = train_tree(d, TreeConfig(min_leaf, cf, pruning=False))
+    _assert_same_tree(train_tree(d, TreeConfig(min_leaf, cf)), prune_by_recursion(unpruned, cf))
+
+
+@pytest.mark.parametrize("cf", [0.1, 0.25, 0.5])
+def test_pruning_matches_the_recursive_rule_on_cohort_folds(cohort_folds, cf):
+    pruned = train_trees(cohort_folds, TreeConfig(pruning_confidence=cf))
+    unpruned = train_trees(cohort_folds, TreeConfig(pruning_confidence=cf, pruning=False))
+    for got, want in zip(pruned, unpruned, strict=True):
+        _assert_same_tree(got, prune_by_recursion(want, cf))
 
 
 def test_deep_tree_trains_predicts_and_benches(tmp_path, capsys):
