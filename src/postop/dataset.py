@@ -228,15 +228,6 @@ class Dataset:
             return self._codes[:, self.nominal_predictor_indices.index(ai)]
         return self._numerics[:, self.numeric_predictor_indices.index(ai)]
 
-    def rows(self) -> list[tuple]:
-        """The table as value tuples in schema order, None for missing cells."""
-        cells = np.empty((len(self), len(self.schema)), dtype=object)
-        for positions, block in ((self.nominal_predictor_indices, self._codes),
-                                 (self.numeric_predictor_indices, self._numerics)):
-            cells[:, list(positions)] = np.where(is_missing(block), None, block)
-        cells[:, self._class_index] = self._classes
-        return [tuple(r) for r in cells.tolist()]
-
     def subset(self, indices) -> "Dataset":
         """New table with the rows at `indices`, in the given order."""
         idx = np.asarray(indices, dtype=np.int64)
@@ -472,12 +463,10 @@ def parse_arff(text: str, class_attribute: str | None = None) -> Dataset:
     return Dataset(schema, *_parse_rows(schema, data, len(lines) - lineno), relation)
 
 
-def _format_value(attr: AttributeSchema, v) -> str:
-    if v is None:
-        return MISSING_TOKEN
-    if attr.kind == NOMINAL:
-        return attr.values[v]
-    return repr(float(v))
+def _format_column(attr: AttributeSchema, column: np.ndarray) -> list[str]:
+    tokens = attr.values if attr.kind == NOMINAL else None
+    return [MISSING_TOKEN if hole else repr(v) if tokens is None else tokens[v]
+            for v, hole in zip(column.tolist(), is_missing(column).tolist())]
 
 
 def to_arff(d: Dataset) -> str:
@@ -493,7 +482,6 @@ def to_arff(d: Dataset) -> str:
         else:
             out.append(f"@attribute {name} numeric")
     out.append("@data")
-    for row in d.rows():
-        out.append(",".join(_format_value(a, v) for a, v in zip(d.schema, row)))
+    out += map(",".join, zip(*(_format_column(a, d.column(ai)) for ai, a in enumerate(d.schema))))
     return "\n".join(out) + "\n"
 

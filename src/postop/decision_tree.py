@@ -15,6 +15,7 @@ import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import pairwise
 from statistics import NormalDist
 
 import numpy as np
@@ -42,39 +43,25 @@ class TreeConfig:
                             f"and so must 1 - pruning_confidence (got {self.pruning_confidence})")
 
 
-@dataclass(slots=True)
-class TreeNode:
-    """One node; a leaf when children is None.
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """A trained tree: node root of read-only node arrays in level order, shared by a forest.
 
-    counts holds the training class distribution at the node, prediction
-    the majority class index (ties toward the earlier class). Internal
-    nodes test schema attribute attr_index: nominal tests have one child
-    per domain value, numeric tests have children [<= threshold, > threshold].
-    Leaves are counted by walking _nodes; the rules come from tree_to_rules.
+    Node i has the training class counts counts[i] and predicts their majority class (ties
+    toward the earlier class). It is a leaf when column[i] is -1; otherwise it tests scan
+    column k = column[i], schema attribute attrs[k]: a nominal test (k < n_nominal) has a
+    child per domain value, a numeric one the children [<= threshold[i], > threshold[i]],
+    and they are the contiguous nodes from first[i]. Nodes pruned away stay, unreachable.
     """
 
+    column: np.ndarray
+    threshold: np.ndarray
+    first: np.ndarray
     counts: np.ndarray
-    prediction: int
-    attr_index: int | None = None
-    threshold: float | None = None
-    children: list["TreeNode"] | None = None
-    schema: tuple | None = field(default=None, repr=False)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-
-def _nodes(root: TreeNode):
-    """Every node under root, each parent before its descendants.
-
-    Nodes come from an explicit stack, so depth is unbounded.
-    """
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.children or ())
+    schema: tuple = field(repr=False)
+    attrs: tuple
+    n_nominal: int
+    root: int
 
 
 @dataclass(frozen=True)
@@ -200,17 +187,16 @@ def _scan(keys, width, values, ranks, y, counts):
 # -- training ----------------------------------------------------------------
 
 
-def _leaves(counts: np.ndarray) -> list[TreeNode]:
-    """A leaf per row of class counts, predicting its majority class (ties toward class 0)."""
-    return [TreeNode(c, p) for c, p in zip(counts, counts.argmax(axis=1).tolist())]
+def _branch(codes, values, rows, k, t, n_nominal) -> np.ndarray:
+    """The branch each of rows takes at the test of scan column k and threshold t (one per row).
 
-
-def _route(node: TreeNode, d: Dataset, idx: np.ndarray) -> list[np.ndarray]:
-    """The rows idx split by an internal node's test, one index array per child."""
-    v = d.column(node.attr_index)[idx]
-    if node.threshold is not None:
-        v = v > node.threshold
-    return [idx[v == k] for k in range(len(node.children))]
+    codes and values hold a table's nominal and numeric predictors in scan
+    column order; growth and prediction both route rows through here.
+    """
+    branch, nominal = np.empty(len(rows), dtype=np.int64), k < n_nominal
+    branch[nominal] = codes[rows[nominal], k[nominal]]
+    branch[~nominal] = values[rows[~nominal], k[~nominal] - n_nominal] > t[~nominal]
+    return branch
 
 
 class _Trainer:
@@ -221,8 +207,9 @@ class _Trainer:
         self.n_nominal = len(d.nominal_predictor_indices)
         self.attrs = d.nominal_predictor_indices + d.numeric_predictor_indices
         self.schema_order = np.argsort(self.attrs)
-        self.branches = [len(d.schema[ai].values) or 2 for ai in self.attrs]  # a numeric test has 2
-        self.width = max(self.branches[:self.n_nominal], default=1)
+        # a nominal test has a branch per domain value, a numeric one has 2
+        self.branches = np.array([len(d.schema[ai].values) or 2 for ai in self.attrs], dtype=int)
+        self.width = int(self.branches[:self.n_nominal].max(initial=1))
 
     def add(self, d: Dataset) -> None:
         """Join d's tree to the forest: d is kept as codes, values, their _ranks and classes."""
@@ -258,8 +245,8 @@ class _Trainer:
         chosen, at = self._choose(gains, infos), np.arange(len(counts))
         return chosen, thresholds[at, chosen], tables[at, chosen]  # copies: the scan frees
 
-    def build(self) -> list[TreeNode]:
-        """Grow every tree a level at a time, then prune each; the roots in table order.
+    def build(self) -> list[Tree]:
+        """Grow every tree a level at a time, then prune them; the trees in table order.
 
         Inputs join a field at a time. A level's rows sit in a segment per growing node,
         ascending; a node's split depends only on its rows, so the scans may group nodes freely.
@@ -267,16 +254,19 @@ class _Trainer:
         counts = np.array([np.bincount(part[3], minlength=2) for part in self.parts], dtype=float)
         sizes, fields, self.parts = [len(part[3]) for part in self.parts], [*zip(*self.parts)], []
         self.codes, self.values, self.ranks, self.y = (np.concatenate(fields.pop(0)) for _ in range(4))
-        children = roots = _leaves(counts)
         rows, child = np.arange(sum(sizes)), np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-        while True:
+        levels, end = [], 0  # each level's (column, threshold, first, counts); nodes through it
+        while len(counts):
+            column, first = np.full((2, len(counts)), -1)  # a leaf; no children
+            levels.append((column, threshold := np.full(len(counts), np.nan), first, counts))
+            end += len(counts)
             n = counts[:, 0] + counts[:, 1]
             # a node grows when it holds two classes and twice min_leaf_instances rows
             grows = (counts[:, 0] > 0) & (counts[:, 1] > 0) & (
                 n >= 2 * self.cfg.min_leaf_instances) & bool(self.attrs)
             rows = rows[grows[child]][np.argsort(child[grows[child]], kind="stable")]
-            nodes, counts, n = [c for c, g in zip(children, grows) if g], counts[grows], n[grows]
-            if not nodes:
+            nodes, counts, n = np.flatnonzero(grows), counts[grows], n[grows]
+            if not len(nodes):
                 break
             ends, a, splits = np.cumsum(n.astype(np.int64)), 0, []
             while a < len(nodes):  # one scan per run of nodes in _SCAN_ROWS rows, or larger node
@@ -284,31 +274,25 @@ class _Trainer:
                 splits.append(self._split(rows[ends[a] - int(n[a]):ends[b - 1]], counts[a:b]))
                 a = b
             chosen, thresholds, tables = map(np.concatenate, zip(*splits))
-            split = np.flatnonzero(chosen >= 0)
-            k, branches = chosen[split], np.take(self.branches, chosen[split])
+            split = chosen >= 0
+            branches = np.take(self.branches, chosen[split])
             counts = tables[split][np.arange(tables.shape[1]) < branches[:, None]]
-            children = _leaves(counts)
-            first = np.zeros(len(nodes), dtype=np.int64)
-            first[split] = np.cumsum(branches) - branches
-            for s, ks, f, t in zip(split.tolist(), k.tolist(), first[split].tolist(),
-                                   thresholds[split].tolist()):
-                node = nodes[s]
-                node.attr_index, node.threshold = self.attrs[ks], None if math.isnan(t) else t
-                node.children = children[f:f + self.branches[ks]]
-            # each row's child: its node's first child plus the branch its test takes
-            seg = np.repeat(np.arange(len(nodes)), n.astype(np.int64))
-            rows, seg = rows[chosen[seg] >= 0], seg[chosen[seg] >= 0]
-            k, t, child = chosen[seg], thresholds[seg], first[seg]
-            nominal, numeric = k < self.n_nominal, k >= self.n_nominal
-            child[nominal] += self.codes[rows[nominal], k[nominal]]
-            child[numeric] += self.values[rows[numeric], k[numeric] - self.n_nominal] > t[numeric]
-            del seg, k, t, nominal, numeric  # each row's child is all the next level needs
-        cf = self.cfg.pruning_confidence
-        for root in roots:
-            root.schema = self.schema
-            if self.cfg.pruning:
-                _prune(root, cf, NormalDist().inv_cdf(1.0 - cf))
-        return roots
+            column[nodes[split]], threshold[nodes[split]] = chosen[split], thresholds[split]
+            first[nodes[split]] = end + np.cumsum(branches) - branches
+            # each row's child on the next level: its node's first child plus its branch
+            seg = np.repeat(nodes, n.astype(np.int64))
+            rows, seg = rows[column[seg] >= 0], seg[column[seg] >= 0]
+            child = first[seg] - end + _branch(self.codes, self.values, rows, column[seg],
+                                               threshold[seg], self.n_nominal)
+            del seg  # each row's child is all the next level needs
+        column, threshold, first, counts = map(np.concatenate, zip(*levels))
+        if self.cfg.pruning:
+            _prune(column, first, counts, self.branches,
+                   np.cumsum([0] + [len(level[3]) for level in levels]), self.cfg.pruning_confidence)
+        for a in (column, threshold, first, counts):
+            a.flags.writeable = False
+        return [Tree(column, threshold, first, counts, self.schema, self.attrs, self.n_nominal, root)
+                for root in range(len(sizes))]
 
 
 def _added_errors(n: float, e: float, cf: float, z: float) -> float:
@@ -334,39 +318,37 @@ def _added_errors(n: float, e: float, cf: float, z: float) -> float:
     return r * n - e
 
 
-def _leaf_estimate(node: TreeNode, cf: float, z: float) -> float:
-    c0, c1 = node.counts.tolist()
-    e = min(c0, c1)  # integer counts, so exactly n minus the majority count
-    return e + _added_errors(c0 + c1, e, cf, z)
+def _prune(column, first, counts, branches, levels, cf: float) -> None:
+    """Pessimistic pruning of a forest's node arrays in place, the deepest level first.
 
-
-def _prune(root: TreeNode, cf: float, z: float) -> None:
-    """Pessimistic pruning in place, children before parents.
-
-    A subtree becomes a leaf when the leaf's estimated errors are no more
-    than its pruned children's, summed in child order.
+    A split node becomes a leaf (column -1) when its leaf's estimated errors are no more
+    than its pruned children's, added in child order from 0.0. branches holds each scan
+    column's child count, levels each level's first node and, last, the node count.
     """
-    estimates = {}
-    for node in reversed(list(_nodes(root))):
-        estimate = _leaf_estimate(node, cf, z)
-        if not node.is_leaf:
-            subtree_estimate = 0.0
-            for child in node.children:
-                subtree_estimate += estimates[id(child)]
-            if estimate <= subtree_estimate:
-                node.attr_index = node.threshold = node.children = None
-            else:
-                estimate = subtree_estimate
-        estimates[id(node)] = estimate
+    z = NormalDist().inv_cdf(1.0 - cf)
+    # one estimate per distinct count pair, viewed as c0 + c1 j; integer counts, so the
+    # minority count is exactly n minus the majority count
+    pairs, at = np.unique(counts.view(complex).ravel(), return_inverse=True)
+    leaf = np.array([e + _added_errors(c.real + c.imag, e, cf, z)
+                     for c in pairs.tolist() for e in [min(c.real, c.imag)]])[at]
+    estimate = leaf.copy()
+    for a, b in reversed(list(pairwise(levels.tolist()))):
+        split = a + np.flatnonzero(column[a:b] >= 0)
+        subtree, n_branches = np.zeros(len(split)), np.take(branches, column[split])
+        for j in range(n_branches.max(initial=0)):
+            has = n_branches > j
+            subtree[has] += estimate[first[split[has]] + j]
+        column[split[leaf[split] <= subtree]] = -1
+        estimate[split] = np.minimum(leaf[split], subtree)
 
 
-def train_trees(tables: Iterable[Dataset], cfg: TreeConfig | None = None) -> list[TreeNode]:
+def train_trees(tables: Iterable[Dataset], cfg: TreeConfig | None = None) -> list[Tree]:
     """Grow (and by default prune) a tree for each table's class attribute.
 
     Growth stops at pure nodes, nodes smaller than twice min_leaf_instances,
     and nodes where no attribute offers positive gain. The tables, read once in
     turn, share one schema and grow as one forest: each tree is the one its table
-    grows alone. Roots carry their schema for format_tree and tree_to_rules.
+    grows alone, and they share one set of node arrays.
     """
     forest = None
     for d in tables:
@@ -376,7 +358,7 @@ def train_trees(tables: Iterable[Dataset], cfg: TreeConfig | None = None) -> lis
     return forest.build() if forest else []
 
 
-def train_tree(d: Dataset, cfg: TreeConfig | None = None) -> TreeNode:
+def train_tree(d: Dataset, cfg: TreeConfig | None = None) -> Tree:
     """`train_trees` for one table."""
     return train_trees([d], cfg)[0]
 
@@ -384,86 +366,74 @@ def train_tree(d: Dataset, cfg: TreeConfig | None = None) -> TreeNode:
 # -- prediction ---------------------------------------------------------------
 
 
-def tree_predict(t: TreeNode, d: Dataset) -> np.ndarray:
+def tree_predict(t: Tree, d: Dataset) -> np.ndarray:
     """Class probabilities (rows, classes) from the leaf each row reaches.
 
-    Row index sets are routed down the tree; d must have no missing cells.
+    All rows move down a level at a time; d must have no missing cells.
     The leaf's training counts get a +1 correction per class, so empty
     leaves yield a uniform distribution.
     """
     require_complete(d, "tree prediction")
-    out = np.full((len(d), len(t.counts)), np.nan)
-    stack = [(t, np.arange(len(d)))]
-    while stack:
-        node, idx = stack.pop()
-        if node.is_leaf:
-            out[idx] = (node.counts + 1.0) / (node.counts.sum() + len(node.counts))
-            continue
-        stack.extend(zip(node.children, _route(node, d, idx)))
-    return out
+    rows, node, leaf = np.arange(len(d)), np.full(len(d), t.root), np.empty(len(d), dtype=np.int64)
+    while len(rows):
+        k = t.column[node]
+        leaf[rows[k < 0]] = node[k < 0]
+        rows, node, k = rows[k >= 0], node[k >= 0], k[k >= 0]
+        node = t.first[node] + _branch(d.codes_matrix(), d.numeric_matrix(), rows, k,
+                                       t.threshold[node], t.n_nominal)
+    counts = t.counts[leaf]
+    return (counts + 1.0) / (counts.sum(axis=1, keepdims=True) + counts.shape[1])
 
 
 # -- rules ---------------------------------------------------------------------
 
 
-def _class_attribute(t: TreeNode):
-    """The class attribute of the schema the tree carries."""
-    if t.schema is None:
-        raise DataError("tree carries no schema; train it with train_tree")
-    for a in t.schema:
-        if a.role == CLASS:
-            return a
-    raise DataError("schema has no class attribute")
-
-
-def _walk(t: TreeNode):
-    """Every node with the conditions leading to it from t, in depth-first child order.
+def _walk(t: Tree):
+    """Each node of t, its prediction (None if split) and the conditions leading to it, in
+    depth-first child order.
 
     Nodes come from an explicit stack, so depth is unbounded.
     """
-    stack = [(t, ())]
+    stack = [(t.root, ())]
     while stack:
-        node, conds = stack.pop()
-        yield node, conds
-        if node.is_leaf:
+        i, conds = stack.pop()
+        k = int(t.column[i])
+        yield i, None if k >= 0 else int(t.counts[i].argmax()), conds
+        if k < 0:
             continue
-        ai = node.attr_index
-        attr = t.schema[ai]
-        if node.threshold is None:
+        ai, attr = t.attrs[k], t.schema[t.attrs[k]]
+        if k < t.n_nominal:
             tests = [Condition(attr.name, ai, "=", value, code)
                      for code, value in enumerate(attr.values)]
         else:
-            tests = [Condition(attr.name, ai, op, node.threshold) for op in ("<=", ">")]
-        stack.extend(reversed([(child, conds + (c,)) for child, c in zip(node.children, tests)]))
+            tests = [Condition(attr.name, ai, op, float(t.threshold[i])) for op in ("<=", ">")]
+        stack.extend(reversed([(int(t.first[i]) + j, conds + (c,)) for j, c in enumerate(tests)]))
 
 
-def tree_to_rules(t: TreeNode) -> list[Rule]:
+def tree_to_rules(t: Tree) -> list[Rule]:
     """One rule per leaf, in depth-first child order.
 
     The rules partition the instance space: on complete instances, the
     first matching rule classifies exactly like the tree.
     """
-    class_attr = _class_attribute(t)
-    return [
-        Rule(conds, (class_attr.name, class_attr.values[node.prediction]), node.prediction)
-        for node, conds in _walk(t)
-        if node.is_leaf
-    ]
+    class_attr = next(a for a in t.schema if a.role == CLASS)
+    return [Rule(conds, (class_attr.name, class_attr.values[p]), p)
+            for _, p, conds in _walk(t) if p is not None]
 
 
 # -- printer -------------------------------------------------------------------
 
 
-def format_tree(t: TreeNode) -> str:
+def format_tree(t: Tree) -> str:
     """Indented text rendering: one line per node below the root, or one for a lone leaf."""
-    class_attr = _class_attribute(t)
+    class_attr = next(a for a in t.schema if a.role == CLASS)
     lines: list[str] = []
-    for node, conds in _walk(t):
+    for i, p, conds in _walk(t):
         parts = [f"{c.attribute} {c.op} " + (c.value if c.op == "=" else f"{c.value:g}")
                  for c in conds[-1:]]
-        if node.is_leaf:
-            dist = "/".join(f"{c:g}" for c in node.counts)
-            parts.append(f"{class_attr.name} = {class_attr.values[node.prediction]} ({dist})")
+        if p is not None:
+            dist = "/".join(f"{c:g}" for c in t.counts[i].tolist())
+            parts.append(f"{class_attr.name} = {class_attr.values[p]} ({dist})")
         if parts:
             lines.append("|   " * max(len(conds) - 1, 0) + ": ".join(parts))
     return "\n".join(lines)

@@ -6,11 +6,12 @@ import os
 import signal
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from postop.dataset import AttributeSchema, Dataset, parse_arff
+from postop.dataset import AttributeSchema, Dataset, is_missing, parse_arff
 from postop.mlp import MlpConfig, MlpModel, _workspace, stacked_gradient, train_mlps
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -87,6 +88,48 @@ def from_rows(schema, rows, relation: str = "dataset") -> Dataset:
     classes = np.array([-1 if r[ci] is None else r[ci] for r in rows], dtype=np.int64)
     return Dataset(schema, block("nominal", -1, np.int64), block("numeric", np.nan, np.float64),
                    classes, relation)
+
+
+def table_rows(d: Dataset) -> list[tuple]:
+    """The table as value tuples in schema order, None for missing cells."""
+    columns = [[None if hole else v for v, hole in zip(col.tolist(), is_missing(col).tolist())]
+               for col in map(d.column, range(len(d.schema)))]
+    return list(zip(*columns))
+
+
+class Node(NamedTuple):
+    """One node of a trained tree, as tree_nodes reads it from the node arrays."""
+
+    id: int
+    counts: np.ndarray
+    attribute: int | None  # schema index of the attribute tested; None at a leaf
+    threshold: float | None  # None at a leaf or a nominal test
+    children: tuple[int, ...]  # node ids in branch order; empty at a leaf
+
+    @property
+    def is_leaf(self) -> bool:
+        return not self.children
+
+    @property
+    def prediction(self) -> int:
+        return int(self.counts.argmax())
+
+
+def tree_nodes(t):
+    """The nodes reachable from t's root, depth first in child order, parents before
+    descendants; the nodes pruning cut off stay in the arrays and are left out."""
+    stack = [t.root]
+    while stack:
+        i = stack.pop()
+        k = int(t.column[i])
+        if k < 0:
+            yield Node(i, t.counts[i], None, None, ())
+            continue
+        attr, first = t.attrs[k], int(t.first[i])
+        children = tuple(range(first, first + (len(t.schema[attr].values) or 2)))
+        yield Node(i, t.counts[i], attr, None if k < t.n_nominal else float(t.threshold[i]),
+                   children)
+        stack.extend(reversed(children))
 
 
 def synthetic_cohort_text(n_t: int, n_f: int, relation: str) -> str:

@@ -5,7 +5,7 @@ loops, closed-form math) so the fast implementations are checked against
 code that shares none of their structure.
 """
 
-import copy
+import dataclasses
 import math
 from statistics import NormalDist
 
@@ -147,23 +147,24 @@ def prune_by_recursion(tree, cf):
     shallow trees only.
     """
     z = NormalDist().inv_cdf(1.0 - cf)
-    tree = copy.deepcopy(tree)
+    column = tree.column.copy()
 
-    def estimate(node) -> float:
-        c0, c1 = node.counts.tolist()
+    def estimate(i: int) -> float:
+        c0, c1 = tree.counts[i].tolist()
         leaf = min(c0, c1) + _added_errors(c0 + c1, min(c0, c1), cf, z)
-        if node.children is None:
+        if column[i] < 0:
             return leaf
+        first, attr = int(tree.first[i]), tree.schema[tree.attrs[column[i]]]
         subtree = 0.0
-        for child in node.children:
+        for child in range(first, first + (len(attr.values) or 2)):
             subtree += estimate(child)
         if leaf <= subtree:
-            node.attr_index = node.threshold = node.children = None
+            column[i] = -1
             return leaf
         return subtree
 
-    estimate(tree)
-    return tree
+    estimate(tree.root)
+    return dataclasses.replace(tree, column=column)
 
 
 # -- nearest neighbours -----------------------------------------------------------

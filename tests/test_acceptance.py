@@ -30,7 +30,7 @@ from postop.seeds import derive_seed
 import conftest
 from conftest import (
     COHORT_PATH, fig_dataset, gradient_at, nominal_dataset, query, random_mixed_dataset,
-    thoracic_path,
+    table_rows, thoracic_path,
 )
 from oracles import (
     auc_by_pair_counting,
@@ -99,7 +99,7 @@ def test_criterion_02_smote_protocol():
     originals_ok = True
     interval_ok = True
     n_original = 0
-    rows, out_rows = d.rows(), out.rows()
+    rows, out_rows = table_rows(d), table_rows(out)
     for pos, (parent, partner) in enumerate(record.provenance.tolist()):
         if partner == -1:
             n_original += 1
@@ -239,7 +239,7 @@ def test_criterion_07_naive_bayes_oracle():
         d = nominal_dataset(columns, labels,
                             domains={f"a{a}": domains[a] for a in range(n_attrs)})
         model = train_nb(d)
-        rows = [(row[:-1], row[-1]) for row in d.rows()]
+        rows = [(row[:-1], row[-1]) for row in table_rows(d)]
         asked = [tuple(int(rng.integers(0, s)) for s in domains) for _ in range(3)]
         got = nb_predict(model, query(d, *[q + (0,) for q in asked]))
         for q, p in zip(asked, got):
@@ -256,7 +256,7 @@ def test_criterion_08_tree_oracles():
     while tables < 100:
         d = random_mixed_dataset(rng, int(rng.integers(4, 16)))
         y = list(d.class_codes())
-        rows = d.rows()
+        rows = table_rows(d)
         for ai in d.predictor_indices:
             col = [row[ai] for row in rows]
             oracle = (gain_ratio_nominal if d.schema[ai].kind == "nominal"

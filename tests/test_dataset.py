@@ -21,7 +21,7 @@ from postop.dataset import (
     to_arff,
 )
 
-from conftest import COHORT_PATH, from_rows, synthetic_cohort_text
+from conftest import COHORT_PATH, from_rows, synthetic_cohort_text, table_rows
 
 TOY = """% a toy table
 @RELATION 'toy'
@@ -43,7 +43,7 @@ def test_parse_basics():
     assert d.schema[0].kind == "nominal"
     assert d.schema[1].kind == "numeric"
     assert d.class_attribute.name == "outcome"
-    assert d.rows() == [(0, 1.5, 0), (1, 2.0, 1), (2, None, 0)]
+    assert table_rows(d) == [(0, 1.5, 0), (1, 2.0, 1), (2, None, 0)]
     # numeric cells read as Python's float() reads them
     head = "@relation r\n@attribute v numeric\n@attribute c {T,F}\n@data\n"
     d = parse_arff(head + "".join(f"{t},T\n" for t in ["1_0", " 2 ", "+.5", "5.", "4.9e-324"]))
@@ -188,7 +188,7 @@ def test_reformatted_cohort_parses_to_the_same_table():
     d = parse_arff("\r\n".join(head.splitlines()) + "\r\n@data\r\n\r\n" + "\r\n\r\n".join(rows))
     cohort = parse_arff(text)
     assert d == cohort
-    assert d.rows() == cohort.rows()
+    assert table_rows(d) == table_rows(cohort)
     assert d.codes_matrix().flags.c_contiguous
     assert d.numeric_matrix().flags.c_contiguous
 
@@ -218,7 +218,7 @@ def test_impute_mean_or_mode():
         "x,1.0,T\n?,3.0,T\ny,?,F\nx,?,F\n"
     )
     d = impute_missing(parse_arff(text), "mean-or-mode")
-    rows = d.rows()
+    rows = table_rows(d)
     assert rows[1][0] == 0  # mode of {x, y, x} is x
     assert rows[2][1] == pytest.approx(2.0)  # mean of 1.0 and 3.0
     assert rows[3][1] == pytest.approx(2.0)
@@ -230,7 +230,7 @@ def test_impute_mean_of_huge_values_is_finite():
         "@relation r\n@attribute v numeric\n@attribute c {T,F}\n@data\n"
         "1e308,T\n1.5e308,T\n?,F\n1e308,F\n1.2e308,T\n1.1e308,F\n"
     )
-    mean = impute_missing(parse_arff(text)).rows()[2][0]
+    mean = table_rows(impute_missing(parse_arff(text)))[2][0]
     assert mean == pytest.approx(1.16e308, rel=1e-12)
 
 
@@ -248,13 +248,13 @@ def test_impute_mode_tie_prefers_earlier_domain_value():
         "x,T\ny,T\n?,F\n"
     )
     d = impute_missing(parse_arff(text))
-    assert d.rows()[2][0] == 0
+    assert table_rows(d)[2][0] == 0
 
 
 def test_impute_drop_instance():
     d = impute_missing(parse_arff(TOY), "drop-instance")
     assert len(d) == 2
-    assert all(None not in row for row in d.rows())
+    assert all(None not in row for row in table_rows(d))
 
 
 def test_impute_errors():
@@ -271,7 +271,7 @@ def test_subset_and_matrices():
     d = parse_arff(TOY)
     s = d.subset([2, 0])
     assert len(s) == 2
-    assert s.rows() == [d.rows()[2], d.rows()[0]]
+    assert table_rows(s) == [table_rows(d)[2], table_rows(d)[0]]
     codes = d.codes_matrix()
     assert codes.shape == (3, 1)
     assert codes[:, 0].tolist() == [0, 1, 2]
@@ -289,7 +289,7 @@ def test_serializer_float_formatting_round_trips():
     values = [0.1, 1 / 3, 2.5e-10, 123456.789, 60.0]
     d = from_rows(schema, [(v, 0) for v in values])
     again = parse_arff(to_arff(d))
-    assert [row[0] for row in again.rows()] == values  # exact, not approximate
+    assert [row[0] for row in table_rows(again)] == values  # exact, not approximate
 
 
 # -- properties ------------------------------------------------------------------
@@ -344,7 +344,7 @@ def test_generated_tables_round_trip_through_arff_and_csv(d):
     again = parse_arff(to_arff(d), class_attribute="cls")
     assert again == d
     assert again.relation == d.relation
-    assert again.rows() == d.rows()
+    assert table_rows(again) == table_rows(d)
 
 
 @settings(max_examples=150, deadline=None)
@@ -352,5 +352,5 @@ def test_generated_tables_round_trip_through_arff_and_csv(d):
 def test_subset_equals_the_table_rebuilt_from_its_rows(d, data):
     idx = data.draw(st.lists(st.integers(0, max(len(d) - 1, 0)), max_size=15)
                     if len(d) else st.just([]))
-    rows = d.rows()
+    rows = table_rows(d)
     assert d.subset(idx) == from_rows(d.schema, [rows[i] for i in idx])

@@ -19,9 +19,7 @@ from postop.resampling import SmoteConfig, smote
 from postop.decision_tree import (
     GAIN_EPS,
     TreeConfig,
-    TreeNode,
     _added_errors,
-    _nodes,
     _ranks,
     _scan,
     _Trainer,
@@ -41,7 +39,9 @@ from conftest import (
     query,
     random_mixed_dataset,
     synthetic_cohort_text,
+    table_rows,
     time_limit,
+    tree_nodes,
 )
 from oracles import (
     best_threshold_split,
@@ -66,7 +66,16 @@ def _numeric_dataset(values, labels, name="x"):
 
 
 def _leaf_count(t):
-    return sum(n.is_leaf for n in _nodes(t))
+    return sum(n.is_leaf for n in tree_nodes(t))
+
+
+def _root(t):
+    return next(tree_nodes(t))
+
+
+def _by_id(t):
+    """The reachable nodes of t by id."""
+    return {n.id: n for n in tree_nodes(t)}
 
 
 def _antecedents(rules):
@@ -89,7 +98,7 @@ def test_gain_ratio_matches_oracle_on_random_tables():
         for _ in range(60):
             d = random_mixed_dataset(rng, int(rng.integers(4, 16)), *shape)
             y = list(d.class_codes())
-            rows = d.rows()
+            rows = table_rows(d)
             for ai in d.predictor_indices:
                 col = [row[ai] for row in rows]
                 if d.schema[ai].kind == "nominal":
@@ -267,12 +276,10 @@ def test_one_scan_of_many_nodes_equals_a_scan_per_node():
 
 def _levels(t):
     """Number of levels of the tree, the root's included."""
-    levels, stack = 0, [(t, 1)]
-    while stack:
-        node, level = stack.pop()
-        levels = max(levels, level)
-        stack.extend((child, level + 1) for child in node.children or ())
-    return levels
+    level = {t.root: 1}
+    for node in tree_nodes(t):
+        level.update((child, level[node.id] + 1) for child in node.children)
+    return max(level.values())
 
 
 def test_growth_scans_once_per_level(cohort, monkeypatch):
@@ -286,7 +293,7 @@ def test_growth_scans_once_per_level(cohort, monkeypatch):
         for cfg in (TreeConfig(pruning=False), TreeConfig(min_leaf_instances=1, pruning=False)):
             calls.clear()
             t = train_tree(d, cfg)
-            nodes = sum(not node.is_leaf for node in _nodes(t))
+            nodes = sum(not node.is_leaf for node in tree_nodes(t))
             assert _levels(t) - 1 <= len(calls) <= _levels(t) < nodes
 
 
@@ -307,8 +314,8 @@ def test_identical_columns_tie_and_the_earlier_attribute_splits(order):
         earlier = {j: min(k for k in range(4) if order[k] % 2 == order[j] % 2) for j in range(4)}
         t = train_tree(d, TreeConfig(min_leaf_instances=1, pruning=False))
         if n == 6:
-            assert t.attr_index == 0 and _leaf_count(t) in (2, 3)
-        splits = [node.attr_index for node in _nodes(t) if not node.is_leaf]
+            assert _root(t).attribute == 0 and _leaf_count(t) in (2, 3)
+        splits = [node.attribute for node in tree_nodes(t) if not node.is_leaf]
         assert splits and all(earlier[ai] == ai for ai in splits)
 
 
@@ -322,11 +329,12 @@ def test_gain_ratio_degenerate_cases():
 def test_numeric_threshold_is_midpoint_lowest_on_ties():
     # thresholds 1.5 and 3.5 tie on gain; the lower one must win
     d = _numeric_dataset([1.0, 2.0, 3.0, 4.0], [0, 1, 0, 1])
-    t = train_tree(d, TreeConfig(pruning=False))
-    assert t.attr_index == 0
-    assert t.threshold == pytest.approx(1.5)
-    assert t.children[0].is_leaf
-    assert t.children[0].counts.tolist() == [1.0, 0.0]
+    nodes = _by_id(t := train_tree(d, TreeConfig(pruning=False)))
+    root = nodes[t.root]
+    assert root.attribute == 0
+    assert root.threshold == pytest.approx(1.5)
+    assert nodes[root.children[0]].is_leaf
+    assert nodes[root.children[0]].counts.tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("a, b", [(1 + 2**-52, 1 + 2**-51), (1e308, 1.7e308)])
@@ -340,8 +348,9 @@ def test_threshold_between_adjacent_or_huge_values_parts_them(a, b, tmp_path, ca
         t = train_tree(d, TreeConfig(pruning=False))
         code = main(["bench", "--data", str(path), "--seed", "1", "--classifiers", "j48",
                      "--no-smote", "--folds", "2", "--out", str(tmp_path / "out")])
-    assert a <= t.threshold < b
-    assert [c.counts.tolist() for c in t.children] == [[4.0, 0.0], [0.0, 4.0]]
+    nodes = _by_id(t)
+    assert a <= nodes[t.root].threshold < b
+    assert [nodes[c].counts.tolist() for c in nodes[t.root].children] == [[4.0, 0.0], [0.0, 4.0]]
     assert code == 0
     assert "Traceback" not in capsys.readouterr().err
 
@@ -358,10 +367,12 @@ def test_mean_gain_filter_yields_known_structure():
     # S1 has a lower ratio than S2/S3 but is the only attribute whose
     # gain reaches the mean gain, so it must take the root
     t = train_tree(d)
-    assert t.attr_index == d.attribute_index("S1")
-    assert t.children[0].attr_index == d.attribute_index("S2")
-    assert t.children[1].attr_index == d.attribute_index("S3")
-    assert t.children[2].is_leaf
+    nodes = _by_id(t)
+    root = nodes[t.root]
+    assert root.attribute == d.attribute_index("S1")
+    assert nodes[root.children[0]].attribute == d.attribute_index("S2")
+    assert nodes[root.children[1]].attribute == d.attribute_index("S3")
+    assert nodes[root.children[2]].is_leaf
     assert _leaf_count(t) == 5
 
 
@@ -421,22 +432,23 @@ def test_cohort_tree_text_is_pinned(cohort, name, cfg):
 
 def test_pure_node_is_a_leaf():
     d = nominal_dataset({"a": [0, 1, 0, 1]}, [0, 0, 0, 0])
-    t = train_tree(d)
-    assert t.is_leaf
-    assert t.prediction == 0
+    root = _root(train_tree(d))
+    assert root.is_leaf
+    assert root.prediction == 0
 
 
 def test_small_node_stops_before_splitting():
     d = nominal_dataset({"a": [0, 1, 1]}, [0, 1, 1])
-    assert train_tree(d, TreeConfig(min_leaf_instances=2)).is_leaf
-    assert not train_tree(d, TreeConfig(min_leaf_instances=1, pruning=False)).is_leaf
+    assert _root(train_tree(d, TreeConfig(min_leaf_instances=2))).is_leaf
+    assert not _root(train_tree(d, TreeConfig(min_leaf_instances=1, pruning=False))).is_leaf
 
 
 def test_empty_branch_predicts_uniformly():
     d = nominal_dataset({"a": [0, 0, 1, 1]}, [0, 0, 1, 1], domains={"a": 3})
     t = train_tree(d, TreeConfig(pruning=False))
-    assert not t.is_leaf
-    empty = t.children[2]
+    nodes = _by_id(t)
+    assert not nodes[t.root].is_leaf
+    empty = nodes[nodes[t.root].children[2]]
     assert empty.is_leaf and empty.counts.tolist() == [0.0, 0.0]
     assert empty.prediction == 0
     p = tree_predict(t, query(d, (2, 0)))
@@ -446,7 +458,7 @@ def test_empty_branch_predicts_uniformly():
 def test_leaf_probabilities_are_smoothed_counts():
     d = nominal_dataset({"a": [0] * 10}, [0] * 8 + [1] * 2, domains={"a": 2})
     t = train_tree(d)
-    assert t.is_leaf
+    assert _root(t).is_leaf
     assert tree_predict(t, d.subset([0]))[0].tolist() == pytest.approx([0.75, 0.25])
 
 
@@ -464,25 +476,18 @@ def test_training_indices_route_back_to_their_leaf():
     rng = np.random.default_rng(9)
     for d in (fig_dataset(), random_mixed_dataset(rng, 40, n_nominal=2, n_numeric=2)):
         t = train_tree(d, TreeConfig(pruning=False))
-        routed = {}
-        for row, y in zip(d.rows(), d.class_codes()):
-            node = t
+        nodes, routed = _by_id(t), {}
+        for row, y in zip(table_rows(d), d.class_codes()):
+            node = nodes[t.root]
             while not node.is_leaf:
-                v = row[node.attr_index]
+                v = row[node.attribute]
                 if node.threshold is not None:
-                    node = node.children[0 if v <= node.threshold else 1]
+                    node = nodes[node.children[0 if v <= node.threshold else 1]]
                 else:
-                    node = node.children[v]
-            routed.setdefault(id(node), np.zeros_like(node.counts))[y] += 1
-        leaves, stack = [], [t]
-        while stack:
-            node = stack.pop()
-            stack.extend(node.children or ())
-            if node.is_leaf:
-                leaves.append(node)
-        assert len(leaves) == _leaf_count(t)
-        for leaf in leaves:
-            expected = routed.get(id(leaf), np.zeros_like(leaf.counts))
+                    node = nodes[node.children[v]]
+            routed.setdefault(node.id, np.zeros_like(node.counts))[y] += 1
+        for leaf in (node for node in nodes.values() if node.is_leaf):
+            expected = routed.get(leaf.id, np.zeros_like(leaf.counts))
             assert leaf.counts.tolist() == expected.tolist()
 
 
@@ -508,7 +513,7 @@ def test_pruning_keeps_a_clean_split():
     # three pure branches: subtree estimate 3.0 beats the root leaf estimate
     d = nominal_dataset({"a": [0, 0, 1, 1, 2, 2]}, [0, 0, 0, 0, 1, 1])
     t = train_tree(d)
-    assert not t.is_leaf
+    assert not _root(t).is_leaf
     assert _leaf_count(t) == 3
     assert len(tree_to_rules(t)) == 3
 
@@ -520,7 +525,7 @@ def test_pruning_collapses_a_noisy_split():
     column = [0] * 6 + [1] * 10
     d = nominal_dataset({"a": column}, labels)
     unpruned = train_tree(d, TreeConfig(pruning=False))
-    pruned = train_tree(d)
+    pruned = _root(train_tree(d))
     assert _leaf_count(unpruned) == 2
     assert pruned.is_leaf
     assert pruned.prediction == 0
@@ -563,12 +568,8 @@ def test_deep_tree_trains_predicts_and_benches(tmp_path, capsys):
     d = _numeric_dataset([float(i) for i in range(n)], [(i // 2) % 2 for i in range(n)])
     for pruning in (False, True):
         t = train_tree(d, TreeConfig(pruning=pruning))
-        depth, nodes, stack = 0, 0, [(t, 0)]
-        while stack:
-            node, level = stack.pop()
-            depth, nodes = max(depth, level), nodes + 1
-            stack.extend((child, level + 1) for child in node.children or ())
-        assert depth == 999
+        nodes = len(list(tree_nodes(t)))
+        assert _levels(t) == 1000
         predicted = tree_predict(t, d).argmax(axis=1)
         assert (predicted == d.class_codes()).all()
         rules = tree_to_rules(t)
@@ -593,7 +594,7 @@ def test_training_on_a_100x_cohort_peaks_below_36_mb():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(d) == 47_000 and not t.is_leaf
+    assert len(d) == 47_000 and not _root(t).is_leaf
     assert peak <= 36 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
@@ -603,9 +604,10 @@ def test_training_on_a_100x_cohort_peaks_below_36_mb():
 def _assert_same_tree(got, want):
     """Node for node: class count bytes, attribute, threshold bits, prediction and shape."""
     assert got.schema == want.schema
-    for g, w in zip(_nodes(got), _nodes(want), strict=True):
+    for g, w in zip(tree_nodes(got), tree_nodes(want), strict=True):
         assert g.counts.tobytes() == w.counts.tobytes()
-        assert (g.attr_index, g.prediction, g.is_leaf) == (w.attr_index, w.prediction, w.is_leaf)
+        assert (g.attribute, g.prediction, len(g.children)) == (
+            w.attribute, w.prediction, len(w.children))
         got_bits, want_bits = (t if t is None else t.hex() for t in (g.threshold, w.threshold))
         assert got_bits == want_bits
 
@@ -631,7 +633,8 @@ def cohort_folds(cohort):
                          ids=["pruned", "unpruned", "min-leaf-1"])
 def test_a_forest_grows_the_tree_each_table_grows_alone(cohort_folds, monkeypatch, cfg):
     alone = [train_tree(t, cfg) for t in cohort_folds]
-    assert alone[10].is_leaf and not any(t.is_leaf for t in alone[:10] + alone[11:])
+    leaves = [_root(t).is_leaf for t in alone]
+    assert leaves[10] and not any(leaves[:10] + leaves[11:])
     few = [0, 1, 10, 11, 12]  # two 1x folds, the leaf and two 2x folds
     for scan_rows, picked in [(decision_tree._SCAN_ROWS, range(21)),
                               (1, few),  # a scan per node
@@ -671,12 +674,12 @@ def test_forests_of_drawn_tables_grow_each_tree_alone(sizes, n_nominal, n_numeri
         _assert_same_tree(tree, want)
 
 
-# A five-table forest holds five tables' compact inputs (0.37 MB) and about
-# 2,800 unpruned nodes (0.41 MB) when it scans its largest group, and a
-# 2,048-row scan group takes more scratch than one tree's 1,728-row root:
-# the forest peaks at 1.66 MB, 2.25 times one tree's 0.74 MB.
+# A five-table forest holds five tables' compact inputs (0.37 MB) when it
+# scans its largest group, and a 2,048-row scan group takes more scratch than
+# one tree's 1,728-row root; its nodes are a few arrays of 40 B a node. The
+# forest peaks at 1.37 MB, 1.84 times one tree's 0.75 MB.
 @pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="a five-table forest peaks at 2.25 times one tree")
+                   reason="a five-table forest peaks at 1.84 times one tree")
 def test_a_five_table_forest_of_2x_folds_peaks_within_1_2_trees(cohort_folds):
     two_x = cohort_folds[11:16]
     peaks = []
@@ -722,18 +725,11 @@ def test_the_config_alone_decides_which_confidences_prune(cf, taken):
     # 1 - 1e-17 rounds to 1, where pruning's normal quantile is undefined; a
     # confidence taken prunes, and one near 0 prunes the hand-worked tree to its root
     if taken:
-        assert train_tree(fig_dataset(), TreeConfig(pruning_confidence=cf)).is_leaf == (cf < 0.25)
+        t = train_tree(fig_dataset(), TreeConfig(pruning_confidence=cf))
+        assert _root(t).is_leaf == (cf < 0.25)
     else:
         with pytest.raises(DataError, match="^pruning_confidence must be strictly between 0 and 1"):
             TreeConfig(pruning_confidence=cf)
-
-
-def test_rules_need_a_schema():
-    bare = TreeNode(counts=np.array([1.0, 1.0]), prediction=0)
-    with pytest.raises(DataError, match="schema"):
-        tree_to_rules(bare)
-    with pytest.raises(DataError, match="schema"):
-        format_tree(bare)
 
 
 def test_numeric_rule_rendering():

@@ -26,7 +26,7 @@ from postop.evaluation import (
 from postop.resampling import SmoteConfig, smote
 from postop.seeds import derive_seed
 
-from conftest import from_rows, nominal_dataset
+from conftest import from_rows, nominal_dataset, table_rows
 from oracles import auc_by_pair_counting, error_measures_direct
 
 
@@ -367,7 +367,7 @@ def test_cross_validate_validation_errors():
 
 def test_cross_validate_refuses_a_missing_cell():
     d = nominal_dataset({"a": [0, 1] * 4}, [0, 1] * 4)
-    rows = d.rows()
+    rows = table_rows(d)
     rows[5] = (None, rows[5][1])
     holed = from_rows(d.schema, rows)
     with pytest.raises(DataError, match="impute it first"):
@@ -386,7 +386,7 @@ def test_learners_refuse_a_missing_cell():
         spec = make_classifier(name, **({"epochs": 1} if name == "mlp" else {}))
         model = _train(spec, d, 0)
         for row in ((None, 1.0, 0), (1, None, 0)):
-            holed = from_rows(schema, [*d.rows()[:4], row])
+            holed = from_rows(schema, [*table_rows(d)[:4], row])
             with pytest.raises(DataError, match="impute it first"):
                 spec.predict(model, holed)
             with pytest.raises(DataError, match="impute it first"):

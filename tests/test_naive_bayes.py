@@ -9,7 +9,7 @@ import pytest
 from postop.dataset import AttributeSchema, DataError
 from postop.naive_bayes import VARIANCE_FLOOR, nb_predict, train_nb
 
-from conftest import from_rows, nominal_dataset, query
+from conftest import from_rows, nominal_dataset, query, table_rows
 from oracles import gaussian_logpdf, nb_enumerate
 
 
@@ -44,7 +44,7 @@ def test_posterior_matches_enumeration_oracle():
         d = nominal_dataset(columns, labels,
                             domains={f"a{a}": domains[a] for a in range(n_attrs)})
         model = train_nb(d)
-        rows = [(row[:-1], row[-1]) for row in d.rows()]
+        rows = [(row[:-1], row[-1]) for row in table_rows(d)]
         asked = [tuple(int(rng.integers(0, s)) for s in domains) for _ in range(3)]
         got = nb_predict(model, query(d, *[q + (0,) for q in asked]))
         for q, p in zip(asked, got):
@@ -180,8 +180,8 @@ def test_duplicated_data_still_matches_oracle():
         d = nominal_dataset(columns, labels, domains={"a": 3, "b": 2})
         doubled = d.subset(list(range(n_rows)) * 2)
         model = train_nb(doubled)
-        rows = [(row[:-1], row[-1]) for row in doubled.rows()]
-        for row, p in zip(d.rows(), nb_predict(model, d)):
+        rows = [(row[:-1], row[-1]) for row in table_rows(doubled)]
+        for row, p in zip(table_rows(d), nb_predict(model, d)):
             assert np.allclose(p, nb_enumerate(rows, [3, 2], 2, row[:-1]), atol=1e-12)
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REPO_DIR, from_rows, synthetic_cohort_text
+from conftest import REPO_DIR, from_rows, synthetic_cohort_text, table_rows
 from oracles import nearest_neighbors, smote_draws_by_loop
 from postop import resampling
 from postop.dataset import (AttributeSchema, class_counts, minmax_scale,
@@ -65,8 +65,8 @@ def test_smote_counts_and_originals(cohort):
         "config": {"seed": 42, "k_neighbors": 5, "percent": 700},
     }
     # all originals survive verbatim: output rows are a multiset superset
-    out_counter = Counter(out.rows())
-    in_counter = Counter(cohort.rows())
+    out_counter = Counter(table_rows(out))
+    in_counter = Counter(table_rows(cohort))
     for values, n in in_counter.items():
         assert out_counter[values] >= n
 
@@ -76,8 +76,8 @@ def test_smote_provenance_and_parent_intervals(cohort):
     numeric = _numeric_positions(cohort)
     nominal = [i for i in cohort.nominal_predictor_indices]
     n_synth = 0
-    originals = cohort.rows()
-    for row, (xi, xj) in zip(out.rows(), record.provenance.tolist()):
+    originals = table_rows(cohort)
+    for row, (xi, xj) in zip(table_rows(out), record.provenance.tolist()):
         if xj == -1:
             assert row == originals[xi]
             continue
@@ -99,8 +99,8 @@ def test_smote_shares_one_lambda_across_numeric_fields(cohort):
     out, record = smote(cohort, "T", SmoteConfig(seed=3, percent=100, k_neighbors=5))
     numeric = _numeric_positions(cohort)
     checked = 0
-    originals = cohort.rows()
-    for row, (xi, xj) in zip(out.rows(), record.provenance.tolist()):
+    originals = table_rows(cohort)
+    for row, (xi, xj) in zip(table_rows(out), record.provenance.tolist()):
         if xj == -1:
             continue
         a_vals = originals[xi]
@@ -326,9 +326,9 @@ EDGE_CASE = (
 def test_smote_synthetics_stay_in_their_parent_box(case):
     d, minority, cfg = case
     out, record = smote(d, minority, cfg)
-    originals = d.rows()
+    originals = table_rows(d)
     n_synth = 0
-    for row, (xi, xj) in zip(out.rows(), record.provenance.tolist()):
+    for row, (xi, xj) in zip(table_rows(out), record.provenance.tolist()):
         if xj == -1:
             assert row == originals[xi]
             continue
