@@ -329,7 +329,8 @@ def test_gain_ratio_degenerate_cases():
 def test_numeric_threshold_is_midpoint_lowest_on_ties():
     # thresholds 1.5 and 3.5 tie on gain; the lower one must win
     d = _numeric_dataset([1.0, 2.0, 3.0, 4.0], [0, 1, 0, 1])
-    nodes = _by_id(t := train_tree(d, TreeConfig(pruning=False)))
+    t = train_tree(d, TreeConfig(pruning=False))
+    nodes = _by_id(t)
     root = nodes[t.root]
     assert root.attribute == 0
     assert root.threshold == pytest.approx(1.5)
