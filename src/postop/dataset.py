@@ -112,13 +112,13 @@ def _class_position(schema) -> int:
 class Dataset:
     """Immutable decision table: schema, three read-only arrays, a relation name.
 
-    codes (rows, nominal predictors) holds int domain codes, -1 for
-    missing; numerics (rows, numeric predictors) holds floats, nan for
-    missing; classes (rows,) holds class codes. Predictor columns follow
-    schema order within each block. Construction checks the schema (unique
-    names, one binary nominal class attribute) and the arrays (shapes,
-    in-domain codes, no infinities, no missing class) in one vectorized
-    pass and copies them.
+    codes (rows, nominal predictors) holds domain codes, -1 for missing, in the
+    narrowest signed int type (int8 up to 128 values); numerics (rows, numeric
+    predictors) holds floats, nan for missing; classes (rows,) holds class
+    codes. Predictor columns follow schema order within each block. Construction
+    checks the schema (unique names, one binary nominal class attribute) and the
+    arrays (shapes, in-domain codes, no infinities, no missing class) in one
+    vectorized pass and copies them.
     """
 
     def __init__(self, schema, codes, numerics, classes, relation: str = "dataset"):
@@ -144,7 +144,7 @@ class Dataset:
         _check(classes == -1, lambda r: f"instance {r} has a missing class value")
         _check((classes < -1) | (classes >= 2),
                lambda r: f"instance {r}: class code {classes[r]} out of range")
-        self._codes = _frozen(codes.astype(np.int64))
+        self._codes = _frozen(codes.astype(np.min_scalar_type(-max(sizes, default=1))))
         self._numerics = _frozen(numerics.copy())
         self._classes = _frozen(classes.astype(np.int64))
 
@@ -258,8 +258,8 @@ def require_complete(d: Dataset, what: str) -> None:
 
 def observed_range(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) of each numeric predictor column of a non-empty table."""
-    num = d.numeric_matrix()
-    return num.min(axis=0), num.max(axis=0)
+    num = np.ascontiguousarray(d.numeric_matrix().T)  # a row per column reduces faster
+    return num.min(axis=1), num.max(axis=1)
 
 
 def minmax_scale(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -218,8 +218,8 @@ class _Trainer:
             raise DataError("cannot train on an empty dataset")
         if d.schema != self.schema:
             raise DataError("the tables of one forest must share one schema")
-        self.parts.append((d.codes_matrix().astype(np.min_scalar_type(self.width)),
-                           v := d.numeric_matrix(), _ranks(v), d.class_codes().astype(np.int8)))
+        self.parts.append((d.codes_matrix(), v := d.numeric_matrix(), _ranks(v),
+                           d.class_codes().astype(np.int8)))
 
     def _choose(self, gains: np.ndarray, infos: np.ndarray) -> np.ndarray:
         """Scan column of each node's split, or -1 where no split is worth it.

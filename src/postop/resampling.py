@@ -12,12 +12,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import (DataError, Dataset, class_counts, minmax_scale, missing_census,
-                      observed_range)
+from .dataset import DataError, Dataset, class_counts, minmax_scale, observed_range
 
 
 # distances computed at once by _neighbor_table: 512 KB of float64 per block
 _BLOCK_CELLS = 1 << 16
+_DENSE_SHARE = 0.1  # share of a block's pairs past which _neighbor_table scores them all
 
 
 class ResampleError(DataError):
@@ -88,6 +88,15 @@ def _minority_indices(d: Dataset, minority_class: str) -> tuple[int, np.ndarray]
     return code, np.flatnonzero(d.class_codes() == code)
 
 
+def _distances(xn, i, j, mismatches, out=None, tmp=None) -> np.ndarray:
+    """Distances of pairs (i, j): squared differences left to right from 0.0, then mismatches."""
+    out = np.empty(np.shape(mismatches)) if out is None else out
+    out.fill(0)
+    for col in xn.T:
+        out += np.square(np.subtract(col[i], col[j], out=tmp), out=tmp)
+    return np.add(out, mismatches, out=out)
+
+
 def _neighbor_table(d: Dataset, min_idx: np.ndarray, k: int) -> np.ndarray:
     """k nearest minority neighbours of each minority instance.
 
@@ -95,6 +104,8 @@ def _neighbor_table(d: Dataset, min_idx: np.ndarray, k: int) -> np.ndarray:
     over the whole dataset) plus a 0/1 mismatch term per nominal attribute.
     Returns positions into min_idx, shape (len(min_idx), k), nearest first
     and ties toward earlier rows, computed in blocks of _BLOCK_CELLS cells.
+    Only pairs whose mismatch count is within a bound on the kth distance
+    are scored, or every pair where more than _DENSE_SHARE of a block are.
     """
     xn = minmax_scale(d.numeric_matrix()[min_idx], *observed_range(d))  # a constant column adds 0
     sizes = [len(d.schema[ai].values) for ai in d.nominal_predictor_indices]
@@ -105,24 +116,37 @@ def _neighbor_table(d: Dataset, min_idx: np.ndarray, k: int) -> np.ndarray:
     table = np.empty((m, k), dtype=np.int64)
     step = max(1, _BLOCK_CELLS // m)
     d2_buf, tmp_buf = np.empty((2, min(step, m), m))  # every block's temporaries go here
+    # differing one-hot bits, two per mismatched attribute; a row differs from itself most
+    diff_buf = np.empty((min(step, m), m), dtype=np.min_scalar_type(2 * len(sizes) + 1))
+    itself = np.iinfo(diff_buf.dtype).max
     for start in range(0, m, step):
         rows = np.arange(start, min(start + step, m))
-        d2, tmp = d2_buf[:len(rows)], tmp_buf[:len(rows)]
-        d2.fill(0)
-        for col in xn.T:  # summed left to right
-            d2 += np.square(np.subtract(col[rows, None], col, out=tmp), out=tmp)
-        # differing bits, counted in place and summed over the words before d2 gets them
-        count = tmp.view(np.uint64)
-        np.bitwise_count(np.bitwise_xor(first[rows, None], first, out=count), out=count)
+        d2, tmp, diff = d2_buf[:len(rows)], tmp_buf[:len(rows)], diff_buf[:len(rows)]
+        np.bitwise_count(np.bitwise_xor(first[rows, None], first, out=tmp.view(np.uint64)),
+                         out=diff)
         for w in rest:  # more than 64 one-hot bits
-            count += np.bitwise_count(w[rows, None] ^ w)
-        d2 += np.right_shift(count, 1, out=count)  # two bits differ per mismatched attribute
-        d2[np.arange(len(rows)), rows] = np.inf  # no row is its own neighbour
-        tmp[...] = d2
+            diff += np.bitwise_count(w[rows, None] ^ w)
+        diff[rows - start, rows] = itself
+        # the farthest of the k fewest-mismatch columns bounds the kth nearest: distance >= count
+        np.add(np.multiply(diff, float(m), out=tmp), np.arange(m), out=tmp)  # bits * m + column
         tmp.partition(k - 1, axis=1)
-        r, c = np.nonzero(d2 <= tmp[:, k - 1:k])  # every row's k nearest are among these
-        order = np.lexsort((c, d2[r, c], r))  # ties toward earlier rows
-        table[rows] = c[order][np.searchsorted(r, np.arange(len(rows)))[:, None] + np.arange(k)]
+        fewest = tmp[:, :k].astype(np.int64)
+        bound = _distances(xn, rows[:, None], fewest % m, fewest // m >> 1).max(axis=1)
+        scored = diff <= np.minimum(2 * bound, itself).astype(diff.dtype)[:, None]
+        if np.count_nonzero(scored) > _DENSE_SHARE * diff.size:  # the bound prunes too little
+            _distances(xn, rows[:, None], slice(None), diff >> 1, d2, tmp)
+            d2[rows - start, rows] = np.inf
+            tmp[...] = d2
+            tmp.partition(k - 1, axis=1)
+            scored = d2 <= tmp[:, k - 1:k]  # every row's k nearest are among these
+        r, c = np.divmod(scored := np.flatnonzero(scored), m)
+        dist = _distances(xn, rows[r], c, diff.ravel()[scored] >> 1)
+        dist[rows[r] == c] = np.inf  # itself, as in the dense pass
+        starts = np.cumsum(n := np.bincount(r, minlength=len(rows))) - n
+        ranked = np.full((len(rows), n.max()), np.inf)  # each row's pairs, in column order
+        ranked[r, np.arange(len(r)) - starts[r]] = dist
+        # stable, so ties stay toward earlier columns and the padding goes last
+        table[rows] = c[starts[:, None] + np.argsort(ranked, axis=1, kind="stable")[:, :k]]
     return table
 
 
@@ -174,7 +198,7 @@ def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, R
     synthetics are then shuffled by the same RNG; the draws come as one
     block of raw words, in that order. percent=0 returns the input unchanged.
     """
-    if missing_census(d):
+    if (d.codes_matrix() < 0).any() or np.isnan(d.numeric_matrix()).any():
         raise ResampleError("SMOTE needs a table with no missing cells; impute it first")
     minority_code, min_idx = _minority_indices(d, minority_class)
     m = len(min_idx)

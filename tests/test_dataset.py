@@ -22,6 +22,11 @@ from postop.dataset import (
 )
 
 from conftest import COHORT_PATH, from_rows, synthetic_cohort_text, table_rows
+from oracles import nb_enumerate, rules_predict
+from postop.decision_tree import train_tree, tree_predict, tree_to_rules
+from postop.mlp import encode, encode_inputs
+from postop.naive_bayes import nb_predict, train_nb
+from postop.resampling import SmoteConfig, smote
 
 TOY = """% a toy table
 @RELATION 'toy'
@@ -279,6 +284,45 @@ def test_subset_and_matrices():
     assert nums.shape == (3, 1)
     assert np.isnan(nums[2, 0])
     assert d.class_codes().tolist() == [0, 1, 0]
+
+
+def test_codes_past_128_values_stay_int16_through_every_layer():
+    # WIDE's codes past 127 need int16; each layer adds them to an int64 operand
+    rng = np.random.default_rng(28)
+    schema = [AttributeSchema("wide", "nominal", tuple(f"w{i}" for i in range(300))),
+              AttributeSchema("x", "numeric"),
+              AttributeSchema("b", "nominal", ("u", "v")),
+              AttributeSchema("cls", "nominal", ("T", "F"), role="class")]
+    wide = rng.choice([0, 1, 126, 127, 128, 129, 255, 256, 299], size=60)
+    rows = [(int(w), float(x), int(b), int(w >= 128))
+            for w, x, b in zip(wide, rng.normal(size=60).round(2), rng.integers(0, 2, 60))]
+    rows[5] = (None,) + rows[5][1:]
+    d = from_rows(schema, rows)
+    assert d.codes_matrix().dtype == np.int16
+    assert from_rows(schema[1:], [r[1:] for r in rows]).codes_matrix().dtype == np.int8
+    full = impute_missing(d)
+    out, _ = smote(full, "T", SmoteConfig(seed=1, k_neighbors=3, percent=200))
+    for table in (d.subset([3, 0, 59]), full, out):
+        assert table.codes_matrix().dtype == np.int16
+    assert parse_arff(to_arff(out)) == out
+    # naive Bayes on the nominal attributes against counting by hand
+    nominal = Dataset([schema[0], schema[2], schema[3]], full.codes_matrix(),
+                      np.empty((60, 0)), full.class_codes())
+    asked = [(0, 0), (128, 1), (299, 0), (127, 1)]
+    got = nb_predict(train_nb(nominal), from_rows(nominal.schema, [q + (0,) for q in asked]))
+    rows_by_hand = [(r[:-1], r[-1]) for r in table_rows(nominal)]
+    for q, p in zip(asked, got):
+        assert np.allclose(p, nb_enumerate(rows_by_hand, [300, 2], 2, q), atol=1e-12)
+    # J48 splits on wide, a branch per value; its rules route every row as the tree does
+    t = train_tree(out)
+    assert t.schema[t.attrs[t.column[t.root]]].name == "wide"
+    assert (rules_predict(tree_to_rules(t), out) == tree_predict(t, out).argmax(axis=1)).all()
+    # the network inputs equal those of the same table with int64 codes
+    wide64 = out._derive(out.codes_matrix().astype(np.int64), out.numeric_matrix(),
+                         out.class_codes())
+    enc, x, _ = encode(out)
+    assert np.array_equal(x, encode_inputs(enc, wide64))
+    assert x[np.arange(len(out)), out.codes_matrix()[:, 0].astype(np.int64)].all()
 
 
 def test_serializer_float_formatting_round_trips():

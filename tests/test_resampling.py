@@ -376,35 +376,83 @@ def neighbor_cases(draw):
     return d, draw(st.one_of(st.just(m - 1), st.integers(1, m - 1)))
 
 
-@pytest.mark.parametrize("block_cells", [resampling._BLOCK_CELLS, 64],
-                         ids=["one-block", "uneven-blocks"])
+# every minority row has one nominal signature: each count is 0, so the bound prunes nothing
+ONE_SIGNATURE = (
+    from_rows(
+        [AttributeSchema("n0", "nominal", ("v0", "v1", "v2")),
+         AttributeSchema("n1", "nominal", ("v0", "v1", "v2")),
+         AttributeSchema("x0", "numeric"),
+         AttributeSchema("cls", "nominal", ("T", "F"), role="class")],
+        [(1, 2, x, 0) for x in (0.3, 0.0, 0.1, 0.2, 0.1, 0.0, 0.3, 0.2)]
+        + [(0, 0, 1.0, 1), (2, 1, 0.0, 1)]),
+    3,
+)
+
+# each row's fewest-mismatch column is its twin, at 0; its 2nd nearest is at 1 mismatch
+TWINS = (
+    from_rows(
+        [AttributeSchema("n0", "nominal", ("v0", "v1", "v2")),
+         AttributeSchema("x0", "numeric"),
+         AttributeSchema("cls", "nominal", ("T", "F"), role="class")],
+        [(a, 0.0, 0) for a in (0, 1, 2, 0, 1, 2)] + [(0, 1.0, 1)]),
+    2,
+)
+
+# scaled by a span of 1e-300, the numeric differences square to inf: each row's
+# fewest-mismatch columns are all at inf, so the bound is inf and every column
+# (itself too, at inf) is scored; its 2 nearest share its value at 1 mismatch
+OVERFLOWING = (
+    from_rows(
+        [AttributeSchema("n0", "nominal", ("v0", "v1", "v2")),
+         AttributeSchema("x0", "numeric"),
+         AttributeSchema("cls", "nominal", ("T", "F"), role="class")],
+        [(a, x, 0) for x in (1.0, 2.0, 3.0) for a in (0, 1, 2)] + [(0, 0.0, 1)]),
+    2,
+    (np.array([0.0]), np.array([1e-300])),
+)
+
+
+# (block cells, dense share): the default choice per block, and every block scored
+# pair by pair or whole
+@pytest.mark.parametrize("block_cells, dense_share", [
+    (resampling._BLOCK_CELLS, resampling._DENSE_SHARE), (64, resampling._DENSE_SHARE),
+    (64, 1.0), (64, -1.0)], ids=["one-block", "uneven-blocks", "sparse-blocks", "dense-blocks"])
 @settings(max_examples=150, deadline=None)
 @given(neighbor_cases())
-def test_neighbor_table_matches_the_brute_force_oracle(block_cells, case):
-    d, k = case
+@example(ONE_SIGNATURE)
+@example(TWINS)
+@example(OVERFLOWING)
+def test_neighbor_table_matches_the_brute_force_oracle(block_cells, dense_share, case):
+    d, k, *span = case
     min_idx = np.flatnonzero(d.class_codes() == 0)
-    scaled = minmax_scale(d.numeric_matrix()[min_idx], *observed_range(d))
+    lo, hi = span[0] if span else observed_range(d)
+    scaled = minmax_scale(d.numeric_matrix()[min_idx], lo, hi)
     expected = nearest_neighbors(scaled.tolist(), d.codes_matrix()[min_idx].tolist(), k)
-    with mock.patch.object(resampling, "_BLOCK_CELLS", block_cells):
+    with (mock.patch.object(resampling, "_BLOCK_CELLS", block_cells),
+          mock.patch.object(resampling, "_DENSE_SHARE", dense_share),
+          mock.patch.object(resampling, "observed_range", lambda _: (lo, hi)),
+          np.errstate(over="ignore")):
         assert _neighbor_table(d, min_idx, k).tolist() == expected
 
 
 @st.composite
 def wide_nominal_cases(draw):
-    """Minority rows over nominal domains of up to 70 values, and one numeric column.
+    """Minority rows over nominal domains of up to 300 values, and one numeric column.
 
-    A domain of 70 values takes more than one 64-bit word of one-hot bits;
-    its codes are drawn near the word boundary as well as anywhere. The
-    numeric column's scaled squares are on the scale of one mismatch.
+    A domain of 70 values takes more than one 64-bit word of one-hot bits,
+    and one of 130 or 300 values needs int16 codes; codes are drawn near
+    the word and int8 boundaries as well as anywhere. The numeric column's
+    scaled squares are on the scale of one mismatch.
     """
-    sizes = draw(st.lists(st.sampled_from((1, 2, 3, 70)), min_size=1, max_size=4))
+    sizes = draw(st.lists(st.sampled_from((1, 2, 3, 70, 130, 300)), min_size=1, max_size=4))
     schema = [AttributeSchema(f"n{a}", "nominal", tuple(f"v{i}" for i in range(size)))
               for a, size in enumerate(sizes)]
     schema += [AttributeSchema("x", "numeric"),
                AttributeSchema("cls", "nominal", ("T", "F"), role="class")]
 
     def code(size):
-        near_edges = [c for c in (0, 1, 60, 61, 62, 63, 64, 69) if c < size]
+        edges = (0, 1, 60, 61, 62, 63, 64, 69, 127, 128, 129, 191, 192, 255, 256, 299)
+        near_edges = [c for c in edges if c < size]
         return st.one_of(st.sampled_from(near_edges), st.integers(0, size - 1))
 
     row = st.tuples(*map(code, sizes), st.sampled_from((0.0, 0.5, 1.0, 2.0)))
