@@ -287,7 +287,7 @@ def test_subset_and_matrices():
 
 
 def test_codes_past_128_values_stay_int16_through_every_layer():
-    # WIDE's codes past 127 need int16; each layer adds them to an int64 operand
+    # codes of wide past 127 need int16; each layer adds them to an int64 operand
     rng = np.random.default_rng(28)
     schema = [AttributeSchema("wide", "nominal", tuple(f"w{i}" for i in range(300))),
               AttributeSchema("x", "numeric"),
