@@ -54,7 +54,7 @@ def _resolve_data_path(path_str: str) -> Path:
 
 def _read_text(path: Path) -> str:
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8-sig")  # any locale; a BOM is not data
     except UnicodeDecodeError as e:
         raise DataError(f"{path} is not readable text: {e.reason} at byte {e.start}") from None
 
@@ -117,7 +117,7 @@ def _cmd_resample(args) -> int:
     record_path = out_dir / "resample_record.json"
 
     if args.no_smote:
-        out_path.write_text(to_arff(d))
+        out_path.write_text(to_arff(d), encoding="utf-8")
         record = {
             "method": "none",
             "original_counts": class_counts(d),
@@ -130,7 +130,7 @@ def _cmd_resample(args) -> int:
 
     minority = _positive_class(d, args.positive_class)
     resampled, record = smote(d, minority, smote_cfg)
-    out_path.write_text(to_arff(resampled))
+    out_path.write_text(to_arff(resampled), encoding="utf-8")
     record_path.write_text(
         json.dumps(record.to_json_dict(), indent=2, sort_keys=True) + "\n"
     )

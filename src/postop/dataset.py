@@ -6,19 +6,18 @@ predictors as int domain codes (-1 for missing), the numeric predictors
 as floats (nan for missing), and the class as int codes (never missing).
 The arrays are checked once, vectorized, when a table is built; tables
 derived from a checked one (row subsets, imputed or resampled copies) are
-not checked again. The ARFF parser converts data lines, a block of rows
-and a column at a time, straight into the three arrays. Rows as tuples,
-with None for missing cells, exist only where data leaves (`Dataset.rows`,
-`to_arff`).
+not checked again. The ARFF parser converts data lines a block of rows
+and a column at a time, straight into the arrays, and `to_arff` formats
+them a column at a time: no table is ever held as row tuples.
 """
 
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count, islice, repeat
 
 import numpy as np
 
@@ -384,46 +383,56 @@ def _real(token: str) -> float:
     return value if math.isfinite(value) else math.inf
 
 
-def _parse_rows(schema, data, capacity: int):
-    """The codes, numerics and classes blocks of at most capacity data rows.
+def _parse_rows(schema, lines: list[str], start: int):
+    """The codes, numerics and classes blocks of the data rows lines[start:].
 
-    data yields (line number, stripped line) pairs. They are split and
-    converted a block of _BLOCK_ROWS lines at a time, a column at a time;
-    each block raises its first fault in file order: a ragged row, or the
-    row's leftmost bad cell. Range and missing-class checks are Dataset's.
+    Lines, comments cut, are split _BLOCK_ROWS non-blank ones at a time; each
+    column goes through one C-level map into its array, or token by token if
+    that fails. The first ragged row or bad cell in file order raises; Dataset
+    checks ranges and missing classes.
     """
-    ci = _class_position(schema)
+    width, ci, capacity = len(schema), _class_position(schema), len(lines) - start
     nominal = [i for i, a in enumerate(schema) if a.kind == NOMINAL and i != ci] + [ci]
     numeric = [i for i, a in enumerate(schema) if a.kind == NUMERIC]
-    lookups = [{v: i for i, v in enumerate(a.values)} | {MISSING_TOKEN: -1} for a in schema]
-    codes = np.empty((capacity, len(nominal)), dtype=np.int64)  # the class last
+    sizes = [len(schema[i].values) for i in nominal[:-1]]  # the code type Dataset keeps
+    codes = np.empty((capacity, len(nominal)), np.min_scalar_type(-max(sizes, default=1)))
     numerics = np.empty((capacity, len(numeric)))
-    n = 0
-    while block := list(itertools.islice(data, _BLOCK_ROWS)):
-        fields = [line.split(",") for _, line in block]
-        good = next((r for r, f in enumerate(fields) if len(f) != len(schema)), len(block))
-        columns = list(zip(*fields[:good])) or [()] * len(schema)
-        cells = [np.array([_real(t) for t in col]) if a.kind == NUMERIC
-                 else np.array([lookup.get(t.strip(), -2) for t in col], dtype=np.int64)
-                 for a, lookup, col in zip(schema, lookups, columns)]
-        bad = [np.isinf(c) if a.kind == NUMERIC else c < -1 for a, c in zip(schema, cells)]
-        faults = np.argwhere(np.array(bad).T)
-        if faults.size:
+    outs = dict(zip(nominal + numeric, [*codes.T, *numerics.T]))  # the class: last in codes
+    lookups = [{v: i for i, v in enumerate(a.values)} | {MISSING_TOKEN: -1} for a in schema]
+    converters = [(float, _real) if a.kind == NUMERIC else
+                  (lookup.__getitem__, lambda t, get=lookup.get: get(t.strip(), -2))
+                  for a, lookup in zip(schema, lookups)]  # C-level, then token by token
+    rows, n = filter(None, map(str.strip, islice(lines, start, None))), 0
+    line_numbers = compress(count(start + 1), map(str.strip, islice(lines, start, None)))
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        commas = list(map(str.count, block, repeat(",")))
+        good = len(block) if commas.count(width - 1) == len(block) else next(
+            compress(count(), map((width - 1).__ne__, commas)))
+        tokens = ",".join(block).split(",")
+        for j, (fast, slow) in enumerate(converters):
+            col, out = tokens[j:good * width:width], outs[j]
+            try:
+                cells = np.fromiter(map(fast, col), out.dtype, good)
+            except (KeyError, ValueError):  # a padded or bad token, or a '?' number
+                cells = np.array([np.nan])
+            if not np.isfinite(cells).all():  # or a nan, inf or 1e999 number
+                cells = np.fromiter(map(slow, col), out.dtype, good)
+            out[n:n + good] = cells
+        bad = np.hstack((codes[n:n + good] == -2, np.isinf(numerics[n:n + good])))
+        if (faults := np.argwhere(bad[:, np.argsort(nominal + numeric)])).size:
             r, j = faults[0].tolist()
-            attr, token = schema[j], fields[r][j].strip()
+            attr, token = schema[j], tokens[r * width + j].strip()
             if attr.kind == NOMINAL:
                 message = f"value {token!r} is not in the domain of attribute {attr.name!r}"
             elif _real(token) < 0:
                 message = f"invalid numeric literal {token!r} for attribute {attr.name!r}"
             else:
                 message = f"non-finite numeric value for attribute {attr.name!r}"
-            column = sum(map(len, fields[r][:j])) + j + 1  # where field j starts, from 1
-            raise ParseError(message, line=block[r][0], column=column)
+            column = sum(map(len, tokens[r * width:r * width + j])) + j + 1  # from 1
+            raise ParseError(message, next(islice(line_numbers, n + r, None)), column)
         if good < len(block):
-            raise ParseError(f"row has {len(fields[good])} values, schema expects "
-                             f"{len(schema)}", line=block[good][0])
-        for out, positions in ((codes, nominal), (numerics, numeric)):
-            out[n:n + good] = np.array([cells[i] for i in positions]).reshape(-1, good).T
+            raise ParseError(f"row has {commas[good] + 1} values, schema expects {width}",
+                             next(islice(line_numbers, n + good, None)))
         n += good
     return codes[:n, :-1], numerics[:n], codes[:n, -1]
 
@@ -459,8 +468,9 @@ def parse_arff(text: str, class_attribute: str | None = None) -> Dataset:
     else:
         raise ParseError("missing @data section")
     schema = _assign_class(schema, class_attribute)
-    data = ((n, line) for n, raw in numbered if (line := _strip_comment(raw).strip()))
-    return Dataset(schema, *_parse_rows(schema, data, len(lines) - lineno), relation)
+    if text.find("%", text.find(lines[lineno - 1])) >= 0:  # a '%' after @data's 1st copy
+        lines[lineno:] = map(_strip_comment, lines[lineno:])
+    return Dataset(schema, *_parse_rows(schema, lines, lineno), relation)
 
 
 def _format_column(attr: AttributeSchema, column: np.ndarray) -> list[str]:

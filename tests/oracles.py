@@ -11,8 +11,58 @@ from statistics import NormalDist
 
 import numpy as np
 
-from postop.dataset import DataError
+from postop.dataset import DataError, ParseError
 from postop.decision_tree import _added_errors
+
+
+# -- ARFF data rows ----------------------------------------------------------------
+
+
+def parse_rows_by_token(schema, lines, start):
+    """The codes, numerics and classes of the data rows lines[start:], a token at a time.
+
+    Each line loses what follows its first '%' and its surrounding blanks,
+    and a line left empty is skipped. A row is split at its commas and its
+    cells are read left to right, each token stripped: a nominal one is its
+    domain index, a numeric one float() of it, and '?' is -1 or nan. The
+    first ragged row, or else the first bad cell, raises ParseError with
+    its line (from 1) and the column (from 1) where the cell's field starts.
+    """
+    codes, numbers, classes = [], [], []
+    for lineno, raw in enumerate(lines[start:], start + 1):
+        line = raw.split("%")[0].strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != len(schema):
+            raise ParseError(f"row has {len(fields)} values, schema expects {len(schema)}",
+                             line=lineno)
+        codes.append([])
+        numbers.append([])
+        for j, (attr, field) in enumerate(zip(schema, fields)):
+            token = field.strip()
+            where = {"line": lineno, "column": sum(len(f) + 1 for f in fields[:j]) + 1}
+            if attr.kind == "nominal":
+                if token != "?" and token not in attr.values:
+                    raise ParseError(f"value {token!r} is not in the domain of attribute "
+                                     f"{attr.name!r}", **where)
+                code = -1 if token == "?" else attr.values.index(token)
+                (classes if attr.role == "class" else codes[-1]).append(code)
+                continue
+            try:
+                value = math.nan if token == "?" else float(token)
+            except ValueError:
+                raise ParseError(f"invalid numeric literal {token!r} for attribute "
+                                 f"{attr.name!r}", **where) from None
+            if math.isinf(value) or (math.isnan(value) and token != "?"):
+                raise ParseError(f"non-finite numeric value for attribute {attr.name!r}",
+                                 **where)
+            numbers[-1].append(value)
+    n = len(classes)
+    n_codes = sum(a.kind == "nominal" and a.role != "class" for a in schema)
+    return (np.array(codes, dtype=np.int64).reshape(n, n_codes),
+            np.array(numbers, dtype=np.float64).reshape(n, len(schema) - n_codes - 1),
+            np.array(classes, dtype=np.int64))
 
 
 # -- information theory --------------------------------------------------------

@@ -127,6 +127,38 @@ def test_missing_file_is_a_data_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_data_is_utf8_and_a_leading_bom_is_skipped(tmp_path, capsys):
+    # a BOM-prefixed cohort reads as the cohort; a non-ASCII value reads and writes as UTF-8
+    bom = tmp_path / "bom.arff"
+    bom.write_bytes(b"\xef\xbb\xbf" + COHORT_PATH.read_bytes())
+    assert main(["inspect", "--data", str(bom)]) == 0
+    assert main(["inspect", "--data", str(COHORT_PATH)]) == 0
+    with_bom, without = capsys.readouterr().out.split("relation: ")[1:]
+    assert with_bom.replace(str(bom), str(COHORT_PATH)) == without
+    out = tmp_path / "out"
+    assert main(["resample", "--data", str(bom), "--seed", "1", "--no-smote",
+                 "--out", str(out)]) == 0
+    assert parse_arff((out / "resampled.arff").read_text(encoding="utf-8")) == parse_arff(
+        COHORT_PATH.read_text())
+    accented = tmp_path / "accented.arff"
+    accented.write_bytes("\ufeff".encode("utf-8") + TINY_ARFF.replace("A", "\u00c9").encode())
+    assert main(["resample", "--data", str(accented), "--seed", "1", "--no-smote",
+                 "--out", str(out)]) == 0
+    written = (out / "resampled.arff").read_bytes().decode("utf-8")
+    assert "@attribute x {\u00c9,B}" in written
+    assert parse_arff(written) == parse_arff(TINY_ARFF.replace("A", "\u00c9"))
+
+
+def test_a_non_utf8_byte_is_one_line_data_error(tmp_path, capsys):
+    latin = tmp_path / "latin1.arff"
+    text = TINY_ARFF.replace("A", "\u00c9")
+    latin.write_bytes(text.encode("latin-1"))
+    assert main(["inspect", "--data", str(latin)]) == 1
+    err = capsys.readouterr().err
+    at = text.index("\u00c9")
+    assert err == f"error: {latin} is not readable text: invalid continuation byte at byte {at}\n"
+
+
 # -- resample -----------------------------------------------------------------
 
 
