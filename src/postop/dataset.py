@@ -406,11 +406,11 @@ def _parse_rows(schema, lines: list[str], start: int):
     line_numbers = compress(count(start + 1), map(str.strip, islice(lines, start, None)))
     while block := list(islice(rows, _BLOCK_ROWS)):
         commas = list(map(str.count, block, repeat(",")))
-        good = len(block) if commas.count(width - 1) == len(block) else next(
+        good = len(commas) if commas.count(width - 1) == len(commas) else next(
             compress(count(), map((width - 1).__ne__, commas)))
-        tokens = ",".join(block).split(",")
+        block = ",".join(block).split(",")  # its tokens, freed as the next block is read
         for j, (fast, slow) in enumerate(converters):
-            col, out = tokens[j:good * width:width], outs[j]
+            col, out = block[j:good * width:width], outs[j]
             try:
                 cells = np.fromiter(map(fast, col), out.dtype, good)
             except (KeyError, ValueError):  # a padded or bad token, or a '?' number
@@ -421,16 +421,16 @@ def _parse_rows(schema, lines: list[str], start: int):
         bad = np.hstack((codes[n:n + good] == -2, np.isinf(numerics[n:n + good])))
         if (faults := np.argwhere(bad[:, np.argsort(nominal + numeric)])).size:
             r, j = faults[0].tolist()
-            attr, token = schema[j], tokens[r * width + j].strip()
+            attr, token = schema[j], block[r * width + j].strip()
             if attr.kind == NOMINAL:
                 message = f"value {token!r} is not in the domain of attribute {attr.name!r}"
             elif _real(token) < 0:
                 message = f"invalid numeric literal {token!r} for attribute {attr.name!r}"
             else:
                 message = f"non-finite numeric value for attribute {attr.name!r}"
-            column = sum(map(len, tokens[r * width:r * width + j])) + j + 1  # from 1
+            column = sum(map(len, block[r * width:r * width + j])) + j + 1  # from 1
             raise ParseError(message, next(islice(line_numbers, n + r, None)), column)
-        if good < len(block):
+        if good < len(commas):
             raise ParseError(f"row has {commas[good] + 1} values, schema expects {width}",
                              next(islice(line_numbers, n + good, None)))
         n += good
