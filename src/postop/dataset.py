@@ -468,7 +468,7 @@ def parse_arff(text: str, class_attribute: str | None = None) -> Dataset:
     else:
         raise ParseError("missing @data section")
     schema = _assign_class(schema, class_attribute)
-    if text.find("%", text.find(lines[lineno - 1])) >= 0:  # a '%' after @data's 1st copy
+    if text.find("%", text.find(lines[lineno - 1])) >= 0:  # any '%' at or after the @data line
         lines[lineno:] = map(_strip_comment, lines[lineno:])
     return Dataset(schema, *_parse_rows(schema, lines, lineno), relation)
 
