@@ -263,7 +263,7 @@ def _cmd_bench(args) -> int:
         "report.csv": render_csv(reports),
     }
     for name, text in files.items():
-        (out_dir / name).write_text(text)
+        (out_dir / name).write_text(text, encoding="utf-8")
     echo = {"markdown": "report.md", "csv": "report.csv", "json": "report.json"}
     print(files[echo[args.format]], end="")
     print(f"\nwrote report.md, report.csv, report.json, manifest.json to {out_dir}",

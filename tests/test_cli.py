@@ -149,6 +149,21 @@ def test_data_is_utf8_and_a_leading_bom_is_skipped(tmp_path, capsys):
     assert parse_arff(written) == parse_arff(TINY_ARFF.replace("A", "\u00c9"))
 
 
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # no UTF-8 mode and no locale coercion: open() alone would use ASCII here
+    env = dict(os.environ, PYTHONPATH=str(TESTS_DIR.parent / "src"), LC_ALL="C",
+               PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONIOENCODING="utf-8")
+    data, out = tmp_path / "accented.arff", tmp_path / "out"
+    data.write_text(TINY_ARFF.replace("T", "T\u00e9"), encoding="utf-8")
+    for args in (["resample", "--data", str(data), "--seed", "1", "--no-smote", "--out", str(out)],
+                 _bench_args(data, out)):
+        done = subprocess.run([sys.executable, "-m", "postop.cli", *args], env=env,
+                              capture_output=True, encoding="utf-8", timeout=120)
+        assert done.returncode == 0, done.stderr
+    assert "{T\u00e9,F}" in (out / "resampled.arff").read_text(encoding="utf-8")
+    assert "T\u00e9" in (out / "report.md").read_text(encoding="utf-8")
+
+
 def test_a_non_utf8_byte_is_one_line_data_error(tmp_path, capsys):
     latin = tmp_path / "latin1.arff"
     text = TINY_ARFF.replace("A", "\u00c9")
