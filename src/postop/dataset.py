@@ -415,11 +415,11 @@ def _parse_rows(schema, lines: list[str], start: int):
                 cells = np.fromiter(map(fast, col), out.dtype, good)
             except (KeyError, ValueError):  # a padded or bad token, or a '?' number
                 cells = np.array([np.nan])
-            if not np.isfinite(cells).all():  # or a nan, inf or 1e999 number
+            if cells.dtype.kind == "f" and not np.isfinite(cells).all():  # a nan or inf
                 cells = np.fromiter(map(slow, col), out.dtype, good)
             out[n:n + good] = cells
         bad = np.hstack((codes[n:n + good] == -2, np.isinf(numerics[n:n + good])))
-        if (faults := np.argwhere(bad[:, np.argsort(nominal + numeric)])).size:
+        if (faults := np.argwhere(bad[:, [*map((nominal + numeric).index, range(width))]])).size:
             r, j = faults[0].tolist()
             attr, token = schema[j], block[r * width + j].strip()
             if attr.kind == NOMINAL:
