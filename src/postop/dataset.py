@@ -415,7 +415,7 @@ def _parse_rows(schema, lines: list[str], start: int):
                 cells = np.fromiter(map(fast, col), out.dtype, good)
             except (KeyError, ValueError):  # a padded or bad token, or a '?' number
                 cells = np.array([np.nan])
-            if cells.dtype.kind == "f" and not np.isfinite(cells).all():  # a nan or inf
+            if cells.dtype.kind == "f" and not np.isfinite(cells).all():  # a miss, nan or inf
                 cells = np.fromiter(map(slow, col), out.dtype, good)
             out[n:n + good] = cells
         bad = np.hstack((codes[n:n + good] == -2, np.isinf(numerics[n:n + good])))
