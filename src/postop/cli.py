@@ -388,6 +388,7 @@ def main(argv=None) -> int:
 
 
 def run():
+    sys.stdout.reconfigure(errors="backslashreplace")  # what the locale cannot encode, escaped
     sys.exit(main())
 
 

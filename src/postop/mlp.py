@@ -6,8 +6,8 @@ minimizes half the squared error per instance with stochastic gradient
 descent plus momentum, visiting instances in a fresh seeded shuffle each
 epoch. Networks train in lock-step from one flat buffer per quantity
 (parameters, momentum steps, gradients), laid out param-major so that each
-layer's weights of all networks are one contiguous view; the gradient
-kernel writes into those views in place.
+layer's weights of all networks are one contiguous view; each step writes
+its gradients into those views in place.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .dataset import DataError, Dataset, minmax_scale, observed_range, require_c
 # path. Training has one numpy path, so it is False.
 _HAVE_NUMBA = False
 
-_GATHER = 64  # steps per gather of inputs; a whole epoch's takes rows x models x inputs floats
+_GATHER = 64  # steps per input gather and loss sum; an epoch's inputs are rows x models x inputs
 
 
 class TrainingError(RuntimeError):
@@ -148,46 +148,63 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return _forward(model.weights, model.biases, acts)[..., 0, :]
 
 
-def stacked_gradient(params, grads, acts, target, err, loss) -> np.ndarray:
-    """Half the squared error of k stacked models, each at its own instance, and its gradients.
-
-    params and grads list W1, b1, W2, ... as (k, in, out) and (k, 1, out)
-    arrays, and acts[0] is the input (k, 1, in). The kernel writes the
-    activations into acts[1:] (`_forward`), the error into err (k, 1,
-    classes), the gradients into grads and the losses into loss (k, 1, 1),
-    returned as (k,). Each model's products are the BLAS calls it makes
-    alone, and each element takes textbook backprop's operations in order.
-    """
-    _forward(params[0::2], params[1::2], acts)
-    np.subtract(acts[-1], target, out=err)
-    np.matmul(err, err.mT, out=loss)
-    loss *= 0.5
-    for l in range(len(acts) - 1, 0, -1):
-        a, delta = acts[l], grads[2 * l - 1]  # a bias gradient is its layer's delta
-        if l == len(acts) - 1:
-            np.multiply(err, a, out=delta)
-        else:
-            np.matmul(params[2 * l], grads[2 * l + 1].mT, out=delta.mT)
-            delta *= a
-        np.subtract(1.0, a, out=a)  # from here on only 1 - a is needed
-        delta *= a
-        np.multiply(acts[l - 1].mT, delta, out=grads[2 * l - 2])
-    return loss[:, 0, 0]
-
-
 def _workspace(sizes, k: int):
     """The arrays that k networks of these layer sizes train in.
 
     Flat buffers of parameters, momentum steps and gradients, each buffer's
     param-major (k, *shape) views (all models' W1, then b1, ...), and the
-    activations, error and loss that `stacked_gradient` writes.
+    activations (k, 1, units) of every layer above the input.
     """
     shapes = [s for i, o in zip(sizes, sizes[1:]) for s in ((i, o), (1, o))]
     ends = [0, *accumulate(k * math.prod(s) for s in shapes)]
     buffers = [np.zeros(ends[-1]) for _ in range(3)]  # apart: trained models keep only the first
     views = [[b[i:j].reshape(k, *s) for i, j, s in zip(ends, ends[1:], shapes)] for b in buffers]
-    acts = [np.zeros((k, 1, o)) for o in sizes[1:]]
-    return buffers, views, (acts, np.zeros((k, 1, sizes[-1])), np.zeros((k, 1, 1)))
+    return buffers, views, [np.zeros((k, 1, o)) for o in sizes[1:]]
+
+
+def _stepper(workspace, a: int, lr: float, mom: float):
+    """The momentum SGD step of a workspace's first a networks, with every view it takes built once.
+
+    step(x, target, err) takes a row of all k models: inputs (k, 1, in),
+    targets and error slots (k, 1, classes). For the first a it runs
+    `_forward`, writes the output's error into err, backpropagates it into
+    the gradients (a bias gradient is its layer's delta) and updates: four
+    whole-buffer operations when a is k. Each model's products are the BLAS
+    calls it makes alone, and each element takes textbook backprop's order.
+    """
+    buffers, views, acts = workspace
+    k = len(acts[0])
+    params, steps, grads = ([v[:a] for v in vs] for vs in views)
+    weights, biases, acts = params[0::2], params[1::2], [None, *(v[:a] for v in acts)]
+    # each layer from the output down: its activations, delta (also as (a, units, 1)),
+    # weight gradient and the weights and delta of the layer above it (None at the output)
+    layers = [(acts[l], grads[2 * l - 1], grads[2 * l - 1].mT, grads[2 * l - 2],
+               *((params[2 * l], grads[2 * l + 1].mT) if l < len(params) // 2 else (None, None)))
+              for l in range(len(params) // 2, 0, -1)]
+    below = [v.mT for v in acts[-2:0:-1]]  # each layer's input but the first, transposed
+    update = [buffers] if a == k else list(zip(params, steps, grads))
+
+    def step(x, target, err):
+        if a < k:
+            x, target, err = x[:a], target[:a], err[:a]
+        acts[0] = x
+        np.subtract(_forward(weights, biases, acts), target, out=err)
+        for (act, delta, delta_t, grad, w, above_t), inputs_t in zip(layers, [*below, x.mT]):
+            if w is None:
+                np.multiply(err, act, out=delta)
+            else:
+                np.matmul(w, above_t, out=delta_t)
+                delta *= act
+            np.subtract(1.0, act, out=act)  # from here on only 1 - act is needed
+            delta *= act
+            np.multiply(inputs_t, delta, out=grad)
+        for p, s, g in update:
+            g *= lr
+            s *= mom
+            s -= g
+            p += s
+
+    return step
 
 
 def default_hidden_size(d: Dataset) -> int:
@@ -209,14 +226,14 @@ def train_mlps(tables, cfg: MlpConfig, seeds: list[int], split=None) -> list[Mlp
     one instance visit order per epoch, drawn as that epoch starts. Each
     visit takes one gradient step with momentum. Training runs exactly
     cfg.epochs epochs and raises TrainingError if an epoch loss becomes
-    non-finite. Each step runs one `stacked_gradient` and momentum update
-    over the models that still have rows: a prefix, as models sort by table
-    size, largest first, and four whole-buffer operations when that is all
-    of them. Tables are read once, in turn, and kept only in `_compact`
-    form. split, if given, is called as each epoch starts while more than
-    one network trains here: split(epoch, held, rest), held their tables'
-    positions, largest first. It returns None, or their models after
-    rest(a, b) has trained held[a:b] on from their state.
+    non-finite. Each step runs the `_stepper` step of the models that still
+    have rows: a prefix, as models sort by table size, largest first; each
+    `_GATHER` steps add their losses. Tables are read once, in turn, and
+    kept only in `_compact` form. split, if given, is called as each epoch
+    starts while more than one network trains here: split(epoch, held,
+    rest), held their tables' positions, largest first. It returns None,
+    or their models after rest(a, b) has trained held[a:b] on from their
+    state.
     """
     folds = list(map(_compact, tables))
     by_size = sorted(range(len(folds)), key=lambda j: -len(folds[j][3]))
@@ -242,11 +259,10 @@ def train_mlps(tables, cfg: MlpConfig, seeds: list[int], split=None) -> list[Mlp
     lr, mom = float(cfg.learning_rate), float(cfg.momentum)
 
     def train(lo, hi, workspace, history, start):  # networks lo..hi-1 in size order
-        (p, s, g), (params, steps, grads), (acts, err, loss) = workspace
+        params, steps = workspace[1][:2]
         k, m = hi - lo, n[lo]
         active = (n[lo:hi] > np.arange(m)[:, None]).sum(axis=1).tolist()  # models with rows
-        views = {a: [[v[:a] for v in vs] for vs in (params, steps, grads, acts, (err, loss))]
-                 for a in set(active)}
+        stepper = {a: _stepper(workspace, a, lr, mom) for a in set(active)}
         for ep in range(start, cfg.epochs):
 
             def rest(a, b):  # on buffers of their own, whole for the four-operation update
@@ -264,15 +280,13 @@ def train_mlps(tables, cfg: MlpConfig, seeds: list[int], split=None) -> list[Mlp
                 rows = order[i : i + _GATHER, :, None]
                 xs, ys = hot[rows].astype(float), y[rows]
                 xs[..., encs[0].numeric_offsets] = num[rows]
-                for x, t, a in zip(xs, ys, active[i : i + _GATHER]):
-                    pa, sa, ga, acts_a, (err_a, loss_a) = views[a]
-                    history[:a, ep] += stacked_gradient(pa, ga, [x[:a], *acts_a], t[:a],
-                                                        err_a, loss_a)
-                    for pv, sv, gv in ((p, s, g),) if a == k else zip(pa, sa, ga):
-                        gv *= lr
-                        sv *= mom
-                        sv -= gv
-                        pv += sv
+                errs = np.zeros((len(rows) + 1, k, 1, sizes[-1]))  # row 0 carries the sum so far
+                for x, t, err, a in zip(xs, ys, errs[1:], active[i : i + _GATHER]):
+                    stepper[a](x, t, err)
+                loss = np.matmul(errs, errs.mT)
+                loss *= 0.5
+                loss[0, :, 0, 0] = history[:, ep]  # then in step order (add.reduce: pairwise)
+                history[:, ep] = np.add.accumulate(loss, axis=0, out=loss)[-1, :, 0, 0]
             history[:, ep] /= n[lo:hi]
             if not np.isfinite(history[:, ep]).all():
                 raise TrainingError(f"non-finite training loss at epoch {ep}")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from postop.dataset import AttributeSchema, Dataset, is_missing, parse_arff
-from postop.mlp import MlpConfig, MlpModel, _workspace, stacked_gradient, train_mlps
+from postop.mlp import MlpConfig, MlpModel, _stepper, _workspace, train_mlps
 
 TESTS_DIR = Path(__file__).resolve().parent
 REPO_DIR = TESTS_DIR.parent
@@ -159,14 +159,20 @@ def train_one(d: Dataset, cfg: MlpConfig, seed: int) -> MlpModel:
 def gradient_at(model: MlpModel, x: np.ndarray, target: np.ndarray):
     """(loss, weight gradients, bias gradients) of one network at one encoded instance.
 
-    The one-network case of `stacked_gradient`, on the `_workspace` that training
-    gives it; the gradients are shaped like the model's weights and biases.
+    The one-network `_stepper` step, on the `_workspace` that training gives
+    it, with learning rate 1 so that its update leaves the gradients as they
+    are; the loss is computed from the step's error as training does, and the
+    gradients are shaped like the model's weights and biases.
     """
-    _, (params, _, grads), (acts, err, loss) = _workspace(model.layer_sizes, 1)
+    workspace = _workspace(model.layer_sizes, 1)
+    _, (params, _, grads), _ = workspace
     for view, p in zip(params, chain(*zip(model.weights, model.biases))):
         view[0] = p
-    loss = stacked_gradient(params, grads, [x[None, None], *acts], target[None, None], err, loss)
-    return float(loss[0]), [g[0] for g in grads[0::2]], [g[0, 0] for g in grads[1::2]]
+    err = np.zeros((1, 1, len(target)))
+    _stepper(workspace, 1, 1.0, 1.0)(x[None, None], target[None, None], err)
+    loss = np.matmul(err, err.mT)
+    loss *= 0.5
+    return float(loss[0, 0, 0]), [g[0] for g in grads[0::2]], [g[0, 0] for g in grads[1::2]]
 
 
 def nominal_dataset(columns, class_column, domains=None, class_values=("c0", "c1")):

@@ -164,6 +164,21 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     assert "T\u00e9" in (out / "report.md").read_text(encoding="utf-8")
 
 
+def test_stdout_escapes_what_an_ascii_locale_cannot_encode(tmp_path):
+    # as above, but stdout keeps the locale's ASCII too
+    env = dict(os.environ, PYTHONPATH=str(TESTS_DIR.parent / "src"), LC_ALL="C",
+               PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env.pop("PYTHONIOENCODING", None)
+    data, out = tmp_path / "accented.arff", tmp_path / "out"
+    data.write_text(TINY_ARFF.replace("T", "T\u00e9"), encoding="utf-8")
+    for args, shown in ((["inspect", "--data", str(data)], "class {T\\xe9:2, F:2}"),
+                        (_bench_args(data, out), "T\\xe9")):
+        done = subprocess.run([sys.executable, "-m", "postop.cli", *args], env=env,
+                              capture_output=True, encoding="ascii", timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert shown in done.stdout
+
+
 def test_a_non_utf8_byte_is_one_line_data_error(tmp_path, capsys):
     latin = tmp_path / "latin1.arff"
     text = TINY_ARFF.replace("A", "\u00c9")

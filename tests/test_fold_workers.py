@@ -388,15 +388,29 @@ def test_forced_splits_train_the_bits_of_an_unsplit_lock_step(
 
 
 def _in_a_split_child(monkeypatch, action):
-    """Make the MLP's gradient kernel call action() first, in forked processes only."""
-    parent, kernel = os.getpid(), mlp.stacked_gradient
+    """Make each step of the MLP call action() first, in forked processes only."""
 
-    def kernel_or_action(*buffers):
-        if os.getpid() != parent:
+    def in_a_child(here):
+        if not here:
             action()
-        return kernel(*buffers)
 
-    monkeypatch.setattr(mlp, "stacked_gradient", kernel_or_action)
+    _before_each_step(monkeypatch, in_a_child)
+
+
+def _before_each_step(monkeypatch, action):
+    """Make each step of the MLP call action(here) first, here True in this process."""
+    parent, stepper = os.getpid(), mlp._stepper
+
+    def action_then_stepper(*args):
+        step = stepper(*args)
+
+        def action_then_step(*buffers):
+            action(os.getpid() == parent)
+            step(*buffers)
+
+        return action_then_step
+
+    monkeypatch.setattr(mlp, "_stepper", action_then_stepper)
 
 
 def test_a_training_error_in_a_split_child_reaches_the_caller(cohort, monkeypatch, forks):
@@ -434,14 +448,13 @@ def test_an_error_in_this_process_kills_queue_and_split_children(cohort, monkeyp
     # four CPUs and two folds of each classifier: two queue children, and one
     # CPU left idle, onto which the MLP splits at epoch 0
     use_workers(monkeypatch, 4)
-    parent, kernel = os.getpid(), mlp.stacked_gradient
 
-    def fail_here_or_nap(*buffers):
-        if os.getpid() == parent:
+    def fail_here_or_nap(here):
+        if here:
             raise DataError("this share cannot be trained")
         time.sleep(60)
 
-    monkeypatch.setattr(mlp, "stacked_gradient", fail_here_or_nap)
+    _before_each_step(monkeypatch, fail_here_or_nap)
     specs = [make_classifier("mlp", epochs=2),
              _probe(fold1=lambda: time.sleep(60), fold2=lambda: time.sleep(60))]
     folds = stratified_folds(cohort, 2, FOLDS_SEED)

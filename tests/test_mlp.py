@@ -19,7 +19,6 @@ from postop.mlp import (
     forward,
     mlp_predict,
     WEIGHT_INIT_RANGE,
-    stacked_gradient,
     train_mlps,
 )
 from postop.resampling import SmoteConfig, smote
@@ -264,6 +263,25 @@ def test_config_validation():
             MlpConfig(**bad)
 
 
+def _diverging_after(steps):
+    """A `_stepper` whose steps, after the first `steps`, set the error of the
+    last model still stepping to inf: its loss is then infinite."""
+    stepper, calls = mlp_mod._stepper, []
+
+    def diverging_stepper(workspace, a, lr, mom):
+        step = stepper(workspace, a, lr, mom)
+
+        def diverging(x, target, err):
+            step(x, target, err)
+            calls.append(1)
+            if len(calls) > steps:
+                err[a - 1] = np.inf
+
+        return diverging
+
+    return diverging_stepper
+
+
 def test_non_finite_loss_is_reported(monkeypatch):
     d = _toy_dataset(n=6)
     cfg = MlpConfig(hidden_sizes=(2,), epochs=5)
@@ -278,14 +296,7 @@ def test_non_finite_loss_is_reported(monkeypatch):
         with pytest.raises(TrainingError, match="epoch 0"):
             train_one(d, cfg, 0)
     # a loss that turns infinite later is reported at the epoch it happens
-    calls = []
-
-    def diverging(*buffers):
-        loss = stacked_gradient(*buffers)
-        calls.append(1)
-        return loss + np.inf if len(calls) > 3 * len(d) else loss
-
-    monkeypatch.setattr(mlp_mod, "stacked_gradient", diverging)
+    monkeypatch.setattr(mlp_mod, "_stepper", _diverging_after(3 * len(d)))
     with pytest.raises(TrainingError, match="epoch 3"):
         train_one(d, cfg, 0)
 
@@ -306,17 +317,8 @@ def test_non_finite_loss_in_one_of_k_models_names_the_epoch(monkeypatch):
         with pytest.raises(TrainingError, match="epoch 0"):
             train_mlps(tables, cfg, range(3))
     # only the last model still stepping turns infinite, from epoch 2 on
-    calls = []
-
-    def diverging(*buffers):
-        loss = stacked_gradient(*buffers)
-        calls.append(1)
-        if len(calls) > 2 * 9:  # 9 lock-steps per epoch, one per row of the largest table
-            loss = loss.copy()
-            loss[-1] = np.inf
-        return loss
-
-    monkeypatch.setattr(mlp_mod, "stacked_gradient", diverging)
+    # (9 lock-steps per epoch, one per row of the largest table)
+    monkeypatch.setattr(mlp_mod, "_stepper", _diverging_after(2 * 9))
     with pytest.raises(TrainingError, match="epoch 2"):
         train_mlps(tables, cfg, range(3))
 
@@ -347,11 +349,20 @@ def test_lock_step_training_equals_one_fold_at_a_time(cohort, k, overrides):
     (10, dict(hidden_sizes=(4, 3), epochs=2)),
     (7, dict(epochs=2)),  # unequal folds: the last step updates only the larger models
     (10, dict(learning_rate=0.05, momentum=0.9, epochs=2)),
+    # tables of the cohort's first rows, of these sizes: one network, whose block
+    # losses add in step order; tables shorter than one block; and counts of models
+    # that drop inside a block (at row 130) and stay down past its end (row 192)
+    ((470,), dict(epochs=2)),
+    ((7, 9, 8), dict(hidden_sizes=(2,), epochs=5)),
+    ((200, 130), dict(epochs=2)),
 ])
 def test_param_major_training_equals_the_per_layer_loop(cohort, k, overrides):
-    folds = stratified_folds(cohort, k, 5)
-    tables = [cohort.subset(folds.train_indices(t)) for t in range(k)]
-    cfg, seeds = MlpConfig(**overrides), [100 + t for t in range(k)]
+    if isinstance(k, tuple):
+        tables = [cohort.subset(np.arange(rows)) for rows in k]
+    else:
+        folds = stratified_folds(cohort, k, 5)
+        tables = [cohort.subset(folds.train_indices(t)) for t in range(k)]
+    cfg, seeds = MlpConfig(**overrides), [100 + t for t in range(len(tables))]
     if k == 7:
         assert {len(t) for t in tables} == {402, 403}
     got = train_mlps(tables, cfg, seeds)
