@@ -176,10 +176,6 @@ class Dataset:
     # -- schema views ------------------------------------------------------
 
     @property
-    def class_index(self) -> int:
-        return self._class_index
-
-    @property
     def class_attribute(self) -> AttributeSchema:
         return self.schema[self._class_index]
 

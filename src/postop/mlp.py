@@ -7,7 +7,8 @@ descent plus momentum, visiting instances in a fresh seeded shuffle each
 epoch. Networks train in lock-step from one flat buffer per quantity
 (parameters, momentum steps, gradients), laid out param-major so that each
 layer's weights of all networks are one contiguous view; each step writes
-its gradients into those views in place.
+its gradients into those views in place. Parameters are held negated,
+which saves the logistic a negation and changes no bit but signs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .dataset import DataError, Dataset, minmax_scale, observed_range, require_c
 _HAVE_NUMBA = False
 
 _GATHER = 64  # steps per input gather and loss sum; an epoch's inputs are rows x models x inputs
+_ONE = np.array(1.0)  # a ufunc takes a 0-d operand for less than a Python float, in the same loop
 
 
 class TrainingError(RuntimeError):
@@ -125,27 +127,29 @@ class MlpModel:
 
 
 def _forward(weights, biases, acts) -> np.ndarray:
-    """The one forward pass, in place: acts[l + 1] = 1 / (1 + exp(-(acts[l] @ W + b))).
+    """The one forward pass, in place: acts[l + 1] = 1 / (1 + exp(acts[l] @ W + b)).
 
+    W and b are the negated parameters, so x @ W + b is the exact negation of
+    the true z, as rounding to nearest is sign-symmetric: exp takes -z's bits.
     Activations are (..., 1, units), so each product is one row's whatever
     stacks it: a row sums in the same order in training and prediction.
-    exp(-z) overflows to inf below z = -709 and gives the right 0. Callers
+    exp overflows to inf above 709 and gives the right 0. Callers
     ignore that overflow once per call (`mlp_predict`, `train_mlps`), since
     entering np.errstate costs about as much as the logistic function itself.
     """
     for w, b, x, z in zip(weights, biases, acts, acts[1:]):
         np.matmul(x, w, out=z)
         z += b
-        np.exp(np.negative(z, out=z), out=z)  # then the rest of the logistic, in place
-        z += 1.0
-        np.divide(1.0, z, out=z)
+        np.exp(z, out=z)  # then the rest of the logistic, in place
+        z += _ONE
+        np.divide(_ONE, z, out=z)
     return acts[-1]
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Output activations for an encoded input vector, or a matrix of rows."""
     acts = [x[..., None, :], *(np.empty((*x.shape[:-1], 1, o)) for o in model.layer_sizes[1:])]
-    return _forward(model.weights, model.biases, acts)[..., 0, :]
+    return _forward([-w for w in model.weights], [-b for b in model.biases], acts)[..., 0, :]
 
 
 def _workspace(sizes, k: int):
@@ -173,7 +177,7 @@ def _stepper(workspace, a: int, lr: float, mom: float):
     calls it makes alone, and each element takes textbook backprop's order.
     """
     buffers, views, acts = workspace
-    k = len(acts[0])
+    k, lr, mom = len(acts[0]), np.array(lr), np.array(mom)  # 0-d: cheaper operands
     params, steps, grads = ([v[:a] for v in vs] for vs in views)
     weights, biases, acts = params[0::2], params[1::2], [None, *(v[:a] for v in acts)]
     # each layer from the output down: its activations, delta (also as (a, units, 1)),
@@ -195,7 +199,7 @@ def _stepper(workspace, a: int, lr: float, mom: float):
             else:
                 np.matmul(w, above_t, out=delta_t)
                 delta *= act
-            np.subtract(1.0, act, out=act)  # from here on only 1 - act is needed
+            act -= _ONE  # from here on only act - 1 is needed; deltas take the parameters' sign
             delta *= act
             np.multiply(inputs_t, delta, out=grad)
         for p, s, g in update:
@@ -255,7 +259,7 @@ def train_mlps(tables, cfg: MlpConfig, seeds: list[int], split=None) -> list[Mlp
                         f"over {cfg.epochs} epochs: {e}") from None
     rngs = [np.random.default_rng(seeds[j]) for j in by_size]
     for j, v in product(range(k), workspace[1][0]):  # each model's draws in parameter order
-        v[j] = rngs[j].uniform(-WEIGHT_INIT_RANGE, WEIGHT_INIT_RANGE, v.shape[1:])
+        v[j] = -rngs[j].uniform(-WEIGHT_INIT_RANGE, WEIGHT_INIT_RANGE, v.shape[1:])
     lr, mom = float(cfg.learning_rate), float(cfg.momentum)
 
     def train(lo, hi, workspace, history, start):  # networks lo..hi-1 in size order
@@ -290,7 +294,7 @@ def train_mlps(tables, cfg: MlpConfig, seeds: list[int], split=None) -> list[Mlp
             history[:, ep] /= n[lo:hi]
             if not np.isfinite(history[:, ep]).all():
                 raise TrainingError(f"non-finite training loss at epoch {ep}")
-        return [MlpModel(sizes, [w[j] for w in params[0::2]], [b[j, 0] for b in params[1::2]],
+        return [MlpModel(sizes, [-w[j] for w in params[0::2]], [-b[j, 0] for b in params[1::2]],
                          encs[lo + j], history[j]) for j in range(k)]
 
     models = train(0, k, workspace, history, 0)

@@ -161,18 +161,20 @@ def gradient_at(model: MlpModel, x: np.ndarray, target: np.ndarray):
 
     The one-network `_stepper` step, on the `_workspace` that training gives
     it, with learning rate 1 so that its update leaves the gradients as they
-    are; the loss is computed from the step's error as training does, and the
+    are. Training holds parameters and gradients negated, so the model's
+    parameters go in negated and the gradients come out negated back; the
+    loss is computed from the step's error as training does, and the
     gradients are shaped like the model's weights and biases.
     """
     workspace = _workspace(model.layer_sizes, 1)
     _, (params, _, grads), _ = workspace
     for view, p in zip(params, chain(*zip(model.weights, model.biases))):
-        view[0] = p
+        view[0] = -p
     err = np.zeros((1, 1, len(target)))
     _stepper(workspace, 1, 1.0, 1.0)(x[None, None], target[None, None], err)
     loss = np.matmul(err, err.mT)
     loss *= 0.5
-    return float(loss[0, 0, 0]), [g[0] for g in grads[0::2]], [g[0, 0] for g in grads[1::2]]
+    return float(loss[0, 0, 0]), [-g[0] for g in grads[0::2]], [-g[0, 0] for g in grads[1::2]]
 
 
 def nominal_dataset(columns, class_column, domains=None, class_values=("c0", "c1")):

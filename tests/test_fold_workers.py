@@ -380,9 +380,9 @@ def test_forced_splits_train_the_bits_of_an_unsplit_lock_step(
     assert len(forks) == forked
     for got, want in zip(parts, whole, strict=True):
         assert got.layer_sizes == want.layer_sizes
-        assert all(np.array_equal(g, x) for g, x in zip(got.weights, want.weights, strict=True))
-        assert all(np.array_equal(g, x) for g, x in zip(got.biases, want.biases, strict=True))
-        assert np.array_equal(got.loss_history, want.loss_history)
+        assert [g.tobytes() for g in got.weights] == [x.tobytes() for x in want.weights]
+        assert [g.tobytes() for g in got.biases] == [x.tobytes() for x in want.biases]
+        assert got.loss_history.tobytes() == want.loss_history.tobytes()
     assert_reaped(forks)
     assert open_fds() == fds
 

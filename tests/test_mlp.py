@@ -338,9 +338,10 @@ def test_lock_step_training_equals_one_fold_at_a_time(cohort, k, overrides):
     for table, seed, got in zip(tables, seeds, together):
         alone = train_one(table, cfg, seed)
         assert got.layer_sizes == alone.layer_sizes
-        assert all(np.array_equal(g, w) for g, w in zip(got.weights, alone.weights))
-        assert all(np.array_equal(g, w) for g, w in zip(got.biases, alone.biases))
-        assert np.array_equal(got.loss_history, alone.loss_history)
+        # bytes, not values: -0.0 and 0.0 would compare equal
+        assert [g.tobytes() for g in got.weights] == [w.tobytes() for w in alone.weights]
+        assert [g.tobytes() for g in got.biases] == [w.tobytes() for w in alone.biases]
+        assert got.loss_history.tobytes() == alone.loss_history.tobytes()
         assert np.array_equal(got.encoding.lo, alone.encoding.lo)
 
 
@@ -370,9 +371,9 @@ def test_param_major_training_equals_the_per_layer_loop(cohort, k, overrides):
     want = sgd_lock_step_by_layers(xs, ys, got[0].layer_sizes, seeds, cfg.epochs,
                                    cfg.learning_rate, cfg.momentum, WEIGHT_INIT_RANGE)
     for model, (weights, biases, history) in zip(got, want):
-        assert all(np.array_equal(g, w) for g, w in zip(model.weights, weights))
-        assert all(np.array_equal(g, w) for g, w in zip(model.biases, biases))
-        assert np.array_equal(model.loss_history, history)
+        assert [g.tobytes() for g in model.weights] == [w.tobytes() for w in weights]
+        assert [g.tobytes() for g in model.biases] == [w.tobytes() for w in biases]
+        assert model.loss_history.tobytes() == history.tobytes()
 
 
 def test_networks_too_large_to_allocate_are_a_data_error(monkeypatch):

@@ -1,16 +1,23 @@
 """Every report of scripts/report_digests.py's runs, against the digests pinned here.
 
-tests/data/report_digests.txt holds one header line naming the numpy version
-and BLAS that made the digests, then the script's lines. A change that
-legitimately changes a report regenerates the file, and names the lines and
-the reason in CHANGES.md:
+tests/data/report_digests.txt holds one header line naming the numpy version,
+BLAS and CPU kernels that made the digests, then the script's lines. A change
+that legitimately changes a report regenerates the file, and names the lines
+and the reason in CHANGES.md (`--environment` prints the header's values alone):
 
     PYTHONPATH=src python tests/test_report_digests.py
 """
 
+import ctypes
 import importlib.util
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import REPO_DIR, TESTS_DIR
 
@@ -18,9 +25,32 @@ PINNED = TESTS_DIR / "data" / "report_digests.txt"
 
 
 def environment() -> str:
-    """The numpy version and BLAS: the float sums of a report can depend on both."""
+    """The numpy version, BLAS and CPU kernels: the float sums of a report can depend on each.
+
+    The same versions give other MLP bits under another OpenBLAS core or
+    without numpy's AVX-512 loops, so the kernels are named too.
+    """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}"
+    return (f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}, "
+            f"OpenBLAS core {openblas_core()}, SIMD {simd_targets()}")
+
+
+def openblas_core() -> str:
+    """The kernel set OpenBLAS picked for this CPU, from the library numpy's wheel bundles."""
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def simd_targets() -> str:
+    """numpy's dispatched SIMD targets that this CPU runs (private names of numpy 2)."""
+    umath = np._core._multiarray_umath
+    return " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)) or "none"
 
 
 def digest_lines() -> list[str]:
@@ -54,6 +84,26 @@ def test_mismatch_names_the_runs_and_the_environment():
     assert mismatch(pinned, got, env, "numpy 2.4.6, mkl 2024").endswith(
         "; the digests were pinned under numpy 2.0.0, openblas 0.3.27, "
         "this run is under numpy 2.4.6, mkl 2024")
+    # the same versions on other kernels
+    skylake = "numpy 2.4.6, scipy-openblas 0.3.31, OpenBLAS core SkylakeX, SIMD X86_V3 X86_V4"
+    haswell = "numpy 2.4.6, scipy-openblas 0.3.31, OpenBLAS core Haswell, SIMD X86_V3"
+    assert mismatch(pinned, got, skylake, haswell) == (
+        "reports differ from the pinned digests in runs: default, extra; the digests were "
+        f"pinned under {skylake}, this run is under {haswell}")
+
+
+@pytest.mark.skipif(openblas_core() == "unknown" or platform.machine() != "x86_64"
+                    or not np._core._multiarray_umath.__cpu_features__.get("AVX2"),
+                    reason="no bundled OpenBLAS core to read, or no x86-64 CPU with AVX2")
+def test_environment_names_the_kernels_a_child_runs():
+    # Haswell's kernels run on any AVX2 CPU, and numpy may drop each target it dispatches
+    env = dict(os.environ, PYTHONPATH=str(REPO_DIR / "src"), OPENBLAS_CORETYPE="Haswell",
+               NPY_DISABLE_CPU_FEATURES=simd_targets().replace("none", ""))
+    done = subprocess.run([sys.executable, __file__, "--environment"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    versions = environment().split(", OpenBLAS core ")[0]
+    assert done.stdout == f"{versions}, OpenBLAS core Haswell, SIMD none\n"
 
 
 def test_reports_match_the_pinned_digests():
@@ -63,4 +113,7 @@ def test_reports_match_the_pinned_digests():
 
 
 if __name__ == "__main__":
-    PINNED.write_text("\n".join([f"# {environment()}", *digest_lines()]) + "\n")
+    if sys.argv[1:] == ["--environment"]:
+        print(environment())
+    else:
+        PINNED.write_text("\n".join([f"# {environment()}", *digest_lines()]) + "\n")

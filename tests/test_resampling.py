@@ -91,7 +91,7 @@ def test_smote_provenance_and_parent_intervals(cohort):
         for a in nominal:
             # two-parent majority vote with ties toward the original
             assert row[a] == parent_a[a]
-        assert row[cohort.class_index] == cohort.class_labels.index("T")
+        assert row[cohort.schema.index(cohort.class_attribute)] == cohort.class_labels.index("T")
     assert n_synth == record.synthetic_created == 210
 
 
@@ -340,7 +340,7 @@ def test_smote_synthetics_stay_in_their_parent_box(case):
             assert lo - slack <= row[a] <= hi + slack
         for a in d.nominal_predictor_indices:
             assert row[a] == parent[a]
-        assert d.class_labels[row[d.class_index]] == minority
+        assert d.class_labels[row[d.schema.index(d.class_attribute)]] == minority
     assert n_synth == record.synthetic_created
 
 
