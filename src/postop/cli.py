@@ -6,12 +6,15 @@ Exit codes: 0 on success, 1 on input or data errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 import time
 from dataclasses import replace
 from os import environ
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .dataset import (
@@ -57,6 +60,18 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8-sig")  # any locale; a BOM is not data
     except UnicodeDecodeError as e:
         raise DataError(f"{path} is not readable text: {e.reason} at byte {e.start}") from None
+
+
+def environment() -> dict[str, str]:
+    """The Python, numpy and BLAS versions and CPU kernels that a report's sums can depend on."""
+    config, core = np.show_config(mode="dicts"), "unknown"
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        if corename := getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None):
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    return {"python": sys.version.split()[0], "numpy": np.__version__, "openblas_core": core,
+            "blas": "{name} {version}".format_map(config["Build Dependencies"]["blas"]),
+            "simd": " ".join(config["SIMD Extensions"].get("found", [])) or "none"}
 
 
 def _load_dataset(args) -> tuple[Dataset, Path]:
@@ -251,9 +266,8 @@ def _cmd_bench(args) -> int:
         "reports": [r.to_json_dict() for r in reports],
     }
     report_json = json.dumps(report_doc, indent=2, sort_keys=True) + "\n"
-    manifest_doc = dict(report_doc)
-    manifest_doc["timings_seconds"] = {k: round(v, 6) for k, v in timings.items()}
-    manifest_doc["cv_schedule"] = schedule
+    manifest_doc = report_doc | {"timings_seconds": {k: round(v, 6) for k, v in timings.items()},
+                                 "cv_schedule": schedule, "environment": environment()}
     manifest_json = json.dumps(manifest_doc, indent=2, sort_keys=True) + "\n"
 
     files = {

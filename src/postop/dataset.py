@@ -6,9 +6,9 @@ predictors as int domain codes (-1 for missing), the numeric predictors
 as floats (nan for missing), and the class as int codes (never missing).
 The arrays are checked once, vectorized, when a table is built; tables
 derived from a checked one (row subsets, imputed or resampled copies) are
-not checked again. The ARFF parser converts data lines a block of rows
-and a column at a time, straight into the arrays, and `to_arff` formats
-them a column at a time: no table is ever held as row tuples.
+not checked again. The ARFF parser converts data lines a piece of text and
+a column at a time, straight into the arrays the table keeps, and `to_arff`
+formats them a column at a time: no table is ever held as row tuples.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 
 import numpy as np
 
@@ -32,8 +32,8 @@ _NUMERIC_KEYWORDS = {"numeric", "real", "integer"}
 
 MISSING_TOKEN = "?"
 
-# data lines converted together, so only one block's token strings are alive at a time
-_BLOCK_ROWS = 512
+# one piece of the text, about 500 cohort rows, is split into lines and converted at a time
+_CHUNK_CHARS = 25_000
 
 
 class DataError(ValueError):
@@ -44,15 +44,9 @@ class ParseError(DataError):
     """Malformed input text; carries the offending position when known."""
 
     def __init__(self, message, line=None, column=None):
-        prefix = ""
-        if line is not None:
-            prefix = f"line {line}"
-            if column is not None:
-                prefix += f", column {column}"
-            prefix += ": "
-        super().__init__(prefix + message)
-        self.line = line
-        self.column = column
+        where = "" if column is None else f", column {column}"
+        super().__init__(message if line is None else f"line {line}{where}: {message}")
+        self.line, self.column = line, column
 
 
 @dataclass(frozen=True)
@@ -90,8 +84,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _check(bad: np.ndarray, message) -> None:
     """Raise DataError(message(row, column)) at the first true cell of bad."""
-    hits = np.argwhere(bad)
-    if hits.size:
+    if (hits := np.argwhere(bad)).size:
         raise DataError(message(*hits[0]))
 
 
@@ -117,15 +110,15 @@ class Dataset:
     codes. Predictor columns follow schema order within each block. Construction
     checks the schema (unique names, one binary nominal class attribute) and the
     arrays (shapes, in-domain codes, no infinities, no missing class) in one
-    vectorized pass and copies them.
+    vectorized pass; an array already C-contiguous and of its kept type is
+    adopted, any other copied, and all made read-only.
     """
 
     def __init__(self, schema, codes, numerics, classes, relation: str = "dataset"):
         self.schema = tuple(schema)
         self.relation = relation
         self._class_index = _class_position(self.schema)
-        classes = np.asarray(classes)
-        codes = np.asarray(codes)
+        classes, codes = np.asarray(classes), np.asarray(codes)
         numerics = np.asarray(numerics, dtype=np.float64)
         n = len(classes)
         if (classes.ndim != 1 or codes.shape != (n, len(self.nominal_predictor_indices))
@@ -143,9 +136,9 @@ class Dataset:
         _check(classes == -1, lambda r: f"instance {r} has a missing class value")
         _check((classes < -1) | (classes >= 2),
                lambda r: f"instance {r}: class code {classes[r]} out of range")
-        self._codes = _frozen(codes.astype(np.min_scalar_type(-max(sizes, default=1))))
-        self._numerics = _frozen(numerics.copy())
-        self._classes = _frozen(classes.astype(np.int64))
+        kept = np.min_scalar_type(-max(sizes, default=1)), np.float64, np.int64
+        self._codes, self._numerics, self._classes = map(
+            _frozen, map(np.ascontiguousarray, (codes, numerics, classes), kept))
 
     def _derive(self, codes, numerics, classes) -> "Dataset":
         """Same schema over arrays computed from this table's; not re-checked."""
@@ -360,11 +353,8 @@ def _assign_class(schema: list[AttributeSchema], class_attribute: str | None):
     target = class_attribute if class_attribute is not None else names[-1]
     if target not in names:
         raise DataError(f"class attribute {target!r} not found in the schema")
-    out = []
-    for a in schema:
-        role = CLASS if a.name == target else PREDICTOR
-        out.append(AttributeSchema(a.name, a.kind, a.values, role))
-    return out
+    return [AttributeSchema(a.name, a.kind, a.values, CLASS if a.name == target else PREDICTOR)
+            for a in schema]
 
 
 def _real(token: str) -> float:
@@ -379,32 +369,47 @@ def _real(token: str) -> float:
     return value if math.isfinite(value) else math.inf
 
 
-def _parse_rows(schema, lines: list[str], start: int):
-    """The codes, numerics and classes blocks of the data rows lines[start:].
+def _chunks(text: str):
+    """(first line number, lines, any '%') of each piece of text, cut after a newline."""
+    lineno, pos = 1, 0
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK_CHARS) + 1 or len(text)
+        lines = text[pos:end].splitlines()
+        yield lineno, lines, text.find("%", pos, end) >= 0
+        lineno, pos = lineno + len(lines), end
 
-    Lines, comments cut, are split _BLOCK_ROWS non-blank ones at a time; each
-    column goes through one C-level map into its array, or token by token if
-    that fails. The first ragged row or bad cell in file order raises; Dataset
-    checks ranges and missing classes.
+
+def _parse_rows(schema, chunks, capacity: int):
+    """The codes, numerics and classes blocks of the data rows in chunks.
+
+    The blocks have room for capacity rows and grow if more come. A chunk's
+    lines, comments cut, are converted together; each column goes through one
+    C-level map into its array, or token by token if that fails. The first
+    ragged row or bad cell in file order raises; Dataset checks ranges and
+    missing classes.
     """
-    width, ci, capacity = len(schema), _class_position(schema), len(lines) - start
-    nominal = [i for i, a in enumerate(schema) if a.kind == NOMINAL and i != ci] + [ci]
+    width, ci = len(schema), _class_position(schema)
+    nominal = [i for i, a in enumerate(schema) if a.kind == NOMINAL and i != ci]
     numeric = [i for i, a in enumerate(schema) if a.kind == NUMERIC]
-    sizes = [len(schema[i].values) for i in nominal[:-1]]  # the code type Dataset keeps
+    sizes = [len(schema[i].values) for i in nominal]  # the code type Dataset keeps
     codes = np.empty((capacity, len(nominal)), np.min_scalar_type(-max(sizes, default=1)))
-    numerics = np.empty((capacity, len(numeric)))
-    outs = dict(zip(nominal + numeric, [*codes.T, *numerics.T]))  # the class: last in codes
+    numerics, classes = np.empty((capacity, len(numeric))), np.empty(capacity, np.int64)
+    order, n = nominal + [ci] + numeric, 0
     lookups = [{v: i for i, v in enumerate(a.values)} | {MISSING_TOKEN: -1} for a in schema]
     converters = [(float, _real) if a.kind == NUMERIC else
                   (lookup.__getitem__, lambda t, get=lookup.get: get(t.strip(), -2))
                   for a, lookup in zip(schema, lookups)]  # C-level, then token by token
-    rows, n = filter(None, map(str.strip, islice(lines, start, None))), 0
-    line_numbers = compress(count(start + 1), map(str.strip, islice(lines, start, None)))
-    while block := list(islice(rows, _BLOCK_ROWS)):
+    for first, lines, cut in chunks:
+        block = list(filter(None, map(str.strip, map(_strip_comment, lines) if cut else lines)))
+        line_numbers = compress(count(first), map(str.strip, map(_strip_comment, lines)))
+        if n + len(block) > len(classes):  # lines that no newline ends went uncounted
+            codes, numerics, classes = (np.resize(a, (2 * n + len(block), *a.shape[1:]))
+                                        for a in (codes, numerics, classes))
         commas = list(map(str.count, block, repeat(",")))
         good = len(commas) if commas.count(width - 1) == len(commas) else next(
             compress(count(), map((width - 1).__ne__, commas)))
-        block = ",".join(block).split(",")  # its tokens, freed as the next block is read
+        block = ",".join(block).split(",")  # its tokens, freed as the next chunk is read
+        outs = dict(zip(order, [*codes.T, classes, *numerics.T]))
         for j, (fast, slow) in enumerate(converters):
             col, out = block[j:good * width:width], outs[j]
             try:
@@ -414,8 +419,9 @@ def _parse_rows(schema, lines: list[str], start: int):
             if cells.dtype.kind == "f" and not np.isfinite(cells).all():  # a miss, nan or inf
                 cells = np.fromiter(map(slow, col), out.dtype, good)
             out[n:n + good] = cells
-        bad = np.hstack((codes[n:n + good] == -2, np.isinf(numerics[n:n + good])))
-        if (faults := np.argwhere(bad[:, [*map((nominal + numeric).index, range(width))]])).size:
+        bad = np.hstack((codes[n:n + good] == -2, classes[n:n + good, None] == -2,
+                         np.isinf(numerics[n:n + good])))
+        if (faults := np.argwhere(bad[:, [*map(order.index, range(width))]])).size:
             r, j = faults[0].tolist()
             attr, token = schema[j], block[r * width + j].strip()
             if attr.kind == NOMINAL:
@@ -425,12 +431,12 @@ def _parse_rows(schema, lines: list[str], start: int):
             else:
                 message = f"non-finite numeric value for attribute {attr.name!r}"
             column = sum(map(len, block[r * width:r * width + j])) + j + 1  # from 1
-            raise ParseError(message, next(islice(line_numbers, n + r, None)), column)
+            raise ParseError(message, next(islice(line_numbers, r, None)), column)
         if good < len(commas):
             raise ParseError(f"row has {commas[good] + 1} values, schema expects {width}",
-                             next(islice(line_numbers, n + good, None)))
+                             next(islice(line_numbers, good, None)))
         n += good
-    return codes[:n, :-1], numerics[:n], codes[:n, -1]
+    return codes[:n], numerics[:n], classes[:n]
 
 
 def parse_arff(text: str, class_attribute: str | None = None) -> Dataset:
@@ -442,31 +448,28 @@ def parse_arff(text: str, class_attribute: str | None = None) -> Dataset:
     attribute is the class unless `class_attribute` names another. The
     header is checked before the first data row.
     """
-    relation = "dataset"
-    schema: list[AttributeSchema] = []
-    lines = text.splitlines()
-    numbered = enumerate(lines, start=1)
-    for lineno, raw in numbered:
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        low = line.lower()
-        if low.startswith("@relation"):
-            relation = line[len("@relation") :].strip().strip("'\"") or relation
-        elif low.startswith("@attribute"):
-            schema.append(_parse_attribute_decl(raw.lstrip()[len("@attribute") :], lineno))
-        elif low.startswith("@data"):
-            if not schema:
-                raise ParseError("@data before any attribute declaration", line=lineno)
-            break
-        else:
-            raise ParseError(f"unrecognized declaration {line.split()[0]!r}", line=lineno)
-    else:
-        raise ParseError("missing @data section")
-    schema = _assign_class(schema, class_attribute)
-    if text.find("%", text.find(lines[lineno - 1])) >= 0:  # any '%' at or after the @data line
-        lines[lineno:] = map(_strip_comment, lines[lineno:])
-    return Dataset(schema, *_parse_rows(schema, lines, lineno), relation)
+    relation, schema, chunks = "dataset", [], _chunks(text)
+    for first, lines, _ in chunks:
+        for lineno, raw in enumerate(lines, first):
+            line = _strip_comment(raw).strip()
+            if not line:
+                continue
+            low = line.lower()
+            if low.startswith("@relation"):
+                relation = line[len("@relation") :].strip().strip("'\"") or relation
+            elif low.startswith("@attribute"):
+                schema.append(_parse_attribute_decl(raw.lstrip()[len("@attribute") :], lineno))
+            elif low.startswith("@data"):
+                if not schema:
+                    raise ParseError("@data before any attribute declaration", line=lineno)
+                schema = _assign_class(schema, class_attribute)
+                rows = chain([(lineno + 1, lines[lineno + 1 - first:],  # any '%' from @data on
+                               text.find("%", text.find(raw)) >= 0)], chunks)
+                del lines  # so that one chunk's lines are alive at a time
+                return Dataset(schema, *_parse_rows(schema, rows, text.count("\n") + 1), relation)
+            else:
+                raise ParseError(f"unrecognized declaration {line.split()[0]!r}", line=lineno)
+    raise ParseError("missing @data section")
 
 
 def _format_column(attr: AttributeSchema, column: np.ndarray) -> list[str]:
@@ -483,10 +486,8 @@ def to_arff(d: Dataset) -> str:
         if name.split() != [name] or "{" in name or "%" in name or name[0] in "'\"":
             quote = '"' if "'" in name else "'"
             name = quote + name + quote
-        if a.kind == NOMINAL:
-            out.append(f"@attribute {name} {{{','.join(a.values)}}}")
-        else:
-            out.append(f"@attribute {name} numeric")
+        kind = "{" + ",".join(a.values) + "}" if a.kind == NOMINAL else "numeric"
+        out.append(f"@attribute {name} {kind}")
     out.append("@data")
     out += map(",".join, zip(*(_format_column(a, d.column(ai)) for ai, a in enumerate(d.schema))))
     return "\n".join(out) + "\n"

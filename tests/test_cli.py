@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postop import evaluation
-from postop.cli import main
+from postop.cli import environment, main
 from postop.dataset import class_counts, parse_arff
 
 from conftest import COHORT_PATH, TESTS_DIR, time_limit
@@ -260,6 +260,11 @@ def test_bench_tiny_run_writes_all_formats(tiny_path, tmp_path, capsys):
     assert set(manifest["timings_seconds"]) >= {"load", "folds", "cv", "cv-nb", "total"}
     # the one fork-join's schedule: nb has no lock-step to split
     assert manifest["cv_schedule"] == {"workers": evaluation._fold_workers(), "split_epochs": {}}
+    # the versions and CPU kernels the sums ran on go to the manifest only
+    assert set(manifest["environment"]) == {"python", "numpy", "blas", "openblas_core", "simd"}
+    assert manifest["environment"] == environment()
+    assert {k: v for k, v in manifest.items()
+            if k not in ("timings_seconds", "cv_schedule", "environment")} == doc
     # markdown is echoed by default; the status line goes to stderr
     assert captured.out.startswith("# Benchmark report")
     assert "| Performance metric | Naive Bayes |" in captured.out

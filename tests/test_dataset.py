@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postop.dataset import (
+    _CHUNK_CHARS,
     AttributeSchema,
     DataError,
     Dataset,
@@ -143,6 +144,28 @@ def test_instance_validation():
         Dataset(schema, [[0], [1]], np.zeros((1, 0)), [0])
     with pytest.raises(DataError, match="integer"):
         Dataset(schema, [[0.0]], np.zeros((1, 0)), [0])
+    # the same checks on arrays of the types a table keeps, which it would adopt
+    with pytest.raises(DataError, match="symbol index 2 out of range"):
+        Dataset(schema, np.array([[2]], np.int8), np.zeros((1, 0)), np.array([0]))
+    with pytest.raises(DataError, match="missing class value"):
+        Dataset(schema, np.array([[0]], np.int8), np.zeros((1, 0)), np.array([-1]))
+
+
+def test_dataset_adopts_arrays_of_its_types_and_copies_the_others():
+    schema = [AttributeSchema("a", "nominal", ("x", "y")), AttributeSchema("v", "numeric"),
+              AttributeSchema("c", "nominal", ("T", "F"), role="class")]
+    given = np.array([[0], [1]], np.int8), np.array([[0.5], [np.nan]]), np.array([0, 1])
+    d = Dataset(schema, *given)
+    for a, kept in zip(given, (d.codes_matrix(), d.numeric_matrix(), d.class_codes())):
+        assert np.shares_memory(a, kept) and not kept.flags.writeable
+    # an int64 code block is narrowed, and a strided numeric column copied
+    wide, strided = np.array([[0], [1]]), np.array([[0.5, 9.0], [np.nan, 9.0]])[:, :1]
+    again = Dataset(schema, wide, strided, given[2].astype(np.int32))
+    assert again == d and again.codes_matrix().dtype == np.int8
+    assert again.class_codes().dtype == np.int64
+    for a, kept in zip((wide, strided), (again.codes_matrix(), again.numeric_matrix())):
+        assert not np.shares_memory(a, kept) and kept.flags.c_contiguous
+        assert not kept.flags.writeable
 
 
 def test_round_trip_arff():
@@ -184,6 +207,9 @@ _HEAD = "@relation r\n@attribute a {x,y}\n@attribute v numeric\n@attribute c {T,
     # past the first block of data rows, after a blank line and a comment
     ("x,1,T\n" * 600 + "\n% c\ny, 2,T\ny,0x10,F\n",
      "line 609, column 3: invalid numeric literal '0x10' for attribute 'v'", 609, 3),
+    # the same past the first piece of text the parser splits (25,000 characters)
+    ("x,1,T\n" * 6000 + "\n% c\ny, 2,T\ny,0x10,F\n",
+     "line 6009, column 3: invalid numeric literal '0x10' for attribute 'v'", 6009, 3),
 ])
 def test_parse_error_positions_in_file_order(rows, message, line, column):
     with pytest.raises(ParseError) as err:
@@ -203,8 +229,29 @@ def test_reformatted_cohort_parses_to_the_same_table():
     assert d.numeric_matrix().flags.c_contiguous
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028",
+                                     "\x0c\n"])
+def test_every_line_end_parses_as_lf_does(newline):
+    # "\x0c\n" ends each line twice, so a blank line follows each: more lines than '\n's
+    lf = COHORT_PATH.read_text()
+    text = lf.replace("\n", newline)
+    assert parse_arff(text) == parse_arff(text.removesuffix(newline)) == parse_arff(lf)
+    # three cohorts' rows span pieces of the text, and a bad class value is in the third
+    head, data = lf.split("@data\n")
+    rows = data.splitlines() * 3
+    rows[1200] = rows[1200].rsplit(",", 1)[0] + ",Q"
+    step = len(f"x{newline}x".splitlines()) - 1  # lines that one newline ends
+    with pytest.raises(ParseError) as err:
+        parse_arff(newline.join([*head.splitlines(), "@data", *rows]) + newline)
+    line = (head.count("\n") + 1 + 1200) * step + 1
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"line {line}, column {len(rows[1200])}: value 'Q' is not in the domain of attribute "
+        "'Risk1Yr'", line, len(rows[1200]))
+
+
 def test_parse_of_a_100x_cohort_peaks_below_its_row_tuples():
-    # 47,000 rows: a tuple per row, all alive at once, would peak near 40 MB
+    # 47,000 rows: a tuple per row, all alive at once, would peak near 40 MB; all lines at
+    # once near 8.5 MB
     text = synthetic_cohort_text(7_000, 40_000, "cohort-100x")
     tracemalloc.start()
     try:
@@ -213,7 +260,7 @@ def test_parse_of_a_100x_cohort_peaks_below_its_row_tuples():
     finally:
         tracemalloc.stop()
     assert len(d) == 47_000
-    assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert peak <= 5 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_class_counts_and_census():
@@ -375,10 +422,11 @@ def data_sections(draw):
     """(schema, ARFF text, index of its first data line) for the parser's differential test.
 
     The data section has drawn rows before and after a run of good rows that
-    may end near the 512-row block edge. A drawn row may pad its tokens with
-    blanks, hold '?', bad or non-finite tokens, miss or gain a field, carry a
-    comment, and sit between blank and comment-only lines; lines end in LF
-    or CRLF, and the header may hold a '%' of its own.
+    may end near a 512-row block edge or the parser's first cut of the text. A
+    drawn row may pad its tokens with blanks, hold '?', bad or non-finite
+    tokens, miss or gain a field, carry a comment, and sit between blank and
+    comment-only lines; lines end in LF, CRLF, CR, a form feed or U+2028, and
+    the header may hold a '%' of its own.
     """
     schema = [AttributeSchema(f"n{a}", "nominal", ("a", "b", "cc")[:draw(st.integers(1, 3))])
               for a in range(draw(st.integers(0, 2)))]
@@ -413,12 +461,17 @@ def data_sections(draw):
     fill = ",".join(a.values[0] if a.kind == "nominal" else "0.5" for a in schema)
     head = [x for _ in range(draw(st.integers(0, 3))) for x in lines(draw(st.integers(0, 4)) == 0)]
     tail = [x for _ in range(draw(st.integers(0, 6))) for x in lines(draw(st.integers(0, 2)) == 0)]
-    filler = [fill] * draw(st.sampled_from([0, 1, 5, 508, 510, 511, 512, 513]))
     header = (["% header comment"] if draw(st.booleans()) else []) + ["@relation r"]
     header += [f"@attribute {a.name} " + ("numeric" if a.kind == "numeric"
                                           else "{" + ",".join(a.values) + "}") for a in schema]
     header.append("@data" + draw(st.sampled_from(["", " % rows follow"])))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"]))
+    # the filler rows that end just before the parser's first cut, after the first '\n'
+    # past _CHUNK_CHARS characters; a row more or less moves the cut across the rows drawn
+    before = len(newline.join(header + head)) + len(newline)
+    edge = (_CHUNK_CHARS - before) // (len(fill) + len(newline))
+    filler = [fill] * draw(st.sampled_from([0, 1, 5, 508, 510, 511, 512, 513,
+                                            edge - 1, edge, edge + 1, edge + 2]))
     return schema, newline.join(header + head + filler + tail) + newline, len(header)
 
 

@@ -8,18 +8,17 @@ and the reason in CHANGES.md (`--environment` prints the header's values alone):
     PYTHONPATH=src python tests/test_report_digests.py
 """
 
-import ctypes
 import importlib.util
 import os
 import platform
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import REPO_DIR, TESTS_DIR
+from postop import cli
 
 PINNED = TESTS_DIR / "data" / "report_digests.txt"
 
@@ -28,29 +27,12 @@ def environment() -> str:
     """The numpy version, BLAS and CPU kernels: the float sums of a report can depend on each.
 
     The same versions give other MLP bits under another OpenBLAS core or
-    without numpy's AVX-512 loops, so the kernels are named too.
+    without numpy's AVX-512 loops, so the kernels are named too. The values
+    are those a bench run writes into manifest.json.
     """
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return (f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}, "
-            f"OpenBLAS core {openblas_core()}, SIMD {simd_targets()}")
-
-
-def openblas_core() -> str:
-    """The kernel set OpenBLAS picked for this CPU, from the library numpy's wheel bundles."""
-    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
-        try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
-
-
-def simd_targets() -> str:
-    """numpy's dispatched SIMD targets that this CPU runs (private names of numpy 2)."""
-    umath = np._core._multiarray_umath
-    return " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)) or "none"
+    env = cli.environment()
+    return (f"numpy {env['numpy']}, {env['blas']}, OpenBLAS core {env['openblas_core']}, "
+            f"SIMD {env['simd']}")
 
 
 def digest_lines() -> list[str]:
@@ -92,13 +74,14 @@ def test_mismatch_names_the_runs_and_the_environment():
         f"pinned under {skylake}, this run is under {haswell}")
 
 
-@pytest.mark.skipif(openblas_core() == "unknown" or platform.machine() != "x86_64"
+@pytest.mark.skipif(cli.environment()["openblas_core"] == "unknown"
+                    or platform.machine() != "x86_64"
                     or not np._core._multiarray_umath.__cpu_features__.get("AVX2"),
                     reason="no bundled OpenBLAS core to read, or no x86-64 CPU with AVX2")
 def test_environment_names_the_kernels_a_child_runs():
     # Haswell's kernels run on any AVX2 CPU, and numpy may drop each target it dispatches
     env = dict(os.environ, PYTHONPATH=str(REPO_DIR / "src"), OPENBLAS_CORETYPE="Haswell",
-               NPY_DISABLE_CPU_FEATURES=simd_targets().replace("none", ""))
+               NPY_DISABLE_CPU_FEATURES=cli.environment()["simd"].replace("none", ""))
     done = subprocess.run([sys.executable, __file__, "--environment"], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
