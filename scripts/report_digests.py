@@ -51,12 +51,15 @@ RUNS = (
     # every numeric value occurs 16 times, so most adjacent values in a sorted
     # column are equal and the tree scan masks their positions
     ("tree-duplicated-16x", "dup.arff", ["--classifiers", "j48", "--no-smote"]),
+    # SMOTE at 0% synthesizes nothing: the table stays unshuffled beside its record
+    ("smote-percent-0", "cohort.arff", ["--smote-percent", "0", "--classifiers", "nb"]),
 )
 
 # (run name, resample flags beyond --data holes.arff, --seed and --out)
 RESAMPLE_RUNS = (
     ("resample", ["--impute", "drop-instance"]),
     ("resample-no-smote", ["--impute", "drop-instance", "--no-smote"]),
+    ("resample-percent-0", ["--impute", "drop-instance", "--smote-percent", "0"]),
 )
 
 # values added to DGN's domain in wide.arff, so it has 10; numpy sums 8 or more

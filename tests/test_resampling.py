@@ -50,8 +50,13 @@ def test_a_missing_majority_cell_is_refused():
 def test_percent_zero_returns_input_unchanged(cohort):
     out, record = smote(cohort, "T", SmoteConfig(seed=9, percent=0))
     assert out is cohort
-    assert record.synthetic_created == 0
-    assert record.final_counts == class_counts(cohort)
+    assert record.to_json_dict() == {
+        "method": "smote", "minority_class": "T", "original_counts": {"T": 70, "F": 400},
+        "final_counts": {"T": 70, "F": 400}, "synthetic_created": 0,
+        "config": {"seed": 9, "k_neighbors": 5, "percent": 0},
+    }
+    # every row is its own original, in input order
+    assert record.provenance.tolist() == [[i, -1] for i in range(len(cohort))]
 
 
 def test_smote_counts_and_originals(cohort):
