@@ -90,6 +90,10 @@ def _positive_class(d: Dataset, requested: str | None) -> str:
     return requested
 
 
+def _counts_text(counts: dict[str, int]) -> str:
+    return ", ".join(f"{k}:{v}" for k, v in counts.items())
+
+
 def _smote_config(args) -> SmoteConfig:
     """The --smote-k and --smote-percent of a run, checked also when --no-smote skips SMOTE."""
     return SmoteConfig(seed=derive_seed(args.seed, "smote"), k_neighbors=args.smote_k,
@@ -103,12 +107,10 @@ def _cmd_inspect(args) -> int:
     d, path = _load_dataset(args)  # not imputed: the census reports the file as-is
     nominal = sum(1 for a in d.schema if a.kind == "nominal")
     numeric = len(d.schema) - nominal
-    counts = class_counts(d)
-    counts_text = ", ".join(f"{k}:{v}" for k, v in counts.items())
     print(f"relation: {d.relation} ({path})")
     print(
         f"{len(d)} instances, {len(d.schema)} attributes "
-        f"({nominal} nominal, {numeric} numeric), class {{{counts_text}}}"
+        f"({nominal} nominal, {numeric} numeric), class {{{_counts_text(class_counts(d))}}}"
     )
     census = missing_census(d)
     if census:
@@ -130,29 +132,20 @@ def _cmd_resample(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "resampled.arff"
     record_path = out_dir / "resample_record.json"
-
     if args.no_smote:
-        out_path.write_text(to_arff(d), encoding="utf-8")
-        record = {
-            "method": "none",
-            "original_counts": class_counts(d),
-            "final_counts": class_counts(d),
-            "synthetic_created": 0,
-        }
-        record_path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        print(f"no resampling; wrote {out_path} and {record_path}")
-        return 0
-
-    minority = _positive_class(d, args.positive_class)
-    resampled, record = smote(d, minority, smote_cfg)
+        counts = class_counts(d)
+        resampled, record = d, {"method": "none", "original_counts": counts,
+                                "final_counts": counts, "synthetic_created": 0}
+        summary = "no resampling; "
+    else:
+        resampled, smoted = smote(d, _positive_class(d, args.positive_class), smote_cfg)
+        record = smoted.to_json_dict()
+        summary = (f"resampled {{{_counts_text(smoted.original_counts)}}} -> "
+                   f"{{{_counts_text(smoted.final_counts)}}} "
+                   f"({smoted.synthetic_created} synthetic)\n")
     out_path.write_text(to_arff(resampled), encoding="utf-8")
-    record_path.write_text(
-        json.dumps(record.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    )
-    before = ", ".join(f"{k}:{v}" for k, v in record.original_counts.items())
-    after = ", ".join(f"{k}:{v}" for k, v in record.final_counts.items())
-    print(f"resampled {{{before}}} -> {{{after}}} ({record.synthetic_created} synthetic)")
-    print(f"wrote {out_path} and {record_path}")
+    record_path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    print(f"{summary}wrote {out_path} and {record_path}")
     return 0
 
 
@@ -227,6 +220,8 @@ def _cmd_bench(args) -> int:
     timings["load"] = time.perf_counter() - started
 
     positive = _positive_class(d, args.positive_class)
+    out_dir = Path(args.out)  # made before the run, so an unusable one stops it at once
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     resample_record = None
     train_transform = None
@@ -253,8 +248,6 @@ def _cmd_bench(args) -> int:
     timings |= {f"cv-{name}": s for name, s in schedule.pop("busy_seconds").items()}
     timings["total"] = time.perf_counter() - started
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_doc = {
         "version": __version__,
         "config": config,
@@ -273,7 +266,8 @@ def _cmd_bench(args) -> int:
     files = {
         "report.json": report_json,
         "manifest.json": manifest_json,
-        "report.md": _render_report_markdown(config, positive, resample_record, working, reports),
+        "report.md": _render_report_markdown(config, positive, resample_record,
+                                             report_doc["class_counts"], reports),
         "report.csv": render_csv(reports),
     }
     for name, text in files.items():
@@ -285,18 +279,16 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _render_report_markdown(config, positive, resample_record, working, reports) -> str:
+def _render_report_markdown(config, positive, resample_record, counts, reports) -> str:
     lines = ["# Benchmark report", ""]
-    counts = class_counts(working)
-    counts_text = ", ".join(f"{k}:{v}" for k, v in counts.items())
     lines.append(
-        f"Dataset: `{config['data']}`, {len(working)} instances after resampling "
-        f"({counts_text}), positive class {positive}."
+        f"Dataset: `{config['data']}`, {sum(counts.values())} instances after resampling "
+        f"({_counts_text(counts)}), positive class {positive}."
     )
     if resample_record is not None:
-        before = ", ".join(f"{k}:{v}" for k, v in resample_record.original_counts.items())
         lines.append(
-            f"Resampling: {resample_record.method}, {{{before}}} before, "
+            f"Resampling: {resample_record.method}, "
+            f"{{{_counts_text(resample_record.original_counts)}}} before, "
             f"{resample_record.synthetic_created} synthetic instances added."
         )
     elif config["smote"]:

@@ -309,6 +309,14 @@ def _strip_comment(raw: str) -> str:
     return raw if pos < 0 else raw[:pos]
 
 
+def _quoted_name(rest: str, lineno: int, what: str) -> tuple[str, str]:
+    """The name in the quotes that open rest, and the text after them."""
+    end = rest.find(rest[0], 1)
+    if end < 0:
+        raise ParseError(f"unterminated quoted {what} name", line=lineno)
+    return rest[1:end], rest[end + 1 :]
+
+
 def _parse_attribute_decl(rest: str, lineno: int) -> AttributeSchema:
     rest = rest.strip()
     if rest[:1] not in ("'", '"'):  # a quoted name may hold a %; elsewhere it starts a comment
@@ -316,12 +324,8 @@ def _parse_attribute_decl(rest: str, lineno: int) -> AttributeSchema:
     if not rest:
         raise ParseError("attribute declaration needs a name and a type", line=lineno)
     if rest[0] in "'\"":
-        quote = rest[0]
-        end = rest.find(quote, 1)
-        if end < 0:
-            raise ParseError("unterminated quoted attribute name", line=lineno)
-        name = rest[1:end]
-        spec = _strip_comment(rest[end + 1 :]).strip()
+        name, spec = _quoted_name(rest, lineno, "attribute")
+        spec = _strip_comment(spec).strip()
     else:
         brace = rest.find("{")
         head = rest if brace < 0 else rest[:brace]
@@ -455,8 +459,10 @@ def parse_arff(text: str, class_attribute: str | None = None) -> Dataset:
             if not line:
                 continue
             low = line.lower()
-            if low.startswith("@relation"):
-                relation = line[len("@relation") :].strip().strip("'\"") or relation
+            if low.startswith("@relation"):  # a quoted name is read as an attribute's is
+                rest = raw.lstrip()[len("@relation") :].strip()
+                relation = (_quoted_name(rest, lineno, "relation")[0] if rest[:1] in ("'", '"')
+                            else line[len("@relation") :].strip().strip("'\"")) or relation
             elif low.startswith("@attribute"):
                 schema.append(_parse_attribute_decl(raw.lstrip()[len("@attribute") :], lineno))
             elif low.startswith("@data"):
@@ -478,16 +484,20 @@ def _format_column(attr: AttributeSchema, column: np.ndarray) -> list[str]:
             for v, hole in zip(column.tolist(), is_missing(column).tolist())]
 
 
+def _arff_name(name: str) -> str:
+    """The name, quoted where the unquoted form would read another name."""
+    if name.split() != [name] or "{" in name or "%" in name or name.strip("'\"") != name:
+        quote = '"' if "'" in name else "'"
+        return quote + name + quote
+    return name
+
+
 def to_arff(d: Dataset) -> str:
     """Serialize to ARFF; re-parsing the result reproduces the dataset."""
-    out = [f"@relation {d.relation}"]
+    out = [f"@relation {_arff_name(d.relation)}"]
     for a in d.schema:
-        name = a.name  # quoted where the unquoted form would read another name
-        if name.split() != [name] or "{" in name or "%" in name or name[0] in "'\"":
-            quote = '"' if "'" in name else "'"
-            name = quote + name + quote
         kind = "{" + ",".join(a.values) + "}" if a.kind == NOMINAL else "numeric"
-        out.append(f"@attribute {name} {kind}")
+        out.append(f"@attribute {_arff_name(a.name)} {kind}")
     out.append("@data")
     out += map(",".join, zip(*(_format_column(a, d.column(ai)) for ai, a in enumerate(d.schema))))
     return "\n".join(out) + "\n"

@@ -77,7 +77,6 @@ class Encoding:
     lo: np.ndarray
     hi: np.ndarray
     input_width: int
-    class_labels: tuple[str, ...]
 
 
 def encode(d: Dataset) -> tuple[Encoding, np.ndarray, np.ndarray]:
@@ -99,7 +98,6 @@ def encode(d: Dataset) -> tuple[Encoding, np.ndarray, np.ndarray]:
         lo=lo,
         hi=hi,
         input_width=sum(widths),
-        class_labels=d.class_labels,
     )
     y = np.zeros((len(d), len(d.class_labels)))
     y[np.arange(len(d)), d.class_codes()] = 1.0
@@ -248,8 +246,7 @@ def train_mlps(tables, cfg: MlpConfig, seeds: list[int], split=None) -> list[Mlp
     hot = np.concatenate(hot)  # one at a time, so each part's pieces free in turn
     num = np.concatenate(num)
     y = np.concatenate(y)
-    sizes = (encs[0].input_width, *(cfg.hidden_sizes or default_hidden[:1]),
-             len(encs[0].class_labels))
+    sizes = (encs[0].input_width, *(cfg.hidden_sizes or default_hidden[:1]), y.shape[1])
     k = len(n)
     try:  # every buffer of the run, sized up front
         workspace = _workspace(sizes, k)

@@ -211,51 +211,34 @@ def smote(d: Dataset, minority_class: str, cfg: SmoteConfig) -> tuple[Dataset, R
             f"k_neighbors={cfg.k_neighbors} needs more than {m} minority instances"
         )
     counts_before = class_counts(d)
-    sources = np.column_stack((np.arange(len(d)), np.full(len(d), -1)))
-    if cfg.percent == 0:
-        record = ResampleRecord(
-            method="smote",
-            minority_class=minority_class,
-            original_counts=counts_before,
-            final_counts=counts_before,
-            synthetic_created=0,
-            config={"seed": cfg.seed, "k_neighbors": cfg.k_neighbors, "percent": 0},
-            provenance=sources,
-        )
-        return d, record
-
-    rng = np.random.default_rng(cfg.seed)
-    table = _neighbor_table(d, min_idx, cfg.k_neighbors)
     rounds = cfg.percent // 100
     total = m * rounds
-    try:  # the first array of `total` entries: a size numpy cannot allocate fails here
-        choice, lam = _draws(rng, cfg.k_neighbors, total)
-    except (MemoryError, ValueError) as e:
-        raise ResampleError(f"cannot allocate {total} synthetic rows "
-                            f"({rounds} per minority row): {e}") from None
-    parent = np.repeat(min_idx, rounds)
-    partner = min_idx[table[np.repeat(np.arange(m), rounds), choice]]
+    out, provenance = d, np.column_stack((np.arange(len(d)), np.full(len(d), -1)))
+    if rounds:  # percent 0 leaves the input itself, unshuffled
+        rng = np.random.default_rng(cfg.seed)
+        table = _neighbor_table(d, min_idx, cfg.k_neighbors)
+        try:  # the first array of `total` entries: a size numpy cannot allocate fails here
+            choice, lam = _draws(rng, cfg.k_neighbors, total)
+        except (MemoryError, ValueError) as e:
+            raise ResampleError(f"cannot allocate {total} synthetic rows "
+                                f"({rounds} per minority row): {e}") from None
+        parent = np.repeat(min_idx, rounds)
+        partner = min_idx[table[np.repeat(np.arange(m), rounds), choice]]
 
-    # nominal fields: a two-parent majority vote with ties toward the
-    # original, so the original's values are kept
-    codes, num = d.codes_matrix(), d.numeric_matrix()
-    # interpolated on halves, so the difference of a ±1e308 pair cannot overflow
-    half, half_partner = num[parent] / 2, num[partner] / 2
-    synth_num = 2 * (half + lam[:, None] * (half_partner - half))
-    perm = rng.permutation(len(d) + total)
-    out = d._derive(
-        np.concatenate([codes, codes[parent]])[perm],
-        np.concatenate([num, synth_num])[perm],
-        np.concatenate([d.class_codes(), np.full(total, minority_code)])[perm],
-    )
-    record = ResampleRecord(
-        method="smote",
-        minority_class=minority_class,
-        original_counts=counts_before,
-        final_counts=class_counts(out),
-        synthetic_created=total,
-        config={"seed": cfg.seed, "k_neighbors": cfg.k_neighbors, "percent": cfg.percent},
-        provenance=np.concatenate([sources, np.column_stack((parent, partner))])[perm],
-    )
+        # nominal fields: a two-parent majority vote with ties toward the
+        # original, so the original's values are kept
+        codes, num = d.codes_matrix(), d.numeric_matrix()
+        # interpolated on halves, so the difference of a ±1e308 pair cannot overflow
+        half, half_partner = num[parent] / 2, num[partner] / 2
+        synth_num = 2 * (half + lam[:, None] * (half_partner - half))
+        perm = rng.permutation(len(d) + total)
+        out = d._derive(
+            np.concatenate([codes, codes[parent]])[perm],
+            np.concatenate([num, synth_num])[perm],
+            np.concatenate([d.class_codes(), np.full(total, minority_code)])[perm],
+        )
+        provenance = np.concatenate([provenance, np.column_stack((parent, partner))])[perm]
+    record = ResampleRecord(method="smote", minority_class=minority_class,
+                            original_counts=counts_before, final_counts=class_counts(out),
+                            synthetic_created=total, config=asdict(cfg), provenance=provenance)
     return out, record
-

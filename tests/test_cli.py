@@ -359,6 +359,17 @@ def test_bench_checks_options_of_classifiers_it_does_not_run(flag, tiny_path, tm
     assert not out.exists()
 
 
+def test_bench_checks_out_before_smote_and_cross_validation(tmp_path, monkeypatch, capsys):
+    (tmp_path / "afile").write_text("")  # a regular file where --out needs a directory
+    for reached in ("smote", "cross_validate_all"):
+        monkeypatch.setattr(f"postop.cli.{reached}",
+                            lambda *a, reached=reached: pytest.fail(f"{reached} ran"))
+    assert main(["bench", "--data", str(COHORT_PATH), "--seed", "1", "--classifiers", "nb",
+                 "--out", str(tmp_path / "afile" / "sub")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 _BIG = str(10**20)
 
 

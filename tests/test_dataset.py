@@ -108,6 +108,9 @@ def test_parse_error_cases():
         parse_arff("@relation r\n@attribute a {x,x}\n@data\n")
     with pytest.raises(ParseError, match="line 2: empty attribute name"):
         parse_arff("@relation r\n@attribute {a,b}\n@data\n")
+    for line, what in (("@relation 'r % x", "relation"), ("@attribute \"a numeric", "attribute")):
+        with pytest.raises(ParseError, match=f"line 1: unterminated quoted {what} name"):
+            parse_arff(line + "\n@attribute c {T,F}\n@data\n")
 
 
 def test_schema_validation():
@@ -180,12 +183,17 @@ def test_round_trip_cohort_file():
     assert parse_arff(to_arff(d)) == d
 
 
+# each name declared as the relation's and as an attribute's
 @pytest.mark.parametrize("declared", ["'pre op'", "'a{b'", "\"it's x\"", "'a%b'"])
-def test_round_trip_quotes_attribute_names_the_bare_form_would_misread(declared):
-    d = parse_arff(f"@relation r\n@attribute {declared} numeric\n"
-                   "@attribute c {T,F}\n@data\n1,T\n")
-    assert f"@attribute {declared} numeric" in to_arff(d)
-    assert parse_arff(to_arff(d)) == d
+@pytest.mark.parametrize("head", ["@relation {}\n@attribute a numeric\n",
+                                  "@relation r\n@attribute {} numeric\n"],
+                         ids=["relation", "attribute"])
+def test_round_trip_quotes_attribute_names_the_bare_form_would_misread(head, declared):
+    d = parse_arff(head.format(declared) + "@attribute c {T,F}\n@data\n1,T\n")
+    assert declared[1:-1] in (d.relation, d.schema[0].name)
+    assert to_arff(d).startswith(head.format(declared))
+    again = parse_arff(to_arff(d))
+    assert again == d and again.relation == d.relation
 
 
 _HEAD = "@relation r\n@attribute a {x,y}\n@attribute v numeric\n@attribute c {T,F}\n@data\n"
@@ -522,7 +530,9 @@ def mixed_tables(draw):
     }
     row = st.tuples(*(st.integers(0, 1) if a.role == "class" else cell[a.kind](a)
                       for a in schema))
-    return from_rows(schema, draw(st.lists(row, max_size=12)), relation="gen")
+    # a relation name too may need quotes
+    relation = draw(st.sampled_from(["gen", "pre op gen", "a%b"]))
+    return from_rows(schema, draw(st.lists(row, max_size=12)), relation=relation)
 
 
 @settings(max_examples=150, deadline=None)
