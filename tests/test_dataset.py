@@ -184,7 +184,7 @@ def test_round_trip_cohort_file():
 
 
 # each name declared as the relation's and as an attribute's
-@pytest.mark.parametrize("declared", ["'pre op'", "'a{b'", "\"it's x\"", "'a%b'"])
+@pytest.mark.parametrize("declared", ["'pre op'", "'a{b'", "\"it's x\"", "'a%b'", "'x\"'"])
 @pytest.mark.parametrize("head", ["@relation {}\n@attribute a numeric\n",
                                   "@relation r\n@attribute {} numeric\n"],
                          ids=["relation", "attribute"])
