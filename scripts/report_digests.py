@@ -53,6 +53,9 @@ RUNS = (
     ("tree-duplicated-16x", "dup.arff", ["--classifiers", "j48", "--no-smote"]),
     # SMOTE at 0% synthesizes nothing: the table stays unshuffled beside its record
     ("smote-percent-0", "cohort.arff", ["--smote-percent", "0", "--classifiers", "nb"]),
+    # at 3 epochs the MLP answers F for every row: T's precision and F-measure are
+    # flagged, report.md has its Notes, and the confusion is that of the second class
+    ("positive-second-class", "cohort.arff", ["--positive-class", "F", "--no-smote"]),
 )
 
 # (run name, resample flags beyond --data holes.arff, --seed and --out)

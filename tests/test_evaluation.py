@@ -353,6 +353,25 @@ def test_single_class_dataset_has_no_roc():
     assert report.metrics["roc_area"] is None
     assert "c0:roc-undefined-single-class" in report.flags
     assert "c1:roc-undefined-single-class" in report.flags
+    # no CLI run reaches a single-class table, so its whole report is pinned here
+    assert json.dumps(report.to_json_dict(), sort_keys=True) == (
+        '{"classifier": "const", "config": {}, "confusion": {"fn": 0, "fp": 0, "tn": 0, "tp": 6}, '
+        '"cva": 100.0, "display_name": "const", "flags": ['
+        '"c0:fp_rate-undefined-zero-denominator", "c0:specificity-undefined-zero-denominator", '
+        '"c0:roc-undefined-single-class", "c1:tp_rate-undefined-zero-denominator", '
+        '"c1:precision-undefined-zero-denominator", "c1:f_measure-undefined-zero-denominator", '
+        '"c1:roc-undefined-single-class", "rae-undefined-constant-actuals", '
+        '"rrse-undefined-constant-actuals"], "fold_accuracies": [100.0, 100.0], "metrics": {'
+        '"correctly_classified": 100.0, "f_measure": 100.0, "fp_rate": 0.0, '
+        '"mean_absolute_error": 0.0, "precision": 100.0, "recall": 100.0, '
+        '"relative_absolute_error": null, "roc_area": null, "root_mean_squared_error": 0.0, '
+        '"root_relative_squared_error": null, "tp_rate": 100.0}, "n_folds": 2, "n_instances": 6, '
+        '"per_class": {"c0": {"accuracy": 100.0, "f_measure": 100.0, "fp_rate": 0.0, '
+        '"precision": 100.0, "recall": 100.0, "roc_area": null, "sensitivity": 100.0, '
+        '"specificity": 0.0, "support": 6, "tp_rate": 100.0}, "c1": {"accuracy": 100.0, '
+        '"f_measure": 0.0, "fp_rate": 0.0, "precision": 0.0, "recall": 0.0, "roc_area": null, '
+        '"sensitivity": 0.0, "specificity": 100.0, "support": 0, "tp_rate": 0.0}}, '
+        '"positive_class": "c0"}')
 
 
 def test_cross_validate_validation_errors():
