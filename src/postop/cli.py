@@ -128,6 +128,7 @@ def _cmd_inspect(args) -> int:
 def _cmd_resample(args) -> int:
     smote_cfg = _smote_config(args)
     d = impute_missing(_load_dataset(args)[0], args.impute)
+    positive = _positive_class(d, args.positive_class)  # checked before --out is made, as in bench
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "resampled.arff"
@@ -138,7 +139,7 @@ def _cmd_resample(args) -> int:
                                 "final_counts": counts, "synthetic_created": 0}
         summary = "no resampling; "
     else:
-        resampled, smoted = smote(d, _positive_class(d, args.positive_class), smote_cfg)
+        resampled, smoted = smote(d, positive, smote_cfg)
         record = smoted.to_json_dict()
         summary = (f"resampled {{{_counts_text(smoted.original_counts)}}} -> "
                    f"{{{_counts_text(smoted.final_counts)}}} "
@@ -266,8 +267,7 @@ def _cmd_bench(args) -> int:
     files = {
         "report.json": report_json,
         "manifest.json": manifest_json,
-        "report.md": _render_report_markdown(config, positive, resample_record,
-                                             report_doc["class_counts"], reports),
+        "report.md": _render_report_markdown(report_doc, reports),
         "report.csv": render_csv(reports),
     }
     for name, text in files.items():
@@ -279,22 +279,19 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _render_report_markdown(config, positive, resample_record, counts, reports) -> str:
+def _render_report_markdown(report_doc, reports) -> str:
+    config, counts, resampling = (report_doc[k] for k in ("config", "class_counts", "resampling"))
     lines = ["# Benchmark report", ""]
     lines.append(
         f"Dataset: `{config['data']}`, {sum(counts.values())} instances after resampling "
-        f"({_counts_text(counts)}), positive class {positive}."
+        f"({_counts_text(counts)}), positive class {report_doc['positive_class']}."
     )
-    if resample_record is not None:
-        lines.append(
-            f"Resampling: {resample_record.method}, "
-            f"{{{_counts_text(resample_record.original_counts)}}} before, "
-            f"{resample_record.synthetic_created} synthetic instances added."
-        )
-    elif config["smote"]:
-        lines.append("Resampling: applied inside each training fold only.")
-    else:
-        lines.append("Resampling: none.")
+    method = resampling["method"]
+    lines.append("Resampling: " + (
+        "none." if method == "none" else
+        "applied inside each training fold only." if method == "within-folds" else
+        f"{method}, {{{_counts_text(resampling['original_counts'])}}} before, "
+        f"{resampling['synthetic_created']} synthetic instances added."))
     lines.append(
         f"Evaluation: stratified {config['folds']}-fold cross-validation, "
         f"master seed {config['seed']}."

@@ -101,6 +101,11 @@ def _class_position(schema) -> int:
     return class_positions[0]
 
 
+def _code_type(sizes) -> np.dtype:
+    """The narrowest signed int type that holds -1 (missing) and each code of domains this size."""
+    return np.min_scalar_type(-max(sizes, default=1))
+
+
 class Dataset:
     """Immutable decision table: schema, three read-only arrays, a relation name.
 
@@ -136,7 +141,7 @@ class Dataset:
         _check(classes == -1, lambda r: f"instance {r} has a missing class value")
         _check((classes < -1) | (classes >= 2),
                lambda r: f"instance {r}: class code {classes[r]} out of range")
-        kept = np.min_scalar_type(-max(sizes, default=1)), np.float64, np.int64
+        kept = _code_type(sizes), np.float64, np.int64
         self._codes, self._numerics, self._classes = map(
             _frozen, map(np.ascontiguousarray, (codes, numerics, classes), kept))
 
@@ -395,8 +400,7 @@ def _parse_rows(schema, chunks, capacity: int):
     width, ci = len(schema), _class_position(schema)
     nominal = [i for i, a in enumerate(schema) if a.kind == NOMINAL and i != ci]
     numeric = [i for i, a in enumerate(schema) if a.kind == NUMERIC]
-    sizes = [len(schema[i].values) for i in nominal]  # the code type Dataset keeps
-    codes = np.empty((capacity, len(nominal)), np.min_scalar_type(-max(sizes, default=1)))
+    codes = np.empty((capacity, len(nominal)), _code_type([len(schema[i].values) for i in nominal]))
     numerics, classes = np.empty((capacity, len(numeric))), np.empty(capacity, np.int64)
     order, n = nominal + [ci] + numeric, 0
     lookups = [{v: i for i, v in enumerate(a.values)} | {MISSING_TOKEN: -1} for a in schema]
@@ -487,6 +491,8 @@ def _format_column(attr: AttributeSchema, column: np.ndarray) -> list[str]:
 def _arff_name(name: str) -> str:
     """The name, quoted where the unquoted form would read another name."""
     if name.split() != [name] or "{" in name or "%" in name or name.strip("'\"") != name:
+        if "'" in name and '"' in name:  # ARFF has no escape, so no quote can hold it
+            raise DataError(f"name {name!r} needs quotes but holds both ' and \"")
         quote = '"' if "'" in name else "'"
         return quote + name + quote
     return name

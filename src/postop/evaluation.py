@@ -476,7 +476,6 @@ def cross_validate(d, spec, folds, positive_class=None, train_transform=None) ->
 def _score(d, spec, folds, scored, runs, pos_label) -> EvaluationReport:
     """The report of spec from its runs' (probabilities of each fold, seconds), in fold order."""
     n, labels = len(d), d.class_labels
-    pos = labels.index(pos_label)
     y = d.class_codes()
     probs = np.zeros((n, len(labels)))
     fold_accuracies = []
@@ -488,42 +487,30 @@ def _score(d, spec, folds, scored, runs, pos_label) -> EvaluationReport:
                             f"in fold {t + 1} of {folds.k}")
         fold_accuracies.append(float((fold_probs.argmax(axis=1) == y[test_idx]).mean()))
 
-    predicted_all = probs.argmax(axis=1)
-    accuracy = float((predicted_all == y).mean())
-    flags: list[str] = []
-
-    cm = ConfusionMatrix.from_predictions(y == pos, predicted_all == pos)
-
-    per_class = {}
-    weighted = dict.fromkeys(["tp_rate", "fp_rate", "precision", "recall", "f_measure"], 0.0)
-    weighted_auc = 0.0
-    auc_defined = True
-    for c, label in enumerate(labels):
-        m = confusion_metrics(ConfusionMatrix.from_predictions(y == c, predicted_all == c))
+    predicted = probs.argmax(axis=1)
+    tables = [ConfusionMatrix.from_predictions(y == c, predicted == c) for c in range(len(labels))]
+    flags, per_class = [], {}
+    # each row averaged over the classes, weighted by support; one undefined ROC makes it None
+    weighted = dict.fromkeys(["tp_rate", "fp_rate", "precision", "recall", "f_measure",
+                              "roc_area"], 0.0)
+    for c, (label, cm) in enumerate(zip(labels, tables)):
+        m = confusion_metrics(cm)
         flags += [f"{label}:{note}" for note in m.pop("flags")]
-        support = int((y == c).sum())
-        entry = {k: _pct(v) for k, v in m.items()}
-        entry["support"] = support
-        if support and support < n:
-            entry["roc_area"] = _pct(roc_auc(probs[:, c], y == c))
-        else:
-            entry["roc_area"] = None
-            auc_defined = False
+        support = cm.tp + cm.fn
+        roc = _pct(roc_auc(probs[:, c], y == c)) if 0 < support < n else None
+        if roc is None:
             flags.append(f"{label}:roc-undefined-single-class")
-        per_class[label] = entry
-        w = support / n
-        for k in weighted:
-            weighted[k] += w * m[k]
-        if entry["roc_area"] is not None:
-            weighted_auc += w * (entry["roc_area"] / 100.0)
+        per_class[label] = {**{k: _pct(v) for k, v in m.items()}, "support": support, "roc_area": roc}
+        m["roc_area"] = None if roc is None else roc / 100.0  # summed from the percentage, as pinned
+        weighted = {k: None if v is None or m[k] is None else v + support / n * m[k]
+                    for k, v in weighted.items()}
 
     err = error_measures(probs, np.eye(len(labels))[y])
     flags += err.pop("flags")
 
     # the report rows, in METRIC_LABELS order
-    metrics = {"correctly_classified": _pct(accuracy), **{k: _pct(v) for k, v in err.items()},
-               **{k: _pct(v) for k, v in weighted.items()},
-               "roc_area": _pct(weighted_auc) if auc_defined else None}
+    metrics = {"correctly_classified": _pct(float((predicted == y).mean())),
+               **{k: _pct(v) for k, v in err.items()}, **{k: _pct(v) for k, v in weighted.items()}}
     return EvaluationReport(
         classifier=spec.name,
         n_instances=n,
@@ -531,9 +518,9 @@ def _score(d, spec, folds, scored, runs, pos_label) -> EvaluationReport:
         positive_class=pos_label,
         metrics=metrics,
         per_class=per_class,
-        confusion=cm,
+        confusion=tables[labels.index(pos_label)],
         fold_accuracies=tuple(100.0 * a for a in fold_accuracies),
-        cva=float(100.0 * np.mean(fold_accuracies)) if fold_accuracies else 0.0,
+        cva=float(100.0 * np.mean(fold_accuracies)),
         flags=tuple(flags),
         config=dict(spec.config),
     )

@@ -234,6 +234,17 @@ def test_resample_no_smote_writes_the_imputed_table(tmp_path):
     assert class_counts(written) == record["final_counts"]
 
 
+@pytest.mark.parametrize("mode", [[], ["--no-smote"]])
+def test_resample_refuses_an_unknown_positive_class_before_making_out(mode, tiny_path, tmp_path,
+                                                                      capsys):
+    out = tmp_path / "o5"
+    assert main(["resample", "--data", str(tiny_path), "--seed", "3", "--positive-class", "Q",
+                 *mode, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: positive class 'Q'") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_resample_requires_seed(tiny_path, capsys):
     assert main(["resample", "--data", str(tiny_path)]) == 2
     assert "--seed" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Parser, serializer, and data-model behavior."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -196,7 +197,21 @@ def test_round_trip_quotes_attribute_names_the_bare_form_would_misread(head, dec
     assert again == d and again.relation == d.relation
 
 
-_HEAD = "@relation r\n@attribute a {x,y}\n@attribute v numeric\n@attribute c {T,F}\n@data\n"
+# the reader has no escape, so a name that needs quotes and holds both kinds has no ARFF form
+@pytest.mark.parametrize("name", ["a'b\"", "'x\"", "pre 'op\""])
+@pytest.mark.parametrize("where", ["relation", "attribute"])
+def test_to_arff_refuses_a_name_that_no_quote_can_hold(where, name):
+    schema = [AttributeSchema(name if where == "attribute" else "a", "numeric"),
+              AttributeSchema("c", "nominal", ("T", "F"), role="class")]
+    d = from_rows(schema, [(1.0, 0)], relation=name if where == "relation" else "r")
+    with pytest.raises(DataError, match=re.escape(f"name {name!r} needs quotes but holds both")):
+        to_arff(d)
+    # without a reason to quote it, such a name is written bare and read back
+    bare = from_rows(schema[1:], [(0,)], relation="a'b\"c")
+    assert parse_arff(to_arff(bare)).relation == "a'b\"c"
+
+
+_HEAD ="@relation r\n@attribute a {x,y}\n@attribute v numeric\n@attribute c {T,F}\n@data\n"
 
 
 # (data rows, message, line, column), each with more than one fault; the
