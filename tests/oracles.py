@@ -12,7 +12,7 @@ from statistics import NormalDist
 import numpy as np
 
 from postop.dataset import DataError, ParseError
-from postop.decision_tree import _added_errors
+from postop.decision_tree import _added_errors, _entropy2, _plogp, _sum_last
 
 
 # -- ARFF data rows ----------------------------------------------------------------
@@ -182,6 +182,62 @@ def rules_predict(rules, d) -> np.ndarray:
     if (out < 0).any():
         raise DataError(f"no rule matched instance {int(np.argmax(out < 0))}")
     return out
+
+
+# -- split scans ------------------------------------------------------------------
+
+
+def scan_by_blocks(keys, width, values, ranks, y, counts):
+    """`decision_tree._scan` with every numeric column scored at once, as whole blocks.
+
+    The scan as it stood before its numeric columns were scored one at a
+    time: one segment sort, one cumulative count and one gain block of
+    (positions, numeric columns) for all of them. Its four results are the
+    reference for the column-at-a-time scan, byte for byte; keys is
+    overwritten, as the scan's is.
+    """
+    c0, c1 = counts[:, 0], counts[:, 1]
+    n = c0 + c1
+    sizes = n.astype(np.int64)
+    starts = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(len(n)), sizes)
+    h0 = _entropy2(c0, c1)
+    shape = (len(n), keys.shape[1], width, 2)
+    keys += (seg * math.prod(shape[1:]))[:, None]
+    tables = np.bincount(keys.ravel(), minlength=math.prod(shape)).reshape(shape).astype(float)
+    t0, t1 = tables[..., 0], tables[..., 1]
+    shares = (t0 + t1) / n[:, None, None]
+    gains = h0[:, None] - _sum_last(shares * _entropy2(t0, t1))
+    infos = -_sum_last(_plogp(shares))
+    order = (ranks + (seg * (int(ranks.max(initial=0)) + 1))[:, None]) * len(y)
+    order = np.argsort(order + np.arange(len(y))[:, None], axis=0)
+    cols = np.arange(values.shape[1])
+    sv = values[order, cols]
+    ones = np.concatenate([np.zeros((1, len(cols)), dtype=np.int64), np.cumsum(y[order], axis=0)])
+    pos = np.delete(np.arange(len(y)), starts + sizes - 1)
+    at = seg[pos]
+    local = (pos - starts[at])[:, None]
+    nl, nn = local + 1.0, n[at][:, None]
+    l1 = (ones[pos + 1] - ones[starts[at]]).astype(float)
+    l0 = nl - l1
+    split_gains = (h0[at][:, None] - nl / nn * _entropy2(l0, l1)
+                   - (nn - nl) / nn * _entropy2(c0[at][:, None] - l0, c1[at][:, None] - l1))
+    split_gains = np.where(sv[pos] < sv[pos + 1], split_gains, -np.inf)
+    first = starts - np.arange(len(n))
+    top = np.maximum.reduceat(split_gains, first, axis=0)
+    best = np.minimum.reduceat(np.where(split_gains == top[at], local, len(y)), first, axis=0)
+    a, b = sv[starts[:, None] + best, cols], sv[starts[:, None] + best + 1, cols]
+    thresholds = a / 2 + b / 2
+    thresholds = np.where((a <= thresholds) & (thresholds < b), thresholds, a)
+    split_infos = [-(pl * math.log2(pl) + pr * math.log2(pr)) for pl, pr in
+                   zip(((best + 1) / n[:, None]).flat, ((n[:, None] - best - 1) / n[:, None]).flat)]
+    left = np.stack([plane[first[:, None] + best, cols] for plane in (l0, l1)], axis=-1)
+    children = np.zeros((len(n), shape[1] + len(cols), max(width, 2), 2))
+    children[:, :shape[1], :width] = tables
+    children[:, shape[1]:, :2] = np.stack([left, counts[:, None] - left], axis=2)
+    infos = np.concatenate([infos, np.reshape(split_infos, best.shape)], axis=1)
+    thresholds = np.concatenate([np.full(gains.shape, np.nan), thresholds], axis=1)
+    return np.concatenate([gains, top], axis=1), infos, thresholds, children
 
 
 # -- pruning ----------------------------------------------------------------------

@@ -51,6 +51,7 @@ from oracles import (
     gain_ratio_numeric,
     prune_by_recursion,
     rules_predict,
+    scan_by_blocks,
     split_info_of_partition,
 )
 
@@ -273,6 +274,62 @@ def test_one_scan_of_many_nodes_equals_a_scan_per_node():
             for got, expected in zip(together, alone):
                 assert got[s].tobytes() == expected[0].tobytes()
 
+
+
+def _assert_scan_is_by_blocks(keys, *args):
+    """_scan gives the bytes, dtypes and shapes of the whole-block reference scan."""
+    for got, want in zip(_scan(keys.copy(), *args), scan_by_blocks(keys.copy(), *args),
+                         strict=True):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_nominal=st.integers(0, 2), n_numeric=st.integers(0, 3), n=st.integers(2, 80),
+       n_nodes=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_scan_has_the_bytes_of_the_whole_block_scan_on_drawn_tables(n_nominal, n_numeric, n,
+                                                                    n_nodes, seed):
+    # values from a few points, -0.0 and 0.0 among them, so ties run within and across
+    # nodes; a column constant in the table; nodes of any rows, two at least
+    rng = np.random.default_rng(seed)
+    domains = [int(rng.integers(1, 10)) for _ in range(n_nominal)] + [None] * n_numeric
+    if not domains:
+        domains = [2]
+    columns = [(rng.integers(0, size, n) if size else
+                rng.choice([-0.0, 0.0, 0.5, -1.5, 2.0, 1e300], n)).tolist() for size in domains]
+    if n_numeric and rng.random() < 0.3:
+        columns[-1] = [columns[-1][0]] * n
+    trainer = _trainer(_table(columns, rng.integers(0, 2, n).tolist(), domains))
+    order, nodes = rng.permutation(n), []
+    while len(nodes) < n_nodes and len(order) >= 2:
+        size = int(rng.integers(2, len(order) + 1))
+        nodes.append(np.sort(order[:size]))
+        order = order[size:]
+    rows = np.concatenate(nodes)
+    y = trainer.y[rows]
+    counts = np.array([np.bincount(trainer.y[idx], minlength=2) for idx in nodes], dtype=float)
+    keys = decision_tree._nominal_keys(trainer.codes[rows], trainer.width, y)
+    _assert_scan_is_by_blocks(keys, trainer.width, trainer.values[rows], trainer.ranks[rows], y,
+                              counts)
+
+
+def test_scan_has_the_bytes_of_the_whole_block_scan_on_cohort_forests(cohort_folds,
+                                                                      monkeypatch):
+    # every scan that grows the 1x and the 2x fold forests, then the same trees
+    calls, scan = [], decision_tree._scan
+
+    def checked(keys, *args):
+        calls.append(1)
+        _assert_scan_is_by_blocks(keys, *args)
+        return scan(keys, *args)
+
+    for forest in (cohort_folds[:10], cohort_folds[11:]):
+        want = train_trees(forest)
+        monkeypatch.setattr(decision_tree, "_scan", checked)
+        for got, tree in zip(train_trees(forest), want, strict=True):
+            _assert_same_tree(got, tree)
+        monkeypatch.setattr(decision_tree, "_scan", scan)
+    assert len(calls) > 20
 
 def _levels(t):
     """Number of levels of the tree, the root's included."""
