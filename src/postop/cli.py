@@ -129,10 +129,6 @@ def _cmd_resample(args) -> int:
     smote_cfg = _smote_config(args)
     d = impute_missing(_load_dataset(args)[0], args.impute)
     positive = _positive_class(d, args.positive_class)  # checked before --out is made, as in bench
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "resampled.arff"
-    record_path = out_dir / "resample_record.json"
     if args.no_smote:
         counts = class_counts(d)
         resampled, record = d, {"method": "none", "original_counts": counts,
@@ -144,7 +140,11 @@ def _cmd_resample(args) -> int:
         summary = (f"resampled {{{_counts_text(smoted.original_counts)}}} -> "
                    f"{{{_counts_text(smoted.final_counts)}}} "
                    f"({smoted.synthetic_created} synthetic)\n")
-    out_path.write_text(to_arff(resampled), encoding="utf-8")
+    text = to_arff(resampled)  # before --out is made, so a name it refuses leaves no directory
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out_path, record_path = out_dir / "resampled.arff", out_dir / "resample_record.json"
+    out_path.write_text(text, encoding="utf-8")
     record_path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"{summary}wrote {out_path} and {record_path}")
     return 0

@@ -488,9 +488,10 @@ def _format_column(attr: AttributeSchema, column: np.ndarray) -> list[str]:
             for v, hole in zip(column.tolist(), is_missing(column).tolist())]
 
 
-def _arff_name(name: str) -> str:
-    """The name, quoted where the unquoted form would read another name."""
-    if name.split() != [name] or "{" in name or "%" in name or name.strip("'\"") != name:
+def _arff_name(name: str, strip) -> str:
+    """The name, quoted where the unquoted form would read another name; strip drops quotes
+    from a bare name as its reader does (relation: str.strip, attribute: str.lstrip)."""
+    if name.split() != [name] or "{" in name or "%" in name or strip(name, "'\"") != name:
         if "'" in name and '"' in name:  # ARFF has no escape, so no quote can hold it
             raise DataError(f"name {name!r} needs quotes but holds both ' and \"")
         quote = '"' if "'" in name else "'"
@@ -500,10 +501,10 @@ def _arff_name(name: str) -> str:
 
 def to_arff(d: Dataset) -> str:
     """Serialize to ARFF; re-parsing the result reproduces the dataset."""
-    out = [f"@relation {_arff_name(d.relation)}"]
+    out = [f"@relation {_arff_name(d.relation, str.strip)}"]
     for a in d.schema:
         kind = "{" + ",".join(a.values) + "}" if a.kind == NOMINAL else "numeric"
-        out.append(f"@attribute {_arff_name(a.name)} {kind}")
+        out.append(f"@attribute {_arff_name(a.name, str.lstrip)} {kind}")
     out.append("@data")
     out += map(",".join, zip(*(_format_column(a, d.column(ai)) for ai, a in enumerate(d.schema))))
     return "\n".join(out) + "\n"

@@ -147,36 +147,41 @@ def _scan(keys, width, values, ranks, y, counts):
     shares = (t0 + t1) / n[:, None, None]  # each branch's share of its node's rows
     gains = h0[:, None] - _sum_last(shares * _entropy2(t0, t1))
     infos = -_sum_last(_plogp(shares))
-    # numeric columns sorted in their segments, ties in row order: keys unique, so any sort does
-    order = (ranks + (seg * (int(ranks.max(initial=0)) + 1))[:, None]) * len(y)
-    order = np.argsort(order + np.arange(len(y))[:, None], axis=0)
-    cols = np.arange(values.shape[1])
-    sv = values[order, cols]
-    # class-1 rows before each position; integers, so the differences are exact
-    ones = np.concatenate([np.zeros((1, len(cols)), dtype=np.int64), np.cumsum(y[order], axis=0)])
-    del order
     # a split after every position but a segment's last
     pos = np.delete(np.arange(len(y)), starts + sizes - 1)
     at = seg[pos]
-    local = (pos - starts[at])[:, None]  # position inside the segment
-    nl, nn = local + 1.0, n[at][:, None]
-    l1 = (ones[pos + 1] - ones[starts[at]]).astype(float)
-    l0 = nl - l1
-    split_gains = (h0[at][:, None] - nl / nn * _entropy2(l0, l1)
-                   - (nn - nl) / nn * _entropy2(c0[at][:, None] - l0, c1[at][:, None] - l1))
-    split_gains = np.where(sv[pos] < sv[pos + 1], split_gains, -np.inf)
-    # the first position of each segment's best gain; gains between equal values are -inf
+    local = pos - starts[at]  # position inside the segment
+    nl, nn = local + 1.0, n[at]
+    wl, wr, h0_at, c0_at, c1_at = nl / nn, (nn - nl) / nn, h0[at], c0[at], c1[at]
     first = starts - np.arange(len(n))
-    top = np.maximum.reduceat(split_gains, first, axis=0)
-    best = np.minimum.reduceat(np.where(split_gains == top[at], local, len(y)), first, axis=0)
-    a, b = sv[starts[:, None] + best, cols], sv[starts[:, None] + best + 1, cols]
+    base = seg * (int(ranks.max(initial=0)) + 1)  # int64, so the sort keys cannot overflow
+    top, a, b = np.empty((3, len(n), values.shape[1]))
+    best, left = np.empty((len(n), values.shape[1]), dtype=np.int64), np.empty((*top.shape, 2))
+    for c in range(values.shape[1]):  # a column at a time, so its scratch is 1-D
+        # sorted in its segments, ties in row order: keys unique, so any sort does
+        order = np.argsort((ranks[:, c] + base) * len(y) + np.arange(len(y)))
+        sv = values[order, c]
+        # class-1 rows before each position; integers, so the differences are exact
+        ones = np.concatenate([[0], np.cumsum(y[order])])
+        del order
+        l1 = (ones[pos + 1] - ones[starts[at]]).astype(float)
+        l0 = nl - l1
+        del ones
+        split_gains = h0_at - wl * _entropy2(l0, l1) - wr * _entropy2(c0_at - l0, c1_at - l1)
+        split_gains = np.where(sv[pos] < sv[pos + 1], split_gains, -np.inf)
+        # the first position of each segment's best gain; gains between equal values are -inf
+        top[:, c] = np.maximum.reduceat(split_gains, first)
+        best[:, c] = k = np.minimum.reduceat(np.where(split_gains == top[at, c], local, len(y)),
+                                             first)
+        del split_gains
+        a[:, c], b[:, c] = sv[starts + k], sv[starts + k + 1]
+        left[:, c] = np.stack([l0[first + k], l1[first + k]], axis=-1)
     thresholds = a / 2 + b / 2  # halved first, so the sum cannot overflow
     thresholds = np.where((a <= thresholds) & (thresholds < b), thresholds, a)  # b stays right
     # math.log2 keeps the bits of the pinned trees; np.log2 rounds some ratios apart
     split_infos = [-(pl * math.log2(pl) + pr * math.log2(pr)) for pl, pr in
                    zip(((best + 1) / n[:, None]).flat, ((n[:, None] - best - 1) / n[:, None]).flat)]
-    left = np.stack([plane[first[:, None] + best, cols] for plane in (l0, l1)], axis=-1)
-    children = np.zeros((len(n), shape[1] + len(cols), max(width, 2), 2))
+    children = np.zeros((len(n), shape[1] + values.shape[1], max(width, 2), 2))
     children[:, :shape[1], :width] = tables
     children[:, shape[1]:, :2] = np.stack([left, counts[:, None] - left], axis=2)
     infos = np.concatenate([infos, np.reshape(split_infos, best.shape)], axis=1)

@@ -4,6 +4,7 @@ import contextlib
 import importlib.util
 import os
 import signal
+import tracemalloc
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
@@ -70,6 +71,14 @@ def time_limit(seconds: int):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
+
+def traced_peak(fn):
+    """fn's result and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 def from_rows(schema, rows, relation: str = "dataset") -> Dataset:
     """A table from value tuples in schema order, None for missing cells.

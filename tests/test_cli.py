@@ -245,6 +245,26 @@ def test_resample_refuses_an_unknown_positive_class_before_making_out(mode, tiny
     assert not out.exists()
 
 
+def test_resample_writes_an_attribute_name_that_ends_in_a_quote(tmp_path):
+    # the attribute reader opens a quote only at a name's start, so a'b" is read and written bare
+    p = tmp_path / "quote.arff"
+    p.write_text("@relation r\n@attribute a'b\" numeric\n@attribute c {T,F}\n@data\n1,T\n2,F\n")
+    out = tmp_path / "o6"
+    assert main(["resample", "--data", str(p), "--seed", "1", "--no-smote", "--out", str(out)]) == 0
+    assert "@attribute a'b\" numeric\n" in (out / "resampled.arff").read_text()
+    assert parse_arff((out / "resampled.arff").read_text()) == parse_arff(p.read_text())
+
+
+def test_resample_leaves_no_out_when_the_table_has_no_arff_form(tmp_path, capsys):
+    # a bare relation name is read whole, blank and both quotes kept, and no quote can hold it
+    name, p, out = "a'b c\"d", tmp_path / "relation.arff", tmp_path / "o6"
+    p.write_text(f"@relation {name}\n@attribute x numeric\n@attribute c {{T,F}}\n@data\n1,T\n2,F\n")
+    assert main(["resample", "--data", str(p), "--seed", "1", "--no-smote", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: name {name!r} needs quotes") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_resample_requires_seed(tiny_path, capsys):
     assert main(["resample", "--data", str(tiny_path)]) == 2
     assert "--seed" in capsys.readouterr().err
