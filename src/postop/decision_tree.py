@@ -110,7 +110,10 @@ def _entropy2(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
 
 def _nominal_keys(codes: np.ndarray, width: int, y: np.ndarray) -> np.ndarray:
     """Cell of each (row, nominal attribute) in a zero-padded (attrs, width, 2 classes) table."""
-    return (codes + np.arange(codes.shape[1]) * width) * 2 + y[:, None]
+    keys = codes + np.arange(codes.shape[1]) * width  # int64, then built in place
+    keys *= 2
+    keys += y[:, None]
+    return keys
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:

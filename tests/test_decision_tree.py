@@ -728,9 +728,10 @@ def test_forests_of_drawn_tables_grow_each_tree_alone(sizes, n_nominal, n_numeri
 
 
 def test_a_2x_fold_tree_peaks_below_0_65_mb(cohort_folds):
-    # 1,728 rows, all in the root's scan: its count tables, then the numeric
-    # columns' sort, counts and gains one column at a time, next to the table's
-    # compact inputs; scored as one block of all three columns it took 0.75 MB
+    # 1,728 rows, all in the root's scan: its keys, built in place, and count
+    # tables, then the numeric columns' sort, counts and gains one column at a
+    # time, next to the table's compact inputs (0.49 MB); with the numeric
+    # columns scored as one block and the keys built from temporaries, 0.75 MB
     t, peak = traced_peak(lambda: train_tree(cohort_folds[11]))
     assert len(cohort_folds[11]) == 1728 and not _root(t).is_leaf
     assert peak <= 0.65 * 2**20, f"peak {peak / 2**20:.2f} MB"
@@ -738,10 +739,10 @@ def test_a_2x_fold_tree_peaks_below_0_65_mb(cohort_folds):
 # A five-table forest holds five tables' compact inputs (0.37 MB) when it
 # scans its largest group, and a 2,048-row scan group takes more scratch than
 # one tree's 1,728-row root; its nodes are a few arrays of 40 B a node. The
-# forest peaks at 1.11 MB, 2.04 times one tree's 0.54 MB: scoring numeric
+# forest peaks at 1.11 MB, 2.28 times one tree's 0.49 MB: scoring numeric
 # columns one at a time shrank both scans, and the four more tables' inputs stay.
 @pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="a five-table forest peaks at 2.04 times one tree")
+                   reason="a five-table forest peaks at 2.28 times one tree")
 def test_a_five_table_forest_of_2x_folds_peaks_within_1_2_trees(cohort_folds):
     two_x = cohort_folds[11:16]
     peaks = []
