@@ -154,7 +154,7 @@ def _scan(keys, width, values, ranks, y, counts):
     pos = np.delete(np.arange(len(y)), starts + sizes - 1)
     at = seg[pos]
     local = pos - starts[at]  # position inside the segment
-    nl, nn = local + 1.0, n[at]
+    nl, nn = local + 1.0, n[at]  # rows left of the split, rows of its node
     wl, wr, h0_at, c0_at, c1_at = nl / nn, (nn - nl) / nn, h0[at], c0[at], c1[at]
     first = starts - np.arange(len(n))
     base = seg * (int(ranks.max(initial=0)) + 1)  # int64, so the sort keys cannot overflow

@@ -80,6 +80,7 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
 
+
 def from_rows(schema, rows, relation: str = "dataset") -> Dataset:
     """A table from value tuples in schema order, None for missing cells.
 

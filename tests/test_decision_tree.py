@@ -275,7 +275,6 @@ def test_one_scan_of_many_nodes_equals_a_scan_per_node():
                 assert got[s].tobytes() == expected[0].tobytes()
 
 
-
 def _assert_scan_is_by_blocks(keys, *args):
     """_scan gives the bytes, dtypes and shapes of the whole-block reference scan."""
     for got, want in zip(_scan(keys.copy(), *args), scan_by_blocks(keys.copy(), *args),
@@ -315,7 +314,7 @@ def test_scan_has_the_bytes_of_the_whole_block_scan_on_drawn_tables(n_nominal, n
 
 def test_scan_has_the_bytes_of_the_whole_block_scan_on_cohort_forests(cohort_folds,
                                                                       monkeypatch):
-    # every scan that grows the 1x and the 2x fold forests, then the same trees
+    # every scan that grows the 1x and the 2x fold forests
     calls, scan = [], decision_tree._scan
 
     def checked(keys, *args):
@@ -323,13 +322,11 @@ def test_scan_has_the_bytes_of_the_whole_block_scan_on_cohort_forests(cohort_fol
         _assert_scan_is_by_blocks(keys, *args)
         return scan(keys, *args)
 
+    monkeypatch.setattr(decision_tree, "_scan", checked)
     for forest in (cohort_folds[:10], cohort_folds[11:]):
-        want = train_trees(forest)
-        monkeypatch.setattr(decision_tree, "_scan", checked)
-        for got, tree in zip(train_trees(forest), want, strict=True):
-            _assert_same_tree(got, tree)
-        monkeypatch.setattr(decision_tree, "_scan", scan)
+        train_trees(forest)
     assert len(calls) > 20
+
 
 def _levels(t):
     """Number of levels of the tree, the root's included."""
@@ -735,6 +732,7 @@ def test_a_2x_fold_tree_peaks_below_0_65_mb(cohort_folds):
     t, peak = traced_peak(lambda: train_tree(cohort_folds[11]))
     assert len(cohort_folds[11]) == 1728 and not _root(t).is_leaf
     assert peak <= 0.65 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
 
 # A five-table forest holds five tables' compact inputs (0.37 MB) when it
 # scans its largest group, and a 2,048-row scan group takes more scratch than
