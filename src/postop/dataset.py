@@ -193,12 +193,6 @@ class Dataset:
     def numeric_predictor_indices(self) -> tuple[int, ...]:
         return tuple(i for i in self.predictor_indices if self.schema[i].kind == NUMERIC)
 
-    def attribute_index(self, name: str) -> int:
-        for i, a in enumerate(self.schema):
-            if a.name == name:
-                return i
-        raise DataError(f"no attribute named {name!r}")
-
     # -- array views (read-only) -------------------------------------------
 
     def codes_matrix(self) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Gain-ratio decision tree with pessimistic pruning and rule extraction.
+"""Gain-ratio decision tree with pessimistic pruning.
 
 Splits are chosen by gain ratio among attributes whose information gain
 reaches the mean gain of the viable candidates. Nominal attributes branch
@@ -20,7 +20,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dataset import CLASS, NOMINAL, DataError, Dataset, require_complete
+from .dataset import DataError, Dataset, require_complete
 
 # gains this small are noise; such attributes are not split candidates
 GAIN_EPS = 1e-12
@@ -62,26 +62,6 @@ class Tree:
     attrs: tuple
     n_nominal: int
     root: int
-
-
-@dataclass(frozen=True)
-class Condition:
-    """One conjunct of a rule antecedent."""
-
-    attribute: str
-    attr_index: int
-    op: str  # "=", "<=", ">"
-    value: str | float
-    code: int | None = None  # domain index backing an "=" test
-
-
-@dataclass(frozen=True)
-class Rule:
-    """Conjunction of conditions implying a class value."""
-
-    antecedent: tuple[Condition, ...]
-    consequent: tuple[str, str]  # (class attribute name, class value token)
-    class_code: int
 
 
 # -- information measures ----------------------------------------------------
@@ -391,88 +371,3 @@ def tree_predict(t: Tree, d: Dataset) -> np.ndarray:
                                        t.threshold[node], t.n_nominal)
     counts = t.counts[leaf]
     return (counts + 1.0) / (counts.sum(axis=1, keepdims=True) + counts.shape[1])
-
-
-# -- rules ---------------------------------------------------------------------
-
-
-def _walk(t: Tree):
-    """Each node of t, its prediction (None if split) and the conditions leading to it, in
-    depth-first child order.
-
-    Nodes come from an explicit stack, so depth is unbounded.
-    """
-    stack = [(t.root, ())]
-    while stack:
-        i, conds = stack.pop()
-        k = int(t.column[i])
-        yield i, None if k >= 0 else int(t.counts[i].argmax()), conds
-        if k < 0:
-            continue
-        ai, attr = t.attrs[k], t.schema[t.attrs[k]]
-        if k < t.n_nominal:
-            tests = [Condition(attr.name, ai, "=", value, code)
-                     for code, value in enumerate(attr.values)]
-        else:
-            tests = [Condition(attr.name, ai, op, float(t.threshold[i])) for op in ("<=", ">")]
-        stack.extend(reversed([(int(t.first[i]) + j, conds + (c,)) for j, c in enumerate(tests)]))
-
-
-def tree_to_rules(t: Tree) -> list[Rule]:
-    """One rule per leaf, in depth-first child order.
-
-    The rules partition the instance space: on complete instances, the
-    first matching rule classifies exactly like the tree.
-    """
-    class_attr = next(a for a in t.schema if a.role == CLASS)
-    return [Rule(conds, (class_attr.name, class_attr.values[p]), p)
-            for _, p, conds in _walk(t) if p is not None]
-
-
-# -- printer -------------------------------------------------------------------
-
-
-def format_tree(t: Tree) -> str:
-    """Indented text rendering: one line per node below the root, or one for a lone leaf."""
-    class_attr = next(a for a in t.schema if a.role == CLASS)
-    lines: list[str] = []
-    for i, p, conds in _walk(t):
-        parts = [f"{c.attribute} {c.op} " + (c.value if c.op == "=" else f"{c.value:g}")
-                 for c in conds[-1:]]
-        if p is not None:
-            dist = "/".join(f"{c:g}" for c in t.counts[i].tolist())
-            parts.append(f"{class_attr.name} = {class_attr.values[p]} ({dist})")
-        if parts:
-            lines.append("|   " * max(len(conds) - 1, 0) + ": ".join(parts))
-    return "\n".join(lines)
-
-
-# -- standalone split quality ---------------------------------------------------
-
-
-def gain_ratio(d: Dataset, attribute) -> float | None:
-    """Gain ratio of splitting the dataset on one predictor attribute.
-
-    Numeric attributes are scored at their best-gain midpoint threshold.
-    Returns None when the attribute cannot split the data (fewer than two
-    distinct values). d must have no missing cells.
-    """
-    require_complete(d, "gain ratio")
-    ai = d.attribute_index(attribute) if isinstance(attribute, str) else int(attribute)
-    attr = d.schema[ai]
-    if attr.role == CLASS:
-        raise DataError("gain ratio of the class attribute is undefined")
-    if len(d) < 2:
-        return None
-    col, y = d.column(ai)[:, None], d.class_codes()
-    counts = np.bincount(y, minlength=2).astype(float)[None]
-    empty = np.empty((len(y), 0), dtype=np.int64)
-    if attr.kind == NOMINAL:
-        width = len(attr.values)
-        scan = _scan(_nominal_keys(col, width, y), width, empty, empty, y, counts)
-    else:
-        scan = _scan(empty, 1, col, _ranks(col), y, counts)
-    gain, split_info = scan[0][0, 0], scan[1][0, 0]
-    if gain == -math.inf or split_info <= 0.0:
-        return None
-    return gain / split_info

@@ -2,6 +2,7 @@
 
 import contextlib
 import importlib.util
+import math
 import os
 import signal
 import tracemalloc
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from postop.dataset import AttributeSchema, Dataset, is_missing, parse_arff
+from postop.decision_tree import _nominal_keys, _ranks, _scan
 from postop.mlp import MlpConfig, MlpModel, _stepper, _workspace, train_mlps
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -108,7 +110,7 @@ def table_rows(d: Dataset) -> list[tuple]:
 
 
 class Node(NamedTuple):
-    """One node of a trained tree, as tree_nodes reads it from the node arrays."""
+    """One node of a trained tree, as tree_paths reads it from the node arrays."""
 
     id: int
     counts: np.ndarray
@@ -125,21 +127,60 @@ class Node(NamedTuple):
         return int(self.counts.argmax())
 
 
-def tree_nodes(t):
-    """The nodes reachable from t's root, depth first in child order, parents before
-    descendants; the nodes pruning cut off stay in the arrays and are left out."""
-    stack = [t.root]
+class Condition(NamedTuple):
+    """The test a branch passes, one conjunct of the rule of a leaf below it."""
+
+    attribute: str
+    attr_index: int
+    op: str  # "=", "<=", ">"
+    value: str | float
+    code: int | None = None  # domain index backing an "=" test
+
+
+def tree_paths(t):
+    """Each node reachable from t's root with the conditions that lead to it from the root,
+    depth first in child order, parents before descendants, from an explicit stack, so at
+    any depth; the nodes pruning cut off stay in the arrays and are left out."""
+    stack = [(t.root, ())]
     while stack:
-        i = stack.pop()
+        i, conds = stack.pop()
         k = int(t.column[i])
         if k < 0:
-            yield Node(i, t.counts[i], None, None, ())
+            yield Node(i, t.counts[i], None, None, ()), conds
             continue
-        attr, first = t.attrs[k], int(t.first[i])
-        children = tuple(range(first, first + (len(t.schema[attr].values) or 2)))
-        yield Node(i, t.counts[i], attr, None if k < t.n_nominal else float(t.threshold[i]),
-                   children)
-        stack.extend(reversed(children))
+        ai, first, threshold = t.attrs[k], int(t.first[i]), float(t.threshold[i])
+        attr = t.schema[ai]
+        if k < t.n_nominal:
+            tests = [Condition(attr.name, ai, "=", v, code) for code, v in enumerate(attr.values)]
+        else:
+            tests = [Condition(attr.name, ai, op, threshold) for op in ("<=", ">")]
+        children = tuple(range(first, first + len(tests)))
+        yield Node(i, t.counts[i], ai, None if k < t.n_nominal else threshold, children), conds
+        stack.extend(reversed([(c, conds + (test,)) for c, test in zip(children, tests)]))
+
+
+def tree_nodes(t):
+    """The nodes of tree_paths, without their conditions."""
+    return (node for node, _ in tree_paths(t))
+
+
+def gain_ratio(d: Dataset, name: str) -> float | None:
+    """Gain ratio of splitting the complete table d on the predictor called name, from the
+    tree's scan of that column alone: a numeric one at its best-gain midpoint, None when
+    the column cannot split d."""
+    ai = [a.name for a in d.schema].index(name)
+    if len(d) < 2:
+        return None
+    col, y = d.column(ai)[:, None], d.class_codes()
+    counts = np.bincount(y, minlength=2).astype(float)[None]
+    empty = np.empty((len(y), 0), dtype=np.int64)
+    if d.schema[ai].kind == "nominal":
+        width = len(d.schema[ai].values)
+        scan = _scan(_nominal_keys(col, width, y), width, empty, empty, y, counts)
+    else:
+        scan = _scan(empty, 1, col, _ranks(col), y, counts)
+    gain, split_info = scan[0][0, 0], scan[1][0, 0]
+    return None if gain == -math.inf or split_info <= 0.0 else gain / split_info
 
 
 def synthetic_cohort_text(n_t: int, n_f: int, relation: str) -> str:

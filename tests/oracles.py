@@ -14,6 +14,8 @@ import numpy as np
 from postop.dataset import DataError, ParseError
 from postop.decision_tree import _added_errors, _entropy2, _plogp, _sum_last
 
+from conftest import tree_paths
+
 
 # -- ARFF data rows ----------------------------------------------------------------
 
@@ -159,6 +161,44 @@ def gain_ratio_numeric(column, labels) -> float | None:
     if si <= 0:
         return None
     return gain / si
+
+
+# -- tree readings -----------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class Rule:
+    """Conjunction of conditions implying a class value."""
+
+    antecedent: tuple  # conftest.Condition conjuncts, from the root down
+    consequent: tuple[str, str]  # (class attribute name, class value token)
+    class_code: int
+
+
+def tree_to_rules(t) -> list[Rule]:
+    """One rule per leaf of t, in depth-first child order.
+
+    The rules partition the instance space: on complete instances, the
+    first matching rule classifies exactly like the tree.
+    """
+    cls = next(a for a in t.schema if a.role == "class")
+    return [Rule(conds, (cls.name, cls.values[node.prediction]), node.prediction)
+            for node, conds in tree_paths(t) if node.is_leaf]
+
+
+def format_tree(t) -> str:
+    """Indented text rendering: one line per node below the root, or one for a lone leaf."""
+    cls = next(a for a in t.schema if a.role == "class")
+    lines = []
+    for node, conds in tree_paths(t):
+        parts = [f"{c.attribute} {c.op} " + (c.value if c.op == "=" else f"{c.value:g}")
+                 for c in conds[-1:]]
+        if node.is_leaf:
+            dist = "/".join(f"{c:g}" for c in node.counts.tolist())
+            parts.append(f"{cls.name} = {cls.values[node.prediction]} ({dist})")
+        if parts:
+            lines.append("|   " * max(len(conds) - 1, 0) + ": ".join(parts))
+    return "\n".join(lines)
 
 
 def condition_matches(condition, d) -> np.ndarray:

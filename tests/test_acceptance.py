@@ -12,7 +12,7 @@ import numpy as np
 
 from postop.cli import main
 from postop.dataset import class_counts, impute_missing, parse_arff
-from postop.decision_tree import gain_ratio, train_tree, tree_predict, tree_to_rules
+from postop.decision_tree import train_tree, tree_predict
 from postop.evaluation import (
     ConfusionMatrix,
     confusion_metrics,
@@ -29,8 +29,8 @@ from postop.seeds import derive_seed
 
 import conftest
 from conftest import (
-    COHORT_PATH, fig_dataset, gradient_at, nominal_dataset, query, random_mixed_dataset,
-    table_rows, thoracic_path,
+    COHORT_PATH, fig_dataset, gain_ratio, gradient_at, nominal_dataset, query,
+    random_mixed_dataset, table_rows, thoracic_path,
 )
 from oracles import (
     auc_by_pair_counting,
@@ -40,6 +40,7 @@ from oracles import (
     max_relative_error,
     nb_enumerate,
     rules_predict,
+    tree_to_rules,
 )
 
 MISSING_FILE_HELP = (

@@ -24,8 +24,8 @@ from postop.dataset import (
 )
 
 from conftest import COHORT_PATH, from_rows, synthetic_cohort_text, table_rows
-from oracles import nb_enumerate, parse_rows_by_token, rules_predict
-from postop.decision_tree import train_tree, tree_predict, tree_to_rules
+from oracles import nb_enumerate, parse_rows_by_token, rules_predict, tree_to_rules
+from postop.decision_tree import train_tree, tree_predict
 from postop.mlp import encode, encode_inputs
 from postop.naive_bayes import nb_predict, train_nb
 from postop.resampling import SmoteConfig, smote

@@ -22,18 +22,16 @@ from postop.decision_tree import (
     _ranks,
     _scan,
     _Trainer,
-    format_tree,
-    gain_ratio,
     train_tree,
     train_trees,
     tree_predict,
-    tree_to_rules,
 )
 
 from conftest import (
     TESTS_DIR,
     fig_dataset,
     from_rows,
+    gain_ratio,
     nominal_dataset,
     query,
     random_mixed_dataset,
@@ -46,6 +44,7 @@ from conftest import (
 from oracles import (
     best_threshold_split,
     entropy_of_counts,
+    format_tree,
     gain_of_partition,
     gain_ratio_nominal,
     gain_ratio_numeric,
@@ -53,6 +52,7 @@ from oracles import (
     rules_predict,
     scan_by_blocks,
     split_info_of_partition,
+    tree_to_rules,
 )
 
 Z = NormalDist().inv_cdf(0.75)
@@ -123,20 +123,23 @@ def _holed_table(hole):
     return from_rows(schema, [(0, 1.0, 0), (1, 2.0, 0), (1, 3.0, 1), (0, 4.0, 1), hole])
 
 
-def test_gain_ratio_refuses_a_missing_nominal_code():
-    # numpy's bincount raised its own ValueError on the code -1
-    d = _holed_table((None, 5.0, 1))
-    for attribute in ("a", "n"):
-        with pytest.raises(DataError, match="gain ratio needs a table with no missing cells"):
-            gain_ratio(d, attribute)
+def _assert_tree_refuses(d):
+    """Training on d and predicting d's rows both refuse its missing cell."""
+    with pytest.raises(DataError, match="^tree training needs a table with no missing cells"):
+        train_tree(d)
+    t = train_tree(d.subset(np.arange(len(d) - 1)))
+    with pytest.raises(DataError, match="^tree prediction needs a table with no missing cells"):
+        tree_predict(t, d)
 
 
-def test_gain_ratio_refuses_a_missing_numeric_value():
-    # a NaN was sorted last and scored as a value: the ratio came out as a number
-    d = _holed_table((1, None, 1))
-    for attribute in ("a", "n"):
-        with pytest.raises(DataError, match="gain ratio needs a table with no missing cells"):
-            gain_ratio(d, attribute)
+def test_tree_refuses_a_missing_nominal_code():
+    # a missing code is -1, the branch before a nominal test's first child
+    _assert_tree_refuses(_holed_table((None, 5.0, 1)))
+
+
+def test_tree_refuses_a_missing_numeric_value():
+    # nan > t is False, so a NaN would go down every numeric test's <= branch
+    _assert_tree_refuses(_holed_table((1, None, 1)))
 
 
 def test_entropy_matches_a_per_vector_loop_bit_for_bit():
@@ -376,8 +379,6 @@ def test_identical_columns_tie_and_the_earlier_attribute_splits(order):
 def test_gain_ratio_degenerate_cases():
     d = nominal_dataset({"a": [0, 0, 0, 0]}, [0, 0, 1, 1], domains={"a": 2})
     assert gain_ratio(d, "a") is None
-    with pytest.raises(DataError, match="class"):
-        gain_ratio(d, "cls")
 
 
 def test_numeric_threshold_is_midpoint_lowest_on_ties():
@@ -424,9 +425,9 @@ def test_mean_gain_filter_yields_known_structure():
     t = train_tree(d)
     nodes = _by_id(t)
     root = nodes[t.root]
-    assert root.attribute == d.attribute_index("S1")
-    assert nodes[root.children[0]].attribute == d.attribute_index("S2")
-    assert nodes[root.children[1]].attribute == d.attribute_index("S3")
+    assert d.schema[root.attribute].name == "S1"
+    assert d.schema[nodes[root.children[0]].attribute].name == "S2"
+    assert d.schema[nodes[root.children[1]].attribute].name == "S3"
     assert nodes[root.children[2]].is_leaf
     assert _leaf_count(t) == 5
 
@@ -462,6 +463,22 @@ def test_rules_agree_with_tree_on_whole_instance_space():
     rules = tree_to_rules(t)
     grid = query(d, *[(a, b, c, 0) for a in range(3) for b in range(2) for c in range(2)])
     assert rules_predict(rules, grid).tolist() == tree_predict(t, grid).argmax(axis=1).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_rows=st.integers(1, 60), n_nominal=st.integers(0, 2), n_numeric=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1),
+       cfg=st.sampled_from([TreeConfig(), TreeConfig(pruning=False),
+                            TreeConfig(min_leaf_instances=1)]))
+def test_rules_agree_with_tree_on_drawn_tables(n_rows, n_nominal, n_numeric, seed, cfg):
+    # the training rows, and each again with the attribute of a numeric test set to its
+    # threshold, where a rule's <= and the tree's > must send it the same way
+    d = random_mixed_dataset(np.random.default_rng(seed), n_rows, n_nominal, n_numeric)
+    t, rows = train_tree(d, cfg), table_rows(d)
+    at = [row[:node.attribute] + (node.threshold,) + row[node.attribute + 1:]
+          for node in tree_nodes(t) if node.threshold is not None for row in rows]
+    grid = query(d, *rows, *at)
+    assert (rules_predict(tree_to_rules(t), grid) == tree_predict(t, grid).argmax(axis=1)).all()
 
 
 def test_rules_require_complete_instances():
